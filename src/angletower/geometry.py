@@ -223,11 +223,17 @@ def birkhoff_lyapunov(model: PolynomialModel, solver: LandingSolver,
     floor of landed precritical points, whose log-derivative would
     otherwise contribute a large finite value in place of -infinity.
     """
+    return _birkhoff(model, solver.land_orbit(a), n, reanchor_interval,
+                     crit_tol)
+
+
+def _birkhoff(model: PolynomialModel, landing: OrbitLanding, n: int,
+              reanchor_interval: int = 25, crit_tol: float = 1e-7) -> float:
+    """birkhoff_lyapunov along an orbit that is already landed."""
     if n <= 0:
         raise ValueError("n must be >= 1")
     if reanchor_interval < 1:
         raise ValueError("reanchor_interval must be >= 1")
-    landing = solver.land_orbit(a)
     z = landing.points[0]
     total = 0.0
     for k in range(n):
@@ -312,9 +318,10 @@ def landing_table_csv(model: PolynomialModel, solver: LandingSolver,
     w = csv.writer(buf)
     w.writerow(["angle", "re", "im", "lyapunov"])
     for a in angles:
-        z = solver.land(a)
+        landing = solver.land_orbit(a)
+        z = landing.points[0]
         try:
-            lam = format(birkhoff_lyapunov(model, solver, a, n), ".17g")
+            lam = format(_birkhoff(model, landing, n), ".17g")
         except CriticalProximity:
             lam = "excluded"
         w.writerow([format_angle(a), format(z.real, ".17g"),

@@ -18,7 +18,7 @@ import numpy as np
 from .angles import ArcSet, cylinder_arcset, format_angle
 from .geometry import CriticalProximity, LandingError, LandingSolver
 from .lifting import TowerMass, entropy_estimate
-from .streams import TraceEnsemble
+from .streams import TraceEnsemble, arc_index_streams, fits_int64
 from .tower import Domain, TowerGraph
 
 DEFAULT_MARGIN = Fraction(1, 64)
@@ -221,35 +221,16 @@ class InducedSystem:
                 "censor_fraction": self.censor_fraction}
 
 
-def _exact_membership_plan(ensemble, arcs):
-    """Cross-multiplied membership tests, or None when they could overflow.
-
-    A point p/q sits in the component [s, s+l) exactly when
-    ((p*s.den - s.num*q) mod (q*s.den)) * l.den < l.num * q * s.den; all
-    products must stay inside int64.
-    """
-    dens = np.array([a.denominator for a in ensemble.angles], dtype=object)
-    max_den = int(max(a.denominator for a in ensemble.angles))
-    worst = 0
-    for start, length in arcs.components:
-        q = max(start.denominator, length.denominator)
-        worst = max(worst, max_den * start.denominator * length.denominator,
-                    length.numerator * start.denominator * max_den, q)
-    if worst.bit_length() >= 63:
-        return None
-    return (np.array([a.numerator for a in ensemble.angles], dtype=np.int64),
-            dens.astype(np.int64))
-
-
 def first_return(ensemble: TraceEnsemble, witness: WitnessRegion,
                  horizon: int | None = None) -> InducedSystem:
     """Visits of every trace to the witness, split into return intervals.
 
     A visit at step k means the trace occupies the witness domain with an
-    angle inside the notched arc-set; membership is decided by exact
-    integer comparisons.  Consecutive visits of one sample give completed
-    returns; the stretch from a sample's last visit to the horizon is its
-    censored record.
+    angle inside the notched arc-set.  The arc-set is a union of the arcs
+    between consecutive endpoints of its components, so membership is read
+    off the exact int64 symbol-stream kernel run against those endpoints.
+    Consecutive visits of one sample give completed returns; the stretch
+    from a sample's last visit to the horizon is its censored record.
     """
     if witness.arcs.is_empty:
         raise ValueError("witness region is empty")
@@ -257,45 +238,28 @@ def first_return(ensemble: TraceEnsemble, witness: WitnessRegion,
     if h < 1 or h > ensemble.horizon:
         raise ValueError(
             f"horizon must lie in [1, {ensemble.horizon}], got {h}")
-    plan = _exact_membership_plan(ensemble, witness.arcs)
-    if plan is None:
+    d = ensemble.graph.partition.degree
+    comps = witness.arcs.components
+    cuts = tuple(sorted({s for s, _ in comps}
+                        | {(s + l) % 1 for s, l in comps}))
+    dens = [a.denominator for a in ensemble.angles]
+    if not fits_int64(max(dens), cuts, d):
         raise ValueError(
             "sample denominators too large for exact witness membership; "
             "use small-denominator samples such as brolin_period_samples")
-    nums, dens = plan
-    d = ensemble.graph.partition.degree
-    states = ensemble.states
-    D = witness.domain_id
-    comps = [(s.numerator, s.denominator, l.numerator, l.denominator)
-             for s, l in witness.arcs.components]
-    ev_s, ev_k = [], []
-    cur = nums.copy()
-    for k in range(h):
-        in_dom = states[:, k] == D
-        if in_dom.any():
-            in_arc = np.zeros(ensemble.count, dtype=bool)
-            for p, q, u, v in comps:
-                lhs = (cur * q - p * dens) % (q * dens)
-                in_arc |= lhs * v < u * q * dens
-            rows = np.flatnonzero(in_dom & in_arc)
-            if len(rows):
-                ev_s.append(rows)
-                ev_k.append(np.full(len(rows), k, dtype=np.int64))
-        cur = (d * cur) % dens
-    if ev_s:
-        ss = np.concatenate(ev_s)
-        kk = np.concatenate(ev_k)
-        order = np.lexsort((kk, ss))
-        ss, kk = ss[order], kk[order]
-        same = ss[1:] == ss[:-1]
-        r_s = ss[:-1][same]
-        r_t = kk[:-1][same]
-        r_tau = (kk[1:] - kk[:-1])[same]
-        last = np.ones(len(ss), dtype=bool)
-        last[:-1] = ~same
-        c_s, c_t = ss[last], kk[last]
-    else:
-        r_s = r_t = r_tau = c_s = c_t = np.zeros(0, dtype=np.int64)
+    inside = np.array([witness.arcs.contains(c) for c in cuts])
+    arcs = arc_index_streams([a.numerator for a in ensemble.angles], dens,
+                             cuts, d, h)
+    visits = inside[arcs] & (ensemble.states[:, :h] == witness.domain_id)
+    # row-major order lists visits by (sample, entry step)
+    ss, kk = np.nonzero(visits)
+    same = ss[1:] == ss[:-1]
+    r_s = ss[:-1][same]
+    r_t = kk[:-1][same]
+    r_tau = (kk[1:] - kk[:-1])[same]
+    last = np.ones(len(ss), dtype=bool)
+    last[:-1] = ~same
+    c_s, c_t = ss[last], kk[last]
     return InducedSystem(witness, h, r_s.astype(np.int64),
                          r_t.astype(np.int64), r_tau.astype(np.int64),
                          c_s.astype(np.int64), c_t.astype(np.int64),

@@ -17,7 +17,8 @@ import numpy as np
 
 from .angles import CirclePartition, circular_dist, format_angle, times_d
 from .geometry import LandingSolver, PolynomialModel
-from .streams import TraceEnsemble, is_dyadic, trace_ensemble
+from .streams import (TraceEnsemble, is_dyadic, trace_ensemble,
+                      window_digits)
 from .tower import TowerGraph
 
 PROVENANCES = ("brolin", "dirac-periodic", "orbit-empirical", "conformal",
@@ -26,8 +27,6 @@ PROVENANCES = ("brolin", "dirac-periodic", "orbit-empirical", "conformal",
 DEFAULT_FLOOR = 0.05
 DEFAULT_N_GRID = (250, 500, 1000, 2000)
 DEFAULT_R_GRID = (4, 6, 8)
-
-_GUARD_BITS = 64
 
 
 @dataclass(frozen=True)
@@ -98,34 +97,45 @@ def orbit_hits_boundary(a: Fraction, partition: CirclePartition,
 
 def brolin_samples(partition: CirclePartition, count: int, horizon: int,
                    seed: int) -> SampleMeasure:
-    """Uniform (maximal-entropy) sampler: dyadic angles j / 2^K, j odd.
+    """Uniform (maximal-entropy) sampler: angles j / d^K, d not dividing j.
 
-    K = horizon + 64 guard bits.  An odd numerator keeps every iterate
-    within the horizon at exact denominator 2^(K-k) >= 2^64, which no
-    partition boundary angle can match, so no trace rides a cutpoint and
-    no resampling is ever needed.  Requires every pure-dyadic boundary
-    angle to have fewer than 64 fractional bits.
+    K = horizon + G guard digits, where G = window_digits(d) is the length
+    of the base-d window that streams these samples (64 for d = 2, 40 for
+    d = 3, 32 for d = 4).  A numerator not divisible by d keeps every
+    iterate within the horizon at exact denominator d^(K-k) > d^G, which
+    no partition boundary angle can match, so no trace rides a cutpoint
+    and no resampling is ever needed.  Requires every d-adic boundary
+    angle to have fewer than G fractional base-d digits.
+
+    Numerators are seeded random bytes reduced mod d^K, moved up by one
+    when d divides them (for d = 2 that sets the low bit).  When d^K is not
+    a power of two, 64 more random bits keep the modulo bias below 2^-64.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
+    d = partition.degree
+    guard = window_digits(d)
     for b in partition.boundary:
-        den = b.denominator
-        if den & (den - 1) == 0 and den >= (1 << _GUARD_BITS):
+        if is_dyadic(b, d) and d ** (guard - 1) % b.denominator:
             raise ValueError(
-                f"boundary angle {format_angle(b)} exceeds the dyadic "
+                f"boundary angle {format_angle(b)} exceeds the base-{d} "
                 f"guard resolution")
-    K = horizon + _GUARD_BITS
-    nbytes = (K + 7) // 8
+    K = horizon + guard
+    den = d ** K
+    nbytes = ((den - 1).bit_length() + 7) // 8
+    if den & (den - 1):
+        nbytes += 8
     rng = np.random.default_rng(seed)
     raw = rng.bytes(count * nbytes)
     samples = []
     w = 1.0 / count
     for i in range(count):
-        j = int.from_bytes(raw[i * nbytes:(i + 1) * nbytes], "big")
-        j = (j % (1 << K)) | 1
-        samples.append((Fraction(j, 1 << K), w))
+        j = int.from_bytes(raw[i * nbytes:(i + 1) * nbytes], "big") % den
+        if j % d == 0:
+            j += 1
+        samples.append((Fraction(j, den), w))
     return SampleMeasure(tuple(samples), "brolin", seed, horizon)
 
 
@@ -525,10 +535,12 @@ def lyapunov_consistency(mu: SampleMeasure, ensemble: TraceEnsemble,
     lambda_f averages log|Df| over every traced step; lambda_fhat
     reweights the same evaluations by the retained (level <= R)
     indicator, which is the lift-side exponent.  Samples whose angle
-    orbit is too long to land, or whose landed orbit passes within
-    crit_tol of the critical point, are excluded and reported.
+    orbit is too long to land (nonzero d-adic angles are taken as such
+    without landing), or whose landed orbit passes within crit_tol of the
+    critical point, are excluded and reported.
     """
     g = ensemble.graph
+    d = g.partition.degree
     R = g.truncation if R is None else R
     n = ensemble.horizon if n is None else n
     lv = ensemble.level_matrix()[:, :n]
@@ -538,7 +550,7 @@ def lyapunov_consistency(mu: SampleMeasure, ensemble: TraceEnsemble,
     hat_num = 0.0
     hat_den = 0.0
     for s, (a, w) in enumerate(mu.samples):
-        if is_dyadic(a) and a != 0:
+        if is_dyadic(a, d) and a != 0:
             excluded.append((s, "orbit too long to land"))
             continue
         try:

@@ -1,101 +1,178 @@
 """Vectorized tracing of sample ensembles through the Markov extension.
 
-Symbol streams are exact.  Dyadic angles j / 2^K go through a sliding
-64-bit window compared against integer boundary prefixes, with an exact
-fallback on the (never observed, but handled) event that a window ties a
-non-dyadic boundary prefix; all other rational angles are stepped with
-Fraction arithmetic.  The tower walk itself is an integer table
-iteration, so tracing scales to tens of thousands of samples by horizons
-in the thousands.
+Symbol streams are exact, and every sample is routed by its reduced
+denominator q alone:
+
+* int64 path: when q * max(d, largest boundary denominator) < 2^62, the
+  sample is stepped as p <- d*p mod q in int64 arrays, and its symbol is
+  read off the cross-multiplied comparisons p*v >= u*q against the
+  boundary angles u/v.  This covers the periodic samples j / (d^bits - 1)
+  and the conformal quadrature nodes.
+* window path: other d-adic angles j / d^K (the Brolin samples) go
+  through a sliding window of base-d digits compared against integer
+  boundary prefixes, with an exact fallback on the (never observed, but
+  handled) event that a window ties a non-d-adic boundary prefix.
+* exact path: anything else runs the int64 kernel on Python ints.
+
+The tower walk itself is an integer table iteration, so tracing scales to
+tens of thousands of samples by horizons in the thousands.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .angles import CirclePartition, format_angle, times_d
+from .angles import CirclePartition
 from .tower import TowerGraph
 
-_WINDOW = 64
+# products of int64 operands stay below this bound in the exact kernel
+_INT64_LIMIT = 1 << 62
 
 
-def is_dyadic(a: Fraction) -> bool:
-    den = a.denominator
-    return den & (den - 1) == 0
+def _d_adic_exponent(den: int, d: int) -> int | None:
+    """Smallest K with den | d^K, or None when no power of d is a multiple."""
+    k = 0
+    while den > 1:
+        g = math.gcd(den, d)
+        if g == 1:
+            return None
+        den //= g
+        k += 1
+    return k
 
 
-def _bit_matrix(numerators, K: int) -> np.ndarray:
-    """K-bit big-endian expansions, one row per numerator, values in {0,1}.
+def is_dyadic(a: Fraction, d: int = 2) -> bool:
+    """Whether a is d-adic: its denominator divides a power of d.
 
-    Column k holds the bit of weight 2^(K-1-k), i.e. the k-th binary digit
-    of the angle j / 2^K.
+    No prime divides den more than bit_length(den) times, so that power
+    of d is high enough.
     """
-    nbytes = (K + 7) // 8
-    rows = np.empty((len(numerators), nbytes), dtype=np.uint8)
+    den = a.denominator
+    return pow(d, den.bit_length(), den) == 0
+
+
+def window_digits(d: int) -> int:
+    """Base-d digits in one window: the most whose value fits 64 bits."""
+    w = 1
+    while d ** (w + 1) <= 1 << 64:
+        w += 1
+    return w
+
+
+def fits_int64(q: int, cuts, d: int) -> bool:
+    """Whether angles p/q can be stepped by d and compared with the cut
+    angles inside int64: q * max(d, largest cut denominator) < 2^62."""
+    return q * max([d] + [c.denominator for c in cuts]) < _INT64_LIMIT
+
+
+def arc_index_streams(nums, dens, cuts, d: int, n: int) -> np.ndarray:
+    """Arc of each angle p/q along n steps of p <- d*p mod q, exactly.
+
+    cuts is a sorted tuple of angles; entry [s, k] is the index i of the
+    half-open arc [cuts[i], cuts[i+1]) holding the k-th image, that is the
+    count of cuts at or below p/q, minus one, wrapping to len(cuts) - 1.
+    The kernel runs on int64 arrays when the largest denominator
+    fits_int64, and otherwise on object arrays of Python ints with the
+    same code.
+    """
+    dtype = np.int64 if fits_int64(int(max(dens)), cuts, d) else object
+    p = np.array(nums, dtype=dtype)
+    q = np.array(dens, dtype=dtype)
+    u = np.array([c.numerator for c in cuts], dtype=dtype)
+    v = np.array([c.denominator for c in cuts], dtype=dtype)
+    N = len(cuts)
+    out = np.empty((len(p), n), dtype=np.min_scalar_type(N - 1))
+    for k in range(n):
+        out[:, k] = ((p[:, None] * v >= u * q[:, None]).sum(axis=1) - 1) % N
+        p = d * p % q
+    return out
+
+
+def _digit_matrix(numerators, K: int, d: int) -> np.ndarray:
+    """K-digit big-endian base-d expansions, one uint8 row per numerator.
+
+    Column k holds the digit of weight d^(K-1-k), i.e. the k-th base-d
+    digit of the angle j / d^K.
+    """
+    count = len(numerators)
+    if d == 2:
+        nbytes = (K + 7) // 8
+        rows = np.empty((count, nbytes), dtype=np.uint8)
+        for i, j in enumerate(numerators):
+            rows[i] = np.frombuffer(int(j).to_bytes(nbytes, "big"),
+                                    dtype=np.uint8)
+        return np.unpackbits(rows, axis=1)[:, 8 * nbytes - K:]
+    # split each numerator into W-digit chunks that fit uint64, then
+    # peel the digits of all chunks of one column at once
+    W = window_digits(d)
+    chunk = d ** W
+    nchunks = -(-K // W)
+    vals = np.empty((count, nchunks), dtype=np.uint64)
     for i, j in enumerate(numerators):
-        rows[i] = np.frombuffer(int(j).to_bytes(nbytes, "big"), dtype=np.uint8)
-    bits = np.unpackbits(rows, axis=1)
-    return bits[:, 8 * nbytes - K:]
+        j = int(j)
+        for c in range(nchunks - 1, -1, -1):
+            j, vals[i, c] = divmod(j, chunk)
+    digits = np.empty((count, nchunks * W), dtype=np.uint8)
+    base = np.uint64(d)
+    for c in range(nchunks):
+        v = vals[:, c]
+        for t in range((c + 1) * W - 1, c * W - 1, -1):
+            digits[:, t] = v % base
+            v = v // base
+    return digits[:, nchunks * W - K:]
 
 
 def dyadic_symbol_streams(numerators, K: int, n: int,
                           partition: CirclePartition) -> np.ndarray:
-    """Symbol matrix (samples x n) for the angles j / 2^K, j in numerators.
+    """Symbol matrix (samples x n) for the d-adic angles j / d^K.
 
-    The symbol at step k is decided from bits k..k+63 of j compared against
-    the 64-bit prefixes of the boundary angles.  A tie against a dyadic
-    boundary is already exact (the boundary's tail is all zeros); a tie
-    against a non-dyadic boundary is resolved with Fraction arithmetic.
-    Requires K >= n + 64 so every compared window is fully inside j.
+    d is partition.degree.  The symbol at step k is decided from base-d
+    digits k..k+W-1 of j (W = window_digits(d), 64 for d = 2) compared
+    against the W-digit prefixes of the boundary angles.  A tie against a
+    d-adic boundary is already exact (the boundary's tail is all zeros); a
+    tie against any other boundary is resolved with Fraction arithmetic.
+    Requires K >= n + W so every compared window is fully inside j.
     """
-    if n + _WINDOW > K:
+    d = partition.degree
+    W = window_digits(d)
+    if n + W > K:
         raise ValueError(
-            f"need K >= n + {_WINDOW} guard bits, got K={K} for n={n}")
+            f"need K >= n + {W} guard digits, got K={K} for n={n}")
     if partition.size > 255:
         raise ValueError("more than 255 symbols does not fit uint8 streams")
     count = len(numerators)
     syms = np.empty((count, n), dtype=np.uint8)
     if count == 0 or n == 0:
         return syms
-    bits = _bit_matrix(numerators, K)
+    digits = _digit_matrix(numerators, K, d)
     boundary = partition.boundary
-    scale = 1 << _WINDOW
+    scale = d ** W
     t64 = np.array([int(b * scale) for b in boundary], dtype=np.uint64)
     ambiguous = np.array([(b * scale).denominator != 1 for b in boundary])
     ambiguous_vals = t64[ambiguous]
     N = partition.size
-    mask = (1 << K) - 1
+    top = np.uint64(d ** (W - 1))
+    base = np.uint64(d)
+    den = d ** K
 
     val = np.zeros(count, dtype=np.uint64)
-    one = np.uint64(1)
-    for i in range(_WINDOW):
-        val = (val << one) | bits[:, i]
+    for i in range(W):
+        val = val * base + digits[:, i]
     for k in range(n):
         idx = np.searchsorted(t64, val, side="right").astype(np.int16) - 1
         np.copyto(idx, N - 1, where=idx < 0)
         if ambiguous_vals.size and np.isin(val, ambiguous_vals).any():
             for s in np.nonzero(np.isin(val, ambiguous_vals))[0]:
-                num = (int(numerators[s]) << k) & mask
-                idx[s] = partition.symbol_of(Fraction(num, 1 << K))
+                num = int(numerators[s]) * d ** k % den
+                idx[s] = partition.symbol_of(Fraction(num, den))
         syms[:, k] = idx.astype(np.uint8)
         if k + 1 < n:
-            val = (val << one) | bits[:, k + _WINDOW]
+            val = val % top * base + digits[:, k + W]
     return syms
-
-
-def rational_symbol_stream(a: Fraction, n: int,
-                           partition: CirclePartition) -> np.ndarray:
-    """Exact symbol stream of one rational angle, stepped with Fractions."""
-    d = partition.degree
-    out = np.empty(n, dtype=np.uint8)
-    x = a % 1
-    for k in range(n):
-        out[k] = partition.symbol_of(x)
-        x = times_d(x, d)
-    return out
 
 
 # --------------------------------------------------------------------------
@@ -170,14 +247,12 @@ class TraceEnsemble:
         return self.levels[self.states]
 
 
-def trace_ensemble(angles, weights, g: TowerGraph, n: int,
-                   dyadic_bits: int | None = None) -> TraceEnsemble:
+def trace_ensemble(angles, weights, g: TowerGraph, n: int) -> TraceEnsemble:
     """Trace every angle n steps from the base through the tower.
 
-    Dyadic angles are batched through the windowed stream; other rationals
-    are stepped exactly one by one.  dyadic_bits forces the common
-    denominator exponent for the batch (defaults to the largest present,
-    raised to n + 64 when needed).
+    Symbols come from the route each reduced denominator selects (see the
+    module docstring); the window path shares one exponent K across its
+    samples, the largest present raised to n + window_digits(d).
     """
     if n < 1:
         raise ValueError("horizon must be >= 1")
@@ -187,20 +262,34 @@ def trace_ensemble(angles, weights, g: TowerGraph, n: int,
         raise ValueError("one weight per angle required")
     count = len(angles)
     partition = g.partition
+    d = partition.degree
+    boundary = partition.boundary
     syms = np.empty((count, n), dtype=np.uint8)
 
-    dyadic_idx = [i for i, a in enumerate(angles) if is_dyadic(a)]
-    if dyadic_idx:
-        K = max(n + _WINDOW, dyadic_bits or 0,
-                max(angles[i].denominator.bit_length() - 1
-                    for i in dyadic_idx))
-        numerators = [angles[i].numerator
-                      << (K - (angles[i].denominator.bit_length() - 1))
-                      for i in dyadic_idx]
-        syms[dyadic_idx] = dyadic_symbol_streams(numerators, K, n, partition)
+    by_den: dict[int, list[int]] = {}
     for i, a in enumerate(angles):
-        if not is_dyadic(a):
-            syms[i] = rational_symbol_stream(a, n, partition)
+        by_den.setdefault(a.denominator, []).append(i)
+    small, exact, window = [], [], {}
+    for q, idx in by_den.items():
+        if fits_int64(q, boundary, d):
+            small += idx
+        elif (exponent := _d_adic_exponent(q, d)) is not None:
+            window[q] = (exponent, idx)
+        else:
+            exact += idx
+    for rows in (small, exact):
+        if rows:
+            syms[rows] = arc_index_streams(
+                [angles[i].numerator for i in rows],
+                [angles[i].denominator for i in rows], boundary, d, n)
+    if window:
+        K = max([n + window_digits(d)] + [e for e, _ in window.values()])
+        rows, numerators = [], []
+        for q, (_, idx) in window.items():
+            scale = d ** K // q
+            rows += idx
+            numerators += [angles[i].numerator * scale for i in idx]
+        syms[rows] = dyadic_symbol_streams(numerators, K, n, partition)
 
     table, levels = walk_table(g)
     states = np.empty((count, n + 1), dtype=np.int32)

@@ -4,8 +4,11 @@ import hashlib
 import json
 from pathlib import Path
 
+from angletower.angles import itinerary
 from angletower.cli import (EXIT_CHECK, EXIT_CONFIG, EXIT_DEPENDENCY,
                             EXIT_OK, git_blob_sha1, main)
+from angletower.lifting import brolin_samples, make_ensemble
+from angletower.tower import tower_from_json
 
 BASE = """\
 [map]
@@ -35,6 +38,34 @@ subset_eps = 1/10
 [lift]
 sampler = brolin
 count = 200
+
+[output]
+dir = {out}
+"""
+
+
+# d = 3: c solves c^2 = e^(2 pi i / 3) - 1, where the ray 1/6 lands
+CUBIC = """\
+[map]
+degree = 3
+c_real = 0.34062501931660666
+c_imag = 1.2712298784187062
+angle = 1/6
+
+[tower]
+R = 6
+extra_levels = 32
+
+[sampling]
+seed = 5
+samples = 50
+horizon = 200
+n_grid = 50 100 200
+R_grid = 4 6
+
+[lift]
+sampler = brolin
+count = 50
 
 [output]
 dir = {out}
@@ -92,6 +123,20 @@ def test_lift_outputs(tmp_path):
     assert blob["samples"] == 200
     header = (out / "curves.csv").read_text().splitlines()[0]
     assert header == "n,R,retained,escaped"
+
+
+def test_cubic_lift_streams_are_exact(tmp_path):
+    # base-3 Brolin samples must follow their ternary itineraries
+    cfg, out = write_cfg(tmp_path, text=CUBIC.format(out=tmp_path / "out"))
+    assert main(["tower-build", "--config", str(cfg)]) == EXIT_OK
+    assert main(["lift", "--config", str(cfg)]) == EXIT_OK
+    assert json.loads((out / "lift.json").read_text())["verdict"] == \
+        "liftable"
+    g = tower_from_json(json.loads((out / "tower.json").read_text()))
+    mu = brolin_samples(g.partition, 50, 200, seed=5)
+    ens = make_ensemble(mu, g, 200)
+    for row, a in zip(ens.symbols, mu.angles):
+        assert list(row) == list(itinerary(a, g.partition, 200))
 
 
 def test_config_error_is_line_anchored(tmp_path, capsys):

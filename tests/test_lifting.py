@@ -389,6 +389,25 @@ def test_lyapunov_reports_exclusions(part, graph, cheb_solver):
     assert rep.lambda_f == pytest.approx(math.log(2), abs=1e-9)
 
 
+def test_lyapunov_lands_non_d_adic_dyadic_sample():
+    # 205 / (3^8 - 1) = 1/32 has denominator a power of 2 but not of 3: it
+    # is periodic under tripling with period 8 and gets landed, while the
+    # Brolin sample 1/3^5 is d-adic and excluded without landing
+    cubic = RayChoice(3, (F(1, 6),))
+    g = build_tower(cubic, 4, extra_levels=40)
+    model = PolynomialModel(3, complex(0.34062501931660666,
+                                       1.2712298784187062))
+    solver = LandingSolver(model)
+    mu = lf.custom_measure([(F(205, 3 ** 8 - 1), 0.5), (F(1, 3 ** 5), 0.5)],
+                           g.partition)
+    ens = lf.make_ensemble(mu, g, 40)
+    rep = lf.lyapunov_consistency(mu, ens, model, solver, n=40)
+    assert rep.excluded == ((1, "orbit too long to land"),)
+    assert rep.used_weight == pytest.approx(0.5)
+    assert solver.land_orbit(F(1, 32)).period == 8
+    assert rep.lambda_f is not None and math.isfinite(rep.lambda_f)
+
+
 # --------------------------------------------------------------------------
 # entropy
 

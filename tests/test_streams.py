@@ -7,17 +7,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from angletower.angles import RayChoice, build_partition, itinerary
+from angletower.angles import (RayChoice, build_partition, itinerary,
+                               is_strictly_preperiodic)
+from angletower.lifting import brolin_period_samples, brolin_samples
 from angletower.streams import (FrontierReached, dyadic_symbol_streams,
-                                is_dyadic, rational_symbol_stream,
-                                trace_ensemble, walk_table)
-from angletower.tower import build_tower
+                                is_dyadic, trace_ensemble, walk_table,
+                                window_digits)
+from angletower.tower import build_tower, trace
 
 CHEB = RayChoice(2, (F(1, 2),))
 DEND = RayChoice(2, (F(1, 6),))
 PAIR = RayChoice(2, (F(5, 12), F(7, 12)))
 
 PARTITIONS = [build_partition(rc) for rc in (CHEB, DEND, PAIR)]
+
+# 7^25 > 2^62 is not a divisor of any power of 2, 3 or 4, so angles over
+# it take the exact Python-int route for every degree tested here
+WIDE = 7 ** 25
 
 
 def test_is_dyadic():
@@ -26,6 +32,19 @@ def test_is_dyadic():
     assert is_dyadic(F(1, 1 << 40))
     assert not is_dyadic(F(1, 3))
     assert not is_dyadic(F(5, 24))
+    # base d: the denominator divides a power of d
+    assert is_dyadic(F(5, 3 ** 30), 3)
+    assert not is_dyadic(F(1, 32), 3)
+    assert is_dyadic(F(1, 2 ** 7), 4)
+    assert is_dyadic(F(7, 36), 6)
+    assert not is_dyadic(F(1, 18), 2)
+
+
+def test_window_digits_fill_64_bits():
+    for d in (2, 3, 4, 5, 10):
+        w = window_digits(d)
+        assert d ** w <= 1 << 64 < d ** (w + 1)
+    assert window_digits(2) == 64
 
 
 @pytest.mark.parametrize("part", PARTITIONS,
@@ -41,12 +60,14 @@ def test_dyadic_streams_match_itinerary(part):
         assert list(row) == list(itinerary(F(j, 1 << K), part, n))
 
 
-@pytest.mark.parametrize("part", PARTITIONS,
+@pytest.mark.parametrize("rc", [CHEB, DEND, PAIR],
                          ids=["cheb", "dend", "pair"])
-def test_rational_streams_match_itinerary(part):
-    for a in (F(1, 3), F(2, 7), F(13, 17), F(9, 31), F(5, 96), F(0)):
-        got = rational_symbol_stream(a, 30, part)
-        assert list(got) == list(itinerary(a, part, 30))
+def test_trace_rationals_match_itinerary(rc):
+    g = build_tower(rc, 4, extra_levels=30)
+    angles = (F(1, 3), F(2, 7), F(13, 17), F(9, 31), F(5, 96), F(0))
+    ens = trace_ensemble(angles, [1 / 6] * 6, g, 30)
+    for row, a in zip(ens.symbols, angles):
+        assert list(row) == list(itinerary(a, g.partition, 30))
 
 
 def test_boundary_prefix_tie_uses_exact_fallback():
@@ -161,9 +182,44 @@ def test_dyadic_stream_property(num, which):
     assert list(streams[0]) == list(itinerary(F(j, 1 << K), part, 30))
 
 
+@pytest.fixture(scope="module")
+def dend_graph():
+    return build_tower(DEND, 4, extra_levels=30)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.fractions(min_value=0, max_value=1, max_denominator=997))
-def test_rational_stream_property(a):
-    part = PARTITIONS[1]
-    got = rational_symbol_stream(a % 1, 25, part)
-    assert list(got) == list(itinerary(a % 1, part, 25))
+def test_trace_rational_stream_property(dend_graph, a):
+    ens = trace_ensemble((a,), [1.0], dend_graph, 25)
+    assert list(ens.symbols[0]) == list(itinerary(a % 1,
+                                                  dend_graph.partition, 25))
+
+
+@st.composite
+def ray_choices(draw):
+    d = draw(st.sampled_from([2, 3, 4]))
+    kappa = draw(st.sampled_from([1, 2]))
+    angle = st.fractions(min_value=0, max_value=1, max_denominator=40).map(
+        lambda a: a % 1).filter(lambda a: is_strictly_preperiodic(a, d))
+    angles = draw(st.lists(angle, min_size=kappa, max_size=kappa,
+                           unique=True))
+    return RayChoice(d, tuple(angles))
+
+
+@settings(max_examples=25, deadline=None)
+@given(ray_choices(), st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_trace_matches_exact_oracles(rc, seed):
+    # one ensemble over every route: d-adic Brolin samples (window),
+    # periodic samples and a small dyadic angle (int64), and a wide
+    # non-d-adic angle (exact)
+    n = 24
+    g = build_tower(rc, 2, extra_levels=n)
+    part = g.partition
+    angles = (brolin_samples(part, 6, n, seed).angles
+              + brolin_period_samples(part, 6, seed, bits=6).angles
+              + (F(1 + 2 * (seed % 16), 32), F(1 + seed, WIDE)))
+    ens = trace_ensemble(angles, np.full(len(angles), 1 / len(angles)), g,
+                         n)
+    for s, a in enumerate(angles):
+        assert list(ens.symbols[s]) == list(itinerary(a, part, n))
+        assert list(ens.states[s]) == list(trace(a, g, n).domain_ids)
