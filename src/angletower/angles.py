@@ -44,6 +44,19 @@ def circular_dist(a: Fraction, b: Fraction) -> Fraction:
     return min(gap, 1 - gap)
 
 
+def orbit_numerators(a: Fraction, d: int) -> tuple[int, int, list[int]]:
+    """(preperiod, q, numerators) of the forward orbit of a = p/q under
+    multiplication by d: the orbit is p_k/q with p_(k+1) = d*p_k mod q,
+    listed up to its first revisit."""
+    x = a % 1
+    p, q = x.numerator, x.denominator
+    seen: dict[int, int] = {}
+    while p not in seen:
+        seen[p] = len(seen)
+        p = d * p % q
+    return seen[p], q, list(seen)
+
+
 def angle_orbit(a: Fraction, d: int) -> tuple[int, int, list[Fraction]]:
     """Forward orbit of a rational angle under multiplication by d.
 
@@ -51,21 +64,13 @@ def angle_orbit(a: Fraction, d: int) -> tuple[int, int, list[Fraction]]:
     period distinct angles; orbit[preperiod:] is the cycle.  Always finite
     for rational input.
     """
-    seen: dict[Fraction, int] = {}
-    orbit: list[Fraction] = []
-    x = a % 1
-    while x not in seen:
-        seen[x] = len(orbit)
-        orbit.append(x)
-        x = times_d(x, d)
-    pre = seen[x]
-    return pre, len(orbit) - pre, orbit
+    pre, q, nums = orbit_numerators(a, d)
+    return pre, len(nums) - pre, [Fraction(n, q) for n in nums]
 
 
 def is_strictly_preperiodic(a: Fraction, d: int) -> bool:
     """True when a's orbit enters a cycle that does not contain a itself."""
-    pre, _, _ = angle_orbit(a, d)
-    return pre >= 1
+    return orbit_numerators(a, d)[0] >= 1
 
 
 class ArcSet:

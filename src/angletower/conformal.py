@@ -99,23 +99,21 @@ def build_basis(partition: CirclePartition, solver: LandingSolver,
                 depth: int) -> CylinderBasis:
     """Enumerate depth-m cylinders and land one node in each."""
     cyls = enumerate_cylinders(partition, depth)
-    words, arcs, reps, landings, lds, moved = [], [], [], [], [], []
-    for i, (word, arcset) in enumerate(cyls):
-        rep = quadrature_node(arcset, partition)
+    words = tuple(word for word, _ in cyls)
+    arcs = tuple(arcset for _, arcset in cyls)
+    reps = tuple(quadrature_node(arcset, partition) for arcset in arcs)
+    moved = []
+    for i, (arcset, rep) in enumerate(zip(arcs, reps)):
         s, length = arcset.largest_component()
         if rep != (s + length * NODE_OFFSETS[0]) % 1:
             moved.append(i)
-        try:
-            landing = solver.land_orbit(rep)
-        except LandingError as e:
+    landings = solver.land_many(reps)
+    for word, rep, landing in zip(words, reps, landings):
+        if isinstance(landing, LandingError):
             raise LandingError(
                 f"node {format_angle(rep)} of cylinder "
-                f"{''.join(map(str, word))}: {e}") from e
-        words.append(word)
-        arcs.append(arcset)
-        reps.append(rep)
-        landings.append(landing)
-        lds.append(solver.model.log_deriv(landing.points[0]))
+                f"{''.join(map(str, word))}: {landing}") from landing
+    lds = [solver.model.log_deriv(landing.points[0]) for landing in landings]
 
     d = partition.size
     index = {w: i for i, w in enumerate(words)}
@@ -129,8 +127,8 @@ def build_basis(partition: CirclePartition, solver: LandingSolver,
                 j = index.get(pref + (t,))
                 if j is not None:
                     children[i, t] = j
-    return CylinderBasis(partition, depth, tuple(words), tuple(arcs),
-                         tuple(reps), tuple(landings),
+    return CylinderBasis(partition, depth, words, arcs, reps,
+                         tuple(landings),
                          np.array(lds, dtype=np.float64), children,
                          tuple(moved))
 

@@ -13,14 +13,15 @@ also provides exact re-anchor targets for long Birkhoff sums.
 
 from __future__ import annotations
 
-import cmath
 import csv
 import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .angles import ArcSet, angle_orbit, format_angle, times_d
+import numpy as np
+
+from .angles import ArcSet, format_angle, orbit_numerators, times_d
 from .tower import TowerGraph, trace
 
 
@@ -115,27 +116,48 @@ class OrbitLanding:
                            + (k - self.preperiod) % self.period]
 
 
-def _closest_root(w: complex, d: int, ref: complex) -> complex:
-    if w == 0:
-        return 0j
-    r = abs(w) ** (1.0 / d)
-    theta = cmath.phase(w) / d
-    best = None
-    best_dist = math.inf
+def _nearest_roots(w: np.ndarray, d: int, ref: np.ndarray) -> np.ndarray:
+    """Per point, the d-th root of w nearest ref: the first of the roots
+    |w|^(1/d) e^(i (arg(w)/d + 2 pi j/d)), j = 0..d-1, on a tie, and 0
+    where w = 0."""
+    r = np.abs(w) ** (1.0 / d)
+    theta = np.angle(w) / d
     for j in range(d):
-        cand = cmath.rect(r, theta + 2 * math.pi * j / d)
-        dist = abs(cand - ref)
-        if dist < best_dist:
+        phi = theta + 2 * math.pi * j / d
+        cand = np.empty_like(w)
+        cand.real = r * np.cos(phi)
+        cand.imag = r * np.sin(phi)
+        dist = np.abs(cand - ref)
+        if j == 0:
             best, best_dist = cand, dist
+        else:
+            closer = dist < best_dist
+            best = np.where(closer, cand, best)
+            best_dist = np.where(closer, dist, best_dist)
+    best[w == 0] = 0
     return best
 
 
 class LandingSolver:
     """Pullback cascade computing ray landing points to a Cauchy tolerance.
 
+    land_many lands a batch of angles at once.  The orbits of the distinct
+    reduced angles are concatenated behind one successor index array, and
+    each potential row is a single numpy sweep over all their points: the
+    successor's point one level up, minus c, has its d d-th roots formed
+    from |w|^(1/d) and arg(w)/d + 2 pi j/d, and the root nearest the
+    previous point on the same ray is kept (the first one on a tie; w = 0
+    gives 0).  Every point depends only on its own orbit, so a landing
+    does not depend on the rest of the batch, and land_orbit is the batch
+    of one.
+
     substeps interleaved potential levels t0 * d^(-m/substeps) keep
     consecutive points on each ray close, so the d-th-root branch nearest
-    the previous sweep is always the continuation of the same ray.
+    the previous sweep is always the continuation of the same ray.  Once
+    the potential is below potential_floor, each orbit whose sweep moved
+    no point by more than tol_land is frozen at that row and leaves the
+    sweep; an orbit still moving after depth rows gets a LandingError in
+    its slot.
 
     Near a landing cycle of multiplier L the remaining error decays like
     t^b with b = log|L| / (q log d), so weakly repelling cycles need many
@@ -159,37 +181,71 @@ class LandingSolver:
         self.base_potential = base_potential
         self.potential_floor = potential_floor
 
-    def land_orbit(self, a: Fraction) -> OrbitLanding:
+    def land_many(self, angles) -> list[OrbitLanding | LandingError]:
+        """One slot per angle, in order: its landing or its LandingError."""
+        angles = list(angles)
         d = self.model.degree
         c = self.model.c
-        p, q, orbit = angle_orbit(a, d)
-        n_pos = len(orbit)
-
-        def succ(k: int) -> int:
-            return k + 1 if k + 1 < n_pos else p
-
         S = self.substeps
         t0 = self.base_potential
-        ring: list[list[complex]] = []
+        keys = list(dict.fromkeys(a % 1 for a in angles))
+        orbits = [orbit_numerators(a, d) for a in keys]
+        sizes = np.array([len(o[2]) for o in orbits], dtype=np.intp)
+        starts = np.cumsum(sizes) - sizes
+        # successor of each point: the next one, or the cycle's start
+        succ = np.arange(int(sizes.sum()), dtype=np.intp) + 1
+        succ[starts + sizes - 1] = starts + [pre for pre, _, _ in orbits]
+        # int / int rounds correctly, so this is float() of each orbit angle
+        phase = 2 * math.pi * np.array([n / q for _, q, nums in orbits
+                                        for n in nums])
+        ring = []
         for m in range(S):
-            t = t0 * d ** (-m / S)
-            ring.append([cmath.rect(math.exp(t), 2 * math.pi * float(x))
-                         for x in orbit])
+            r = math.exp(t0 * d ** (-m / S))
+            z = np.empty(len(phase), dtype=np.complex128)
+            z.real = r * np.cos(phase)
+            z.imag = r * np.sin(phase)
+            ring.append(z)
+        live = np.arange(len(keys))
+        diff = np.full(len(keys), math.inf)
+        done: dict[Fraction, OrbitLanding] = {}
         prev = ring[S - 1]
-        diff = math.inf
         for m in range(S, self.depth + S):
+            if not len(live):
+                break
             old = ring[m % S]
-            new = [_closest_root(old[succ(k)] - c, d, prev[k])
-                   for k in range(n_pos)]
-            diff = max(abs(new[k] - old[k]) for k in range(n_pos))
+            new = _nearest_roots(old[succ] - c, d, prev)
+            diff = np.maximum.reduceat(np.abs(new - old), starts)
             ring[m % S] = new
             prev = new
-            potential = t0 * d ** (-m / S)
-            if potential < self.potential_floor and diff <= self.tol_land:
-                return OrbitLanding(a % 1, p, q, tuple(new), m, diff)
-        raise LandingError(
+            if t0 * d ** (-m / S) >= self.potential_floor:
+                continue
+            landed = diff <= self.tol_land
+            if not landed.any():
+                continue
+            for i in np.flatnonzero(landed):
+                k = live[i]
+                pre, n = orbits[k][0], int(sizes[i])
+                pts = tuple(new[starts[i]:starts[i] + n].tolist())
+                done[keys[k]] = OrbitLanding(keys[k], pre, n - pre, pts, m,
+                                             float(diff[i]))
+            keep = np.repeat(~landed, sizes)
+            pos = np.cumsum(keep) - 1
+            succ = pos[succ[keep]]
+            ring = [z[keep] for z in ring]
+            prev = prev[keep]
+            live, diff, sizes = live[~landed], diff[~landed], sizes[~landed]
+            starts = np.cumsum(sizes) - sizes
+        last = {keys[k]: float(diff[i]) for i, k in enumerate(live)}
+        return [done[a % 1] if a % 1 in done else LandingError(
             f"no convergence for angle {format_angle(a)} within depth "
-            f"{self.depth} (last sweep moved {diff:.3e})")
+            f"{self.depth} (last sweep moved {last[a % 1]:.3e})")
+            for a in angles]
+
+    def land_orbit(self, a: Fraction) -> OrbitLanding:
+        landing = self.land_many([a])[0]
+        if isinstance(landing, LandingError):
+            raise landing
+        return landing
 
     def land(self, a: Fraction) -> complex:
         return self.land_orbit(a).points[0]
@@ -317,8 +373,10 @@ def landing_table_csv(model: PolynomialModel, solver: LandingSolver,
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(["angle", "re", "im", "lyapunov"])
-    for a in angles:
-        landing = solver.land_orbit(a)
+    angles = list(angles)
+    for a, landing in zip(angles, solver.land_many(angles)):
+        if isinstance(landing, LandingError):
+            raise landing
         z = landing.points[0]
         try:
             lam = format(_birkhoff(model, landing, n), ".17g")

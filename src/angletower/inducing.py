@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .angles import ArcSet, cylinder_arcset, format_angle
-from .geometry import CriticalProximity, LandingError, LandingSolver
+from .geometry import LandingError, LandingSolver
 from .lifting import TowerMass, entropy_estimate
 from .streams import TraceEnsemble, arc_index_streams, fits_int64
 from .tower import Domain, TowerGraph
@@ -417,14 +417,12 @@ def expansion_and_abramov(ind: InducedSystem, solver: LandingSolver,
     h = ind.horizon
     vals = np.zeros((ens.count, h))
     excluded = []
-    for i, a in enumerate(ens.angles):
-        try:
-            land = solver.land_orbit(a)
-            per = [model.log_deriv(land.point_at(k))
-                   for k in range(land.preperiod + land.period)]
-        except (LandingError, CriticalProximity) as exc:
-            excluded.append((i, str(exc)))
+    for i, land in enumerate(solver.land_many(ens.angles)):
+        if isinstance(land, LandingError):
+            excluded.append((i, str(land)))
             continue
+        per = [model.log_deriv(land.point_at(k))
+               for k in range(land.preperiod + land.period)]
         head = per[:land.preperiod]
         cyc = per[land.preperiod:]
         reps = (h - land.preperiod) // land.period + 1

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .angles import CirclePartition, circular_dist, format_angle, times_d
-from .geometry import LandingSolver, PolynomialModel
+from .geometry import LandingError, LandingSolver, PolynomialModel
 from .streams import (TraceEnsemble, is_dyadic, trace_ensemble,
                       window_digits)
 from .tower import TowerGraph
@@ -77,21 +77,24 @@ def orbit_hits_boundary(a: Fraction, partition: CirclePartition,
                         max_steps: int = 4096) -> bool:
     """Whether the angle orbit meets the partition boundary set.
 
-    Exact forward stepping; stops at the first revisit or after max_steps
-    (rationals with astronomically long cycles are accepted on a budget,
-    which is stated here rather than hidden).
+    Exact forward stepping of the numerator, p <- d*p mod q; stops at the
+    first revisit or after max_steps (rationals with astronomically long
+    cycles are accepted on a budget, which is stated here rather than
+    hidden).
     """
-    boundary = set(partition.boundary)
+    boundary = {(b.numerator, b.denominator) for b in partition.boundary}
     d = partition.degree
-    seen = set()
     x = a % 1
+    p, q = x.numerator, x.denominator
+    seen = set()
     for _ in range(max_steps):
-        if x in boundary:
+        g = math.gcd(p, q)
+        if (p // g, q // g) in boundary:
             return True
-        if x in seen:
+        if p in seen:
             return False
-        seen.add(x)
-        x = times_d(x, d)
+        seen.add(p)
+        p = d * p % q
     return False
 
 
@@ -549,14 +552,16 @@ def lyapunov_consistency(mu: SampleMeasure, ensemble: TraceEnsemble,
     used = 0.0
     hat_num = 0.0
     hat_den = 0.0
-    for s, (a, w) in enumerate(mu.samples):
-        if is_dyadic(a, d) and a != 0:
+    angles = mu.angles
+    todo = [s for s, a in enumerate(angles) if a == 0 or not is_dyadic(a, d)]
+    landings = dict(zip(todo, solver.land_many(angles[s] for s in todo)))
+    for s, (_, w) in enumerate(mu.samples):
+        landing = landings.get(s)
+        if landing is None:
             excluded.append((s, "orbit too long to land"))
             continue
-        try:
-            landing = solver.land_orbit(a)
-        except Exception as err:
-            excluded.append((s, f"landing failed: {err}"))
+        if isinstance(landing, LandingError):
+            excluded.append((s, f"landing failed: {landing}"))
             continue
         if landing.preperiod + landing.period > max_orbit:
             excluded.append((s, "orbit too long to land"))

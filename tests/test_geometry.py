@@ -8,6 +8,7 @@ are the oracles for the cascade.
 
 from __future__ import annotations
 
+import cmath
 import math
 import random
 from fractions import Fraction as F
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from angletower.angles import ArcSet, RayChoice
+from angletower.angles import ArcSet, RayChoice, angle_orbit
 from angletower.geometry import (
     CriticalProximity, LandingError, LandingSolver, LargeScaleParams,
     PolynomialModel, birkhoff_lyapunov, green, koebe_constant,
@@ -119,6 +120,74 @@ def test_nonconvergence_reported():
     shallow = LandingSolver(CHEB, depth=5)
     with pytest.raises(LandingError):
         shallow.land(F(1, 7))
+
+
+CUBIC = PolynomialModel(3, 0.34062501931660666 + 1.2712298784187062j)
+
+
+@pytest.mark.parametrize("model", [DEND, CUBIC], ids=["d2", "d3"])
+def test_land_many_matches_land_orbit(model):
+    # periodic, preperiodic, 0, an angle >= 1 and duplicates in one batch
+    batch = [F(1, 7), F(1, 6), F(0), F(5, 4), F(1, 7), F(2, 9), F(1, 4),
+             F(9, 31), F(0), F(13, 12)]
+    solver = LandingSolver(model)
+    got = solver.land_many(batch)
+    assert got == [solver.land_orbit(a) for a in batch]
+    assert solver.land_many(batch[::-1]) == got[::-1]
+    assert got[3].angle == F(1, 4) and got[3] == got[6]
+    assert solver.land_many([]) == []
+
+
+def _scalar_landing(solver, a):
+    """The per-point cascade as a plain loop: (rows, points) of the orbit
+    of a, choosing each root with cmath and the first nearest on a tie."""
+    d, c, S = solver.model.degree, solver.model.c, solver.substeps
+    pre, _, orbit = angle_orbit(a, d)
+    succ = [k + 1 for k in range(len(orbit) - 1)] + [pre]
+    ring = [[cmath.rect(math.exp(solver.base_potential * d ** (-m / S)),
+                        2 * math.pi * float(x)) for x in orbit]
+            for m in range(S)]
+    prev = ring[S - 1]
+    for m in range(S, solver.depth + S):
+        old, new = ring[m % S], []
+        for k, ref in enumerate(prev):
+            w = old[succ[k]] - c
+            roots = [cmath.rect(abs(w) ** (1 / d),
+                                cmath.phase(w) / d + 2 * math.pi * j / d)
+                     for j in range(d)] if w else [0j]
+            new.append(min(roots, key=lambda z: abs(z - ref)))
+        diff = max(abs(x - y) for x, y in zip(new, old))
+        ring[m % S] = prev = new
+        if (solver.base_potential * d ** (-m / S) < solver.potential_floor
+                and diff <= solver.tol_land):
+            return m, new
+    raise LandingError(a)
+
+
+@pytest.mark.parametrize("model", [DEND, CUBIC], ids=["d2", "d3"])
+def test_land_many_matches_scalar_cascade(model):
+    # numpy's abs, angle and power may differ from libm in the last bit,
+    # so points agree to a tolerance while the convergence rows agree
+    # exactly
+    batch = [F(1, 7), F(1, 6), F(0), F(3, 8), F(2, 9), F(11, 31)]
+    solver = LandingSolver(model)
+    for a, got in zip(batch, solver.land_many(batch)):
+        rows, points = _scalar_landing(solver, a)
+        assert got.rows == rows, a
+        assert max(abs(x - y) for x, y in zip(got.points, points)) < 1e-11
+
+
+def test_land_many_error_stays_in_its_slot():
+    # the ray 0 lands at row 160 and the ray 1/7 only at row 258, so at
+    # depth 200 only 1/7 fails, and the batch still lands 0
+    solver = LandingSolver(DEND, depth=200)
+    zero, seventh = solver.land_many([F(0), F(1, 7)])
+    assert zero == LandingSolver(DEND).land_orbit(F(0))
+    assert isinstance(seventh, LandingError)
+    assert str(seventh).startswith(
+        "no convergence for angle 1/7 within depth 200")
+    with pytest.raises(LandingError):
+        solver.land_orbit(F(1, 7))
 
 
 @settings(max_examples=40, deadline=None)

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from angletower import lifting as lf
-from angletower.angles import RayChoice, build_partition
+from angletower.angles import RayChoice, angle_orbit, build_partition, times_d
 from angletower.geometry import LandingSolver, PolynomialModel, \
     large_scale_events
 from angletower.tower import build_tower
@@ -138,6 +138,45 @@ def test_orbit_hits_boundary(part):
     assert lf.orbit_hits_boundary(F(1, 4), part)
     assert not lf.orbit_hits_boundary(F(1, 7), part)
     assert not lf.orbit_hits_boundary(F(0), part)
+
+
+# strictly preperiodic ray choices: 1/2 -> 0, 1/6 -> 1/2 -> 1/2 under
+# tripling, 1/12 -> 1/3 -> 1/3 under quadrupling
+ORACLE_PARTITIONS = {d: build_partition(RayChoice(d, (a,)))
+                     for d, a in ((2, F(1, 6)), (3, F(1, 6)), (4, F(1, 12)))}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3, 4]), st.integers(0, 3000),
+       st.integers(1, 600), st.integers(1, 40), st.integers(0, 5),
+       st.booleans())
+def test_integer_orbits_match_fraction_oracle(d, num, den, max_steps, k,
+                                              onto_boundary):
+    part = ORACLE_PARTITIONS[d]
+    a = F(num, den)
+    if onto_boundary:
+        # k steps before a boundary angle, which the orbit only meets
+        # once the stepped numerator is reduced
+        b = part.boundary[num % len(part.boundary)]
+        a = (b + num) / d ** k
+    orbit, x = [], a % 1
+    while x not in orbit:
+        orbit.append(x)
+        x = times_d(x, d)
+    pre = orbit.index(x)
+    got = angle_orbit(a, d)
+    assert got == (pre, len(orbit) - pre, orbit)
+    assert [float(y) for y in got[2]] == [float(y) for y in orbit]
+    boundary = set(part.boundary)
+    for budget in (max_steps, 4096):
+        seen, x, hit = set(), a % 1, False
+        for _ in range(budget):
+            if x in boundary or x in seen:
+                hit = x in boundary
+                break
+            seen.add(x)
+            x = times_d(x, d)
+        assert lf.orbit_hits_boundary(a, part, max_steps=budget) == hit
 
 
 # --------------------------------------------------------------------------
