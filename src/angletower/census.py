@@ -75,17 +75,6 @@ def _census(g: TowerGraph, domain_id: int, horizon: int) -> CensusTable:
     return CensusTable(R, domain_id, horizon, tuple(s), L)
 
 
-def surviving_paths(g: TowerGraph, R: int, domain_id: int, t: int) -> int:
-    """Number of surviving t-paths from the given level-R domain."""
-    if g.domains[domain_id].level != R:
-        raise ValueError(
-            f"domain {domain_id} has level {g.domains[domain_id].level}, "
-            f"expected {R}")
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    return _census(g, domain_id, t).s[t]
-
-
 def cutpoint_census(g: TowerGraph, R: int, domain_id: int,
                     horizon: int) -> CensusTable:
     """Full survival census (path and cutpoint counts) up to the horizon."""
@@ -96,14 +85,6 @@ def cutpoint_census(g: TowerGraph, R: int, domain_id: int,
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
     return _census(g, domain_id, horizon)
-
-
-def max_surviving_paths(g: TowerGraph, R: int, t: int) -> int:
-    """max over level-R domains of the surviving t-path count."""
-    starts = [d.id for d in g.domains.values() if d.level == R]
-    if not starts:
-        raise ValueError(f"no domain of level {R} in the tower")
-    return max(_census(g, did, t).s[t] for did in starts)
 
 
 def brute_force_paths(g: TowerGraph, domain_id: int,

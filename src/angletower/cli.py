@@ -22,8 +22,7 @@ reruns produce identical artifact bytes and content hashes.
 
 All randomness flows from the single [sampling] seed; stages that draw
 samples use documented offsets (lift +0, lyapunov +1, induce +2,
-conformal +3).  --threads is accepted and echoed for provenance, but
-runs are single-process deterministic either way.
+conformal +3).
 
 Exit codes: 0 ok, 2 config error, 3 dependency error (missing or too
 shallow prerequisite artifacts), 4 check failure.
@@ -220,7 +219,6 @@ class RunConfig:
     bisection_tol: float
     margin: Fraction
     out: str
-    threads: int | None
 
     def model(self) -> PolynomialModel:
         return PolynomialModel(self.ray_choice.degree, self.c,
@@ -287,7 +285,6 @@ def load_config(args) -> RunConfig:
                                     default=1e-6, positive=True),
         margin=margin,
         out=str(out),
-        threads=args.threads,
     )
 
 
@@ -605,7 +602,6 @@ def write_run(out: Path, command: str, cfg: RunConfig, files: dict,
         "config": cfg.raw.echo(),
         "config_path": cfg.raw.path,
         "seed": cfg.seed,
-        "threads": cfg.threads,
         "outputs": hashes,
         "content_hash": combined,
         "failures": failures,
@@ -626,8 +622,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="output directory (overrides [output] dir)")
         p.add_argument("--seed", type=int, default=None,
                        help="master seed (overrides [sampling] seed)")
-        p.add_argument("--threads", type=int, default=None,
-                       help="advisory; echoed into the manifest")
     return parser
 
 

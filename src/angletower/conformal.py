@@ -292,38 +292,6 @@ def conformality_residual(basis: CylinderBasis, weights,
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def refinement_drift(coarse: ConformalSolve, fine: ConformalSolve) -> float:
-    """|delta* shift| between two depths; the quadrature error proxy.
-
-    Meant for depths m and m+2 of the same partition, in the spirit of
-    a Richardson comparison for the single-node rule.
-    """
-    if fine.basis.depth <= coarse.basis.depth:
-        raise ValueError("fine solve must use a strictly larger depth")
-    return abs(fine.delta - coarse.delta)
-
-
-def distortion_spread(coarse: CylinderBasis,
-                      refined: CylinderBasis) -> float:
-    """Max over coarse cylinders of the |Df| ratio across nested nodes.
-
-    A finite value bounds the inverse-branch distortion constant seen by
-    the quadrature: each refined node sits in some coarse cylinder, and
-    the spread is exp(max - min) of the nested log-derivatives.
-    """
-    if refined.depth <= coarse.depth:
-        raise ValueError("refined basis must be strictly deeper")
-    index = {w: i for i, w in enumerate(coarse.words)}
-    hi = np.full(coarse.size, -np.inf)
-    lo = np.full(coarse.size, np.inf)
-    for w, ld in zip(refined.words, refined.log_derivs):
-        i = index[w[:coarse.depth]]
-        hi[i] = max(hi[i], ld)
-        lo[i] = min(lo[i], ld)
-    seen = np.isfinite(hi)
-    return float(np.exp(np.max(hi[seen] - lo[seen])))
-
-
 def curve_csv(solve: ConformalSolve) -> str:
     """CSV of the evaluated eigenvalue curve."""
     buf = io.StringIO()

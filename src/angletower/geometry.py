@@ -21,8 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .angles import ArcSet, format_angle, orbit_numerators, times_d
-from .tower import TowerGraph, trace
+from .angles import format_angle, orbit_numerators
 
 
 class LandingError(RuntimeError):
@@ -82,9 +81,6 @@ class PolynomialModel:
 
     def f(self, z: complex) -> complex:
         return z ** self.degree + self.c
-
-    def df(self, z: complex) -> complex:
-        return self.degree * z ** (self.degree - 1)
 
     def log_deriv(self, z: complex) -> float:
         """log|f'(z)|; the critical point is a logarithmic singularity."""
@@ -300,67 +296,6 @@ def _birkhoff(model: PolynomialModel, landing: OrbitLanding, n: int,
         if (k + 1) % reanchor_interval == 0:
             z = landing.point_at(k + 1)
     return total / n
-
-
-# --------------------------------------------------------------------------
-# large-scale bookkeeping
-
-
-def koebe_constant(modulus: float) -> float:
-    """Distortion bound K(M) for branches extendible across modulus M.
-
-    A separating annulus of modulus M confines the branch domain to a disk
-    of radius r = 4 e^(-2 pi M) relative to the extension (Groetzsch), and
-    the Koebe distortion theorem on that disk gives
-    K = ((1+r)/(1-r))^4.  Infinite when the annulus is too thin (r >= 1).
-    The exact constant is configuration; only K >= 1 and monotone decay to
-    1 as M grows are relied upon.
-    """
-    if modulus <= 0:
-        raise ValueError("modulus must be positive")
-    r = 4.0 * math.exp(-2.0 * math.pi * modulus)
-    if r >= 1.0:
-        return math.inf
-    return ((1.0 + r) / (1.0 - r)) ** 4
-
-
-@dataclass(frozen=True)
-class LargeScaleParams:
-    """Euclidean radius and annulus modulus defining large-scale returns."""
-
-    delta_ls: float
-    modulus: float
-
-    def __post_init__(self):
-        if self.delta_ls <= 0:
-            raise ValueError("delta_ls must be positive")
-        if self.modulus <= 0:
-            raise ValueError("modulus must be positive")
-
-    @property
-    def koebe(self) -> float:
-        return koebe_constant(self.modulus)
-
-
-def large_scale_events(a: Fraction, g: TowerGraph, witness_domain: int,
-                       witness_arcs: ArcSet, n: int) -> list[int]:
-    """Times j <= n at which the lifted orbit of a sits in the witness set.
-
-    The witness set is a union of arcs inside one domain, kept away from
-    its cutpoints; entering it certifies a large-scale time for the planar
-    orbit, so the returned list never needs planar moduli.  The trace is
-    exact, and a trace leaving the expanded graph simply stops producing
-    events.
-    """
-    t = trace(a, g, n)
-    d = g.partition.degree
-    events = []
-    x = a % 1
-    for j, did in enumerate(t.domain_ids):
-        if did == witness_domain and witness_arcs.contains(x):
-            events.append(j)
-        x = times_d(x, d)
-    return events
 
 
 # --------------------------------------------------------------------------

@@ -14,11 +14,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse import csgraph
 
-from .angles import ArcSet, cylinder_arcset, format_angle
+from .angles import ArcSet, format_angle
 from .geometry import LandingError, LandingSolver
 from .lifting import TowerMass, entropy_estimate
-from .streams import TraceEnsemble, arc_index_streams, fits_int64
+from .streams import (TraceEnsemble, arc_index_streams, fits_int64,
+                      word_codes)
 from .tower import Domain, TowerGraph
 
 DEFAULT_MARGIN = Fraction(1, 64)
@@ -76,50 +79,19 @@ def recurrent_witness_domain(g: TowerGraph) -> Domain:
     Self-loops alone do not qualify: a domain whose only recurrence is its
     own loop carries no mass under nonatomic measures here, so the witness
     is taken from a component that genuinely cycles through the tower.
+    Components are the strong components of the edges between expanded
+    domains, so a cycle through a frontier marker does not count.
     """
     ids = [i for i in g.domains if g.is_expanded(i)]
-    succ = {i: [t for _, t in g.successors(i) if g.is_expanded(t)]
-            for i in ids}
-    index, low, on_stack = {}, {}, set()
-    stack, counter, comps = [], 0, []
-    for root in ids:
-        if root in index:
-            continue
-        work = [(root, iter(succ[root]))]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for nxt in it:
-                if nxt not in index:
-                    index[nxt] = low[nxt] = counter
-                    counter += 1
-                    stack.append(nxt)
-                    on_stack.add(nxt)
-                    work.append((nxt, iter(succ[nxt])))
-                    advanced = True
-                    break
-                if nxt in on_stack:
-                    low[node] = min(low[node], index[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    comp.append(member)
-                    if member == node:
-                        break
-                comps.append(comp)
-    candidates = [i for c in comps if len(c) >= 2 for i in c]
+    pos = {i: k for k, i in enumerate(ids)}
+    edges = np.array([(pos[s], pos[t]) for (s, _), t in g.edges.items()
+                      if s in pos and t in pos], dtype=np.intp).reshape(-1, 2)
+    adj = sp.csr_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])),
+                        shape=(len(ids), len(ids)))
+    _, labels = csgraph.connected_components(adj, directed=True,
+                                             connection="strong")
+    sizes = np.bincount(labels)
+    candidates = [i for i, lab in zip(ids, labels) if sizes[lab] >= 2]
     if not candidates:
         raise ValueError("no strongly connected component of size >= 2")
     best = min(candidates, key=lambda i: (g.domains[i].level, i))
@@ -387,10 +359,9 @@ def _branch_codes(ind, r_s, r_t, r_tau):
             codes[sel] = -(np.flatnonzero(sel) + 1)
             continue
         idx = r_t[sel][:, None] + np.arange(tau)
-        wmat = syms[r_s[sel][:, None], idx].astype(np.int64)
-        pw = (1 << (bits_per * np.arange(tau - 1, -1, -1))).astype(np.int64)
-        codes[sel] = (wmat * pw).sum(axis=1) + (np.int64(1) << int(
-            bits_per * tau))
+        codes[sel] = (word_codes(syms[r_s[sel][:, None], idx],
+                                 1 << bits_per)
+                      + (np.int64(1) << int(bits_per * tau)))
     return codes
 
 
@@ -484,33 +455,6 @@ def expansion_and_abramov(ind: InducedSystem, solver: LandingSolver,
                            lam_f, lam_induced, lam_err,
                            ent.estimate, h_block, h_rate, h_err,
                            len(uniq))
-
-
-def extendibility_failures(ind: InducedSystem, limit: int = 2000) -> list:
-    """Return blocks whose suffix cylinders leave their domains' arc-sets.
-
-    The combinatorial stand-in for branch extendibility: at every step of
-    a recorded block, the cylinder of the remaining word must sit inside
-    the arc-set of the domain the trace occupies there.  Returns (record
-    index, step) pairs for violations; expected empty.
-    """
-    part = ind.ensemble.graph.partition
-    domains = ind.ensemble.graph.domains
-    states = ind.ensemble.states
-    bad = []
-    top = min(limit, ind.return_count)
-    for i in range(top):
-        s = int(ind.sample_index[i])
-        t = int(ind.entry_step[i])
-        tau = int(ind.return_time[i])
-        word = tuple(int(x) for x in ind.ensemble.symbols[s, t:t + tau])
-        for j in range(tau):
-            cyl = cylinder_arcset(word[j:], part)
-            dom_arcs = domains[int(states[s, t + j])].arcset
-            if cyl.intersect(dom_arcs) != cyl:
-                bad.append((i, j))
-                break
-    return bad
 
 
 def tau_histogram_csv(ind: InducedSystem) -> str:

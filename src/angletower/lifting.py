@@ -10,19 +10,18 @@ off the traced ensemble.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .angles import CirclePartition, circular_dist, format_angle, times_d
+from .angles import CirclePartition, angle_orbit, format_angle
 from .geometry import LandingError, LandingSolver, PolynomialModel
 from .streams import (TraceEnsemble, is_dyadic, trace_ensemble,
-                      window_digits)
+                      window_digits, word_codes)
 from .tower import TowerGraph
 
-PROVENANCES = ("brolin", "dirac-periodic", "orbit-empirical", "conformal",
-               "custom")
+PROVENANCES = ("brolin", "dirac-periodic", "conformal", "custom")
 
 DEFAULT_FLOOR = 0.05
 DEFAULT_N_GRID = (250, 500, 1000, 2000)
@@ -167,37 +166,12 @@ def dirac_cycle(partition: CirclePartition, a: Fraction) -> SampleMeasure:
     """The invariant atomic measure on the cycle of a periodic angle."""
     d = partition.degree
     a = Fraction(a) % 1
-    orbit = [a]
-    x = times_d(a, d)
-    while x != a:
-        orbit.append(x)
-        if len(orbit) > a.denominator:
-            raise ValueError(f"angle {format_angle(a)} is not periodic "
-                             f"under multiplication by {d}")
-        x = times_d(x, d)
+    preperiod, _, orbit = angle_orbit(a, d)
+    if preperiod:
+        raise ValueError(f"angle {format_angle(a)} is not periodic "
+                         f"under multiplication by {d}")
     w = 1.0 / len(orbit)
     return SampleMeasure(tuple((p, w) for p in orbit), "dirac-periodic")
-
-
-def orbit_empirical(partition: CirclePartition, a: Fraction, count: int,
-                    allow_boundary_orbit: bool = False) -> SampleMeasure:
-    """Equal weights on the first count points of the orbit of a."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    a = Fraction(a) % 1
-    if not allow_boundary_orbit and orbit_hits_boundary(a, partition):
-        raise ValueError(
-            f"orbit of {format_angle(a)} meets the partition boundary; "
-            f"pass allow_boundary_orbit=True for a deliberate diagnostic "
-            f"measure")
-    d = partition.degree
-    pts = []
-    x = a
-    for _ in range(count):
-        pts.append(x)
-        x = times_d(x, d)
-    w = 1.0 / count
-    return SampleMeasure(tuple((p, w) for p in pts), "orbit-empirical")
 
 
 def custom_measure(pairs, partition: CirclePartition | None = None,
@@ -381,20 +355,27 @@ def liftability_verdict(rows, floor: float = DEFAULT_FLOOR) -> LiftReport:
 def invariance_defect(ensemble: TraceEnsemble, n: int, test_ids) -> float:
     """max over domain indicators of |Cesaro(phi o fhat) - Cesaro(phi)|.
 
-    Computed from the defining sums (steps 1..n against steps 0..n-1);
-    the telescoping bound 2 sup|phi| / n is a theorem about this quantity,
-    not an input.
+    Computed from the defining sums (steps 1..n against steps 0..n-1),
+    both read off one pass of per-step weighted domain counts over steps
+    0..n; the telescoping bound 2 sup|phi| / n is a theorem about this
+    quantity, not an input.
     """
     if not 1 <= n <= ensemble.horizon:
         raise ValueError(f"n must be in 1..{ensemble.horizon}")
     states = ensemble.states
     w = ensemble.weights
-    worst = 0.0
-    for dom in test_ids:
-        shifted = ((states[:, 1:n + 1] == dom) * w[:, None]).sum() / n
-        plain = ((states[:, :n] == dom) * w[:, None]).sum() / n
-        worst = max(worst, abs(float(shifted - plain)))
-    return worst
+    size = len(ensemble.graph.domains)
+    first = np.bincount(states[:, 0], weights=w, minlength=size)
+    total = first.copy()
+    for k in range(1, n + 1):
+        last = np.bincount(states[:, k], weights=w, minlength=size)
+        total += last
+    ids = np.asarray(list(test_ids), dtype=np.intp)
+    if not len(ids):
+        return 0.0
+    shifted = (total[ids] - first[ids]) / n
+    plain = (total[ids] - last[ids]) / n
+    return float(np.abs(shifted - plain).max())
 
 
 @dataclass(frozen=True)
@@ -441,9 +422,7 @@ def project_and_density(ensemble: TraceEnsemble, m: int, R: int,
     lv = ensemble.level_matrix()
     base = N ** m
 
-    wid = np.zeros(ensemble.count, dtype=np.int64)
-    for j in range(m):
-        wid = wid * N + syms[:, j]
+    wid = word_codes(syms[:, :m], N)
     mu_mass = np.bincount(wid, weights=w, minlength=base)
 
     proj = np.zeros(base, dtype=np.float64)
@@ -478,32 +457,6 @@ def project_and_density(ensemble: TraceEnsemble, m: int, R: int,
         ratios[word] = r
         corrected[word] = r / retained if retained > 0 else math.inf
     return DensityReport(m, retained, ratios, corrected, tuple(skipped))
-
-
-def cutpoint_margin_mass(ensemble: TraceEnsemble, domain_id: int, delta,
-                         n: int | None = None) -> float:
-    """Lifted mass sitting within delta of a cutpoint angle of the domain.
-
-    Exact angle arithmetic on the visiting steps only; the base (no
-    cutpoints) always reports zero.
-    """
-    n = ensemble.horizon if n is None else n
-    dom = ensemble.graph.domains[domain_id]
-    centers = dom.cutpoint_angles()
-    if not centers:
-        return 0.0
-    d = ensemble.graph.partition.degree
-    mask = ensemble.states[:, :n] == domain_id
-    total = 0.0
-    pows = {}
-    for s, k in np.argwhere(mask):
-        k = int(k)
-        if k not in pows:
-            pows[k] = d ** k
-        a = ensemble.angles[int(s)] * pows[k] % 1
-        if any(circular_dist(a, c) <= delta for c in centers):
-            total += float(ensemble.weights[int(s)]) / n
-    return total
 
 
 # --------------------------------------------------------------------------
@@ -632,9 +585,7 @@ def entropy_estimate(ensemble: TraceEnsemble, m_grid,
     h_values = {}
     insufficient = []
     for m in m_grid:
-        wid = np.zeros(ensemble.count, dtype=np.int64)
-        for j in range(m):
-            wid = wid * N + syms[:, j]
+        wid = word_codes(syms[:, :m], N)
         uniq, inv, counts = np.unique(wid, return_inverse=True,
                                       return_counts=True)
         p = np.bincount(inv, weights=w)
@@ -652,42 +603,6 @@ def entropy_estimate(ensemble: TraceEnsemble, m_grid,
         estimate = per_depth[m_grid[0]]
     return EntropyReport(estimate, per_depth, increments,
                          tuple(insufficient))
-
-
-@dataclass(frozen=True)
-class ProbeResult:
-    disjoint: bool
-    mass: float
-    bound: float
-    first_violation: tuple[int, int, int] | None = None
-
-
-def wandering_probe(ensemble: TraceEnsemble, ids, h: int,
-                    n: int | None = None) -> ProbeResult:
-    """Finite Cesaro form of the wandering-set mass bound.
-
-    When no trace revisits the probed union within h steps, each trace
-    contributes at most ceil(n/h) visits, so the Cesaro mass is at most
-    ceil(n/h)/n, which is 1/h exactly when h divides n and at most
-    1/h + 1/n otherwise.  A revisit within h steps voids the hypothesis
-    and is reported instead.
-    """
-    if h < 1:
-        raise ValueError("h must be >= 1")
-    n = ensemble.horizon if n is None else n
-    in_a = np.isin(ensemble.states[:, :n], np.asarray(sorted(ids)))
-    mass = float((in_a * ensemble.weights[:, None]).sum() / n)
-    bound = -(-n // h) / n
-    for s in range(ensemble.count):
-        times = np.nonzero(in_a[s])[0]
-        if len(times) > 1:
-            gaps = np.diff(times)
-            bad = np.nonzero(gaps < h)[0]
-            if len(bad):
-                j = int(bad[0])
-                return ProbeResult(False, mass, bound,
-                                   (s, int(times[j]), int(times[j + 1])))
-    return ProbeResult(True, mass, bound)
 
 
 def lift_report(mu: SampleMeasure, g: TowerGraph,

@@ -92,6 +92,14 @@ def arc_index_streams(nums, dens, cuts, d: int, n: int) -> np.ndarray:
     return out
 
 
+def word_codes(words: np.ndarray, base: int) -> np.ndarray:
+    """Big-endian base-`base` int64 code of each row of a symbol matrix."""
+    codes = np.zeros(len(words), dtype=np.int64)
+    for j in range(words.shape[1]):
+        codes = codes * base + words[:, j]
+    return codes
+
+
 def _digit_matrix(numerators, K: int, d: int) -> np.ndarray:
     """K-digit big-endian base-d expansions, one uint8 row per numerator.
 

@@ -339,7 +339,7 @@ def structural_checks(g: TowerGraph) -> StructuralReport:
 
 
 # --------------------------------------------------------------------------
-# traces and fiber merging
+# traces
 
 
 @dataclass(frozen=True)
@@ -382,55 +382,6 @@ def trace(a: Fraction, g: TowerGraph, n: int) -> TracePath:
         cur = nxt
         x = times_d(x, part.degree)
     return TracePath(tuple(ids), None, None)
-
-
-@dataclass(frozen=True)
-class MergeResult:
-    merged: bool
-    merge_step: int | None
-    exit_levels: tuple[int | None, int | None]
-    paths: tuple[tuple[int, ...], tuple[int, ...]]
-
-
-def fiber_merge(a: Fraction, g: TowerGraph, first_id: int, second_id: int,
-                horizon: int) -> MergeResult:
-    """Follow two lifts of the same angle until their domains coincide.
-
-    Reports the first step at which both lifts sit in the same domain, or,
-    when either lift climbs out of the expanded graph before the horizon, the
-    levels at which they left (the non-merging alternative: at least one lift
-    rides a cutpoint upward).
-    """
-    part = g.partition
-    x = a % 1
-    for did in (first_id, second_id):
-        if not g.domains[did].arcset.contains(x):
-            raise ValueError(f"angle {format_angle(x)} not in domain {did}")
-    cur = [first_id, second_id]
-    paths = [[first_id], [second_id]]
-    exits: list[int | None] = [None, None]
-    merge_step = 0 if first_id == second_id else None
-    for k in range(horizon):
-        if merge_step is not None or all(e is not None for e in exits):
-            break
-        sym = part.symbol_of(x)
-        for i in (0, 1):
-            if exits[i] is not None:
-                continue
-            if not g.is_expanded(cur[i]):
-                exits[i] = g.domains[cur[i]].level
-                continue
-            cur[i] = g.edges[(cur[i], sym)]
-            paths[i].append(cur[i])
-        x = times_d(x, part.degree)
-        if exits[0] is None and exits[1] is None and cur[0] == cur[1]:
-            merge_step = k + 1
-    return MergeResult(
-        merged=merge_step is not None,
-        merge_step=merge_step,
-        exit_levels=(exits[0], exits[1]),
-        paths=(tuple(paths[0]), tuple(paths[1])),
-    )
 
 
 # --------------------------------------------------------------------------

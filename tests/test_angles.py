@@ -324,9 +324,7 @@ def test_cylinder_endpoint_angles_live_in_orbit_field():
     for w, c in enumerate_cylinders(p, 5):
         for s, l in c.components:
             for x in (s, (s + l) % 1):
-                assert any(times_d(x, 2 ** k) in p.angle_universe() or True
-                           for k in range(6))
-                # concrete check: 2^5 * endpoint is in the universe
+                # 2^5 * endpoint is in the universe
                 y = x
                 for _ in range(5):
                     y = times_d(y, 2)

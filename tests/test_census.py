@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from angletower.angles import RayChoice
 from angletower.census import (
     InsufficientDepth, brute_force_census, brute_force_paths,
-    cutpoint_census, l_table_csv, max_surviving_paths, path_bound_constant,
-    s_table_csv, subset_count_bound, surviving_paths, verify_appendix,
+    cutpoint_census, l_table_csv, path_bound_constant, s_table_csv,
+    subset_count_bound, verify_appendix,
 )
 from angletower.tower import build_tower
 
@@ -67,7 +67,7 @@ class TestChebyshevCounts:
         [d2] = level_domains(g, 2)
         ups = [tid for _, tid in g.successors(d2)
                if g.domains[tid].level >= 3]
-        assert surviving_paths(g, 2, d2, 1) == len(ups) == 1
+        assert cutpoint_census(g, 2, d2, 1).s[1] == len(ups) == 1
 
 
 class TestDendriteCounts:
@@ -95,8 +95,10 @@ class TestDendriteCounts:
 
     def test_max_over_level_domains(self):
         g = deep_tower(DEND, 2, 8)
-        assert max_surviving_paths(g, 2, 8) == 34
-        counts = [max_surviving_paths(g, 2, t) for t in range(9)]
+        ids = level_domains(g, 2)
+        counts = [max(cutpoint_census(g, 2, did, t).s[t] for did in ids)
+                  for t in range(9)]
+        assert counts[8] == 34
         assert counts == sorted(counts)  # nondecreasing growth here
 
 
@@ -197,7 +199,7 @@ def test_insufficient_depth_reported():
 def test_level_mismatch_rejected():
     g = build_tower(DEND, 2, extra_levels=2)
     with pytest.raises(ValueError):
-        surviving_paths(g, 2, 1, 3)  # domain 1 has level 1
+        cutpoint_census(g, 2, 1, 3)  # domain 1 has level 1
     with pytest.raises(ValueError):
         cutpoint_census(g, 3, 2, 2)
 

@@ -217,14 +217,12 @@ def test_bad_json_reports_line(tmp_path, capsys):
     assert f"{cfg}:2" in capsys.readouterr().err
 
 
-def test_seed_and_threads_echoed(tmp_path):
+def test_seed_echoed(tmp_path):
     cfg, out = write_cfg(tmp_path)
     main(["tower-build", "--config", str(cfg)])
-    assert main(["lift", "--config", str(cfg), "--seed", "99",
-                 "--threads", "4"]) == EXIT_OK
+    assert main(["lift", "--config", str(cfg), "--seed", "99"]) == EXIT_OK
     manifest = json.loads((out / "lift.manifest.json").read_text())
     assert manifest["seed"] == 99
-    assert manifest["threads"] == 4
     assert manifest["config"]["sampling"]["seed"] == "3"
 
 

@@ -20,10 +20,9 @@ from hypothesis import strategies as st
 from angletower.angles import ArcSet, RayChoice, build_partition
 from angletower.conformal import (NODE_OFFSETS, build_basis, build_operator,
                                   conformality_residual, curve_csv,
-                                  distortion_spread, leading_eigen,
+                                  leading_eigen,
                                   lyapunov_liftability_experiment,
-                                  quadrature_node, refinement_drift,
-                                  solve_delta, weights_csv)
+                                  quadrature_node, solve_delta, weights_csv)
 from angletower.geometry import LandingSolver, PolynomialModel
 from angletower.lifting import orbit_hits_boundary
 from angletower.tower import build_tower
@@ -230,14 +229,12 @@ def test_solve_invariants(cheb_solves):
         assert abs(s.rho - 1.0) <= 1e-9
 
 
-def test_refinement_drift_shrinks(cheb_solves):
-    first = refinement_drift(cheb_solves[2], cheb_solves[4])
-    last = refinement_drift(cheb_solves[8], cheb_solves[10])
+def test_delta_shift_shrinks_with_depth(cheb_solves):
+    first = abs(cheb_solves[4].delta - cheb_solves[2].delta)
+    last = abs(cheb_solves[10].delta - cheb_solves[8].delta)
     assert first == pytest.approx(0.005958, abs=1e-4)
     assert last == pytest.approx(0.000297, abs=1e-4)
     assert last < first
-    with pytest.raises(ValueError):
-        refinement_drift(cheb_solves[4], cheb_solves[2])
 
 
 def test_lebesgue_eigenvector_oracle(cheb_bases):
@@ -263,14 +260,6 @@ def test_residual_solved_and_perturbed(cheb_solves):
     assert at_star <= 1e-8
     assert perturbed > 100 * max(at_star, 1e-12)
     assert perturbed == pytest.approx(3.25e-3, rel=0.1)
-
-
-def test_distortion_spread_finite(cheb_bases):
-    spread = distortion_spread(cheb_bases[8], cheb_bases[10])
-    assert spread == pytest.approx(8.5616, rel=0.01)
-    assert math.isfinite(spread)
-    with pytest.raises(ValueError):
-        distortion_spread(cheb_bases[10], cheb_bases[8])
 
 
 def test_dendrite_regression(dend_part, dend_solver):

@@ -17,13 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from angletower.angles import ArcSet, RayChoice, angle_orbit
+from angletower.angles import angle_orbit
 from angletower.geometry import (
-    CriticalProximity, LandingError, LandingSolver, LargeScaleParams,
-    PolynomialModel, birkhoff_lyapunov, green, koebe_constant,
-    landing_table_csv, large_scale_events,
+    CriticalProximity, LandingError, LandingSolver, PolynomialModel,
+    birkhoff_lyapunov, green, landing_table_csv,
 )
-from angletower.tower import build_tower
 
 CHEB = PolynomialModel(2, -2)
 DEND = PolynomialModel(2, 1j)
@@ -281,66 +279,6 @@ def test_lyapunov_excluded_near_critical(cheb_solver):
 def test_lyapunov_rejects_bad_n(cheb_solver):
     with pytest.raises(ValueError):
         birkhoff_lyapunov(CHEB, cheb_solver, F(1, 7), 0)
-
-
-# --------------------------------------------------------------------------
-# large-scale parameters and events
-
-
-def test_koebe_constant_monotone():
-    grid = [0.5, 1.0, 2.0, 4.0]
-    vals = [koebe_constant(m) for m in grid]
-    assert all(v >= 1 for v in vals)
-    assert vals == sorted(vals, reverse=True)
-    assert vals[-1] == pytest.approx(1.0, abs=1e-8)
-
-
-def test_koebe_constant_blows_up():
-    assert koebe_constant(0.05) == math.inf
-    with pytest.raises(ValueError):
-        koebe_constant(0)
-
-
-def test_large_scale_params_validation():
-    p = LargeScaleParams(0.1, 2.0)
-    assert p.koebe == koebe_constant(2.0)
-    with pytest.raises(ValueError):
-        LargeScaleParams(-1, 2.0)
-    with pytest.raises(ValueError):
-        LargeScaleParams(0.1, 0.0)
-
-
-@pytest.fixture(scope="module")
-def event_setup():
-    g = build_tower(RayChoice(2, (F(1, 2),)), 6)
-    w = g.domains[2].arcset.subtract_closed_margins(
-        g.domains[2].cutpoint_angles(), F(1, 64))
-    return g, w
-
-
-class TestLargeScaleEvents:
-    def test_period_orbit_events(self, event_setup):
-        g, w = event_setup
-        # the trace of 1/7 sits in the level-2 domain at times 2,3 mod 3
-        events = large_scale_events(F(1, 7), g, 2, w, 12)
-        assert events == [2, 3, 5, 6, 8, 9, 11, 12]
-
-    def test_margin_exclusion(self, event_setup):
-        g, _ = event_setup
-        empty = g.domains[2].arcset.subtract_closed_margins(
-            g.domains[2].cutpoint_angles(), F(1, 4))
-        assert empty.is_empty
-        assert large_scale_events(F(1, 7), g, 2, empty, 12) == []
-
-    def test_climbing_angle_has_finitely_many(self, event_setup):
-        g, w = event_setup
-        # 1/8 climbs out through the frontier; its only visits to the
-        # level-2 domain happen at cutpoint angles, which the margin cuts
-        assert large_scale_events(F(1, 8), g, 2, w, 40) == []
-
-    def test_zero_horizon(self, event_setup):
-        g, w = event_setup
-        assert large_scale_events(F(1, 7), g, 2, w, 0) == []
 
 
 # --------------------------------------------------------------------------

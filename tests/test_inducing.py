@@ -10,10 +10,8 @@ from hypothesis import strategies as st
 
 from angletower.angles import ArcSet, RayChoice, build_partition, itinerary
 from angletower.geometry import LandingSolver, PolynomialModel
-from angletower.inducing import (InducedSystem, WitnessRegion,
-                                 branch_words_csv, choose_W,
-                                 expansion_and_abramov,
-                                 extendibility_failures, first_return,
+from angletower.inducing import (WitnessRegion, branch_words_csv, choose_W,
+                                 expansion_and_abramov, first_return,
                                  kac_check, recurrent_witness_domain,
                                  tau_histogram_csv)
 from angletower.lifting import (brolin_period_samples, brolin_samples,
@@ -90,6 +88,27 @@ def test_recurrent_witness_level_one_for_dendrite():
     g = build_tower(DEND, 6)
     dom = recurrent_witness_domain(g)
     assert dom.id == 1 and dom.level == 1
+
+
+def test_recurrent_witness_skips_self_loop_only_domain():
+    # rewire the dendrite witness D1 so it loops only to itself; a lone
+    # self-loop does not qualify, and the next recurrent level is 3
+    g = build_tower(DEND, 6)
+    for sym in range(g.partition.size):
+        if (1, sym) in g.edges:
+            g.edges[(1, sym)] = 1
+    dom = recurrent_witness_domain(g)
+    assert dom.id == 3 and dom.level == 3
+
+
+def test_recurrent_witness_ignores_cycle_through_frontier():
+    # at truncation 0 domain 1 is a frontier marker; giving it an edge
+    # back to the base makes 0 -> 1 -> 0 the only cycle
+    g = build_tower(CHEB, 0)
+    assert g.frontier == {1}
+    g.edges[(1, 0)] = 0
+    with pytest.raises(ValueError):
+        recurrent_witness_domain(g)
 
 
 def test_choose_w_base_margin_zero_is_whole_base(cheb_graph):
@@ -317,10 +336,6 @@ def test_expansion_degenerate_report(dirac_system, cheb_graph,
 
 
 # -- invariants and exports ----------------------------------------------
-
-
-def test_extendibility_surrogate_clean(cheb_system):
-    assert extendibility_failures(cheb_system, limit=500) == []
 
 
 def test_tau_histogram_csv_exact(dirac_system):

@@ -10,15 +10,14 @@ import json
 import math
 from fractions import Fraction as F
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from angletower import lifting as lf
 from angletower.angles import RayChoice, angle_orbit, build_partition, times_d
-from angletower.geometry import LandingSolver, PolynomialModel, \
-    large_scale_events
+from angletower.geometry import LandingSolver, PolynomialModel
+from angletower.inducing import choose_W, first_return
 from angletower.tower import build_tower
 
 CHEB = RayChoice(2, (F(1, 2),))
@@ -113,16 +112,6 @@ def test_dirac_cycle(part):
     assert single.samples == ((F(0), 1.0),)
     with pytest.raises(ValueError):
         lf.dirac_cycle(part, F(1, 6))
-
-
-def test_orbit_empirical(part):
-    mu = lf.orbit_empirical(part, F(1, 7), 6)
-    assert [a for a, _ in mu.samples] == \
-        [F(1, 7), F(2, 7), F(4, 7), F(1, 7), F(2, 7), F(4, 7)]
-    with pytest.raises(ValueError):
-        lf.orbit_empirical(part, F(1, 8), 4)
-    ok = lf.orbit_empirical(part, F(1, 8), 4, allow_boundary_orbit=True)
-    assert ok.samples[1][0] == F(1, 4)
 
 
 def test_custom_measure_boundary_guard(part):
@@ -294,6 +283,18 @@ def test_defect_dirac_exact(dirac_ens):
             pytest.approx(1.0 / n, abs=1e-15)
 
 
+def test_defect_matches_defining_sums(graph, brolin_ens):
+    _, ens = brolin_ens
+    ids = [i for i, dom in graph.domains.items() if dom.level <= 8]
+    w = ens.weights[:, None]
+    for n in (250, 500, 1000):
+        expected = max(
+            abs(float(((ens.states[:, 1:n + 1] == dom) * w).sum() / n
+                      - ((ens.states[:, :n] == dom) * w).sum() / n))
+            for dom in ids)
+        assert abs(lf.invariance_defect(ens, n, ids) - expected) <= 1e-15
+
+
 def test_defect_bound_and_decrease(graph, brolin_ens):
     _, ens = brolin_ens
     ids = [i for i, dom in graph.domains.items() if dom.level <= 8]
@@ -345,36 +346,6 @@ def test_density_json(dense_ens):
     data = json.loads(json.dumps(report.to_json()))
     assert data["depth"] == 3
     assert set(len(k) for k in data["ratios"]) == {3}
-
-
-# --------------------------------------------------------------------------
-# cutpoint margins
-
-
-@pytest.fixture(scope="module")
-def margin_ens(part, graph):
-    mu = lf.brolin_period_samples(part, 512, seed=9, bits=16)
-    return mu, lf.make_ensemble(mu, graph, 200)
-
-
-def test_margin_full_covering_equals_domain_mass(graph, margin_ens):
-    mu, ens = margin_ens
-    tm = lf.lift_cesaro(mu, graph, 200, R=8, ensemble=ens)
-    full = lf.cutpoint_margin_mass(ens, 2, F(1, 2), n=200)
-    assert full == pytest.approx(tm.mass[2], abs=1e-12)
-
-
-def test_margin_base_is_zero(margin_ens):
-    _, ens = margin_ens
-    assert lf.cutpoint_margin_mass(ens, 0, F(1, 4), n=200) == 0.0
-
-
-def test_margin_decreases_to_zero(margin_ens):
-    _, ens = margin_ens
-    vals = [lf.cutpoint_margin_mass(ens, 2, d, n=200)
-            for d in (F(1, 16), F(1, 64), F(1, 256))]
-    assert vals[0] >= vals[1] >= vals[2]
-    assert vals[2] < 0.02
 
 
 # --------------------------------------------------------------------------
@@ -480,47 +451,20 @@ def test_entropy_single_depth_and_errors(dirac_ens):
 
 
 # --------------------------------------------------------------------------
-# wandering probe
-
-
-def test_probe_disjoint_bound(graph, brolin_ens):
-    _, ens = brolin_ens
-    # level 5 returns to itself in no fewer than 4 steps
-    res = lf.wandering_probe(ens, [5], 4, n=1000)
-    assert res.disjoint
-    assert res.bound == 0.25
-    assert res.mass <= res.bound
-    assert res.mass == pytest.approx(2.0 ** -4, abs=0.01)
-
-
-def test_probe_detects_violation(brolin_ens):
-    _, ens = brolin_ens
-    res = lf.wandering_probe(ens, [5], 10, n=1000)
-    assert not res.disjoint
-    s, k1, k2 = res.first_violation
-    assert 0 < k2 - k1 < 10
-    assert ens.states[s, k1] == 5 and ens.states[s, k2] == 5
-
-
-def test_probe_ceil_bound(graph, brolin_ens):
-    # the bound is the literal finite Cesaro constant ceil(n/h)/n
-    _, ens = brolin_ens
-    res = lf.wandering_probe(ens, [5], 4, n=997)
-    assert res.bound == pytest.approx(math.ceil(997 / 4) / 997)
-
-
-# --------------------------------------------------------------------------
 # event frequency against lifted mass
 
 
+@pytest.fixture(scope="module")
+def margin_ens(part, graph):
+    mu = lf.brolin_period_samples(part, 512, seed=9, bits=16)
+    return mu, lf.make_ensemble(mu, graph, 200)
+
+
 def test_large_scale_frequency_consistent(graph, margin_ens):
+    # visits to the notched level-2 domain are the large-scale times
     mu, ens = margin_ens
-    d2 = graph.domains[2]
-    witness = d2.arcset.subtract_closed_margins(
-        d2.cutpoint_angles(), F(1, 64))
-    freqs = [len(large_scale_events(a, graph, 2, witness, 200)) / 200
-             for a, _ in mu.samples[:64]]
-    mean_freq = float(np.mean(freqs))
+    mean_freq = first_return(ens, choose_W(graph, 2, F(1, 64))
+                             ).witness_frequency
     tm = lf.lift_cesaro(mu, graph, 200, R=8, ensemble=ens)
     # the witness keeps 15/16 of the domain's angular mass
     assert mean_freq > 0.3

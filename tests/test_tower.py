@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from angletower.angles import ArcSet, RayChoice, build_partition
 from angletower.tower import (
-    CutPoint, Domain, MergeResult, build_tower, fiber_merge, step,
+    CutPoint, Domain, build_tower, step,
     structural_checks, tower_from_json, tower_to_json_str, trace,
 )
 
@@ -224,30 +224,6 @@ class TestTraces:
             t = trace(F(num, 7), cheb6, 30)
             assert t.exit_step is None
             assert max(cheb6.domains[i].level for i in t.domain_ids) <= 3
-
-
-class TestFiberMerge:
-    def test_two_lifts_merge_quickly(self, cheb6):
-        res = fiber_merge(F(0), cheb6, 0, 1, 10)
-        assert res == MergeResult(True, 1, (None, None), ((0, 1), (1, 1)))
-
-    def test_same_start_merges_at_zero(self, cheb6):
-        res = fiber_merge(F(1, 8), cheb6, 1, 1, 10)
-        assert res.merged and res.merge_step == 0
-
-    def test_critical_angle_lifts_never_merge(self, cheb6):
-        # the base lift of 1/2 drops into the level-1 loop; the level-1 lift
-        # rides the aging cutpoint upward and leaves through the frontier
-        res = fiber_merge(F(1, 2), cheb6, 0, 1, 40)
-        assert not res.merged
-        assert res.exit_levels == (None, 7)
-        assert res.paths[0] == (0, 1) + (1,) * (len(res.paths[0]) - 2)
-        assert res.paths[1] == (1, 2, 3, 4, 5, 6, 7)
-
-    def test_angle_outside_domain_rejected(self):
-        gp = build_tower(PAIR, 2)
-        with pytest.raises(ValueError):
-            fiber_merge(F(0), gp, 1, 1, 5)  # 0 not in [5/12,7/12)
 
 
 # --------------------------------------------------------------------------
