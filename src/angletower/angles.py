@@ -3,25 +3,18 @@
 Angles are reduced rationals in [0, 1) backed by ``fractions.Fraction``; the
 dynamics on angles is multiplication by the polynomial degree d, mod 1.  All
 set operations run on finite unions of half-open circle arcs [a, b) with the
-convention that a boundary angle belongs to the arc it starts.  Everything in
-this module is exact: no floats are produced except by explicit request.
+convention that a boundary angle belongs to the arc it starts, held as
+integer cuts over one common denominator (``ArcSet``).  Everything in this
+module is exact: no floats are produced except by explicit request.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
-
-def angle(value, den=None) -> Fraction:
-    """Build an angle: a Fraction reduced mod 1 into [0, 1)."""
-    a = Fraction(value, den) if den is not None else Fraction(value)
-    return a % 1
-
 
 def parse_angle(text: str) -> Fraction:
     """Parse "p/q" (or "p") into an angle in [0, 1)."""
@@ -36,12 +29,6 @@ def format_angle(a: Fraction) -> str:
 def times_d(a: Fraction, d: int) -> Fraction:
     """One step of the angle dynamics: d*a mod 1."""
     return (a * d) % 1
-
-
-def circular_dist(a: Fraction, b: Fraction) -> Fraction:
-    """Distance on the circle between two angles."""
-    gap = (a - b) % 1
-    return min(gap, 1 - gap)
 
 
 def orbit_numerators(a: Fraction, d: int) -> tuple[int, int, list[int]]:
@@ -74,22 +61,46 @@ def is_strictly_preperiodic(a: Fraction, d: int) -> bool:
 
 
 class ArcSet:
-    """A finite union of half-open arcs on the circle, held exactly.
+    """A finite union of half-open arcs on the circle, held in integers.
 
-    Components are (start, length) pairs with start in [0, 1) and
-    0 < length <= 1, pairwise disjoint, sorted by start, with touching
-    components merged (including across the wrap).  The full circle is the
-    single component (0, 1).  Instances are immutable and hashable; the
-    component tuple is the canonical serialization used for identification.
+    The set is the union of [cuts[2i], cuts[2i+1]) / den: cuts is a strictly
+    increasing tuple of ints in [0, den], so touching arcs are merged and an
+    arc through 0 is split there into a first piece starting at 0 and a last
+    piece ending at den.  den is reduced (den and the cuts share no factor),
+    so (den, cuts) is canonical: it is the identification key of tower
+    domains.  The full circle is (1, (0, 1)) and the empty set (1, ()).  The
+    size grows with the number of arcs, not with den.  Instances are
+    immutable and hashable.
     """
 
-    __slots__ = ("components",)
+    __slots__ = ("den", "cuts")
 
-    def __init__(self, components: Iterable[tuple[Fraction, Fraction]], *, _normalized=False):
-        comps = tuple(components)
-        if not _normalized:
-            comps = _normalize(comps)
-        object.__setattr__(self, "components", comps)
+    def __init__(self, components: Iterable[tuple[Fraction, Fraction]]):
+        """The union of disjoint (start, length) arcs, 0 < length <= 1."""
+        comps = [(Fraction(s) % 1, Fraction(l)) for s, l in components]
+        comps = [(s, l) for s, l in comps if l > 0]
+        den = math.lcm(*(x.denominator for c in comps for x in c))
+        spans = []
+        for s, l in comps:
+            a = s.numerator * (den // s.denominator)
+            b = a + l.numerator * (den // l.denominator)
+            spans += [(a, b)] if b <= den else [(a, den), (0, b - den)]
+        spans.sort()
+        if any(a < b for (_, b), (a, _) in zip(spans, spans[1:])):
+            raise ValueError("arc components overlap")
+        self._set(den, _merged(spans))
+
+    def _set(self, den: int, cuts) -> None:
+        g = math.gcd(den, *cuts)
+        object.__setattr__(self, "den", den // g)
+        object.__setattr__(self, "cuts", tuple(c // g for c in cuts))
+
+    @staticmethod
+    def _of(den: int, cuts) -> "ArcSet":
+        """Instance from a strictly increasing cut list over den."""
+        out = object.__new__(ArcSet)
+        out._set(den, cuts)
+        return out
 
     def __setattr__(self, *_):
         raise AttributeError("ArcSet is immutable")
@@ -98,259 +109,184 @@ class ArcSet:
 
     @staticmethod
     def empty() -> "ArcSet":
-        return ArcSet((), _normalized=True)
+        return ArcSet._of(1, ())
 
     @staticmethod
     def full_circle() -> "ArcSet":
-        return ArcSet(((ZERO, ONE),), _normalized=True)
+        return ArcSet._of(1, (0, 1))
 
     @staticmethod
     def arc(start, end) -> "ArcSet":
         """The half-open arc [start, end) taken counterclockwise; start == end
         is empty (use full_circle for the whole circle)."""
-        s = Fraction(start) % 1
-        length = (Fraction(end) - Fraction(start)) % 1
-        if length == 0:
-            return ArcSet.empty()
-        return ArcSet(((s, length),), _normalized=True)
+        return ArcSet(((start, (Fraction(end) - Fraction(start)) % 1),))
 
     # -- basic queries -----------------------------------------------------
 
     @property
     def is_empty(self) -> bool:
-        return not self.components
+        return not self.cuts
 
     @property
     def is_full(self) -> bool:
-        return len(self.components) == 1 and self.components[0][1] == 1
+        return self.cuts == (0, self.den)
+
+    def _spans(self):
+        return zip(self.cuts[::2], self.cuts[1::2])
+
+    def _circle_spans(self) -> list[tuple[int, int]]:
+        """(start, end) in units of 1/den sorted by start, the pieces of an
+        arc through 0 joined into one span ending past den."""
+        spans = list(self._spans())
+        if len(spans) > 1 and self.cuts[0] == 0 and self.cuts[-1] == self.den:
+            first = spans.pop(0)
+            spans[-1] = (spans[-1][0], self.den + first[1])
+        return spans
+
+    @property
+    def components(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        """(start, length) of each arc, sorted by start."""
+        return tuple((Fraction(a, self.den), Fraction(b - a, self.den))
+                     for a, b in self._circle_spans())
 
     def length(self) -> Fraction:
-        return sum((l for _, l in self.components), ZERO)
+        return Fraction(sum(self.cuts[1::2]) - sum(self.cuts[::2]), self.den)
 
     def contains(self, a: Fraction) -> bool:
-        a = a % 1
-        return any((a - s) % 1 < l for s, l in self.components)
+        k = a.numerator * self.den // a.denominator % self.den
+        return bisect_right(self.cuts, k) % 2 == 1
 
     def closure_contains(self, a: Fraction) -> bool:
-        """Membership in the closed version of every component."""
-        a = a % 1
-        return any((a - s) % 1 <= l for s, l in self.components)
+        """Membership in the closed version of every arc."""
+        k, rest = divmod(a.numerator * self.den, a.denominator)
+        k %= self.den
+        i = bisect_right(self.cuts, k)
+        if i % 2 or rest:
+            return i % 2 == 1
+        # a sits on k / den: in the closure when an arc ends there
+        return (i > 0 and self.cuts[i - 1] == k) or (
+            k == 0 and self.cuts[-1:] == (self.den,))
 
     # -- set operations ----------------------------------------------------
 
-    def intersect_arc(self, start: Fraction, length: Fraction) -> "ArcSet":
-        """Intersection with the single half-open arc [start, start+length)."""
-        if length <= 0:
-            return ArcSet.empty()
-        if length >= 1:
-            return self
-        pieces = []
-        for s, l in self.components:
-            # work in coordinates where the probe arc is [0, length)
-            off = (s - start) % 1
-            lo, hi = off, off + l
-            # the component occupies [lo, hi) on [0, 2); probe is [0, length)
-            a, b = lo, min(hi, length)
-            if a < b:
-                pieces.append(((start + a) % 1, b - a))
-            if hi > 1:  # wrapped part [0, hi-1)
-                b2 = min(hi - 1, length)
-                if b2 > 0:
-                    pieces.append((start % 1, b2))
-        return ArcSet(pieces)
-
     def intersect(self, other: "ArcSet") -> "ArcSet":
-        pieces = []
-        for s, l in other.components:
-            pieces.extend(self.intersect_arc(s, l).components)
-        return ArcSet(pieces)
+        den = math.lcm(self.den, other.den)
+        a = [c * (den // self.den) for c in self.cuts]
+        b = [c * (den // other.den) for c in other.cuts]
+        out = []
+        i = j = 0
+        while i < len(a) and j < len(b):
+            lo, hi = max(a[i], b[j]), min(a[i + 1], b[j + 1])
+            if lo < hi:
+                out += (lo, hi)
+            if a[i + 1] < b[j + 1]:
+                i += 2
+            else:
+                j += 2
+        return ArcSet._of(den, out)
+
+    def complement(self) -> "ArcSet":
+        """The rest of the circle: 0 and den toggled in the cuts."""
+        return ArcSet._of(self.den, sorted(set(self.cuts) ^ {0, self.den}))
 
     def image_times_d(self, d: int) -> "ArcSet":
         """Forward image under angle multiplication by d.
 
-        Each component of length l maps to an arc of length d*l; a component
-        of length 1/d covers the whole circle.  Correct as a set image even
-        when distinct components' images overlap.
+        Each arc [a, b) maps to [d*a, d*b) folded mod den; an arc of length
+        1/d covers the whole circle.  Correct as a set image even when
+        distinct arcs' images overlap.
         """
-        if any(l * d >= 1 for _, l in self.components):
-            return ArcSet.full_circle()
-        return _union([((s * d) % 1, l * d) for s, l in self.components])
+        den = self.den
+        spans = []
+        for a, b in self._spans():
+            if d * (b - a) >= den:
+                return ArcSet.full_circle()
+            s = d * a % den
+            e = s + d * (b - a)
+            spans += [(s, e)] if e <= den else [(s, den), (0, e - den)]
+        return ArcSet._of(den, _merged(spans))
 
     def preimage_times_d(self, d: int) -> "ArcSet":
-        """Full preimage under multiplication by d: d shrunken rotated copies."""
-        pieces = []
-        for s, l in self.components:
-            for j in range(d):
-                pieces.append((((s + j) / d) % 1, l / d))
-        return ArcSet(pieces)
+        """Full preimage under multiplication by d: d shifted copies of the
+        cuts over the denominator d*den."""
+        den = self.den
+        return ArcSet._of(d * den, _merged(
+            (a + j * den, b + j * den) for j in range(d)
+            for a, b in self._spans()))
 
     def subtract_closed_margins(self, centers: Sequence[Fraction], margin: Fraction) -> "ArcSet":
-        """Remove the closed arcs [c-margin, c+margin] around each center."""
+        """Remove the closed arcs [c-margin, c+margin] around each center.
+
+        The half-open representation cannot drop the single point c+margin:
+        the arc [c-margin, c+margin) is removed, so c-margin is dropped and
+        c+margin is kept.
+        """
         out = self
         for c in centers:
-            out = out._subtract_closed_arc((c - margin) % 1, 2 * margin)
+            if 2 * margin >= 1:
+                return ArcSet.empty()
+            out = out.intersect(ArcSet.arc(c - margin, c + margin).complement())
         return out
-
-    def _subtract_closed_arc(self, start: Fraction, length: Fraction) -> "ArcSet":
-        if length >= 1:
-            return ArcSet.empty()
-        pieces = []
-        for s, l in self.components:
-            off = (s - start) % 1
-            lo, hi = off, off + l
-            # cut [0, length] (closed) out of [lo, hi) living on [0, 2)
-            for a, b in ((lo, hi),) if hi <= 1 else ((lo, 1), (1, hi)):
-                # survivors inside [a, b): left of 0 (none: a >= 0), the open
-                # gap (length, 1), and beyond 1 up to 1 + length excluded again
-                cut = [(length, Fraction(1)), (1 + length, Fraction(2))]
-                for ca, cb in cut:
-                    x, y = max(a, ca), min(b, cb)
-                    if x < y:
-                        pieces.append(((start + x) % 1, y - x))
-        return ArcSet(pieces)
 
     def largest_component(self) -> tuple[Fraction, Fraction]:
         if self.is_empty:
             raise ValueError("empty arc-set has no components")
         return max(self.components, key=lambda c: (c[1], -c[0]))
 
-    def midpoint_of_largest(self) -> Fraction:
-        s, l = self.largest_component()
-        return (s + l / 2) % 1
-
     # -- serialization -----------------------------------------------------
 
     def to_pairs(self) -> list[list[str]]:
         """[["p/q", "r/s"], ...] start/end-exclusive pairs; end < start wraps,
         and the full circle is [["0/1", "1/1"]]."""
-        out = []
-        for s, l in self.components:
-            end = s + l
-            if end > 1:
-                end -= 1
-            out.append([format_angle(s), format_angle(end)])
-        return out
+        den = self.den
+        return [[format_angle(Fraction(a, den)),
+                 format_angle(Fraction(b if b <= den else b - den, den))]
+                for a, b in self._circle_spans()]
 
     @staticmethod
     def from_pairs(pairs: Iterable[Sequence[str]]) -> "ArcSet":
-        comps = []
-        for lo, hi in pairs:
-            a, b = Fraction(lo), Fraction(hi)
-            if a == 0 and b == 1:
-                return ArcSet.full_circle()
-            comps.extend(ArcSet.arc(a, b).components)
-        return ArcSet(comps)
+        ends = [[_parse_ratio(x) for x in pair] for pair in pairs]
+        den = math.lcm(*(q for pair in ends for _, q in pair))
+        spans = []
+        for (p, q), (r, s) in ends:
+            a, b = p * (den // q), r * (den // s)
+            spans += [(a, b)] if a <= b else [(a, den), (0, b)]
+        return ArcSet._of(den, _merged(spans))
 
     # -- plumbing ----------------------------------------------------------
 
     def __eq__(self, other):
-        return isinstance(other, ArcSet) and self.components == other.components
+        return (isinstance(other, ArcSet) and self.den == other.den
+                and self.cuts == other.cuts)
 
     def __hash__(self):
-        return hash(self.components)
+        return hash((self.den, self.cuts))
 
     def __repr__(self):
         if self.is_empty:
             return "ArcSet.empty()"
-        body = " ".join(f"[{format_angle(s)},{format_angle((s + l) % 1 if l != 1 else ONE)})"
-                        for s, l in self.components)
+        body = " ".join(f"[{a},{b})" for a, b in self.to_pairs())
         return f"ArcSet({body})"
 
 
-def _normalize(comps: Sequence[tuple[Fraction, Fraction]]) -> tuple:
-    """Sort, check disjointness, merge touching components (wrap included)."""
-    comps = [(s % 1, l) for s, l in comps if l > 0]
-    if not comps:
-        return ()
-    total = sum(l for _, l in comps)
-    if total > 1:
-        raise ValueError(f"arc components overlap (total length {total} > 1)")
-    if total == 1:
-        # disjoint pieces of total length one are the whole circle exactly
-        # when they tile it; verify by merging below, cheap for our sizes
-        pass
-    comps.sort()
-    merged: list[list[Fraction]] = []
-    for s, l in comps:
-        if merged:
-            ps, pl = merged[-1]
-            if s < ps + pl:
-                raise ValueError("arc components overlap")
-            if s == ps + pl:
-                merged[-1][1] = pl + l
-                continue
-        merged.append([s, l])
-    # merge across the wrap: last component reaching 1 can absorb one at 0...
-    if len(merged) > 1:
-        ls, ll = merged[-1]
-        fs, fl = merged[0]
-        end = ls + ll
-        if end > 1 + fs:
-            raise ValueError("arc components overlap")
-        if end - 1 == fs or (end == 1 and fs == 0):
-            merged[0] = [ls, ll + fl]
-            merged.pop()
-            merged.sort()
-    if len(merged) == 1 and merged[0][1] == 1:
-        return ((ZERO, ONE),)
-    return tuple((s, l) for s, l in merged)
-
-
-def _union(comps: Sequence[tuple[Fraction, Fraction]]) -> ArcSet:
-    """Union of possibly-overlapping components (used for forward images)."""
-    comps = [(s % 1, l) for s, l in comps if l > 0]
-    if not comps:
-        return ArcSet.empty()
-    # unfold to the line, sweep, refold
-    events = []
-    for s, l in comps:
-        events.append((s, s + l))
-    events.sort()
-    merged = [list(events[0])]
-    for a, b in events[1:]:
-        if a <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], b)
+def _merged(spans) -> list[int]:
+    """Cuts of the union of the spans [a, b), 0 <= a <= b: sorted, with
+    overlapping and touching spans joined and empty ones dropped."""
+    cuts: list[int] = []
+    for a, b in sorted(spans):
+        if a == b:
+            continue
+        if cuts and a <= cuts[-1]:
+            cuts[-1] = max(cuts[-1], b)
         else:
-            merged.append([a, b])
-    # wrap: anything past 1 folds onto the start
-    out = []
-    spill = []
-    for a, b in merged:
-        if b > 1:
-            spill.append((ZERO, b - 1))
-            b = ONE
-        out.append((a, b - a))
-    if spill:
-        base = ArcSet(out)  # disjoint by the sweep
-        for s, l in spill:
-            extra = ArcSet.arc(s, s + l)
-            base = _union_pair(base, extra)
-        return base
-    return ArcSet(out)
+            cuts += (a, b)
+    return cuts
 
 
-def _union_pair(a: ArcSet, b: ArcSet) -> ArcSet:
-    if a.is_empty:
-        return b
-    if b.is_empty:
-        return a
-    if a.is_full or b.is_full:
-        return ArcSet.full_circle()
-    # complement-intersect-complement would need complement machinery; a
-    # simple sweep on cut points is enough at our sizes
-    cuts = sorted({s for s, _ in a.components + b.components}
-                  | {(s + l) % 1 for s, l in a.components + b.components})
-    pieces = []
-    n = len(cuts)
-    for i, lo in enumerate(cuts):
-        hi = cuts[(i + 1) % n]
-        length = (hi - lo) % 1 if n > 1 else ONE
-        if length == 0:
-            length = ONE
-        probe = lo + length / 2
-        if a.contains(probe) or b.contains(probe):
-            pieces.append((lo, length))
-    return ArcSet(pieces)
+def _parse_ratio(text: str) -> tuple[int, int]:
+    """"p/q" (or "p") as the int pair (p, q)."""
+    p, _, q = text.partition("/")
+    return int(p), int(q or 1)
 
 
 @dataclass(frozen=True)
@@ -394,7 +330,7 @@ class CirclePartition:
     (an arc of length exactly 1/d maps onto the full circle).
     """
 
-    __slots__ = ("ray_choice", "boundary", "arcs")
+    __slots__ = ("ray_choice", "boundary", "arcs", "_arc_sets")
 
     def __init__(self, ray_choice: RayChoice):
         d = ray_choice.degree
@@ -406,6 +342,7 @@ class CirclePartition:
         self.arcs = tuple(
             (boundary[i], (boundary[(i + 1) % n] - boundary[i]) % 1)
             for i in range(n))
+        self._arc_sets = tuple(ArcSet((arc,)) for arc in self.arcs)
 
     @property
     def degree(self) -> int:
@@ -419,13 +356,11 @@ class CirclePartition:
     def symbol_of(self, a: Fraction) -> int:
         """Index of the arc containing angle a (half-open convention)."""
         a = a % 1
-        from bisect import bisect_right
         i = bisect_right(self.boundary, a) - 1
         return i % self.size if i >= 0 else self.size - 1
 
     def arc_set(self, symbol: int) -> ArcSet:
-        s, l = self.arcs[symbol]
-        return ArcSet(((s, l),), _normalized=True)
+        return self._arc_sets[symbol]
 
     def angle_universe(self) -> frozenset[Fraction]:
         """All angles that can ever appear as arc endpoints or cutpoint marks:

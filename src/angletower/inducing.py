@@ -199,8 +199,8 @@ def first_return(ensemble: TraceEnsemble, witness: WitnessRegion,
 
     A visit at step k means the trace occupies the witness domain with an
     angle inside the notched arc-set.  The arc-set is a union of the arcs
-    between consecutive endpoints of its components, so membership is read
-    off the exact int64 symbol-stream kernel run against those endpoints.
+    between consecutive cuts, so membership is read off the exact int64
+    symbol-stream kernel run against those cuts.
     Consecutive visits of one sample give completed returns; the stretch
     from a sample's last visit to the horizon is its censored record.
     """
@@ -211,9 +211,9 @@ def first_return(ensemble: TraceEnsemble, witness: WitnessRegion,
         raise ValueError(
             f"horizon must lie in [1, {ensemble.horizon}], got {h}")
     d = ensemble.graph.partition.degree
-    comps = witness.arcs.components
-    cuts = tuple(sorted({s for s, _ in comps}
-                        | {(s + l) % 1 for s, l in comps}))
+    den = witness.arcs.den
+    cuts = tuple(Fraction(c, den)
+                 for c in sorted({c % den for c in witness.arcs.cuts}))
     dens = [a.denominator for a in ensemble.angles]
     if not fits_int64(max(dens), cuts, d):
         raise ValueError(

@@ -73,7 +73,7 @@ Candidate = tuple[ArcSet, tuple[CutPoint, ...]]
 
 
 def _candidate_key(arcset: ArcSet, cutpoints: tuple[CutPoint, ...]):
-    return (arcset.components, cutpoints)
+    return (arcset.den, arcset.cuts, cutpoints)
 
 
 def _level_of(cutpoints: Sequence[CutPoint]) -> int:
@@ -90,8 +90,7 @@ def step(domain: Domain, symbol: int, partition: CirclePartition) -> Candidate |
     cutpoint at the image angles.
     """
     d = partition.degree
-    start, length = partition.arcs[symbol]
-    piece = domain.arcset.intersect_arc(start, length)
+    piece = domain.arcset.intersect(partition.arc_set(symbol))
     if piece.is_empty:
         return None
     image = piece.image_times_d(d)
@@ -103,8 +102,9 @@ def step(domain: Domain, symbol: int, partition: CirclePartition) -> Candidate |
             carried.setdefault((cp.age + 1, cp.origin), set()).update(
                 times_d(a, d) for a in hit)
 
-    end = (start + length) % 1
-    born = {times_d(b, d) for b in (start, end) if piece.closure_contains(b)}
+    ends = (partition.boundary[symbol],
+            partition.boundary[(symbol + 1) % partition.size])
+    born = {times_d(b, d) for b in ends if piece.closure_contains(b)}
     if born:
         # carried keys all have age >= 2, so the age-1 slot is always free
         carried[(1, 0)] = born
@@ -316,8 +316,7 @@ def structural_checks(g: TowerGraph) -> StructuralReport:
             sideways.append((fid, sym, tid))
         if tid == 0:
             base_in += 1
-        start, length = part.arcs[sym]
-        piece = src.arcset.intersect_arc(start, length)
+        piece = src.arcset.intersect(part.arc_set(sym))
         if piece.image_times_d(part.degree) != dst.arcset:
             markov_failures.append((fid, sym))
 

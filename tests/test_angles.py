@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from angletower.angles import (
-    ArcSet, CirclePartition, RayChoice, angle, angle_orbit, build_partition,
-    circular_dist, cylinder_arcset, enumerate_cylinders, format_angle,
+    ArcSet, CirclePartition, RayChoice, angle_orbit, build_partition,
+    cylinder_arcset, enumerate_cylinders, format_angle,
     is_strictly_preperiodic, itinerary, parse_angle, times_d,
 )
 
@@ -27,8 +27,6 @@ PAIR = RayChoice(2, (F(5, 12), F(7, 12)))  # kappa = 2, conjugate pair
 
 
 def test_angle_normalization():
-    assert angle(5, 4) == F(1, 4)
-    assert angle(-1, 4) == F(3, 4)
     assert parse_angle("7/6") == F(1, 6)
     assert format_angle(F(0)) == "0/1"
     assert format_angle(F(3, 4)) == "3/4"
@@ -39,11 +37,6 @@ def test_times_d_exact():
     assert times_d(F(1, 6), 2) == F(1, 3)
     assert times_d(F(2, 3), 2) == F(1, 3)
     assert times_d(F(1, 12), 3) == F(1, 4)
-
-
-def test_circular_dist():
-    assert circular_dist(F(1, 8), F(7, 8)) == F(1, 4)
-    assert circular_dist(F(0), F(1, 2)) == F(1, 2)
 
 
 def test_angle_orbit_preperiodic():
@@ -138,7 +131,9 @@ def test_subtract_closed_margins():
     assert w.length() == 1 - F(4, 32)
     assert len(w.components) == 2
     assert not w.contains(F(0)) and not w.contains(F(1, 2))
-    assert not w.contains(F(1, 32)) is False or True  # boundary angle kept
+    # the half-open notch [c - m, c + m) keeps c + m and drops c - m
+    assert w.contains(F(1, 32))
+    assert not w.contains(F(31, 32))
     assert w.contains(F(1, 4))
 
 
@@ -194,10 +189,11 @@ def test_preimage_matches_membership(a, d):
 @settings(max_examples=200, deadline=None)
 @given(arcsets(), st.sampled_from([2, 3]))
 def test_image_contains_forward_points(a, d):
+    # exactly the forward points: p is in the image iff a preimage is in a
     img = a.image_times_d(d)
     for p in PROBES:
-        if a.contains(p):
-            assert img.contains(times_d(p, d))
+        assert img.contains(p) == any(a.contains((p + j) / d)
+                                      for j in range(d))
 
 
 @settings(max_examples=150, deadline=None)

@@ -139,6 +139,14 @@ def test_cubic_lift_streams_are_exact(tmp_path):
         assert list(row) == list(itinerary(a, g.partition, 200))
 
 
+def test_shipped_cubic_config_runs_every_stage(tmp_path):
+    cfg = Path(__file__).resolve().parents[1] / "configs" / "cubic.ini"
+    for stage in ("tower-build", "tower-export", "census", "lift",
+                  "lyapunov", "induce", "conformal", "report"):
+        assert main([stage, "--config", str(cfg),
+                     "--out", str(tmp_path)]) == EXIT_OK, stage
+
+
 def test_config_error_is_line_anchored(tmp_path, capsys):
     text = BASE.format(R=5, extra=0, out=tmp_path / "o")
     text = text.replace("degree = 2", "degree = two")

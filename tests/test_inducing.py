@@ -123,6 +123,19 @@ def test_choose_w_cuts_two_notches(cheb_graph):
     assert w.arcs.to_pairs() == [["1/32", "15/32"], ["17/32", "31/32"]]
 
 
+def test_choose_w_tiny_margin_notches_exactly():
+    # a margin far below the lattice spacing removes 2 * margin around
+    # each cutpoint angle, with no notch clipped or merged
+    g = build_tower(DEND, 6)
+    margin = F(1, 10**12)
+    for dom in g.domains.values():
+        if dom.cutpoints:
+            w = choose_W(g, dom, margin)
+            centers = dom.cutpoint_angles()
+            assert w.length == (dom.arcset.length()
+                                - 2 * margin * len(centers))
+
+
 def test_choose_w_rejects_huge_margin(cheb_graph):
     with pytest.raises(ValueError, match="no witness region"):
         choose_W(cheb_graph, 2, F(1, 2))

@@ -8,6 +8,7 @@ frozen here.  A two-ray model exercises multi-component domains.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -23,6 +24,8 @@ from angletower.tower import (
 CHEB = RayChoice(2, (F(1, 2),))       # z^2 - 2, angle of the value -2
 DEND = RayChoice(2, (F(1, 6),))       # z^2 + i
 PAIR = RayChoice(2, (F(5, 12), F(7, 12)))   # two rays at one value
+CUBIC = RayChoice(3, (F(1, 6),))
+QUARTIC = RayChoice(4, (F(1, 12),))
 
 FULL = ArcSet.full_circle()
 
@@ -257,8 +260,10 @@ def test_bad_arguments_rejected():
 # serialization
 
 
-def test_json_roundtrip():
-    g = build_tower(DEND, 5)
+@pytest.mark.parametrize("rc", [DEND, PAIR, CUBIC],
+                         ids=["dend", "pair", "cubic"])
+def test_json_roundtrip(rc):
+    g = build_tower(rc, 5)
     payload = json.loads(tower_to_json_str(g))
     g2 = tower_from_json(payload)
     assert g2.to_json() == g.to_json()
@@ -266,6 +271,20 @@ def test_json_roundtrip():
     # the rebuilt index still identifies known candidates
     d1 = g.domains[1]
     assert g2.identify((d1.arcset, d1.cutpoints)) == 1
+
+
+# every arc endpoint and cutpoint angle is a multiple of 1/N, N the lcm of
+# the angle universe's denominators, so each domain's cuts live over N
+@pytest.mark.parametrize("rc, n", [(CHEB, 4), (DEND, 12), (PAIR, 24),
+                                   (CUBIC, 18), (QUARTIC, 48)],
+                         ids=["cheb", "dend", "pair", "cubic", "quartic"])
+def test_endpoints_live_on_the_universe_lattice(rc, n):
+    g = build_tower(rc, 8, extra_levels=16)
+    assert math.lcm(*(a.denominator
+                      for a in g.partition.angle_universe())) == n
+    for d in g.domains.values():
+        assert n % d.arcset.den == 0
+        assert all(n % a.denominator == 0 for a in d.cutpoint_angles())
 
 
 def test_json_shape():
