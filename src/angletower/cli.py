@@ -55,6 +55,7 @@ from .inducing import (branch_words_csv, choose_W, expansion_and_abramov,
 from .lifting import (DEFAULT_FLOOR, brolin_period_samples, brolin_samples,
                       curves_csv, dirac_cycle, lift_cesaro, lift_report,
                       lyapunov_consistency, make_ensemble)
+from .streams import FrontierReached
 from .tower import build_tower, structural_checks, tower_from_json, \
     tower_to_json_str
 
@@ -639,7 +640,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DependencyError, InsufficientDepth) as e:
+    except (DependencyError, InsufficientDepth, FrontierReached) as e:
         print(f"dependency error: {e}", file=sys.stderr)
         return EXIT_DEPENDENCY
     except (ValueError, RuntimeError) as e:

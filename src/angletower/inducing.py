@@ -223,7 +223,8 @@ def first_return(ensemble: TraceEnsemble, witness: WitnessRegion,
     arcs = arc_index_streams([a.numerator for a in ensemble.angles], dens,
                              cuts, d, h)
     visits = inside[arcs] & (ensemble.states[:, :h] == witness.domain_id)
-    # row-major order lists visits by (sample, entry step)
+    # np.nonzero walks the index in row-major order whatever the memory
+    # layout, so visits come sorted by (sample, entry step)
     ss, kk = np.nonzero(visits)
     same = ss[1:] == ss[:-1]
     r_s = ss[:-1][same]

@@ -27,6 +27,10 @@ DEFAULT_FLOOR = 0.05
 DEFAULT_N_GRID = (250, 500, 1000, 2000)
 DEFAULT_R_GRID = (4, 6, 8)
 
+# samples x steps cells per block of the retained-curve sums (2 MB of
+# float64), so no lift holds a samples x horizon float temporary
+_BLOCK_CELLS = 1 << 18
+
 
 @dataclass(frozen=True)
 class SampleMeasure:
@@ -259,7 +263,7 @@ def lift_cesaro(mu: SampleMeasure, g: TowerGraph, n: int,
     # accumulation chains short enough for the 1e-12 conservation budget
     keys = ((np.arange(ens.count, dtype=np.int64)[:, None] << 32)
             | ens.states[:, :n].astype(np.int64))
-    uniq, cnt = np.unique(keys.ravel(), return_counts=True)
+    uniq, cnt = np.unique(keys.ravel("K"), return_counts=True)
     contrib = ens.weights[uniq >> 32] * (cnt / n)
     per_state = np.bincount(uniq & 0xFFFFFFFF, weights=contrib,
                             minlength=len(g.domains))
@@ -285,11 +289,19 @@ def retained_curves(mu: SampleMeasure, g: TowerGraph, n_grid, R_grid,
         raise ValueError("horizons must be >= 1")
     n_max = n_grid[-1]
     ens = ensemble if ensemble is not None else make_ensemble(mu, g, n_max)
-    lv = ens.level_matrix()[:, :n_max]
+    w = ens.weights[:, None]
+    step_mass = np.empty((len(R_grid), n_max))
+    block = max(1, _BLOCK_CELLS // max(1, ens.count))
+    for k0 in range(0, n_max, block):
+        k1 = min(k0 + block, n_max)
+        lv = ens.levels[ens.states[:, k0:k1]]
+        for i, R in enumerate(R_grid):
+            # a running sum down the samples adds them in sample order,
+            # which fixes the last bit of every curve value
+            step_mass[i, k0:k1] = np.cumsum((lv <= R) * w, axis=0)[-1]
     rows = []
-    for R in R_grid:
-        step_mass = ((lv <= R) * ens.weights[:, None]).sum(axis=0)
-        cum = np.cumsum(step_mass)
+    for R, mass in zip(R_grid, step_mass):
+        cum = np.cumsum(mass)
         for n in n_grid:
             retained = float(cum[n - 1] / n)
             rows.append((n, R, retained, 1.0 - retained))
@@ -419,7 +431,8 @@ def project_and_density(ensemble: TraceEnsemble, m: int, R: int,
     syms = ensemble.symbols
     w = ensemble.weights
     N = ensemble.graph.partition.size
-    lv = ensemble.level_matrix()
+    levels = ensemble.levels
+    states = ensemble.states
     base = N ** m
 
     wid = word_codes(syms[:, :m], N)
@@ -431,7 +444,7 @@ def project_and_density(ensemble: TraceEnsemble, m: int, R: int,
     for k in range(steps):
         if k > 0:
             wid = (wid * N) % base + syms[:, k + m - 1]
-        keep = lv[:, k] <= R
+        keep = levels[states[:, k]] <= R
         if keep.any():
             proj += np.bincount(wid[keep], weights=w[keep], minlength=base)
             retained_sum += float(w[keep].sum())

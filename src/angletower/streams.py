@@ -75,6 +75,7 @@ def arc_index_streams(nums, dens, cuts, d: int, n: int) -> np.ndarray:
     cuts is a sorted tuple of angles; entry [s, k] is the index i of the
     half-open arc [cuts[i], cuts[i+1]) holding the k-th image, that is the
     count of cuts at or below p/q, minus one, wrapping to len(cuts) - 1.
+    The matrix is column-major, like the TraceEnsemble it is compared with.
     The kernel runs on int64 arrays when the largest denominator
     fits_int64, and otherwise on object arrays of Python ints with the
     same code.
@@ -85,7 +86,7 @@ def arc_index_streams(nums, dens, cuts, d: int, n: int) -> np.ndarray:
     u = np.array([c.numerator for c in cuts], dtype=dtype)
     v = np.array([c.denominator for c in cuts], dtype=dtype)
     N = len(cuts)
-    out = np.empty((len(p), n), dtype=np.min_scalar_type(N - 1))
+    out = np.empty((len(p), n), dtype=np.min_scalar_type(N - 1), order="F")
     for k in range(n):
         out[:, k] = ((p[:, None] * v >= u * q[:, None]).sum(axis=1) - 1) % N
         p = d * p % q
@@ -104,34 +105,35 @@ def _digit_matrix(numerators, K: int, d: int) -> np.ndarray:
     """K-digit big-endian base-d expansions, one uint8 row per numerator.
 
     Column k holds the digit of weight d^(K-1-k), i.e. the k-th base-d
-    digit of the angle j / d^K.
+    digit of the angle j / d^K.  The matrix is column-major, so the
+    window reads each digit position as one contiguous column.
     """
     count = len(numerators)
     if d == 2:
         nbytes = (K + 7) // 8
-        rows = np.empty((count, nbytes), dtype=np.uint8)
-        for i, j in enumerate(numerators):
-            rows[i] = np.frombuffer(int(j).to_bytes(nbytes, "big"),
-                                    dtype=np.uint8)
-        return np.unpackbits(rows, axis=1)[:, 8 * nbytes - K:]
+        rows = np.frombuffer(b"".join(int(j).to_bytes(nbytes, "big")
+                                      for j in numerators),
+                             dtype=np.uint8).reshape(count, nbytes)
+        bits = np.unpackbits(np.ascontiguousarray(rows.T), axis=0)
+        return bits[8 * nbytes - K:].T
     # split each numerator into W-digit chunks that fit uint64, then
     # peel the digits of all chunks of one column at once
     W = window_digits(d)
     chunk = d ** W
     nchunks = -(-K // W)
-    vals = np.empty((count, nchunks), dtype=np.uint64)
+    vals = np.empty((nchunks, count), dtype=np.uint64)
     for i, j in enumerate(numerators):
         j = int(j)
         for c in range(nchunks - 1, -1, -1):
-            j, vals[i, c] = divmod(j, chunk)
-    digits = np.empty((count, nchunks * W), dtype=np.uint8)
+            j, vals[c, i] = divmod(j, chunk)
+    digits = np.empty((nchunks * W, count), dtype=np.uint8)
     base = np.uint64(d)
     for c in range(nchunks):
-        v = vals[:, c]
+        v = vals[c]
         for t in range((c + 1) * W - 1, c * W - 1, -1):
-            digits[:, t] = v % base
+            digits[t] = v % base
             v = v // base
-    return digits[:, nchunks * W - K:]
+    return digits[nchunks * W - K:].T
 
 
 def dyadic_symbol_streams(numerators, K: int, n: int,
@@ -153,15 +155,18 @@ def dyadic_symbol_streams(numerators, K: int, n: int,
     if partition.size > 255:
         raise ValueError("more than 255 symbols does not fit uint8 streams")
     count = len(numerators)
-    syms = np.empty((count, n), dtype=np.uint8)
+    syms = np.empty((count, n), dtype=np.uint8, order="F")
     if count == 0 or n == 0:
         return syms
     digits = _digit_matrix(numerators, K, d)
     boundary = partition.boundary
     scale = d ** W
     t64 = np.array([int(b * scale) for b in boundary], dtype=np.uint64)
-    ambiguous = np.array([(b * scale).denominator != 1 for b in boundary])
-    ambiguous_vals = t64[ambiguous]
+    # a window equal to t64[i] ties every boundary with that prefix; the
+    # tie needs exact arithmetic when any of them is not d-adic
+    inexact = np.array([(b * scale).denominator != 1 for b in boundary])
+    ambiguous = np.isin(t64, t64[inexact])
+    any_ambiguous = ambiguous.any()
     N = partition.size
     top = np.uint64(d ** (W - 1))
     base = np.uint64(d)
@@ -171,15 +176,23 @@ def dyadic_symbol_streams(numerators, K: int, n: int,
     for i in range(W):
         val = val * base + digits[:, i]
     for k in range(n):
-        idx = np.searchsorted(t64, val, side="right").astype(np.int16) - 1
-        np.copyto(idx, N - 1, where=idx < 0)
-        if ambiguous_vals.size and np.isin(val, ambiguous_vals).any():
-            for s in np.nonzero(np.isin(val, ambiguous_vals))[0]:
-                num = int(numerators[s]) * d ** k % den
-                idx[s] = partition.symbol_of(Fraction(num, den))
-        syms[:, k] = idx.astype(np.uint8)
+        # the symbol is the count of thresholds at or below val, minus
+        # one, wrapping to N - 1 below the first threshold
+        sym = syms[:, k]
+        sym.fill(N - 1)
+        for t in t64:
+            sym += val >= t
+        sym %= N
+        if any_ambiguous:
+            tie = t64[sym] == val
+            if tie.any():
+                for s in np.nonzero(tie & ambiguous[sym])[0]:
+                    num = int(numerators[s]) * d ** k % den
+                    sym[s] = partition.symbol_of(Fraction(num, den))
         if k + 1 < n:
-            val = val % top * base + digits[:, k + W]
+            val %= top
+            val *= base
+            val += digits[:, k + W]
     return syms
 
 
@@ -229,6 +242,11 @@ class TraceEnsemble:
     the base for every sample); symbols[s, k] the partition symbol of the
     angle at step k.  states has horizon + 1 columns so one-step
     comparisons at the final time are available.
+
+    Both matrices are stored column-major (step-major): the column [:, k]
+    of one step is contiguous, because every kernel that walks, counts or
+    sums the ensemble does so one step at a time across all samples.
+    Indexing is unaffected; states[s] is still the trace of sample s.
     """
 
     graph: TowerGraph
@@ -264,7 +282,8 @@ def trace_ensemble(angles, weights, g: TowerGraph, n: int) -> TraceEnsemble:
     """
     if n < 1:
         raise ValueError("horizon must be >= 1")
-    angles = tuple(Fraction(a) % 1 for a in angles)
+    angles = tuple(a if isinstance(a, Fraction) and 0 <= a < 1
+                   else Fraction(a) % 1 for a in angles)
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (len(angles),):
         raise ValueError("one weight per angle required")
@@ -272,39 +291,50 @@ def trace_ensemble(angles, weights, g: TowerGraph, n: int) -> TraceEnsemble:
     partition = g.partition
     d = partition.degree
     boundary = partition.boundary
-    syms = np.empty((count, n), dtype=np.uint8)
 
     by_den: dict[int, list[int]] = {}
     for i, a in enumerate(angles):
         by_den.setdefault(a.denominator, []).append(i)
-    small, exact, window = [], [], {}
+    small, exact, window, exponents = [], [], [], {}
     for q, idx in by_den.items():
         if fits_int64(q, boundary, d):
             small += idx
         elif (exponent := _d_adic_exponent(q, d)) is not None:
-            window[q] = (exponent, idx)
+            window += idx
+            exponents[q] = exponent
         else:
             exact += idx
-    for rows in (small, exact):
+    # each route streams its samples in sample order, so a route that
+    # takes every sample hands its matrix over without a row scatter
+    parts = []
+    for rows in (sorted(small), sorted(exact)):
         if rows:
-            syms[rows] = arc_index_streams(
+            parts.append((rows, arc_index_streams(
                 [angles[i].numerator for i in rows],
-                [angles[i].denominator for i in rows], boundary, d, n)
+                [angles[i].denominator for i in rows], boundary, d, n)))
     if window:
-        K = max([n + window_digits(d)] + [e for e, _ in window.values()])
-        rows, numerators = [], []
-        for q, (_, idx) in window.items():
-            scale = d ** K // q
-            rows += idx
-            numerators += [angles[i].numerator * scale for i in idx]
-        syms[rows] = dyadic_symbol_streams(numerators, K, n, partition)
+        K = max([n + window_digits(d)] + list(exponents.values()))
+        scale = {q: d ** K // q for q in exponents}
+        rows = sorted(window)
+        parts.append((rows, dyadic_symbol_streams(
+            [angles[i].numerator * scale[angles[i].denominator]
+             for i in rows], K, n, partition)))
+    if len(parts) == 1:
+        syms = parts[0][1]
+    else:
+        syms = np.empty((count, n), dtype=np.uint8, order="F")
+        for rows, part in parts:
+            syms[rows] = part
 
     table, levels = walk_table(g)
-    states = np.empty((count, n + 1), dtype=np.int32)
+    flat = table.ravel()
+    N = partition.size
+    states = np.empty((count, n + 1), dtype=np.int32, order="F")
     states[:, 0] = 0
     for k in range(n):
-        nxt = table[states[:, k], syms[:, k]]
+        nxt = states[:, k + 1]
+        # every index is in range: states so far are domain ids
+        np.take(flat, states[:, k] * N + syms[:, k], out=nxt, mode="clip")
         if (nxt < 0).any():
             raise FrontierReached(k + 1, max(1, n - 1 - g.expand_limit))
-        states[:, k + 1] = nxt
     return TraceEnsemble(g, angles, weights, syms, states, levels)

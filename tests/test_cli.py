@@ -147,6 +147,23 @@ def test_shipped_cubic_config_runs_every_stage(tmp_path):
                      "--out", str(tmp_path)]) == EXIT_OK, stage
 
 
+def test_shallow_tower_is_dependency_error(tmp_path, capsys):
+    # with no levels beyond the truncation, the horizon-1000 traces of
+    # lift and conformal step off the tower: a too-shallow prerequisite
+    shipped = Path(__file__).resolve().parents[1] / "configs" / "chebyshev.ini"
+    text = shipped.read_text().replace("extra_levels = 64", "extra_levels = 0")
+    cfg, _ = write_cfg(tmp_path, text=text)
+    out = ["--out", str(tmp_path / "out")]
+    assert main(["tower-build", "--config", str(cfg)] + out) == EXIT_OK
+    capsys.readouterr()
+    for stage in ("lift", "conformal"):
+        assert main([stage, "--config", str(cfg)] + out) == \
+            EXIT_DEPENDENCY, stage
+        err = capsys.readouterr().err
+        assert err.startswith("dependency error:")
+        assert "rebuild the tower with extra_levels at least" in err
+
+
 def test_config_error_is_line_anchored(tmp_path, capsys):
     text = BASE.format(R=5, extra=0, out=tmp_path / "o")
     text = text.replace("degree = 2", "degree = two")

@@ -8,8 +8,10 @@ of that model has cycle-averaged log-derivative exactly log 2.
 
 import json
 import math
+import tracemalloc
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,9 +20,11 @@ from angletower import lifting as lf
 from angletower.angles import RayChoice, angle_orbit, build_partition, times_d
 from angletower.geometry import LandingSolver, PolynomialModel
 from angletower.inducing import choose_W, first_return
+from angletower.streams import word_codes
 from angletower.tower import build_tower
 
 CHEB = RayChoice(2, (F(1, 2),))
+DEND = RayChoice(2, (F(1, 6),))
 
 
 @pytest.fixture(scope="module")
@@ -349,6 +353,59 @@ def test_density_json(dense_ens):
 
 
 # --------------------------------------------------------------------------
+# float summation order: curves.csv and the densities are pinned to the
+# bit, so a reordered sum must show up here and not in the artifacts
+
+
+@pytest.fixture(scope="module")
+def weighted_ens(part, graph):
+    base = lf.brolin_samples(part, 1500, 600, seed=21)
+    w = np.random.default_rng(21).random(1500) + 0.05
+    mu = lf.custom_measure(zip(base.angles, w / w.sum()),
+                           horizon=base.horizon)
+    return mu, lf.make_ensemble(mu, graph, 600)
+
+
+def test_retained_curves_add_samples_in_order(graph, weighted_ens):
+    mu, ens = weighted_ens
+    n_grid, R_grid = (150, 300, 600), (3, 5, 8)
+    rows = lf.retained_curves(mu, graph, n_grid, R_grid, ensemble=ens)
+    assert len(rows) == 9
+    # reducing axis 0 of a row-major matrix adds the samples in order
+    lv = np.ascontiguousarray(ens.levels[ens.states[:, :600]])
+    w = ens.weights
+    for n, R, retained, escaped in rows:
+        ref = np.cumsum(((lv <= R) * w[:, None]).sum(axis=0))[n - 1] / n
+        assert retained == float(ref)
+        assert escaped == 1.0 - float(ref)
+
+
+def test_project_and_density_matches_step_loop(weighted_ens):
+    _, ens = weighted_ens
+    m, R, n = 4, 6, 600
+    report = lf.project_and_density(ens, m, R, n=n)
+    N = ens.graph.partition.size
+    w = ens.weights
+    proj = np.zeros(N ** m)
+    retained = 0.0
+    for k in range(n - m):
+        wid = word_codes(ens.symbols[:, k:k + m], N)
+        keep = ens.levels[ens.states[:, k]] <= R
+        proj += np.bincount(wid[keep], weights=w[keep], minlength=N ** m)
+        retained += float(w[keep].sum())
+    proj /= n - m
+    retained /= n - m
+    mu_mass = np.bincount(word_codes(ens.symbols[:, :m], N), weights=w,
+                          minlength=N ** m)
+    assert report.retained == retained
+    assert len(report.ratios) == N ** m
+    for word, ratio in report.ratios.items():
+        i = word_codes(np.array([word]), N)[0]
+        assert ratio == float(proj[i] / mu_mass[i])
+        assert report.corrected[word] == ratio / retained
+
+
+# --------------------------------------------------------------------------
 # Lyapunov consistency
 
 
@@ -486,6 +543,26 @@ def test_lift_report_brolin(graph, brolin_ens):
     data = json.loads(json.dumps(report.to_json()))
     assert data["verdict"] == "liftable"
     assert len(data["curves"]) == 9
+
+
+def test_lift_report_memory_and_step_layout():
+    # the shipped dendrite lift: each step of the trace is one contiguous
+    # column, and the report allocates less than two state matrices
+    g = build_tower(DEND, 8, extra_levels=64)
+    mu = lf.brolin_samples(g.partition, 2000, 1000, seed=7)
+    ens = lf.make_ensemble(mu, g, 1000)
+    for k in (0, 500, 999):
+        assert ens.states[:, k].flags.c_contiguous
+        assert ens.symbols[:, k].flags.c_contiguous
+    tracemalloc.start()
+    try:
+        report = lf.lift_report(mu, g, (250, 500, 1000), (4, 6, 8),
+                                ensemble=ens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.densities
+    assert peak <= 2 * ens.states.nbytes
 
 
 def test_lift_report_empty_grid(graph, brolin_ens):

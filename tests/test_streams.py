@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from angletower.angles import (RayChoice, build_partition, itinerary,
-                               is_strictly_preperiodic)
+from angletower.angles import (CirclePartition, RayChoice, build_partition,
+                               itinerary, is_strictly_preperiodic)
 from angletower.lifting import brolin_period_samples, brolin_samples
 from angletower.streams import (FrontierReached, dyadic_symbol_streams,
                                 is_dyadic, trace_ensemble, walk_table,
@@ -18,6 +18,7 @@ from angletower.tower import build_tower, trace
 CHEB = RayChoice(2, (F(1, 2),))
 DEND = RayChoice(2, (F(1, 6),))
 PAIR = RayChoice(2, (F(5, 12), F(7, 12)))
+CUBIC = RayChoice(3, (F(1, 6),))
 
 PARTITIONS = [build_partition(rc) for rc in (CHEB, DEND, PAIR)]
 
@@ -81,6 +82,37 @@ def test_boundary_prefix_tie_uses_exact_fallback():
     assert j >> (K - 64) == (5 << 64) // 24
     streams = dyadic_symbol_streams([j], K, n, part)
     assert list(streams[0]) == list(itinerary(F(j, 1 << K), part, n))
+
+
+def test_cubic_boundary_prefix_tie_uses_exact_fallback(monkeypatch):
+    # d = 3 cuts the circle at 1/18, 7/18 and 13/18, none of them 3-adic.
+    # j = floor(3^K / 18) is 1 mod 3, and its top 40 ternary digits are
+    # those of 1/18, so the first window ties that boundary.  Only that
+    # sample, and only at step 0, may take the exact fallback.
+    part = build_partition(CUBIC)
+    assert [str(b) for b in part.boundary] == ["1/18", "7/18", "13/18"]
+    n = 30
+    W = window_digits(3)
+    K = n + W
+    j = 3 ** K // 18
+    assert j % 3 and j // 3 ** (K - W) == 3 ** W // 18
+    rng = np.random.default_rng(5)
+    numerators = [int.from_bytes(rng.bytes(16), "big") % 3 ** K // 3 * 3 + 1
+                  for _ in range(6)]
+    numerators.insert(2, j)
+    fallback = []
+    symbol_of = CirclePartition.symbol_of
+
+    def counted(self, a):
+        fallback.append(a)
+        return symbol_of(self, a)
+
+    monkeypatch.setattr(CirclePartition, "symbol_of", counted)
+    streams = dyadic_symbol_streams(numerators, K, n, part)
+    assert fallback == [F(j, 3 ** K)]
+    monkeypatch.undo()
+    for num, row in zip(numerators, streams):
+        assert list(row) == list(itinerary(F(num, 3 ** K), part, n))
 
 
 def test_dyadic_boundary_tie_is_exact_without_fallback():
