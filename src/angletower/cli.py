@@ -206,7 +206,7 @@ def parse_config_file(path: str) -> RawConfig:
 class RunConfig:
     raw: RawConfig
     ray_choice: RayChoice
-    c: complex
+    model: PolynomialModel
     tower_R: int
     extra_levels: int
     seed: int
@@ -215,18 +215,13 @@ class RunConfig:
     n_grid: tuple
     R_grid: tuple
     tol_land: float
-    tol_orbit: float
     eigen_tol: float
     bisection_tol: float
     margin: Fraction
     out: str
 
-    def model(self) -> PolynomialModel:
-        return PolynomialModel(self.ray_choice.degree, self.c,
-                               tol_orbit=self.tol_orbit)
-
     def solver(self) -> LandingSolver:
-        return LandingSolver(self.model(), tol_land=self.tol_land)
+        return LandingSolver(self.model, tol_land=self.tol_land)
 
 
 def load_config(args) -> RunConfig:
@@ -246,6 +241,14 @@ def load_config(args) -> RunConfig:
     if kappa != len(angles):
         raise raw.error("map", "kappa",
                         f"kappa = {kappa} but {len(angles)} angle(s) given")
+    tol_orbit = raw.get_float("tolerances", "tol_orbit", default=1e-9,
+                              positive=True)
+    try:
+        model = PolynomialModel(degree, complex(c_real, c_imag),
+                                tol_orbit=tol_orbit)
+    except ValueError as e:
+        key = "c_imag" if raw.raw("map", "c_imag") is not None else "c_real"
+        raise raw.error("map", key, str(e)) from None
 
     seed = args.seed
     if seed is None:
@@ -265,7 +268,7 @@ def load_config(args) -> RunConfig:
     return RunConfig(
         raw=raw,
         ray_choice=rc,
-        c=complex(c_real, c_imag),
+        model=model,
         tower_R=raw.get_int("tower", "R", default=8, minimum=1),
         extra_levels=raw.get_int("tower", "extra_levels", default=0,
                                  minimum=0),
@@ -278,8 +281,6 @@ def load_config(args) -> RunConfig:
                             "integers"),
         tol_land=raw.get_float("tolerances", "tol_land", default=1e-12,
                                positive=True),
-        tol_orbit=raw.get_float("tolerances", "tol_orbit", default=1e-9,
-                                positive=True),
         eigen_tol=raw.get_float("tolerances", "eigen_tol", default=1e-10,
                                 positive=True),
         bisection_tol=raw.get_float("tolerances", "bisection_tol",

@@ -6,13 +6,16 @@ Boettcher-coordinate approximations at large potential, each sweep takes a
 d-th root of the successor ray's point one potential level down, choosing
 the root closest to the previous point on the same ray.  The potential is
 lowered geometrically in fractional substeps so consecutive points on a ray
-stay close enough to make the branch choice unambiguous.  The cascade
-converges to the landing points of the whole angle orbit at once, which
-also provides exact re-anchor targets for long Birkhoff sums.
+stay close enough to make the branch choice unambiguous.  A batch of angles
+sweeps one shared pool holding each distinct angle of their orbits once,
+so orbits that run into each other's tails land those points only once;
+every angle gets the landing points of its whole orbit, which also provide
+exact re-anchor targets for long Birkhoff sums.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import io
 import math
@@ -21,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .angles import format_angle, orbit_numerators
+from .angles import format_angle
 
 
 class LandingError(RuntimeError):
@@ -134,26 +137,80 @@ def _nearest_roots(w: np.ndarray, d: int, ref: np.ndarray) -> np.ndarray:
     return best
 
 
+def _orbit_pool(keys, d: int):
+    """Pool the orbits of the reduced angles keys under x -> d*x mod 1.
+
+    Returns (phase, members, sizes, pres, succ): 2 pi x for each distinct
+    angle x of the orbits, which make up the pool; the pool indices of
+    each orbit in orbit order, orbit after orbit; each orbit's size and
+    preperiod; and each pool point's successor.
+
+    Each orbit's run starts with the angles it adds to the pool, so pool
+    index j was added by the last run o with first[o] <= j, at offset
+    t = j - first[o].  A walk stops at the first angle already pooled; the
+    rest of its orbit is that angle's forward orbit, read off the run that
+    added it: from offset t to the end, then round the cycle back to t.
+    """
+    # the reduced angle u/v, 0 <= u < v, is pooled under the one int
+    # v*v + u, which no other reduced angle shares
+    pool: dict[int, int] = {}
+    phase, runs, pres, first = [], [], [], []
+    for a in keys:
+        p, q = a.numerator, a.denominator
+        first.append(len(phase))
+        while True:
+            g = math.gcd(p, q)
+            v = q // g
+            j = pool.setdefault(v * v + p // g, len(phase))
+            if j < len(phase):
+                break
+            # int / int rounds correctly: float() of the angle
+            phase.append(p / q)
+            p = d * p % q
+        fresh = list(range(first[-1], len(phase)))
+        o = bisect.bisect_right(first, j) - 1
+        t = j - first[o]
+        if o == len(runs):
+            runs.append(fresh)
+            pres.append(t)
+        else:
+            run, pre = runs[o], pres[o]
+            runs.append(fresh + run[t:] + run[pre:t])
+            pres.append(len(fresh) + max(pre - t, 0))
+    members = np.array([j for run in runs for j in run], dtype=np.intp)
+    sizes = np.array([len(run) for run in runs], dtype=np.intp)
+    starts = np.cumsum(sizes) - sizes
+    # the next point in the run, or the cycle's start; it depends on the
+    # angle alone, so every run through a point writes the same value
+    nxt = np.arange(len(members), dtype=np.intp) + 1
+    nxt[starts + sizes - 1] = starts + pres
+    succ = np.empty(len(phase), dtype=np.intp)
+    succ[members] = members[nxt]
+    return 2 * math.pi * np.array(phase), members, sizes, pres, succ
+
+
 class LandingSolver:
     """Pullback cascade computing ray landing points to a Cauchy tolerance.
 
-    land_many lands a batch of angles at once.  The orbits of the distinct
-    reduced angles are concatenated behind one successor index array, and
-    each potential row is a single numpy sweep over all their points: the
-    successor's point one level up, minus c, has its d d-th roots formed
-    from |w|^(1/d) and arg(w)/d + 2 pi j/d, and the root nearest the
-    previous point on the same ray is kept (the first one on a tie; w = 0
-    gives 0).  Every point depends only on its own orbit, so a landing
-    does not depend on the rest of the batch, and land_orbit is the batch
-    of one.
+    land_many lands a batch of angles at once.  Its points form a pool
+    holding each distinct reduced angle of the batch's orbits once, with
+    one successor index array, and each orbit is the list of its points'
+    pool indices in orbit order.  Each potential row is a single numpy
+    sweep over the pool: the successor's point one level up, minus c, has
+    its d d-th roots formed from |w|^(1/d) and arg(w)/d + 2 pi j/d, and the
+    root nearest the previous point on the same ray is kept (the first one
+    on a tie; w = 0 gives 0).  An orbit's move on a row is the largest move
+    among its points.  A point's value on every row depends only on its
+    own angle's forward orbit, so a landing does not depend on the rest of
+    the batch, and land_orbit is the batch of one.
 
     substeps interleaved potential levels t0 * d^(-m/substeps) keep
     consecutive points on each ray close, so the d-th-root branch nearest
     the previous sweep is always the continuation of the same ray.  Once
     the potential is below potential_floor, each orbit whose sweep moved
-    no point by more than tol_land is frozen at that row and leaves the
-    sweep; an orbit still moving after depth rows gets a LandingError in
-    its slot.
+    no point by more than tol_land is frozen at that row, its points read
+    there, and the pool shrinks to the points a live orbit still uses; an
+    orbit still moving after depth rows gets a LandingError in its slot.
 
     Near a landing cycle of multiplier L the remaining error decays like
     t^b with b = log|L| / (q log d), so weakly repelling cycles need many
@@ -185,15 +242,8 @@ class LandingSolver:
         S = self.substeps
         t0 = self.base_potential
         keys = list(dict.fromkeys(a % 1 for a in angles))
-        orbits = [orbit_numerators(a, d) for a in keys]
-        sizes = np.array([len(o[2]) for o in orbits], dtype=np.intp)
+        phase, members, sizes, pres, succ = _orbit_pool(keys, d)
         starts = np.cumsum(sizes) - sizes
-        # successor of each point: the next one, or the cycle's start
-        succ = np.arange(int(sizes.sum()), dtype=np.intp) + 1
-        succ[starts + sizes - 1] = starts + [pre for pre, _, _ in orbits]
-        # int / int rounds correctly, so this is float() of each orbit angle
-        phase = 2 * math.pi * np.array([n / q for _, q, nums in orbits
-                                        for n in nums])
         ring = []
         for m in range(S):
             r = math.exp(t0 * d ** (-m / S))
@@ -210,7 +260,7 @@ class LandingSolver:
                 break
             old = ring[m % S]
             new = _nearest_roots(old[succ] - c, d, prev)
-            diff = np.maximum.reduceat(np.abs(new - old), starts)
+            diff = np.maximum.reduceat(np.abs(new - old)[members], starts)
             ring[m % S] = new
             prev = new
             if t0 * d ** (-m / S) >= self.potential_floor:
@@ -220,15 +270,19 @@ class LandingSolver:
                 continue
             for i in np.flatnonzero(landed):
                 k = live[i]
-                pre, n = orbits[k][0], int(sizes[i])
-                pts = tuple(new[starts[i]:starts[i] + n].tolist())
+                pre, n = pres[k], int(sizes[i])
+                pts = tuple(new[members[starts[i]:starts[i] + n]].tolist())
                 done[keys[k]] = OrbitLanding(keys[k], pre, n - pre, pts, m,
                                              float(diff[i]))
-            keep = np.repeat(~landed, sizes)
-            pos = np.cumsum(keep) - 1
-            succ = pos[succ[keep]]
-            ring = [z[keep] for z in ring]
-            prev = prev[keep]
+            # keep the points a live orbit still uses
+            members = members[np.repeat(~landed, sizes)]
+            used = np.zeros(len(new), dtype=bool)
+            used[members] = True
+            pos = np.cumsum(used) - 1
+            members = pos[members]
+            succ = pos[succ[used]]
+            ring = [z[used] for z in ring]
+            prev = prev[used]
             live, diff, sizes = live[~landed], diff[~landed], sizes[~landed]
             starts = np.cumsum(sizes) - sizes
         last = {keys[k]: float(diff[i]) for i, k in enumerate(live)}
@@ -238,6 +292,14 @@ class LandingSolver:
             for a in angles]
 
     def land_orbit(self, a: Fraction) -> OrbitLanding:
+        """land_many of one angle, raising its LandingError.
+
+        Each row then pays numpy's per-call overhead for one short orbit,
+        about twice the time of a scalar loop.  That cost is accepted: the
+        stages land in batches, and the one-at-a-time callers
+        (birkhoff_lyapunov, the benchmark's output checks and the tests)
+        land few angles.
+        """
         landing = self.land_many([a])[0]
         if isinstance(landing, LandingError):
             raise landing

@@ -85,14 +85,16 @@ def orbit_hits_boundary(a: Fraction, partition: CirclePartition,
     cycles are accepted on a budget, which is stated here rather than
     hidden).
     """
-    boundary = {(b.numerator, b.denominator) for b in partition.boundary}
     d = partition.degree
     x = a % 1
     p, q = x.numerator, x.denominator
+    # every iterate is some p/q, and p/q = u/v (reduced) exactly when v
+    # divides q and p = u * (q/v)
+    hits = {b.numerator * (q // b.denominator) for b in partition.boundary
+            if q % b.denominator == 0}
     seen = set()
     for _ in range(max_steps):
-        g = math.gcd(p, q)
-        if (p // g, q // g) in boundary:
+        if p in hits:
             return True
         if p in seen:
             return False

@@ -182,6 +182,27 @@ def test_bad_angle_is_config_error(tmp_path, capsys):
     assert f"{cfg}:5" in err and "preperiodic" in err
 
 
+def test_off_parameter_is_config_error(tmp_path, capsys):
+    # c = 1.0000006i is off the dendrite parameter, and its critical orbit
+    # escapes: every stage rejects it at load, citing the c_imag line
+    shipped = Path(__file__).resolve().parents[1] / "configs" / "dendrite.ini"
+    text = shipped.read_text().replace("c_imag = 1.0\n",
+                                       "c_imag = 1.0000006\n")
+    cfg, _ = write_cfg(tmp_path, text=text)
+    line = text.splitlines().index("c_imag = 1.0000006") + 1
+    out = ["--out", str(tmp_path / "out")]
+    for stage in ("tower-build", "lyapunov"):
+        assert main([stage, "--config", str(cfg)] + out) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"{cfg}:{line}" in err and "escapes" in err, stage
+    # with no c_imag key, the c_real line is cited
+    text = BASE.format(R=5, extra=0, out=tmp_path / "o")
+    text = text.replace("c_real = -2.0\nc_imag = 0.0\n", "c_real = -2.01\n")
+    cfg, _ = write_cfg(tmp_path, name="real.ini", text=text)
+    assert main(["tower-build", "--config", str(cfg)]) == EXIT_CONFIG
+    assert f"{cfg}:3" in capsys.readouterr().err
+
+
 def test_missing_seed_is_config_error(tmp_path, capsys):
     text = BASE.format(R=5, extra=0, out=tmp_path / "o")
     text = text.replace("seed = 3\n", "")

@@ -17,7 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from angletower.angles import angle_orbit
+from angletower import geometry
+from angletower.angles import RayChoice, angle_orbit, build_partition
+from angletower.conformal import (build_basis, enumerate_cylinders,
+                                  quadrature_node)
 from angletower.geometry import (
     CriticalProximity, LandingError, LandingSolver, PolynomialModel,
     birkhoff_lyapunov, green, landing_table_csv,
@@ -134,6 +137,57 @@ def test_land_many_matches_land_orbit(model):
     assert solver.land_many(batch[::-1]) == got[::-1]
     assert got[3].angle == F(1, 4) and got[3] == got[6]
     assert solver.land_many([]) == []
+
+
+# per degree: an angle a, angles falling onto one cycle, and a pair on the
+# cycle of 0 that freezes at different rows once potential_floor = 1e-3
+OVERLAPS = {2: (F(1, 7), (F(1, 6), F(1, 3), F(2, 3)), (F(0), F(1, 8))),
+            3: (F(1, 13), (F(1, 24), F(1, 8), F(3, 8)), (F(0), F(1, 9)))}
+
+
+@pytest.mark.parametrize("model", [DEND, CUBIC], ids=["d2", "d3"])
+def test_land_many_pool_matches_land_orbit(model):
+    # orbits that run into each other share pool points, and 5/4 is 1/4
+    d = model.degree
+    a, onto_cycle, _ = OVERLAPS[d]
+    batch = [a, d * a, d * d * a, *onto_cycle, F(5, 4), F(1, 4), d * a]
+    solver = LandingSolver(model)
+    assert solver.land_many(batch) == [solver.land_orbit(b) for b in batch]
+
+
+@pytest.mark.parametrize("model", [DEND, CUBIC], ids=["d2", "d3"])
+def test_land_many_pool_compaction(model):
+    # the first of the pair freezes while the second still sweeps its
+    # points; then the second freezes and its points leave the pool while
+    # the orbit of 1/5 or 1/13 still sweeps
+    d = model.degree
+    first, second = OVERLAPS[d][2]
+    solver = LandingSolver(model, potential_floor=1e-3)
+    batch = [first, second, F(1, 5) if d == 2 else F(1, 13)]
+    got = solver.land_many(batch)
+    assert got == [solver.land_orbit(b) for b in batch]
+    assert got[0].rows < got[1].rows < got[2].rows
+    assert got[0].period == got[1].period == 1
+
+
+def test_land_many_sweeps_each_distinct_angle_once(monkeypatch):
+    # the first row sweeps the pool: one point per distinct reduced angle
+    # over all node orbits, however many orbits pass through it
+    part = build_partition(RayChoice(3, (F(1, 6),)))
+    nodes = [quadrature_node(arcs, part)
+             for _, arcs in enumerate_cylinders(part, 3)]
+    distinct = {x for b in nodes for x in angle_orbit(b, 3)[2]}
+    assert len(distinct) < sum(len(angle_orbit(b, 3)[2]) for b in nodes)
+    sizes = []
+    sweep = geometry._nearest_roots
+
+    def recording(w, d, ref):
+        sizes.append(len(w))
+        return sweep(w, d, ref)
+
+    monkeypatch.setattr(geometry, "_nearest_roots", recording)
+    build_basis(part, LandingSolver(CUBIC), 3)
+    assert sizes[0] == len(distinct)
 
 
 def _scalar_landing(solver, a):
