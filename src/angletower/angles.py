@@ -1,11 +1,15 @@
 """Exact circle arithmetic for the external-angle model.
 
-Angles are reduced rationals in [0, 1) backed by ``fractions.Fraction``; the
-dynamics on angles is multiplication by the polynomial degree d, mod 1.  All
+Angles enter and leave as reduced rationals in [0, 1) (``fractions.Fraction``,
+written "p/q"); the dynamics on angles is multiplication by the polynomial
+degree d, mod 1.  Inside, angles are integers over a common denominator.  All
 set operations run on finite unions of half-open circle arcs [a, b) with the
 convention that a boundary angle belongs to the arc it starts, held as
-integer cuts over one common denominator (``ArcSet``).  Everything in this
-module is exact: no floats are produced except by explicit request.
+integer cuts over one reduced denominator (``ArcSet``).  A partition's
+lattice N is the lcm of the denominators of every angle the tower can meet
+(``CirclePartition.lattice``), so tower cutpoint angles are numerators k of
+k/N and step as d*k mod N.  Everything in this module is exact: no floats
+are produced except by explicit request.
 """
 
 from __future__ import annotations
@@ -16,14 +20,31 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-def parse_angle(text: str) -> Fraction:
-    """Parse "p/q" (or "p") into an angle in [0, 1)."""
-    return Fraction(text.strip()) % 1
+def parse_angle(text: str, n: int | None = None):
+    """Parse "p/q" (or "p") into an angle in [0, 1).
+
+    Returns a Fraction; given a lattice n, returns instead the numerator k
+    in [0, n) of the angle k/n, with no Fraction built, and raises
+    ValueError when q does not divide n (the angle is off the lattice).
+    """
+    if n is None:
+        return Fraction(text.strip()) % 1
+    p, q = _parse_ratio(text)
+    if q <= 0 or n % q:
+        raise ValueError(f"angle {text} is off the lattice of 1/{n}")
+    return p * (n // q) % n
 
 
-def format_angle(a: Fraction) -> str:
-    """Serialize an angle (or any Fraction) as "p/q", denominator always shown."""
-    return f"{a.numerator}/{a.denominator}"
+def format_angle(a, den: int = 1) -> str:
+    """Serialize a/den as "p/q" in lowest terms, denominator always shown.
+
+    a is a Fraction (or an int over 1), or with den > 1 an int numerator,
+    reduced here with one gcd and no Fraction built.
+    """
+    if den == 1:
+        return f"{a.numerator}/{a.denominator}"
+    g = math.gcd(a, den)
+    return f"{a // g}/{den // g}"
 
 
 def times_d(a: Fraction, d: int) -> Fraction:
@@ -156,9 +177,10 @@ class ArcSet:
         k = a.numerator * self.den // a.denominator % self.den
         return bisect_right(self.cuts, k) % 2 == 1
 
-    def closure_contains(self, a: Fraction) -> bool:
-        """Membership in the closed version of every arc."""
-        k, rest = divmod(a.numerator * self.den, a.denominator)
+    def closure_contains(self, p: int, q: int) -> bool:
+        """Membership of the angle p/q (q > 0, any p) in the closed version
+        of every arc."""
+        k, rest = divmod(p * self.den, q)
         k %= self.den
         i = bisect_right(self.cuts, k)
         if i % 2 or rest:
@@ -239,8 +261,8 @@ class ArcSet:
         """[["p/q", "r/s"], ...] start/end-exclusive pairs; end < start wraps,
         and the full circle is [["0/1", "1/1"]]."""
         den = self.den
-        return [[format_angle(Fraction(a, den)),
-                 format_angle(Fraction(b if b <= den else b - den, den))]
+        return [[format_angle(a, den),
+                 format_angle(b if b <= den else b - den, den)]
                 for a, b in self._circle_spans()]
 
     @staticmethod
@@ -328,9 +350,15 @@ class CirclePartition:
     angles, indexed 0..N-1 starting from the smallest boundary angle.  Each
     arc has length <= 1/d, so multiplication by d is injective on every arc
     (an arc of length exactly 1/d maps onto the full circle).
+
+    lattice is the lcm of the denominators of angle_universe(): every tower
+    arc endpoint and cutpoint angle is a multiple of 1/lattice, and
+    multiplication by d maps that lattice into itself.  boundary_nums holds
+    the boundary as numerators over lattice.
     """
 
-    __slots__ = ("ray_choice", "boundary", "arcs", "_arc_sets")
+    __slots__ = ("ray_choice", "boundary", "arcs", "lattice",
+                 "boundary_nums", "_arc_sets")
 
     def __init__(self, ray_choice: RayChoice):
         d = ray_choice.degree
@@ -343,6 +371,12 @@ class CirclePartition:
             (boundary[i], (boundary[(i + 1) % n] - boundary[i]) % 1)
             for i in range(n))
         self._arc_sets = tuple(ArcSet((arc,)) for arc in self.arcs)
+        # each orbit denominator divides its angle's, and the angle is on
+        # its own orbit, so the angles and the boundary give the lcm
+        self.lattice = math.lcm(*(a.denominator for a in boundary),
+                                *(t.denominator for t in ray_choice.angles))
+        self.boundary_nums = tuple(
+            b.numerator * (self.lattice // b.denominator) for b in boundary)
 
     @property
     def degree(self) -> int:

@@ -24,8 +24,8 @@ All randomness flows from the single [sampling] seed; stages that draw
 samples use documented offsets (lift +0, lyapunov +1, induce +2,
 conformal +3).
 
-Exit codes: 0 ok, 2 config error, 3 dependency error (missing or too
-shallow prerequisite artifacts), 4 check failure.
+Exit codes: 0 ok, 2 config error, 3 dependency error (missing, stale,
+corrupt or too shallow prerequisite artifacts), 4 check failure.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from .angles import RayChoice, parse_angle
+from .angles import RayChoice, build_partition, parse_angle
 from .census import (InsufficientDepth, brute_force_census, cutpoint_census,
                      l_table_csv, s_table_csv, subset_count_bound,
                      verify_appendix)
@@ -56,8 +56,8 @@ from .lifting import (DEFAULT_FLOOR, brolin_period_samples, brolin_samples,
                       curves_csv, dirac_cycle, lift_cesaro, lift_report,
                       lyapunov_consistency, make_ensemble)
 from .streams import FrontierReached
-from .tower import build_tower, structural_checks, tower_from_json, \
-    tower_to_json_str
+from .tower import (TowerGraph, build_tower, structural_checks,
+                    tower_from_json, tower_to_json_str)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -294,12 +294,30 @@ def load_config(args) -> RunConfig:
 # command bodies: each returns (files, failures, summary lines)
 
 
-def _load_tower(out: Path):
+def _load_tower(cfg: RunConfig, out: Path):
+    """The tower in out/tower.json, checked against the run config.
+
+    A missing, unreadable or stale tower (built from another degree, angle,
+    truncation or extra_levels) is a dependency error.
+    """
     path = out / "tower.json"
     if not path.exists():
         raise DependencyError(
             f"{path} not found; run tower-build into this directory first")
-    return tower_from_json(json.loads(path.read_text()))
+    expected = TowerGraph(build_partition(cfg.ray_choice), cfg.tower_R,
+                          cfg.extra_levels).config_json()
+    try:
+        payload = json.loads(path.read_text())
+        if payload["config"] != expected:
+            raise DependencyError(
+                f"{path} was built from another config ({payload['config']}, "
+                f"this run needs {expected}); rerun tower-build")
+        return tower_from_json(payload)
+    except (KeyError, TypeError, ValueError) as e:
+        # JSONDecodeError is a ValueError, as is an off-lattice angle
+        raise DependencyError(
+            f"{path} is corrupt ({type(e).__name__}: {e}); rerun "
+            f"tower-build") from None
 
 
 def _dump(obj) -> str:
@@ -324,13 +342,13 @@ def cmd_tower_build(cfg: RunConfig, out: Path):
 
 
 def cmd_tower_export(cfg: RunConfig, out: Path):
-    g = _load_tower(out)
+    g = _load_tower(cfg, out)
     files = {"tower.dot": g.to_dot()}
     return files, [], [f"DOT export, {g.domain_count()} domains"]
 
 
 def cmd_census(cfg: RunConfig, out: Path):
-    g = _load_tower(out)
+    g = _load_tower(cfg, out)
     raw = cfg.raw
     R = raw.get_int("census", "R", default=2, minimum=1)
     horizon = raw.get_int("census", "horizon", default=20, minimum=1)
@@ -399,7 +417,7 @@ def _sampler(cfg: RunConfig, section: str, partition, seed: int):
 
 
 def cmd_lift(cfg: RunConfig, out: Path):
-    g = _load_tower(out)
+    g = _load_tower(cfg, out)
     mu = _sampler(cfg, "lift", g.partition, cfg.seed)
     floor = cfg.raw.get_float("lift", "floor", default=DEFAULT_FLOOR,
                               positive=True)
@@ -419,7 +437,7 @@ def cmd_lift(cfg: RunConfig, out: Path):
 
 
 def cmd_lyapunov(cfg: RunConfig, out: Path):
-    g = _load_tower(out)
+    g = _load_tower(cfg, out)
     raw = cfg.raw
     count = raw.get_int("lyapunov", "count", default=512, minimum=1)
     bits = raw.get_int("lyapunov", "bits", default=12, minimum=2)
@@ -446,7 +464,7 @@ def cmd_lyapunov(cfg: RunConfig, out: Path):
 
 
 def cmd_induce(cfg: RunConfig, out: Path):
-    g = _load_tower(out)
+    g = _load_tower(cfg, out)
     raw = cfg.raw
     count = raw.get_int("induce", "count", default=768, minimum=1)
     bits = raw.get_int("induce", "bits", default=16, minimum=2)
@@ -476,7 +494,7 @@ def cmd_induce(cfg: RunConfig, out: Path):
 
 
 def cmd_conformal(cfg: RunConfig, out: Path):
-    g = _load_tower(out)
+    g = _load_tower(cfg, out)
     raw = cfg.raw
     depth = raw.get_int("conformal", "depth", default=8, minimum=1)
     lambdas = raw.get_list("conformal", "lambdas", float, (1.1, 1.2, 1.5),

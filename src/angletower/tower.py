@@ -8,7 +8,11 @@ forward, ages the surviving cutpoints, and cuts at the critical point whenever
 the arc boundary is touched.  Domains with identical arc-sets and identical
 cutpoint decorations are identified, which keeps the graph finite per level.
 
-Everything here is exact rational arithmetic; the graph is truncated at a
+Everything here is exact integer arithmetic: arc-sets are integer cuts, and
+a cutpoint angle is a numerator k over the partition lattice N (see
+``CirclePartition.lattice``), aged as d*k mod N, so the identification key is
+a tuple of ints.  Fractions appear only as the read-only ``CutPoint.angles``
+view and in the "p/q" text of the JSON export.  The graph is truncated at a
 configurable level, with unexpanded domains kept as frontier markers so
 escape across the truncation stays accounted for.
 """
@@ -26,22 +30,39 @@ from .angles import (
 )
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class CutPoint:
     """A marked point of a domain: the critical orbit point of the given age.
 
     age a marks the a-th forward image of the critical point; origin indexes
-    which critical point (always 0 for unicritical maps); angles is the sorted
-    tuple of this point's external angles present in the domain.
+    which critical point (always 0 for unicritical maps); nums is the sorted
+    tuple of this point's external angles present in the domain, as
+    numerators k of k/lattice.  Two cutpoints are equal when their age,
+    origin and angles are, whatever their lattice.
     """
 
     age: int
     origin: int
-    angles: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    lattice: int
+
+    @property
+    def angles(self) -> tuple[Fraction, ...]:
+        """The sorted angles as Fractions (a read-only view)."""
+        return tuple(Fraction(k, self.lattice) for k in self.nums)
+
+    def __eq__(self, other):
+        if not isinstance(other, CutPoint):
+            return NotImplemented
+        return (self.age, self.origin, self.angles) == (
+            other.age, other.origin, other.angles)
+
+    def __hash__(self):
+        return hash((self.age, self.origin, self.angles))
 
     def to_json(self) -> dict:
         return {"age": self.age, "origin": self.origin,
-                "angles": [format_angle(a) for a in self.angles]}
+                "angles": [format_angle(k, self.lattice) for k in self.nums]}
 
 
 @dataclass(frozen=True)
@@ -73,7 +94,9 @@ Candidate = tuple[ArcSet, tuple[CutPoint, ...]]
 
 
 def _candidate_key(arcset: ArcSet, cutpoints: tuple[CutPoint, ...]):
-    return (arcset.den, arcset.cuts, cutpoints)
+    return (arcset.den, arcset.cuts,
+            tuple((cp.age, cp.origin, cp.lattice, cp.nums)
+                  for cp in cutpoints))
 
 
 def _level_of(cutpoints: Sequence[CutPoint]) -> int:
@@ -85,33 +108,36 @@ def step(domain: Domain, symbol: int, partition: CirclePartition) -> Candidate |
 
     Returns the candidate (arc-set, cutpoints) of the successor domain, or
     None when the domain does not meet the arc.  Cutpoints with an angle in
-    the closure of the intersection survive with age+1 and doubled angles; a
+    the closure of the intersection survive with age+1 and angles times d; a
     touch of either arc endpoint (the critical point) creates the age-1
-    cutpoint at the image angles.
+    cutpoint at the image angles.  A cutpoint angle k over lattice m steps
+    to d*k mod m; built towers hold every cutpoint on the partition lattice
+    n, where the born cutpoints are made.
     """
-    d = partition.degree
+    d, n = partition.degree, partition.lattice
     piece = domain.arcset.intersect(partition.arc_set(symbol))
     if piece.is_empty:
         return None
     image = piece.image_times_d(d)
 
-    carried: dict[tuple[int, int], set[Fraction]] = {}
+    # (age, origin) -> (lattice, numerators); a domain has one cutpoint per
+    # (age, origin), so each key is filled once
+    carried: dict[tuple[int, int], tuple[int, set[int]]] = {}
     for cp in domain.cutpoints:
-        hit = tuple(a for a in cp.angles if piece.closure_contains(a))
+        m = cp.lattice
+        hit = {d * k % m for k in cp.nums if piece.closure_contains(k, m)}
         if hit:
-            carried.setdefault((cp.age + 1, cp.origin), set()).update(
-                times_d(a, d) for a in hit)
+            carried[(cp.age + 1, cp.origin)] = (m, hit)
 
-    ends = (partition.boundary[symbol],
-            partition.boundary[(symbol + 1) % partition.size])
-    born = {times_d(b, d) for b in ends if piece.closure_contains(b)}
+    ends = (partition.boundary_nums[symbol],
+            partition.boundary_nums[(symbol + 1) % partition.size])
+    born = {d * k % n for k in ends if piece.closure_contains(k, n)}
     if born:
         # carried keys all have age >= 2, so the age-1 slot is always free
-        carried[(1, 0)] = born
+        carried[(1, 0)] = (n, born)
 
-    cutpoints = tuple(sorted(
-        CutPoint(age, origin, tuple(sorted(angles)))
-        for (age, origin), angles in carried.items()))
+    cutpoints = tuple(CutPoint(age, origin, tuple(sorted(nums)), m)
+                      for (age, origin), (m, nums) in sorted(carried.items()))
     if not cutpoints:
         # images are cut either at the critical point (arc endpoints touched)
         # or at a surviving cutpoint; a bare candidate cannot occur
@@ -392,18 +418,27 @@ def tower_to_json_str(g: TowerGraph) -> str:
 
 
 def tower_from_json(payload: dict) -> TowerGraph:
-    """Rebuild a TowerGraph from its JSON export (domains are trusted)."""
+    """Rebuild a TowerGraph from its JSON export (domains are trusted).
+
+    Every arc endpoint and cutpoint angle must lie on the partition lattice
+    of the config's angles; one that does not raises ValueError.
+    """
     cfg = payload["config"]
     rc = RayChoice(cfg["degree"],
                    tuple(parse_angle(a) for a in cfg["critical_value_angles"]))
     part = build_partition(rc)
+    n = part.lattice
     g = TowerGraph(part, cfg["truncation"], cfg["extra_levels"])
     for dj in payload["domains"]:
         cps = tuple(sorted(
-            CutPoint(c["age"], c["origin"],
-                     tuple(sorted(parse_angle(a) for a in c["angles"])))
-            for c in dj["cutpoints"]))
+            (CutPoint(c["age"], c["origin"], tuple(sorted(
+                parse_angle(a, n) for a in c["angles"])), n)
+             for c in dj["cutpoints"]),
+            key=lambda cp: (cp.age, cp.origin)))
         arcs = ArcSet.from_pairs(dj["arcs"])
+        if n % arcs.den:
+            raise ValueError(f"domain {dj['id']} has an arc endpoint off "
+                             f"the lattice of 1/{n}")
         dom = Domain(dj["id"], arcs, cps, _level_of(cps),
                      is_base=(dj["id"] == 0))
         g.domains[dom.id] = dom

@@ -30,6 +30,15 @@ def test_angle_normalization():
     assert parse_angle("7/6") == F(1, 6)
     assert format_angle(F(0)) == "0/1"
     assert format_angle(F(3, 4)) == "3/4"
+    # on a lattice: numerators in, reduced "p/q" out, off-lattice rejected
+    assert parse_angle("7/6", 24) == 4
+    assert parse_angle("2/4", 24) == 12
+    assert format_angle(4, 24) == "1/6" and format_angle(0, 24) == "0/1"
+    assert format_angle(24, 24) == "1/1"
+    with pytest.raises(ValueError, match="off the lattice of 1/24"):
+        parse_angle("1/5", 24)
+    with pytest.raises(ValueError):
+        parse_angle("1/0", 24)
 
 
 def test_times_d_exact():
@@ -77,13 +86,13 @@ def test_arcset_basic():
     a = ArcSet.arc(F(1, 4), F(3, 4))
     assert a.length() == F(1, 2)
     assert a.contains(F(1, 4)) and not a.contains(F(3, 4))
-    assert a.closure_contains(F(3, 4))
+    assert a.closure_contains(3, 4)
     assert not a.contains(F(7, 8))
     w = ArcSet.arc(F(3, 4), F(1, 4))   # wraps through 0
     assert w.length() == F(1, 2)
     assert w.contains(F(0)) and w.contains(F(7, 8))
     assert not w.contains(F(1, 4))
-    assert w.closure_contains(F(1, 4))
+    assert w.closure_contains(1, 4)
 
 
 def test_arcset_full_and_empty():

@@ -4,6 +4,8 @@ import hashlib
 import json
 from pathlib import Path
 
+import pytest
+
 from angletower.angles import itinerary
 from angletower.cli import (EXIT_CHECK, EXIT_CONFIG, EXIT_DEPENDENCY,
                             EXIT_OK, git_blob_sha1, main)
@@ -162,6 +164,59 @@ def test_shallow_tower_is_dependency_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("dependency error:")
         assert "rebuild the tower with extra_levels at least" in err
+
+
+def test_stale_tower_is_dependency_error(tmp_path, capsys):
+    # a tower built from another config must not feed a later stage: not
+    # another map, not another degree, not another expansion depth
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    out = ["--out", str(tmp_path / "out")]
+    assert main(["tower-build", "--config", str(configs / "dendrite.ini")]
+                + out) == EXIT_OK
+    capsys.readouterr()
+    for name, stage in (("chebyshev.ini", "lift"), ("cubic.ini", "census")):
+        assert main([stage, "--config", str(configs / name)] + out) == \
+            EXIT_DEPENDENCY, name
+        err = capsys.readouterr().err
+        assert "built from another config" in err and "rerun tower-build" \
+            in err, name
+    deep, out = write_cfg(tmp_path, "deep.ini", extra=16)
+    shallow, _ = write_cfg(tmp_path, "shallow.ini", extra=8)
+    assert main(["tower-build", "--config", str(deep)]) == EXIT_OK
+    assert main(["tower-export", "--config", str(shallow)]) == \
+        EXIT_DEPENDENCY
+    assert not (out / "tower.dot").exists()
+
+
+def _truncated(text):
+    return text[:len(text) // 2]
+
+
+def _no_frontier(text):
+    payload = json.loads(text)
+    del payload["frontier"]
+    return json.dumps(payload)
+
+
+def _off_lattice(text):
+    # the chebyshev lattice is 1/4, so no cutpoint can sit at 1/3
+    payload = json.loads(text)
+    payload["domains"][1]["cutpoints"][0]["angles"] = ["1/3"]
+    return json.dumps(payload)
+
+
+@pytest.mark.parametrize("corrupt", [_truncated, _no_frontier, _off_lattice],
+                         ids=["truncated", "no-frontier", "off-lattice"])
+def test_corrupt_tower_is_dependency_error(tmp_path, capsys, corrupt):
+    cfg, out = write_cfg(tmp_path)
+    assert main(["tower-build", "--config", str(cfg)]) == EXIT_OK
+    path = out / "tower.json"
+    path.write_text(corrupt(path.read_text()))
+    capsys.readouterr()
+    assert main(["tower-export", "--config", str(cfg)]) == EXIT_DEPENDENCY
+    err = capsys.readouterr().err
+    assert err.startswith("dependency error:")
+    assert f"{path} is corrupt" in err and "rerun tower-build" in err
 
 
 def test_config_error_is_line_anchored(tmp_path, capsys):

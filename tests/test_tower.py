@@ -7,6 +7,8 @@ frozen here.  A two-ray model exercises multi-component domains.
 
 from __future__ import annotations
 
+import copy
+import hashlib
 import json
 import math
 from fractions import Fraction as F
@@ -15,7 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from angletower.angles import ArcSet, RayChoice, build_partition
+from angletower.angles import (ArcSet, RayChoice, build_partition,
+                               format_angle, is_strictly_preperiodic, times_d)
 from angletower.tower import (
     CutPoint, Domain, build_tower, step,
     structural_checks, tower_from_json, tower_to_json_str, trace,
@@ -31,7 +34,10 @@ FULL = ArcSet.full_circle()
 
 
 def cp(age, *angles):
-    return CutPoint(age, 0, tuple(sorted(F(a) for a in angles)))
+    fs = sorted(F(a) for a in angles)
+    n = math.lcm(*(a.denominator for a in fs))
+    return CutPoint(age, 0, tuple(a.numerator * (n // a.denominator)
+                                  for a in fs), n)
 
 
 
@@ -282,9 +288,49 @@ def test_endpoints_live_on_the_universe_lattice(rc, n):
     g = build_tower(rc, 8, extra_levels=16)
     assert math.lcm(*(a.denominator
                       for a in g.partition.angle_universe())) == n
+    assert g.partition.lattice == n
+    assert [F(k, n) for k in g.partition.boundary_nums] == list(
+        g.partition.boundary)
     for d in g.domains.values():
         assert n % d.arcset.den == 0
         assert all(n % a.denominator == 0 for a in d.cutpoint_angles())
+        assert all(cp.lattice == n for cp in d.cutpoints)
+
+
+# sha1 of tower_to_json_str, computed with the Fraction cutpoint code that
+# the integer lattice replaced: the export must not move by a byte
+FROZEN_TOWERS = {
+    "cheb": (CHEB, 8, 200, "fc47cdd5665320fe1c14d4401bd11cbc7d017cb2"),
+    "dend": (DEND, 8, 200, "c331002ed84718c6a3cad2cbaeb473894a45ee6e"),
+    "pair": (PAIR, 12, 2000, "40f87fc6d825b1109234f715efc068fab9bdbb97"),
+    "cubic": (CUBIC, 8, 200, "b09579095c4c489b651416c85b9dce55fd01ca4e"),
+    "quartic": (QUARTIC, 8, 200, "9762f7fb26324b2ac70fb404357b86ffbfdb837e"),
+}
+
+
+@pytest.mark.parametrize("name", list(FROZEN_TOWERS))
+def test_tower_json_bytes_frozen(name):
+    rc, truncation, extra, sha1 = FROZEN_TOWERS[name]
+    text = tower_to_json_str(build_tower(rc, truncation, extra_levels=extra))
+    assert hashlib.sha1(text.encode()).hexdigest() == sha1
+
+
+def test_from_json_rejects_off_lattice_angles():
+    # the cheb lattice is 1/4: a cutpoint at 1/3 or an arc end at 1/8
+    # cannot come from this tower
+    payload = json.loads(tower_to_json_str(build_tower(CHEB, 3)))
+    bad = copy.deepcopy(payload)
+    bad["domains"][1]["cutpoints"][0]["angles"] = ["1/3"]
+    with pytest.raises(ValueError, match="off the lattice of 1/4"):
+        tower_from_json(bad)
+    bad = copy.deepcopy(payload)
+    bad["domains"][1]["arcs"] = [["1/8", "5/8"]]
+    with pytest.raises(ValueError, match="off the lattice of 1/4"):
+        tower_from_json(bad)
+    # a non-reduced spelling on the lattice reads as its reduced angle
+    ok = copy.deepcopy(payload)
+    ok["domains"][1]["cutpoints"][0]["angles"] = ["2/4"]
+    assert tower_from_json(ok).to_json() == payload
 
 
 def test_json_shape():
@@ -338,3 +384,103 @@ def test_trace_follows_edges(theta, steps):
     t = trace(F(1, 7), g, steps)
     for a, b in zip(t.domain_ids, t.domain_ids[1:]):
         assert b in {to for (f, s), to in g.edges.items() if f == a}
+
+
+# --------------------------------------------------------------------------
+# the integer step against the Fraction step it replaced
+
+
+def fraction_step(arcset, cutpoints, symbol, part):
+    """The Fraction form of `step`: cutpoints are (age, origin, sorted
+    Fraction angles), aged with times_d; the closure test reads the arc
+    components directly."""
+    d = part.degree
+    piece = arcset.intersect(part.arc_set(symbol))
+    if piece.is_empty:
+        return None
+
+    def closed(a):
+        return any((a - s) % 1 <= l for s, l in piece.components)
+
+    carried = {}
+    for age, origin, angles in cutpoints:
+        hit = tuple(a for a in angles if closed(a))
+        if hit:
+            carried.setdefault((age + 1, origin), set()).update(
+                times_d(a, d) for a in hit)
+    ends = (part.boundary[symbol], part.boundary[(symbol + 1) % part.size])
+    born = {times_d(b, d) for b in ends if closed(b)}
+    if born:
+        carried[(1, 0)] = born
+    return piece.image_times_d(d), tuple(sorted(
+        (age, origin, tuple(sorted(angles)))
+        for (age, origin), angles in carried.items()))
+
+
+def fraction_tower_json(rc, truncation, extra_levels):
+    """Breadth-first tower on `fraction_step`, exported like to_json."""
+    part = build_partition(rc)
+    domains, index, edges, frontier = [], {}, {}, set()
+
+    def identify(arcset, cutpoints):
+        key = (arcset, cutpoints)
+        if key not in index:
+            index[key] = len(domains)
+            domains.append(key)
+        return index[key]
+
+    def level(cutpoints):
+        return max((age for age, _, _ in cutpoints), default=0)
+
+    pending = [identify(FULL, ())]
+    while pending:
+        nxt = []
+        for did in pending:
+            arcset, cutpoints = domains[did]
+            if level(cutpoints) > truncation + extra_levels:
+                frontier.add(did)
+                continue
+            for sym in range(part.size):
+                cand = fraction_step(arcset, cutpoints, sym, part)
+                if cand is None:
+                    continue
+                known = len(domains)
+                tid = identify(*cand)
+                edges[(did, sym)] = tid
+                if tid >= known:
+                    nxt.append(tid)
+        pending = nxt
+    return {
+        "config": {"degree": rc.degree,
+                   "critical_value_angles": [format_angle(a)
+                                             for a in rc.angles],
+                   "kappa": rc.kappa, "truncation": truncation,
+                   "extra_levels": extra_levels},
+        "domains": [{"id": i, "level": level(cps), "arcs": arcs.to_pairs(),
+                     "cutpoints": [{"age": age, "origin": origin,
+                                    "angles": [format_angle(a) for a in angs]}
+                                   for age, origin, angs in cps]}
+                    for i, (arcs, cps) in enumerate(domains)],
+        "edges": [{"from": f, "symbol": s, "to": t}
+                  for (f, s), t in sorted(edges.items())],
+        "frontier": sorted(frontier),
+    }
+
+
+@st.composite
+def ray_choices(draw):
+    d = draw(st.sampled_from([2, 3, 4]))
+    kappa = draw(st.sampled_from([1, 2]))
+    angle = st.fractions(min_value=0, max_value=1, max_denominator=40).map(
+        lambda a: a % 1).filter(lambda a: is_strictly_preperiodic(a, d))
+    angles = draw(st.lists(angle, min_size=kappa, max_size=kappa,
+                           unique=True))
+    return RayChoice(d, tuple(angles))
+
+
+@settings(max_examples=40, deadline=None)
+@given(ray_choices(), st.integers(0, 4), st.integers(0, 6))
+def test_integer_step_matches_fraction_oracle(rc, truncation, extra):
+    g = build_tower(rc, truncation, extra_levels=extra)
+    assert json.loads(tower_to_json_str(g)) == fraction_tower_json(
+        rc, truncation, extra)
