@@ -114,6 +114,14 @@ class OrbitLanding:
         return self.points[self.preperiod
                            + (k - self.preperiod) % self.period]
 
+    def step_indices(self, n: int) -> np.ndarray:
+        """Indices into points of the images at steps 0..n-1, as point_at
+        reads them."""
+        k = np.arange(n)
+        tail = k >= len(self.points)
+        k[tail] = self.preperiod + (k[tail] - self.preperiod) % self.period
+        return k
+
 
 def _nearest_roots(w: np.ndarray, d: int, ref: np.ndarray) -> np.ndarray:
     """Per point, the d-th root of w nearest ref: the first of the roots

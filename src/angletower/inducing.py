@@ -20,8 +20,7 @@ from scipy.sparse import csgraph
 from .angles import ArcSet, format_angle
 from .geometry import LandingError, LandingSolver
 from .lifting import TowerMass, entropy_estimate
-from .streams import (TraceEnsemble, arc_index_streams, fits_int64,
-                      word_codes)
+from .streams import TraceEnsemble, cell_streams, fits_int64, word_codes
 from .tower import Domain, TowerGraph
 
 DEFAULT_MARGIN = Fraction(1, 64)
@@ -198,9 +197,10 @@ def first_return(ensemble: TraceEnsemble, witness: WitnessRegion,
     """Visits of every trace to the witness, split into return intervals.
 
     A visit at step k means the trace occupies the witness domain with an
-    angle inside the notched arc-set.  The arc-set is a union of the arcs
-    between consecutive cuts, so membership is read off the exact int64
-    symbol-stream kernel run against those cuts.
+    angle inside the notched arc-set.  The arc-set's cuts are integers over
+    its denominator, so membership is a cell -> inside lookup along the
+    exact int64 stream kernel: a cell is inside when an odd number of cuts
+    lies at or below it.
     Consecutive visits of one sample give completed returns; the stretch
     from a sample's last visit to the horizon is its censored record.
     """
@@ -211,18 +211,17 @@ def first_return(ensemble: TraceEnsemble, witness: WitnessRegion,
         raise ValueError(
             f"horizon must lie in [1, {ensemble.horizon}], got {h}")
     d = ensemble.graph.partition.degree
-    den = witness.arcs.den
-    cuts = tuple(Fraction(c, den)
-                 for c in sorted({c % den for c in witness.arcs.cuts}))
+    den, cuts = witness.arcs.den, witness.arcs.cuts
     dens = [a.denominator for a in ensemble.angles]
-    if not fits_int64(max(dens), cuts, d):
+    if not fits_int64(max(dens), den, d):
         raise ValueError(
             "sample denominators too large for exact witness membership; "
             "use small-denominator samples such as brolin_period_samples")
-    inside = np.array([witness.arcs.contains(c) for c in cuts])
-    arcs = arc_index_streams([a.numerator for a in ensemble.angles], dens,
-                             cuts, d, h)
-    visits = inside[arcs] & (ensemble.states[:, :h] == witness.domain_id)
+    inside = cell_streams([a.numerator for a in ensemble.angles], dens, d,
+                          h, den, cuts,
+                          [i % 2 for i in range(len(cuts) + 1)])
+    visits = (inside.view(bool)
+              & (ensemble.states[:, :h] == witness.domain_id))
     # np.nonzero walks the index in row-major order whatever the memory
     # layout, so visits come sorted by (sample, entry step)
     ss, kk = np.nonzero(visits)
@@ -393,12 +392,8 @@ def expansion_and_abramov(ind: InducedSystem, solver: LandingSolver,
         if isinstance(land, LandingError):
             excluded.append((i, str(land)))
             continue
-        per = [model.log_deriv(land.point_at(k))
-               for k in range(land.preperiod + land.period)]
-        head = per[:land.preperiod]
-        cyc = per[land.preperiod:]
-        reps = (h - land.preperiod) // land.period + 1
-        vals[i] = (head + cyc * reps)[:h]
+        per = np.array([model.log_deriv(z) for z in land.points[:h]])
+        vals[i] = per[land.step_indices(h)]
     bad = {i for i, _ in excluded}
     keep = np.array([i not in bad for i in range(ens.count)])
     sel = keep[ind.sample_index]

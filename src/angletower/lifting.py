@@ -88,10 +88,10 @@ def orbit_hits_boundary(a: Fraction, partition: CirclePartition,
     d = partition.degree
     x = a % 1
     p, q = x.numerator, x.denominator
-    # every iterate is some p/q, and p/q = u/v (reduced) exactly when v
-    # divides q and p = u * (q/v)
-    hits = {b.numerator * (q // b.denominator) for b in partition.boundary
-            if q % b.denominator == 0}
+    # every iterate is some p/q, and p/q equals the boundary angle b/M on
+    # the partition lattice M exactly when p = b*q / M is an integer
+    M = partition.lattice
+    hits = {b * q // M for b in partition.boundary_nums if b * q % M == 0}
     seen = set()
     for _ in range(max_steps):
         if p in hits:
@@ -107,13 +107,15 @@ def brolin_samples(partition: CirclePartition, count: int, horizon: int,
                    seed: int) -> SampleMeasure:
     """Uniform (maximal-entropy) sampler: angles j / d^K, d not dividing j.
 
-    K = horizon + G guard digits, where G = window_digits(d) is the length
-    of the base-d window that streams these samples (64 for d = 2, 40 for
-    d = 3, 32 for d = 4).  A numerator not divisible by d keeps every
-    iterate within the horizon at exact denominator d^(K-k) > d^G, which
-    no partition boundary angle can match, so no trace rides a cutpoint
-    and no resampling is ever needed.  Requires every d-adic boundary
-    angle to have fewer than G fractional base-d digits.
+    K = horizon + G guard digits, where G = window_digits(d), the base-d
+    digits of one 64-bit word (64 for d = 2, 40 for d = 3, 32 for d = 4).
+    The guard digits protect the measure, not the streams, whose backward
+    scan is exact at any K; the sample values depend on K, so it stays.
+    A numerator not divisible by d keeps every iterate within the horizon
+    at exact denominator d^(K-k) > d^G, which no partition boundary angle
+    can match, so no trace rides a cutpoint and no resampling is ever
+    needed.  Requires every d-adic boundary angle to have fewer than G
+    fractional base-d digits.
 
     Numerators are seeded random bytes reduced mod d^K, moved up by one
     when d divides them (for d = 2 that sets the low bit).  When d^K is not
@@ -534,17 +536,16 @@ def lyapunov_consistency(mu: SampleMeasure, ensemble: TraceEnsemble,
         if landing.preperiod + landing.period > max_orbit:
             excluded.append((s, "orbit too long to land"))
             continue
-        vals = np.empty(n, dtype=np.float64)
-        ok = True
-        for k in range(n):
-            z = landing.point_at(k)
-            if abs(z) < crit_tol:
-                excluded.append((s, f"critical proximity at step {k}"))
-                ok = False
-                break
-            vals[k] = model.log_deriv(z)
-        if not ok:
+        # the steps visit points 0, 1, ... in order before they repeat, so
+        # the first step near the critical point is the first such point
+        points = landing.points[:n]
+        near = next((k for k, z in enumerate(points) if abs(z) < crit_tol),
+                    None)
+        if near is not None:
+            excluded.append((s, f"critical proximity at step {near}"))
             continue
+        vals = np.array([model.log_deriv(z) for z in points])[
+            landing.step_indices(n)]
         lam_sum += w * float(vals.mean())
         used += w
         keep = lv[s] <= R

@@ -1,21 +1,18 @@
 """Vectorized tracing of sample ensembles through the Markov extension.
 
-Symbol streams are exact, and every sample is routed by its reduced
-denominator q alone:
+Symbol streams are exact, from one kernel.  Every cut is a multiple of 1/M
+(M = partition.lattice for the boundary, a witness arc-set's denominator),
+so the arc holding x depends only on its cell floor(M*x), lattice points
+included, and each step is one cell -> symbol (or -> inside) lookup.  The
+cells come from one of two exact scans:
 
-* int64 path: when q * max(d, largest boundary denominator) < 2^62, the
-  sample is stepped as p <- d*p mod q in int64 arrays, and its symbol is
-  read off the cross-multiplied comparisons p*v >= u*q against the
-  boundary angles u/v.  This covers the periodic samples j / (d^bits - 1)
-  and the conformal quadrature nodes.
-* window path: other d-adic angles j / d^K (the Brolin samples) go
-  through a sliding window of base-d digits compared against integer
-  boundary prefixes, with an exact fallback on the (never observed, but
-  handled) event that a window ties a non-d-adic boundary prefix.
-* exact path: anything else runs the int64 kernel on Python ints.
+* forward: p <- d*p mod q with cell M*p // q, on int64 when
+  q * max(d, M) < 2^62 and on Python ints otherwise;
+* backward, for d-adic j / d^K (the Brolin samples): over the base-d
+  digits from the last, c_k = (digit_k * M + c_{k+1}) // d from c_K = 0,
+  exact since floor((A + f) / d) = A // d for integer A and 0 <= f < 1.
 
-The tower walk itself is an integer table iteration, so tracing scales to
-tens of thousands of samples by horizons in the thousands.
+The tower walk is an integer table iteration.
 """
 
 from __future__ import annotations
@@ -31,6 +28,12 @@ from .tower import TowerGraph
 
 # products of int64 operands stay below this bound in the exact kernel
 _INT64_LIMIT = 1 << 62
+
+# a finer lattice (a tiny witness margin) bisects its cuts per step
+_DENSE_CELLS = 1 << 20
+
+# rows of the backward scan's block table; finer lattices step forward
+_SCAN_ROWS = 1 << 16
 
 
 def _d_adic_exponent(den: int, d: int) -> int | None:
@@ -56,40 +59,59 @@ def is_dyadic(a: Fraction, d: int = 2) -> bool:
 
 
 def window_digits(d: int) -> int:
-    """Base-d digits in one window: the most whose value fits 64 bits."""
+    """Base-d digits in one 64-bit word: the most whose value fits."""
     w = 1
     while d ** (w + 1) <= 1 << 64:
         w += 1
     return w
 
 
-def fits_int64(q: int, cuts, d: int) -> bool:
-    """Whether angles p/q can be stepped by d and compared with the cut
-    angles inside int64: q * max(d, largest cut denominator) < 2^62."""
-    return q * max([d] + [c.denominator for c in cuts]) < _INT64_LIMIT
+def fits_int64(q: int, lattice: int, d: int) -> bool:
+    """Whether p/q steps and finds its lattice cells in int64."""
+    return q * max(d, lattice) < _INT64_LIMIT
 
 
-def arc_index_streams(nums, dens, cuts, d: int, n: int) -> np.ndarray:
-    """Arc of each angle p/q along n steps of p <- d*p mod q, exactly.
+def _symbol_cuts(partition: CirclePartition):
+    """Cuts and values giving each lattice cell its symbol: a cell below
+    the first boundary angle lies in the last arc."""
+    N = partition.size
+    if N > 255:
+        raise ValueError("more than 255 symbols does not fit uint8 streams")
+    return partition.boundary_nums, [(i - 1) % N for i in range(N + 1)]
 
-    cuts is a sorted tuple of angles; entry [s, k] is the index i of the
-    half-open arc [cuts[i], cuts[i+1]) holding the k-th image, that is the
-    count of cuts at or below p/q, minus one, wrapping to len(cuts) - 1.
-    The matrix is column-major, like the TraceEnsemble it is compared with.
-    The kernel runs on int64 arrays when the largest denominator
-    fits_int64, and otherwise on object arrays of Python ints with the
-    same code.
+
+def _cell_table(lattice: int, cuts, values) -> np.ndarray:
+    """values[i] for each cell k < lattice, i the count of cuts <= k."""
+    return np.asarray(values, dtype=np.uint8)[
+        np.searchsorted(cuts, np.arange(lattice), side="right")]
+
+
+def cell_streams(nums, dens, d: int, n: int, lattice: int, cuts,
+                 values) -> np.ndarray:
+    """Cell values of the angles p/q along n steps of p <- d*p mod q.
+
+    The value at x is values[i], i the count of the sorted integer cuts
+    at or below lattice*x.  Entry [s, k] is for the k-th image of sample
+    s, in a column-major uint8 matrix like the TraceEnsemble's.
     """
-    dtype = np.int64 if fits_int64(int(max(dens)), cuts, d) else object
-    p = np.array(nums, dtype=dtype)
-    q = np.array(dens, dtype=dtype)
-    u = np.array([c.numerator for c in cuts], dtype=dtype)
-    v = np.array([c.denominator for c in cuts], dtype=dtype)
-    N = len(cuts)
-    out = np.empty((len(p), n), dtype=np.min_scalar_type(N - 1), order="F")
+    cuts = np.asarray(cuts, dtype=np.int64)
+    dense = lattice <= _DENSE_CELLS
+    values = (_cell_table(lattice, cuts, values) if dense
+              else np.asarray(values, dtype=np.uint8))
+    wide = not fits_int64(int(max(dens, default=1)), lattice, d)
+    p = np.array(nums, dtype=object if wide else np.int64)
+    q = np.array(dens, dtype=p.dtype)
+    out = np.empty((len(p), n), dtype=np.uint8, order="F")
+    cells = np.empty_like(p)
     for k in range(n):
-        out[:, k] = ((p[:, None] * v >= u * q[:, None]).sum(axis=1) - 1) % N
-        p = d * p % q
+        np.multiply(p, lattice, out=cells)
+        cells //= q
+        index = cells.astype(np.int64) if wide else cells
+        if not dense:
+            index = np.searchsorted(cuts, index, side="right")
+        np.take(values, index, out=out[:, k], mode="clip")
+        p *= d
+        p %= q
     return out
 
 
@@ -101,99 +123,71 @@ def word_codes(words: np.ndarray, base: int) -> np.ndarray:
     return codes
 
 
-def _digit_matrix(numerators, K: int, d: int) -> np.ndarray:
-    """K-digit big-endian base-d expansions, one uint8 row per numerator.
+def _digit_blocks(numerators, rows: int, D: int) -> np.ndarray:
+    """The lowest `rows` base-D digits (D <= 256) of each numerator j as
+    uint8, least significant first: row r holds j // D^r mod D."""
+    if D == 256:
+        raw = np.frombuffer(b"".join(int(j).to_bytes(rows, "big")
+                                     for j in numerators), dtype=np.uint8)
+        return np.ascontiguousarray(
+            raw.reshape(len(numerators), rows)[:, ::-1].T)
+    # cut each j into 64-bit words, then peel one word of every sample
+    per = window_digits(D)
+    rest = np.array([int(j) for j in numerators], dtype=object)
+    out = np.empty((-(-rows // per) * per, len(rest)), dtype=np.uint8)
+    for w in range(0, len(out), per):
+        word = (rest % D ** per).astype(np.uint64)
+        rest //= D ** per
+        for t in range(w, w + per):
+            out[t] = word % np.uint64(D)
+            word //= np.uint64(D)
+    return out[:rows]
 
-    Column k holds the digit of weight d^(K-1-k), i.e. the k-th base-d
-    digit of the angle j / d^K.  The matrix is column-major, so the
-    window reads each digit position as one contiguous column.
-    """
+
+def _backward(numerators, K: int, n: int, d: int,
+              table: np.ndarray) -> np.ndarray:
+    """Table values along n steps of j / d^K, scanned backward B digits
+    at a time: a block of value g entered at cell c leaves at cell
+    (g*M + c) // d^B, its i-th digit at ((g mod d^(B-i))*M + c) // d^(B-i),
+    so one 8-byte table row at g*M + c holds the block's values."""
+    M = len(table)
+    B = 1
+    while B < 8 and d ** (B + 1) <= min(256, _SCAN_ROWS // M):
+        B += 1
+    D = d ** B
+    g, c = np.divmod(np.arange(D * M), M)
+    block = np.zeros((D * M, 8), dtype=np.uint8)
+    for i in range(B):
+        block[:, i] = table[((g % d ** (B - i)) * M + c) // d ** (B - i)]
+    packed = block.view(np.uint64).ravel()
     count = len(numerators)
-    if d == 2:
-        nbytes = (K + 7) // 8
-        rows = np.frombuffer(b"".join(int(j).to_bytes(nbytes, "big")
-                                      for j in numerators),
-                             dtype=np.uint8).reshape(count, nbytes)
-        bits = np.unpackbits(np.ascontiguousarray(rows.T), axis=0)
-        return bits[8 * nbytes - K:].T
-    # split each numerator into W-digit chunks that fit uint64, then
-    # peel the digits of all chunks of one column at once
-    W = window_digits(d)
-    chunk = d ** W
-    nchunks = -(-K // W)
-    vals = np.empty((nchunks, count), dtype=np.uint64)
-    for i, j in enumerate(numerators):
-        j = int(j)
-        for c in range(nchunks - 1, -1, -1):
-            j, vals[c, i] = divmod(j, chunk)
-    digits = np.empty((nchunks * W, count), dtype=np.uint8)
-    base = np.uint64(d)
-    for c in range(nchunks):
-        v = vals[c]
-        for t in range((c + 1) * W - 1, c * W - 1, -1):
-            digits[t] = v % base
-            v = v // base
-    return digits[nchunks * W - K:].T
+    out = np.empty((count, n), dtype=np.uint8, order="F")
+    out[:, K:] = table[0]               # the iterates from step K on are 0
+    row = np.zeros(count, dtype=np.intp)
+    scaled = np.empty(count, dtype=np.intp)
+    for r, digits in enumerate(_digit_blocks(numerators, -(-K // B), D)):
+        k0 = K - (r + 1) * B            # the step of the block's first digit
+        row //= D
+        # an intp M widens the uint8 digits first: (D - 1) * M may not fit
+        np.multiply(digits, np.intp(M), out=scaled)
+        row += scaled
+        if k0 < n:
+            lo, hi = max(k0, 0), min(k0 + B, n)
+            vals = packed.take(row).view(np.uint8).reshape(count, 8)
+            out[:, lo:hi] = vals[:, lo - k0:hi - k0]
+    return out
 
 
 def dyadic_symbol_streams(numerators, K: int, n: int,
                           partition: CirclePartition) -> np.ndarray:
-    """Symbol matrix (samples x n) for the d-adic angles j / d^K.
-
-    d is partition.degree.  The symbol at step k is decided from base-d
-    digits k..k+W-1 of j (W = window_digits(d), 64 for d = 2) compared
-    against the W-digit prefixes of the boundary angles.  A tie against a
-    d-adic boundary is already exact (the boundary's tail is all zeros); a
-    tie against any other boundary is resolved with Fraction arithmetic.
-    Requires K >= n + W so every compared window is fully inside j.
-    """
-    d = partition.degree
-    W = window_digits(d)
-    if n + W > K:
-        raise ValueError(
-            f"need K >= n + {W} guard digits, got K={K} for n={n}")
-    if partition.size > 255:
-        raise ValueError("more than 255 symbols does not fit uint8 streams")
-    count = len(numerators)
-    syms = np.empty((count, n), dtype=np.uint8, order="F")
-    if count == 0 or n == 0:
-        return syms
-    digits = _digit_matrix(numerators, K, d)
-    boundary = partition.boundary
-    scale = d ** W
-    t64 = np.array([int(b * scale) for b in boundary], dtype=np.uint64)
-    # a window equal to t64[i] ties every boundary with that prefix; the
-    # tie needs exact arithmetic when any of them is not d-adic
-    inexact = np.array([(b * scale).denominator != 1 for b in boundary])
-    ambiguous = np.isin(t64, t64[inexact])
-    any_ambiguous = ambiguous.any()
-    N = partition.size
-    top = np.uint64(d ** (W - 1))
-    base = np.uint64(d)
-    den = d ** K
-
-    val = np.zeros(count, dtype=np.uint64)
-    for i in range(W):
-        val = val * base + digits[:, i]
-    for k in range(n):
-        # the symbol is the count of thresholds at or below val, minus
-        # one, wrapping to N - 1 below the first threshold
-        sym = syms[:, k]
-        sym.fill(N - 1)
-        for t in t64:
-            sym += val >= t
-        sym %= N
-        if any_ambiguous:
-            tie = t64[sym] == val
-            if tie.any():
-                for s in np.nonzero(tie & ambiguous[sym])[0]:
-                    num = int(numerators[s]) * d ** k % den
-                    sym[s] = partition.symbol_of(Fraction(num, den))
-        if k + 1 < n:
-            val %= top
-            val *= base
-            val += digits[:, k + W]
-    return syms
+    """Symbol matrix (samples x n) for the d-adic angles j / d^K, any K
+    (d = partition.degree)."""
+    d, M = partition.degree, partition.lattice
+    cuts, values = _symbol_cuts(partition)
+    if d * M > _SCAN_ROWS:
+        return cell_streams(numerators, [d ** K] * len(numerators), d, n,
+                            M, cuts, values)
+    return _backward(numerators, K, n, d, _cell_table(M, cuts, values))
 
 
 # --------------------------------------------------------------------------
@@ -276,9 +270,9 @@ class TraceEnsemble:
 def trace_ensemble(angles, weights, g: TowerGraph, n: int) -> TraceEnsemble:
     """Trace every angle n steps from the base through the tower.
 
-    Symbols come from the route each reduced denominator selects (see the
-    module docstring); the window path shares one exponent K across its
-    samples, the largest present raised to n + window_digits(d).
+    Each reduced denominator q picks a scan (module docstring): forward
+    on int64 when q fits_int64, backward for other d-adic q (at the
+    largest exponent K among them), else forward on Python ints.
     """
     if n < 1:
         raise ValueError("horizon must be >= 1")
@@ -290,32 +284,34 @@ def trace_ensemble(angles, weights, g: TowerGraph, n: int) -> TraceEnsemble:
     count = len(angles)
     partition = g.partition
     d = partition.degree
-    boundary = partition.boundary
+    M = partition.lattice
 
     by_den: dict[int, list[int]] = {}
     for i, a in enumerate(angles):
         by_den.setdefault(a.denominator, []).append(i)
-    small, exact, window, exponents = [], [], [], {}
+    small, wide, backward, exponents = [], [], [], {}
     for q, idx in by_den.items():
-        if fits_int64(q, boundary, d):
+        if fits_int64(q, M, d):
             small += idx
         elif (exponent := _d_adic_exponent(q, d)) is not None:
-            window += idx
+            backward += idx
             exponents[q] = exponent
         else:
-            exact += idx
+            wide += idx
     # each route streams its samples in sample order, so a route that
     # takes every sample hands its matrix over without a row scatter
     parts = []
-    for rows in (sorted(small), sorted(exact)):
+    cuts, values = _symbol_cuts(partition)
+    for rows in (sorted(small), sorted(wide)):
         if rows:
-            parts.append((rows, arc_index_streams(
+            parts.append((rows, cell_streams(
                 [angles[i].numerator for i in rows],
-                [angles[i].denominator for i in rows], boundary, d, n)))
-    if window:
-        K = max([n + window_digits(d)] + list(exponents.values()))
+                [angles[i].denominator for i in rows], d, n, M, cuts,
+                values)))
+    if backward:
+        K = max(exponents.values())
         scale = {q: d ** K // q for q in exponents}
-        rows = sorted(window)
+        rows = sorted(backward)
         parts.append((rows, dyadic_symbol_streams(
             [angles[i].numerator * scale[angles[i].denominator]
              for i in rows], K, n, partition)))

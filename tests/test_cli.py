@@ -371,6 +371,21 @@ def test_report_requires_artifacts(tmp_path, capsys):
     assert "no artifacts" in capsys.readouterr().err
 
 
+def test_report_json_is_the_full_reencode(tmp_path):
+    # tower.json's text is spliced into report.json; the bytes must be
+    # those of encoding the whole parsed report, tower included
+    cfg, out = write_cfg(tmp_path)
+    for cmd in ("tower-build", "census", "lift", "report"):
+        assert main([cmd, "--config", str(cfg)]) == EXIT_OK
+    text = (out / "report.json").read_text()
+    blob = json.loads(text)
+    assert text == json.dumps(blob, indent=1, sort_keys=True) + "\n"
+    assert blob["artifacts"]["tower.json"] == json.loads(
+        (out / "tower.json").read_text())
+    assert blob["artifacts"]["structure.json"] == json.loads(
+        (out / "structure.json").read_text())
+
+
 def test_report_aggregates(tmp_path):
     cfg, out = write_cfg(tmp_path)
     for cmd in ("tower-build", "census", "lift", "report"):

@@ -406,3 +406,30 @@ def test_bookkeeping_properties(angles, n):
         t = int(sys.entry_step[i])
         assert ens.states[s, t] == 2
         assert sys.witness.arcs.contains(ens.angle_at(s, t))
+
+
+@pytest.mark.parametrize("margin", [F(1, 64), F(1, 2 ** 22)],
+                         ids=["dense", "bisected"])
+def test_first_return_visits_match_exact_membership(margin):
+    # at margin 2^-22 the witness denominator, 3 * 2^22, is too fine for a
+    # dense cell table; either way a visit is exactly a step in the domain
+    # with the angle in the notched arc-set, also at the notch edges
+    g = build_tower(DEND, 4, extra_levels=40)
+    dom = recurrent_witness_domain(g)
+    w = choose_W(g, dom, margin)
+    angles = [(c + margin * t) % 1 for c in dom.cutpoint_angles()
+              for t in (F(-2), F(-1), F(-1, 2), F(1, 2), F(1), F(2))]
+    angles += brolin_period_samples(g.partition, 40, 3, bits=10).angles
+    n = 30
+    ens = make_ensemble(custom_measure([(a, 1 / len(angles)) for a in angles],
+                                       allow_boundary_orbit=True), g, n)
+    ind = first_return(ens, w)
+    got = (set(zip(ind.sample_index.tolist(), ind.entry_step.tolist()))
+           | set(zip(ind.censored_sample.tolist(),
+                     ind.censored_entry.tolist())))
+    want = {(s, k) for s in range(ens.count) for k in range(n)
+            if ens.states[s, k] == dom.id
+            and w.arcs.contains(ens.angle_at(s, k))}
+    assert w.arcs.den > 1 << 20 or margin == F(1, 64)
+    assert got == want
+    assert any(k > 0 for _, k in want)

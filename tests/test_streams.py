@@ -4,15 +4,16 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from angletower import streams as streams_module
 from angletower.angles import (CirclePartition, RayChoice, build_partition,
                                itinerary, is_strictly_preperiodic)
 from angletower.lifting import brolin_period_samples, brolin_samples
-from angletower.streams import (FrontierReached, dyadic_symbol_streams,
-                                is_dyadic, trace_ensemble, walk_table,
-                                window_digits)
+from angletower.streams import (FrontierReached, cell_streams,
+                                dyadic_symbol_streams, is_dyadic,
+                                trace_ensemble, walk_table, window_digits)
 from angletower.tower import build_tower, trace
 
 CHEB = RayChoice(2, (F(1, 2),))
@@ -21,6 +22,10 @@ PAIR = RayChoice(2, (F(5, 12), F(7, 12)))
 CUBIC = RayChoice(3, (F(1, 6),))
 
 PARTITIONS = [build_partition(rc) for rc in (CHEB, DEND, PAIR)]
+
+# d = 4 on the lattice of 1/160: a base-4 digit times the lattice, up to
+# 3 * 160, does not fit the uint8 digits it is scaled from
+QUARTIC_FINE = build_partition(RayChoice(4, (F(1, 40),)))
 
 # 7^25 > 2^62 is not a divisor of any power of 2, 3 or 4, so angles over
 # it take the exact Python-int route for every degree tested here
@@ -73,8 +78,8 @@ def test_trace_rationals_match_itinerary(rc):
 
 def test_boundary_prefix_tie_uses_exact_fallback():
     # an odd dyadic numerator whose top 64 bits coincide with those of
-    # the non-dyadic boundary angle 5/24 forces the window comparison
-    # into a tie that only exact arithmetic can break
+    # the non-dyadic boundary angle 5/24: no prefix of its digits decides
+    # its arc, the exact backward cell scan does
     part = build_partition(PAIR)
     n = 20
     K = n + 64
@@ -87,8 +92,9 @@ def test_boundary_prefix_tie_uses_exact_fallback():
 def test_cubic_boundary_prefix_tie_uses_exact_fallback(monkeypatch):
     # d = 3 cuts the circle at 1/18, 7/18 and 13/18, none of them 3-adic.
     # j = floor(3^K / 18) is 1 mod 3, and its top 40 ternary digits are
-    # those of 1/18, so the first window ties that boundary.  Only that
-    # sample, and only at step 0, may take the exact fallback.
+    # those of 1/18, which tied a 40-digit window in an earlier kernel.
+    # The backward cell scan is exact on every sample, so it never falls
+    # back to per-angle Fraction arithmetic.
     part = build_partition(CUBIC)
     assert [str(b) for b in part.boundary] == ["1/18", "7/18", "13/18"]
     n = 30
@@ -109,7 +115,7 @@ def test_cubic_boundary_prefix_tie_uses_exact_fallback(monkeypatch):
 
     monkeypatch.setattr(CirclePartition, "symbol_of", counted)
     streams = dyadic_symbol_streams(numerators, K, n, part)
-    assert fallback == [F(j, 3 ** K)]
+    assert fallback == []
     monkeypatch.undo()
     for num, row in zip(numerators, streams):
         assert list(row) == list(itinerary(F(num, 3 ** K), part, n))
@@ -241,9 +247,9 @@ def ray_choices(draw):
 @settings(max_examples=25, deadline=None)
 @given(ray_choices(), st.integers(min_value=0, max_value=2 ** 32 - 1))
 def test_trace_matches_exact_oracles(rc, seed):
-    # one ensemble over every route: d-adic Brolin samples (window),
-    # periodic samples and a small dyadic angle (int64), and a wide
-    # non-d-adic angle (exact)
+    # one ensemble over every route: d-adic Brolin samples (backward),
+    # periodic samples and a small dyadic angle (forward on int64), and a
+    # wide non-d-adic angle (forward on Python ints)
     n = 24
     g = build_tower(rc, 2, extra_levels=n)
     part = g.partition
@@ -255,3 +261,69 @@ def test_trace_matches_exact_oracles(rc, seed):
     for s, a in enumerate(angles):
         assert list(ens.symbols[s]) == list(itinerary(a, part, n))
         assert list(ens.states[s]) == list(trace(a, g, n).domain_ids)
+
+
+def symbol_cuts(part):
+    """Cuts and values that give each lattice cell its partition symbol."""
+    N = part.size
+    return part.boundary_nums, [(i - 1) % N for i in range(N + 1)]
+
+
+@st.composite
+def partitions(draw):
+    d = draw(st.sampled_from([2, 3, 4, 6]))
+    angle = st.fractions(min_value=0, max_value=1, max_denominator=60).map(
+        lambda a: a % 1).filter(lambda a: is_strictly_preperiodic(a, d))
+    return build_partition(RayChoice(d, (draw(angle),)))
+
+
+def assert_cell_kernel_matches_itinerary(part, seed):
+    d, M = part.degree, part.lattice
+    n = 40
+    rng = np.random.default_rng(seed)
+    cuts, values = symbol_cuts(part)
+    # forward: lattice points (the boundary among them), points between
+    # them, and one wide angle whose steps run on Python ints
+    ks = set(rng.integers(0, M, 24).tolist()) | set(part.boundary_nums)
+    angles = ([F(k, M) for k in sorted(ks)]
+              + [F(int(j), 7 * M) for j in rng.integers(0, 7 * M, 8)])
+    for group in (angles, [F(1 + seed, WIDE)]):
+        rows = cell_streams([a.numerator for a in group],
+                            [a.denominator for a in group], d, n, M, cuts,
+                            values)
+        for a, row in zip(group, rows):
+            assert list(row) == list(itinerary(a, part, n))
+    # backward: d-adic angles j / d^K with K below and above the horizon,
+    # with the d-adic boundary angles among them
+    for K in (1 + seed % (n - 1), n + 9):
+        nums = [int.from_bytes(rng.bytes(K), "big") % d ** K
+                for _ in range(6)]
+        nums += [b * d ** K // M for b in part.boundary_nums
+                 if b * d ** K % M == 0]
+        rows = dyadic_symbol_streams(nums, K, n, part)
+        for j, row in zip(nums, rows):
+            assert list(row) == list(itinerary(F(j, d ** K), part, n))
+
+
+@settings(max_examples=40, deadline=None)
+@example(QUARTIC_FINE, 0)
+@given(partitions(), st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_cell_kernel_matches_itinerary(part, seed):
+    assert_cell_kernel_matches_itinerary(part, seed)
+
+
+def test_quartic_fine_lattice_overflows_a_byte():
+    assert QUARTIC_FINE.lattice == 160
+    assert 3 * QUARTIC_FINE.lattice > 255
+
+
+@pytest.mark.parametrize("part", PARTITIONS + [QUARTIC_FINE],
+                         ids=["cheb", "dend", "pair", "quartic-fine"])
+def test_fine_lattice_fallbacks_match_itinerary(monkeypatch, part):
+    # a lattice too fine for a dense cell table counts its cuts by
+    # bisection, and one too fine for the backward block table is
+    # stepped forward; shrink both limits below every lattice here
+    monkeypatch.setattr(streams_module, "_DENSE_CELLS", 2)
+    monkeypatch.setattr(streams_module, "_SCAN_ROWS", 2)
+    for seed in range(3):
+        assert_cell_kernel_matches_itinerary(part, seed)

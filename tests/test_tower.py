@@ -315,6 +315,16 @@ def test_tower_json_bytes_frozen(name):
     assert hashlib.sha1(text.encode()).hexdigest() == sha1
 
 
+@pytest.mark.parametrize("name", list(FROZEN_TOWERS))
+def test_tower_json_is_a_reencoding_fixed_point(name):
+    # the report stage splices tower.json's text into report.json instead
+    # of re-encoding the parsed tower, which is the same bytes only because
+    # the export is a fixed point of parse and re-encode
+    rc, truncation, extra, _ = FROZEN_TOWERS[name]
+    text = tower_to_json_str(build_tower(rc, truncation, extra_levels=extra))
+    assert json.dumps(json.loads(text), indent=1, sort_keys=True) == text
+
+
 def test_from_json_rejects_off_lattice_angles():
     # the cheb lattice is 1/4: a cutpoint at 1/3 or an arc end at 1/8
     # cannot come from this tower
