@@ -266,8 +266,11 @@ class ArcSet:
                 for a, b in self._circle_spans()]
 
     @staticmethod
-    def from_pairs(pairs: Iterable[Sequence[str]]) -> "ArcSet":
-        ends = [[_parse_ratio(x) for x in pair] for pair in pairs]
+    def from_pairs(pairs: Iterable[Sequence[str]],
+                   parse=None) -> "ArcSet":
+        """Inverse of to_pairs; parse maps "p/q" to (p, q)."""
+        parse = parse or _parse_ratio
+        ends = [[parse(x) for x in pair] for pair in pairs]
         den = math.lcm(*(q for pair in ends for _, q in pair))
         spans = []
         for (p, q), (r, s) in ends:

@@ -424,14 +424,14 @@ def cmd_lift(cfg: RunConfig, out: Path):
     rep = lift_report(mu, g, cfg.n_grid, cfg.R_grid, floor=floor)
     files = {
         "lift.json": _dump({"provenance": mu.provenance,
-                            "samples": len(mu.samples),
+                            "samples": len(mu.nums),
                             **rep.to_json()}),
         "curves.csv": curves_csv(rep.curves),
     }
     n_max, r_max = max(cfg.n_grid), max(cfg.R_grid)
     tail = [r for r in rep.curves if r[0] == n_max and r[1] == r_max]
     retained = tail[0][2] if tail else float("nan")
-    summary = [f"{mu.provenance} x{len(mu.samples)}: verdict {rep.verdict}, "
+    summary = [f"{mu.provenance} x{len(mu.nums)}: verdict {rep.verdict}, "
                f"retained(n={n_max}, R={r_max}) = {retained:.4f}"]
     return files, [], summary
 

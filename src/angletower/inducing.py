@@ -212,13 +212,17 @@ def first_return(ensemble: TraceEnsemble, witness: WitnessRegion,
             f"horizon must lie in [1, {ensemble.horizon}], got {h}")
     d = ensemble.graph.partition.degree
     den, cuts = witness.arcs.den, witness.arcs.cuts
-    dens = [a.denominator for a in ensemble.angles]
-    if not fits_int64(max(dens), den, d):
-        raise ValueError(
-            "sample denominators too large for exact witness membership; "
-            "use small-denominator samples such as brolin_period_samples")
-    inside = cell_streams([a.numerator for a in ensemble.angles], dens, d,
-                          h, den, cuts,
+    nums, dens = ensemble.nums, [ensemble.den] * ensemble.count
+    if not fits_int64(ensemble.den, den, d):
+        # the common denominator may be wider than every sample's own
+        nums = [a.numerator for a in ensemble.angles]
+        dens = [a.denominator for a in ensemble.angles]
+        if not fits_int64(max(dens), den, d):
+            raise ValueError(
+                "sample denominators too large for exact witness "
+                "membership; use small-denominator samples such as "
+                "brolin_period_samples")
+    inside = cell_streams(nums, dens, d, h, den, cuts,
                           [i % 2 for i in range(len(cuts) + 1)])
     visits = (inside.view(bool)
               & (ensemble.states[:, :h] == witness.domain_id))

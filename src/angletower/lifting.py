@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache, cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -27,52 +28,69 @@ DEFAULT_FLOOR = 0.05
 DEFAULT_N_GRID = (250, 500, 1000, 2000)
 DEFAULT_R_GRID = (4, 6, 8)
 
-# samples x steps cells per block of the retained-curve sums (2 MB of
-# float64), so no lift holds a samples x horizon float temporary
+# samples x steps cells per block of the lift diagnostics (2 MB of
+# float64), so no lift holds a samples x horizon temporary
 _BLOCK_CELLS = 1 << 18
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class SampleMeasure:
-    """Weighted rational angles summing to unit mass.
+    """Weighted rational angles nums[i] / den summing to unit mass.
 
+    Built from (angle, weight) pairs over the lcm of their denominators,
+    or with den given from (numerator, weight) pairs over den, which need
+    not be reduced (d^K, d^bits - 1 for the Brolin samplers).  angles and
+    samples are lazy, cached, read-only Fraction views in lowest terms.
     horizon bounds the number of steps for which the samples are
     guaranteed to behave like typical points (dyadic samples eventually
     ride the partition boundary); None means unlimited.
     """
 
-    samples: tuple[tuple[Fraction, float], ...]
+    nums: tuple[int, ...]
+    den: int
+    weights: np.ndarray
     provenance: str
-    seed: int | None = None
-    horizon: int | None = None
+    seed: int | None
+    horizon: int | None
 
-    def __post_init__(self):
-        if self.provenance not in PROVENANCES:
-            raise ValueError(f"unknown provenance {self.provenance!r}")
-        if not self.samples:
+    def __init__(self, samples, provenance: str, seed: int | None = None,
+                 horizon: int | None = None, den: int | None = None):
+        if provenance not in PROVENANCES:
+            raise ValueError(f"unknown provenance {provenance!r}")
+        samples = tuple(samples)
+        if not samples:
             raise ValueError("a measure needs at least one sample")
+        nums = tuple(a for a, _ in samples)
+        if den is None:
+            angles = [Fraction(a) % 1 for a in nums]
+            den = math.lcm(*{a.denominator for a in angles})
+            nums = tuple(a.numerator * (den // a.denominator) for a in angles)
+        weights = np.array([w for _, w in samples], dtype=np.float64)
         total = 0.0
-        for a, w in self.samples:
+        for j, w in zip(nums, weights.tolist()):
             if w <= 0:
-                raise ValueError(f"nonpositive weight {w} at {a}")
+                raise ValueError(f"nonpositive weight {w} at {j}/{den}")
             total += w
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"weights sum to {total!r}, not 1")
+        weights.setflags(write=False)
+        self.__dict__.update(nums=nums, den=den, weights=weights, seed=seed,
+                             provenance=provenance, horizon=horizon)
 
-    @property
+    @cached_property
     def angles(self) -> tuple[Fraction, ...]:
-        return tuple(a for a, _ in self.samples)
+        return tuple(Fraction(j, self.den) for j in self.nums)
 
-    @property
-    def weights(self) -> np.ndarray:
-        return np.array([w for _, w in self.samples], dtype=np.float64)
+    @cached_property
+    def samples(self) -> tuple[tuple[Fraction, float], ...]:
+        return tuple(zip(self.angles, self.weights.tolist()))
 
     def to_json(self) -> dict:
         return {
             "provenance": self.provenance,
             "seed": self.seed,
             "horizon": self.horizon,
-            "count": len(self.samples),
+            "count": len(self.nums),
         }
 
 
@@ -120,6 +138,8 @@ def brolin_samples(partition: CirclePartition, count: int, horizon: int,
     Numerators are seeded random bytes reduced mod d^K, moved up by one
     when d divides them (for d = 2 that sets the low bit).  When d^K is not
     a power of two, 64 more random bits keep the modulo bias below 2^-64.
+    The measure holds them as ints over den = d^K, with no Fraction built;
+    every weight is 1/count, so its diagnostics take the count path.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -139,14 +159,11 @@ def brolin_samples(partition: CirclePartition, count: int, horizon: int,
         nbytes += 8
     rng = np.random.default_rng(seed)
     raw = rng.bytes(count * nbytes)
-    samples = []
     w = 1.0 / count
-    for i in range(count):
-        j = int.from_bytes(raw[i * nbytes:(i + 1) * nbytes], "big") % den
-        if j % d == 0:
-            j += 1
-        samples.append((Fraction(j, den), w))
-    return SampleMeasure(tuple(samples), "brolin", seed, horizon)
+    js = (int.from_bytes(raw[i * nbytes:(i + 1) * nbytes], "big") % den
+          for i in range(count))
+    return SampleMeasure([(j + (j % d == 0), w) for j in js], "brolin",
+                         seed, horizon, den=den)
 
 
 def brolin_period_samples(partition: CirclePartition, count: int,
@@ -166,8 +183,8 @@ def brolin_period_samples(partition: CirclePartition, count: int,
     rng = np.random.default_rng(seed)
     js = rng.integers(0, den, size=count)
     w = 1.0 / count
-    samples = tuple((Fraction(int(j), den), w) for j in js)
-    return SampleMeasure(samples, "brolin", seed, None)
+    return SampleMeasure([(j, w) for j in js.tolist()], "brolin", seed,
+                         None, den=den)
 
 
 def dirac_cycle(partition: CirclePartition, a: Fraction) -> SampleMeasure:
@@ -246,7 +263,38 @@ def make_ensemble(mu: SampleMeasure, g: TowerGraph, n: int) -> TraceEnsemble:
     if mu.horizon is not None and n > mu.horizon:
         raise ValueError(
             f"measure is exact to horizon {mu.horizon}, requested {n}")
-    return trace_ensemble(mu.angles, mu.weights, g, n)
+    return trace_ensemble(mu.nums, mu.weights, g, n, den=mu.den)
+
+
+def _count_sums(weights: np.ndarray) -> np.ndarray | None:
+    """T[c], the in-order float sum of c copies of the common weight, or
+    None unless all weights are equal (as from every shipped sampler).
+    A sum in sample order adds w per sample counted and 0.0 otherwise,
+    so it is T[c] to the bit: the diagnostics read counts through T."""
+    if not len(weights) or (weights != weights[0]).any():
+        return None
+    return np.concatenate(([0.0], np.cumsum(np.full(len(weights),
+                                                    weights[0]))))
+
+
+def _bin_sums(idx, w, T, size: int) -> np.ndarray:
+    """np.bincount(idx, weights=w, minlength=size), or read through T."""
+    if T is None:
+        return np.bincount(idx, weights=w, minlength=size)
+    return T[np.bincount(idx, minlength=size)]
+
+
+def _traced(ens: TraceEnsemble, n: int) -> TraceEnsemble:
+    if n > ens.horizon:
+        raise ValueError(f"ensemble traced to {ens.horizon}, requested {n}")
+    return ens
+
+
+def _step_blocks(ens: TraceEnsemble, n: int):
+    """Step ranges covering 0..n-1, about _BLOCK_CELLS trace cells each."""
+    block = max(1, _BLOCK_CELLS // max(1, ens.count))
+    for k0 in range(0, n, block):
+        yield k0, min(k0 + block, n)
 
 
 def lift_cesaro(mu: SampleMeasure, g: TowerGraph, n: int,
@@ -260,9 +308,7 @@ def lift_cesaro(mu: SampleMeasure, g: TowerGraph, n: int,
     if n < 1:
         raise ValueError("n must be >= 1")
     R = g.truncation if R is None else R
-    ens = ensemble if ensemble is not None else make_ensemble(mu, g, n)
-    if n + 1 > ens.states.shape[1]:
-        raise ValueError(f"ensemble traced to {ens.horizon}, requested {n}")
+    ens = _traced(ensemble or make_ensemble(mu, g, n), n)
     # exact integer visit counts per (sample, domain) pair keep the float
     # accumulation chains short enough for the 1e-12 conservation budget
     keys = ((np.arange(ens.count, dtype=np.int64)[:, None] << 32)
@@ -292,17 +338,19 @@ def retained_curves(mu: SampleMeasure, g: TowerGraph, n_grid, R_grid,
     if n_grid[0] < 1:
         raise ValueError("horizons must be >= 1")
     n_max = n_grid[-1]
-    ens = ensemble if ensemble is not None else make_ensemble(mu, g, n_max)
+    ens = _traced(ensemble or make_ensemble(mu, g, n_max), n_max)
+    T = _count_sums(ens.weights)
     w = ens.weights[:, None]
     step_mass = np.empty((len(R_grid), n_max))
-    block = max(1, _BLOCK_CELLS // max(1, ens.count))
-    for k0 in range(0, n_max, block):
-        k1 = min(k0 + block, n_max)
+    for k0, k1 in _step_blocks(ens, n_max):
         lv = ens.levels[ens.states[:, k0:k1]]
         for i, R in enumerate(R_grid):
-            # a running sum down the samples adds them in sample order,
-            # which fixes the last bit of every curve value
-            step_mass[i, k0:k1] = np.cumsum((lv <= R) * w, axis=0)[-1]
+            if T is not None:
+                step_mass[i, k0:k1] = T[np.count_nonzero(lv <= R, axis=0)]
+            else:
+                # a running sum down the samples adds them in sample
+                # order, which fixes the last bit of every curve value
+                step_mass[i, k0:k1] = np.cumsum((lv <= R) * w, axis=0)[-1]
     rows = []
     for R, mass in zip(R_grid, step_mass):
         cum = np.cumsum(mass)
@@ -380,11 +428,12 @@ def invariance_defect(ensemble: TraceEnsemble, n: int, test_ids) -> float:
         raise ValueError(f"n must be in 1..{ensemble.horizon}")
     states = ensemble.states
     w = ensemble.weights
+    T = _count_sums(w)
     size = len(ensemble.graph.domains)
-    first = np.bincount(states[:, 0], weights=w, minlength=size)
+    first = _bin_sums(states[:, 0], w, T, size)
     total = first.copy()
     for k in range(1, n + 1):
-        last = np.bincount(states[:, k], weights=w, minlength=size)
+        last = _bin_sums(states[:, k], w, T, size)
         total += last
     ids = np.asarray(list(test_ids), dtype=np.intp)
     if not len(ids):
@@ -430,43 +479,49 @@ def project_and_density(ensemble: TraceEnsemble, m: int, R: int,
     if m < 1:
         raise ValueError("depth must be >= 1")
     n = ensemble.horizon if n is None else n
+    _traced(ensemble, n)
     if n - m < 1:
         raise ValueError("horizon too short for this cylinder depth")
     syms = ensemble.symbols
     w = ensemble.weights
+    T = _count_sums(w)
     N = ensemble.graph.partition.size
-    levels = ensemble.levels
-    states = ensemble.states
     base = N ** m
 
     wid = word_codes(syms[:, :m], N)
-    mu_mass = np.bincount(wid, weights=w, minlength=base)
+    mu_mass = _bin_sums(wid, w, T, base)
+    # w[keep].sum() is numpy's pairwise sum of c copies of w
+    pairwise = cache(lambda c: float(np.full(c, w[0]).sum()))
 
     proj = np.zeros(base, dtype=np.float64)
     steps = n - m
     retained_sum = 0.0
-    for k in range(steps):
-        if k > 0:
-            wid = (wid * N) % base + syms[:, k + m - 1]
-        keep = levels[states[:, k]] <= R
-        if keep.any():
-            proj += np.bincount(wid[keep], weights=w[keep], minlength=base)
-            retained_sum += float(w[keep].sum())
+    retained_at = ensemble.levels <= R
+    lead = np.int64(N ** (m - 1))
+    for k0, k1 in _step_blocks(ensemble, steps):
+        kept = retained_at[ensemble.states[:, k0:k1]]
+        for k in range(k0, k1):
+            if k > 0:
+                # shift the word one symbol on, in place
+                wid -= syms[:, k - 1] * lead
+                wid *= N
+                wid += syms[:, k + m - 1]
+            keep = kept[:, k - k0]
+            if T is not None:
+                proj += _bin_sums(wid[keep], None, T, base)
+                retained_sum += pairwise(int(np.count_nonzero(keep)))
+            elif keep.any():
+                proj += np.bincount(wid[keep], weights=w[keep],
+                                    minlength=base)
+                retained_sum += float(w[keep].sum())
     proj /= steps
     retained = retained_sum / steps
-
-    def word_of(i: int) -> tuple:
-        out = []
-        for _ in range(m):
-            i, r = divmod(i, N)
-            out.append(int(r))
-        return tuple(reversed(out))
 
     ratios = {}
     corrected = {}
     skipped = []
     for i in np.nonzero(mu_mass + proj)[0]:
-        word = word_of(int(i))
+        word = tuple(int(x) for x in np.unravel_index(i, (N,) * m))
         if mu_mass[i] <= min_mass or mu_mass[i] == 0.0:
             skipped.append(word)
             continue
@@ -525,7 +580,7 @@ def lyapunov_consistency(mu: SampleMeasure, ensemble: TraceEnsemble,
     angles = mu.angles
     todo = [s for s, a in enumerate(angles) if a == 0 or not is_dyadic(a, d)]
     landings = dict(zip(todo, solver.land_many(angles[s] for s in todo)))
-    for s, (_, w) in enumerate(mu.samples):
+    for s, w in enumerate(mu.weights.tolist()):
         landing = landings.get(s)
         if landing is None:
             excluded.append((s, "orbit too long to land"))

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -34,6 +35,9 @@ _DENSE_CELLS = 1 << 20
 
 # rows of the backward scan's block table; finer lattices step forward
 _SCAN_ROWS = 1 << 16
+
+# elementwise divmod of object arrays of Python ints
+_divmod = np.frompyfunc(divmod, 2, 2)
 
 
 def _d_adic_exponent(den: int, d: int) -> int | None:
@@ -131,17 +135,24 @@ def _digit_blocks(numerators, rows: int, D: int) -> np.ndarray:
                                      for j in numerators), dtype=np.uint8)
         return np.ascontiguousarray(
             raw.reshape(len(numerators), rows)[:, ::-1].T)
-    # cut each j into 64-bit words, then peel one word of every sample
+    # cut each j into 64-bit words W = D^per by halving: a chunk below
+    # W^(2h) splits into (lo, hi) = divmod by W^h, not one word at a time
     per = window_digits(D)
-    rest = np.array([int(j) for j in numerators], dtype=object)
-    out = np.empty((-(-rows // per) * per, len(rest)), dtype=np.uint8)
-    for w in range(0, len(out), per):
-        word = (rest % D ** per).astype(np.uint64)
-        rest //= D ** per
-        for t in range(w, w + per):
-            out[t] = word % np.uint64(D)
-            word //= np.uint64(D)
-    return out[:rows]
+    words = -(-rows // per)
+    h = 1 << max(words - 1, 0).bit_length()      # the least 2^k >= words
+    W = D ** per
+    chunks = (np.array([int(j) for j in numerators], dtype=object)
+              % W ** h)[:, None]
+    while h > 1:
+        h //= 2
+        hi, lo = _divmod(chunks, W ** h)
+        chunks = np.stack((lo, hi), axis=2).reshape(len(chunks), -1)
+    word = np.ascontiguousarray(chunks[:, :words].astype(np.uint64).T)
+    out = np.empty((words, per, len(chunks)), dtype=np.uint8)
+    for t in range(per):
+        out[:, t] = word % np.uint64(D)
+        word //= np.uint64(D)
+    return out.reshape(words * per, len(chunks))[:rows]
 
 
 def _backward(numerators, K: int, n: int, d: int,
@@ -232,6 +243,12 @@ def walk_table(g: TowerGraph) -> tuple[np.ndarray, np.ndarray]:
 class TraceEnsemble:
     """Traced lifts of a weighted angle ensemble.
 
+    Sample s is the angle nums[s] / den over one common denominator, which
+    need not be reduced (d^K for the Brolin samples).  angles is a lazy,
+    cached, read-only Fraction view in lowest terms; the walk, count and
+    the lift diagnostics never build it.  With equal weights the
+    diagnostics read per-step counts (lifting._count_sums).
+
     states[s, k] is the domain id of sample s after k steps (column 0 is
     the base for every sample); symbols[s, k] the partition symbol of the
     angle at step k.  states has horizon + 1 columns so one-step
@@ -244,83 +261,69 @@ class TraceEnsemble:
     """
 
     graph: TowerGraph
-    angles: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int
     weights: np.ndarray
     symbols: np.ndarray
     states: np.ndarray
     levels: np.ndarray
 
+    @cached_property
+    def angles(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(j, self.den) for j in self.nums)
+
     @property
     def count(self) -> int:
-        return len(self.angles)
+        return len(self.nums)
 
     @property
     def horizon(self) -> int:
         return self.symbols.shape[1]
 
     def angle_at(self, sample: int, k: int) -> Fraction:
-        """Exact angle of one sample after k doubling steps."""
+        """Exact angle of one sample after k steps of multiplication by d."""
         d = self.graph.partition.degree
-        return self.angles[sample] * d ** k % 1
+        return Fraction(self.nums[sample] * pow(d, k, self.den) % self.den,
+                        self.den)
 
     def level_matrix(self) -> np.ndarray:
         return self.levels[self.states]
 
 
-def trace_ensemble(angles, weights, g: TowerGraph, n: int) -> TraceEnsemble:
-    """Trace every angle n steps from the base through the tower.
+def trace_ensemble(angles, weights, g: TowerGraph, n: int,
+                   den: int | None = None) -> TraceEnsemble:
+    """Trace every sample n steps from the base through the tower.
 
-    Each reduced denominator q picks a scan (module docstring): forward
-    on int64 when q fits_int64, backward for other d-adic q (at the
-    largest exponent K among them), else forward on Python ints.
+    With den given, the samples are the integer numerators `angles`, in
+    [0, den), over den; otherwise they are angles (Fractions), put over
+    the lcm of their denominators.  That one denominator picks one scan
+    for the whole ensemble (module docstring): forward on int64 when it
+    fits_int64, backward when it is d-adic, else forward on Python ints.
+    Every scan is exact, so an unreduced den may change the route, never
+    a symbol.
     """
     if n < 1:
         raise ValueError("horizon must be >= 1")
-    angles = tuple(a if isinstance(a, Fraction) and 0 <= a < 1
-                   else Fraction(a) % 1 for a in angles)
+    if den is None:
+        angles = [a if isinstance(a, Fraction) else Fraction(a)
+                  for a in angles]
+        den = math.lcm(*{a.denominator for a in angles})
+        angles = [a.numerator * (den // a.denominator) % den
+                  for a in angles]
+    nums = tuple(angles)
     weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != (len(angles),):
+    if weights.shape != (len(nums),):
         raise ValueError("one weight per angle required")
-    count = len(angles)
+    count = len(nums)
     partition = g.partition
-    d = partition.degree
-    M = partition.lattice
-
-    by_den: dict[int, list[int]] = {}
-    for i, a in enumerate(angles):
-        by_den.setdefault(a.denominator, []).append(i)
-    small, wide, backward, exponents = [], [], [], {}
-    for q, idx in by_den.items():
-        if fits_int64(q, M, d):
-            small += idx
-        elif (exponent := _d_adic_exponent(q, d)) is not None:
-            backward += idx
-            exponents[q] = exponent
-        else:
-            wide += idx
-    # each route streams its samples in sample order, so a route that
-    # takes every sample hands its matrix over without a row scatter
-    parts = []
-    cuts, values = _symbol_cuts(partition)
-    for rows in (sorted(small), sorted(wide)):
-        if rows:
-            parts.append((rows, cell_streams(
-                [angles[i].numerator for i in rows],
-                [angles[i].denominator for i in rows], d, n, M, cuts,
-                values)))
-    if backward:
-        K = max(exponents.values())
-        scale = {q: d ** K // q for q in exponents}
-        rows = sorted(backward)
-        parts.append((rows, dyadic_symbol_streams(
-            [angles[i].numerator * scale[angles[i].denominator]
-             for i in rows], K, n, partition)))
-    if len(parts) == 1:
-        syms = parts[0][1]
+    d, M = partition.degree, partition.lattice
+    K = None if fits_int64(den, M, d) else _d_adic_exponent(den, d)
+    if K is None:
+        syms = cell_streams(nums, [den] * count, d, n, M,
+                            *_symbol_cuts(partition))
     else:
-        syms = np.empty((count, n), dtype=np.uint8, order="F")
-        for rows, part in parts:
-            syms[rows] = part
+        syms = dyadic_symbol_streams([j * (d ** K // den) for j in nums],
+                                     K, n, partition)
 
     table, levels = walk_table(g)
     flat = table.ravel()
@@ -333,4 +336,4 @@ def trace_ensemble(angles, weights, g: TowerGraph, n: int) -> TraceEnsemble:
         np.take(flat, states[:, k] * N + syms[:, k], out=nxt, mode="clip")
         if (nxt < 0).any():
             raise FrontierReached(k + 1, max(1, n - 1 - g.expand_limit))
-    return TraceEnsemble(g, angles, weights, syms, states, levels)
+    return TraceEnsemble(g, nums, den, weights, syms, states, levels)

@@ -22,11 +22,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from typing import Sequence
 
 from .angles import (
-    ArcSet, CirclePartition, RayChoice, build_partition, format_angle,
-    parse_angle, times_d,
+    ArcSet, CirclePartition, RayChoice, _parse_ratio, build_partition,
+    format_angle, parse_angle, times_d,
 )
 
 
@@ -188,6 +189,10 @@ class TowerGraph:
 
     def identify(self, candidate: Candidate) -> int:
         """Id of the candidate domain, inserting it if never seen."""
+        if len(self._index) < len(self.domains):
+            # a graph read by tower_from_json is indexed on first use
+            self._index = {_candidate_key(d.arcset, d.cutpoints): i
+                           for i, d in self.domains.items()}
         arcset, cutpoints = candidate
         key = _candidate_key(arcset, cutpoints)
         found = self._index.get(key)
@@ -421,7 +426,8 @@ def tower_from_json(payload: dict) -> TowerGraph:
     """Rebuild a TowerGraph from its JSON export (domains are trusted).
 
     Every arc endpoint and cutpoint angle must lie on the partition lattice
-    of the config's angles; one that does not raises ValueError.
+    of the config's angles; one that does not raises ValueError.  The text
+    holds about lattice-many distinct angles, so each is parsed once.
     """
     cfg = payload["config"]
     rc = RayChoice(cfg["degree"],
@@ -429,20 +435,21 @@ def tower_from_json(payload: dict) -> TowerGraph:
     part = build_partition(rc)
     n = part.lattice
     g = TowerGraph(part, cfg["truncation"], cfg["extra_levels"])
+    on_lattice = cache(lambda text: parse_angle(text, n))
+    ratio = cache(_parse_ratio)
     for dj in payload["domains"]:
         cps = tuple(sorted(
             (CutPoint(c["age"], c["origin"], tuple(sorted(
-                parse_angle(a, n) for a in c["angles"])), n)
+                on_lattice(a) for a in c["angles"])), n)
              for c in dj["cutpoints"]),
             key=lambda cp: (cp.age, cp.origin)))
-        arcs = ArcSet.from_pairs(dj["arcs"])
+        arcs = ArcSet.from_pairs(dj["arcs"], ratio)
         if n % arcs.den:
             raise ValueError(f"domain {dj['id']} has an arc endpoint off "
                              f"the lattice of 1/{n}")
         dom = Domain(dj["id"], arcs, cps, _level_of(cps),
                      is_base=(dj["id"] == 0))
         g.domains[dom.id] = dom
-        g._index[_candidate_key(arcs, cps)] = dom.id
     for e in payload["edges"]:
         g.edges[(e["from"], e["symbol"])] = e["to"]
     g.frontier = set(payload["frontier"])

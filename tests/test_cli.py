@@ -74,6 +74,47 @@ dir = {out}
 """
 
 
+# z^2 + i with the ray 1/6, and kappa = 2 at the airplane-like
+# c = -1.5436890..., where the rays 5/12 and 7/12 both land
+LIFT_MAPS = {
+    "dend": "degree = 2\nc_real = 0.0\nc_imag = 1.0\nangle = 1/6\n",
+    "pair-small": ("degree = 2\nc_real = -1.5436890126920764\n"
+                   "c_imag = 0.0\nangle = 5/12 7/12\nkappa = 2\n"),
+}
+LIFT_RUN = """\
+[map]
+{map}
+[tower]
+R = 6
+extra_levels = 300
+
+[sampling]
+seed = 17
+samples = 400
+horizon = 300
+n_grid = 100 200 300
+R_grid = 4 6
+
+[lift]
+sampler = brolin
+count = 400
+
+[output]
+dir = {out}
+"""
+
+# sha1 of lift.json and curves.csv, computed with the Fraction samplers
+# and weighted sums that the integer measures and the count path replaced
+FROZEN_LIFTS = {
+    "dend": ("488610a6847d72274b663c60dfdfd926399b31c0",
+             "1f8a3e906cc05e38093033ce0546623e4fb900ce"),
+    "cubic": ("59f9cd89a4e9b8d6807105383eb7a6ede1fbd15d",
+              "b02e6a6e26f274b339a94b75b869bc68843ebfae"),
+    "pair-small": ("3e340e902ca3d2f0e8e606be6566e8a313a71ec4",
+                   "6fb4131c3922de84b859e3211cd29d906e59f7d2"),
+}
+
+
 def write_cfg(tmp_path, name="run.ini", R=5, extra=16, out=None, text=None):
     out = Path(out or tmp_path / "out")
     path = tmp_path / name
@@ -125,6 +166,19 @@ def test_lift_outputs(tmp_path):
     assert blob["samples"] == 200
     header = (out / "curves.csv").read_text().splitlines()[0]
     assert header == "n,R,retained,escaped"
+
+
+@pytest.mark.parametrize("name", list(FROZEN_LIFTS))
+def test_lift_artifacts_bytes_frozen(tmp_path, name):
+    out = tmp_path / "out"
+    text = (CUBIC.format(out=out) if name == "cubic"
+            else LIFT_RUN.format(map=LIFT_MAPS[name], out=out))
+    cfg, _ = write_cfg(tmp_path, text=text)
+    for stage in ("tower-build", "lift"):
+        assert main([stage, "--config", str(cfg)]) == EXIT_OK, stage
+    got = tuple(hashlib.sha1((out / f).read_bytes()).hexdigest()
+                for f in ("lift.json", "curves.csv"))
+    assert got == FROZEN_LIFTS[name]
 
 
 def test_cubic_lift_streams_are_exact(tmp_path):

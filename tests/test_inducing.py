@@ -16,6 +16,7 @@ from angletower.inducing import (WitnessRegion, branch_words_csv, choose_W,
                                  tau_histogram_csv)
 from angletower.lifting import (brolin_period_samples, brolin_samples,
                                 custom_measure, lift_cesaro, make_ensemble)
+from angletower.streams import fits_int64
 from angletower.tower import build_tower
 
 CHEB = RayChoice(2, (F(1, 2),))
@@ -208,6 +209,23 @@ def test_first_return_rejects_wide_denominators(cheb_part, cheb_graph,
     ens = make_ensemble(mu, cheb_graph, 8)
     with pytest.raises(ValueError, match="denominators"):
         first_return(ens, cheb_witness)
+
+
+def test_first_return_reads_wide_common_denominator(cheb_graph,
+                                                    cheb_witness):
+    # each denominator fits the int64 membership kernel, their lcm does
+    # not: the samples are read in lowest terms, as if measured alone
+    angles = (F(5, 2 ** 31 - 1), F(7, 2 ** 31 - 3))
+    mu = custom_measure([(a, 0.5) for a in angles])
+    assert not fits_int64(mu.den, cheb_witness.arcs.den, 2)
+    ind = first_return(make_ensemble(mu, cheb_graph, 300), cheb_witness)
+    for s, a in enumerate(angles):
+        alone = first_return(make_ensemble(custom_measure([(a, 1.0)]),
+                                           cheb_graph, 300), cheb_witness)
+        mine = ind.sample_index == s
+        assert ind.entry_step[mine].tolist() == alone.entry_step.tolist()
+        assert ind.return_time[mine].tolist() == alone.return_time.tolist()
+    assert ind.return_count > 0
 
 
 def test_first_return_horizon_validation(cheb_ens, cheb_witness):

@@ -6,6 +6,7 @@ keeps 1 - 2^-(R-1) of Lebesgue mass below level R; every periodic cycle
 of that model has cycle-averaged log-derivative exactly log 2.
 """
 
+import hashlib
 import json
 import math
 import tracemalloc
@@ -20,11 +21,13 @@ from angletower import lifting as lf
 from angletower.angles import RayChoice, angle_orbit, build_partition, times_d
 from angletower.geometry import LandingSolver, PolynomialModel
 from angletower.inducing import choose_W, first_return
-from angletower.streams import word_codes
+from angletower.streams import trace_ensemble, word_codes
 from angletower.tower import build_tower
 
 CHEB = RayChoice(2, (F(1, 2),))
 DEND = RayChoice(2, (F(1, 6),))
+CUBIC = RayChoice(3, (F(1, 6),))
+PAIR = RayChoice(2, (F(5, 12), F(7, 12)))
 
 
 @pytest.fixture(scope="module")
@@ -116,6 +119,88 @@ def test_dirac_cycle(part):
     assert single.samples == ((F(0), 1.0),)
     with pytest.raises(ValueError):
         lf.dirac_cycle(part, F(1, 6))
+
+
+# sha1 of repr(nums) of brolin_samples(partition, 40, 120, seed), computed
+# from the Fraction samples (numerators over d^K) the integer sampler
+# replaced
+FROZEN_BROLIN_NUMS = {
+    2: (DEND, 11, "8c19286b2bf7698464eaebcf5302c2c8df410445"),
+    3: (CUBIC, 12, "692a01b2cdd5c5dcefe15d31bdc244502d362689"),
+}
+
+
+@pytest.mark.parametrize("d", list(FROZEN_BROLIN_NUMS))
+def test_brolin_numerators_frozen(d):
+    rc, seed, sha1 = FROZEN_BROLIN_NUMS[d]
+    mu = lf.brolin_samples(build_partition(rc), 40, 120, seed=seed)
+    assert mu.den == d ** (120 + lf.window_digits(d))
+    assert hashlib.sha1(repr(mu.nums).encode()).hexdigest() == sha1
+    assert mu.angles == tuple(F(j, mu.den) for j in mu.nums)
+    assert all(w == 1 / 40 for w in mu.weights)
+
+
+def test_measure_views_and_denominators(part):
+    period = lf.brolin_period_samples(part, 30, seed=2, bits=12)
+    assert period.den == 4095
+    assert period.angles == tuple(F(j, 4095) for j in period.nums)
+    cycle = lf.dirac_cycle(part, F(2, 7))
+    assert cycle.den == 7 and sorted(cycle.nums) == [1, 2, 4]
+    mixed = lf.custom_measure([(F(1, 3), 0.5), (F(5, 8), 0.5)], part,
+                              allow_boundary_orbit=True)
+    assert (mixed.den, mixed.nums) == (24, (8, 15))
+    assert mixed.samples == ((F(1, 3), 0.5), (F(5, 8), 0.5))
+    # the views are built once and cannot be written through
+    assert mixed.angles is mixed.angles
+    with pytest.raises(ValueError):
+        mixed.weights[0] = 1.0
+
+
+def _measures(part, n, seed):
+    d = part.degree
+    cycle = F(1, 7) if d == 2 else F(1, 8)
+    return {
+        "brolin": lf.brolin_samples(part, 60, n, seed),
+        "periodic": lf.brolin_period_samples(part, 60, seed, bits=10),
+        "dirac": lf.dirac_cycle(part, cycle),
+        # one common denominator fits no route the parts take alone
+        "mixed": lf.custom_measure(
+            [(F(1, 3), 0.25), (F(5, 2 ** 70), 0.25), (F(2, 7), 0.25),
+             (F(1 + seed, 7 ** 25), 0.25)], part, horizon=n,
+            allow_boundary_orbit=True),
+    }
+
+
+@pytest.mark.parametrize("rc", [DEND, CUBIC, PAIR],
+                         ids=["dend", "cubic", "pair"])
+def test_tracing_numerators_matches_each_fraction(rc):
+    n = 40
+    g = build_tower(rc, 4, extra_levels=n)
+    for name, mu in _measures(g.partition, n, seed=3).items():
+        ens = lf.make_ensemble(mu, g, n)
+        for s, a in enumerate(mu.angles):
+            alone = trace_ensemble((a,), [1.0], g, n)
+            assert (ens.symbols[s] == alone.symbols[0]).all(), (name, s)
+            assert (ens.states[s] == alone.states[0]).all(), (name, s)
+            assert ens.angle_at(s, 5) == alone.angle_at(0, 5)
+
+
+def test_brolin_trace_builds_no_fraction(monkeypatch, graph):
+    mu = lf.brolin_samples(graph.partition, 200, 300, seed=4)
+    made = []
+    new = F.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", staticmethod(counting_new))
+    ens = lf.make_ensemble(mu, graph, 300)
+    assert ens.count == 200
+    lf.lift_report(mu, graph, (100, 300), (4, 8), ensemble=ens)
+    assert not made
+    monkeypatch.undo()
+    assert ens.angles == mu.angles
 
 
 def test_custom_measure_boundary_guard(part):
@@ -403,6 +488,55 @@ def test_project_and_density_matches_step_loop(weighted_ens):
         i = word_codes(np.array([word]), N)[0]
         assert ratio == float(proj[i] / mu_mass[i])
         assert report.corrected[word] == ratio / retained
+
+
+# --------------------------------------------------------------------------
+# equal weights: the count path against the weighted sums it stands for
+
+
+@pytest.mark.parametrize("rc", [CHEB, DEND, CUBIC, PAIR],
+                         ids=["cheb", "dend", "cubic", "pair"])
+def test_count_path_matches_weighted_path(monkeypatch, rc):
+    n = 160
+    g = build_tower(rc, 6, extra_levels=n)
+    ids = [i for i, dom in g.domains.items() if dom.level <= 6]
+    for name, mu in _measures(g.partition, n, seed=9).items():
+        if name == "mixed":
+            continue
+        ens = lf.make_ensemble(mu, g, n)
+        assert lf._count_sums(ens.weights) is not None, name
+        results = []
+        for weighted in (False, True):
+            if weighted:
+                monkeypatch.setattr(lf, "_count_sums", lambda w: None)
+            results.append((
+                lf.retained_curves(mu, g, (40, 100, n), (2, 4, 6),
+                                   ensemble=ens),
+                [lf.invariance_defect(ens, k, ids) for k in (1, 50, n)],
+                lf.project_and_density(ens, 4, 5, n=n),
+                lf.project_and_density(ens, 2, 3, n=n - 7, min_mass=0.02),
+            ))
+            monkeypatch.undo()
+        counted, summed = results
+        assert counted == summed, name
+
+
+def test_count_sums_are_in_order_sums():
+    w = np.full(1000, 1 / 1000)
+    T = lf._count_sums(w)
+    for c in (0, 1, 7, 333, 1000):
+        assert T[c] == np.cumsum(np.r_[0.0, w[:c]])[-1]
+    assert lf._count_sums(np.array([0.25, 0.75])) is None
+
+
+def test_diagnostics_past_the_traced_horizon(graph, period_ens):
+    mu, ens = period_ens
+    with pytest.raises(ValueError,
+                       match="ensemble traced to 240, requested 300"):
+        lf.retained_curves(mu, graph, (100, 300), (4, 8), ensemble=ens)
+    with pytest.raises(ValueError,
+                       match="ensemble traced to 240, requested 241"):
+        lf.project_and_density(ens, 4, 8, n=241)
 
 
 # --------------------------------------------------------------------------

@@ -247,20 +247,23 @@ def ray_choices(draw):
 @settings(max_examples=25, deadline=None)
 @given(ray_choices(), st.integers(min_value=0, max_value=2 ** 32 - 1))
 def test_trace_matches_exact_oracles(rc, seed):
-    # one ensemble over every route: d-adic Brolin samples (backward),
-    # periodic samples and a small dyadic angle (forward on int64), and a
-    # wide non-d-adic angle (forward on Python ints)
+    # every route: d-adic Brolin samples (backward), periodic samples and
+    # a small dyadic angle (forward on int64), and a wide non-d-adic angle
+    # (forward on Python ints); an ensemble takes one route for all its
+    # samples, the one of their common denominator, so each group is
+    # traced alone as well as in one mixed ensemble
     n = 24
     g = build_tower(rc, 2, extra_levels=n)
     part = g.partition
-    angles = (brolin_samples(part, 6, n, seed).angles
-              + brolin_period_samples(part, 6, seed, bits=6).angles
-              + (F(1 + 2 * (seed % 16), 32), F(1 + seed, WIDE)))
-    ens = trace_ensemble(angles, np.full(len(angles), 1 / len(angles)), g,
-                         n)
-    for s, a in enumerate(angles):
-        assert list(ens.symbols[s]) == list(itinerary(a, part, n))
-        assert list(ens.states[s]) == list(trace(a, g, n).domain_ids)
+    groups = (brolin_samples(part, 6, n, seed).angles,
+              brolin_period_samples(part, 6, seed, bits=6).angles,
+              (F(1 + 2 * (seed % 16), 32),), (F(1 + seed, WIDE),))
+    for angles in groups + (sum(groups, ()),):
+        ens = trace_ensemble(angles, np.full(len(angles), 1 / len(angles)),
+                             g, n)
+        for s, a in enumerate(angles):
+            assert list(ens.symbols[s]) == list(itinerary(a, part, n))
+            assert list(ens.states[s]) == list(trace(a, g, n).domain_ids)
 
 
 def symbol_cuts(part):
@@ -315,6 +318,53 @@ def test_cell_kernel_matches_itinerary(part, seed):
 def test_quartic_fine_lattice_overflows_a_byte():
     assert QUARTIC_FINE.lattice == 160
     assert 3 * QUARTIC_FINE.lattice > 255
+
+
+def word_peel(numerators, rows, D):
+    """Base-D digits by peeling one 64-bit word off every numerator at a
+    time, the split the halving in _digit_blocks replaced."""
+    per = window_digits(D)
+    rest = np.array([int(j) for j in numerators], dtype=object)
+    out = np.empty((-(-rows // per) * per, len(rest)), dtype=np.uint8)
+    for w in range(0, len(out), per):
+        word = (rest % D ** per).astype(np.uint64)
+        rest //= D ** per
+        for t in range(w, w + per):
+            out[t] = word % np.uint64(D)
+            word //= np.uint64(D)
+    return out[:rows]
+
+
+@pytest.mark.parametrize("d, B", [(3, 5), (5, 3), (6, 3), (2, 6), (2, 7)])
+@pytest.mark.parametrize("K", [1, 41, 640, 2500])
+def test_digit_split_matches_word_peel(d, B, K):
+    D, rows = d ** B, -(-K // B)
+    rng = np.random.default_rng(K + d)
+    nbytes = (d ** K).bit_length() // 8 + 2
+    nums = [int.from_bytes(rng.bytes(nbytes), "big") % d ** K
+            for _ in range(12)] + [0, 1, d ** K - 1]
+    got = streams_module._digit_blocks(nums, rows, D)
+    assert got.shape == (rows, len(nums))
+    assert (got == word_peel(nums, rows, D)).all()
+
+
+# d = 2 on the lattice of 1/510 scans backward 7 binary digits a block,
+# not 8, so its d-adic streams take the halving split instead of bytes
+BINARY_FINE = build_partition(RayChoice(2, (F(1, 510),)))
+
+
+@pytest.mark.parametrize("part", [BINARY_FINE,
+                                  build_partition(CUBIC)],
+                         ids=["binary-fine", "cubic"])
+def test_deep_d_adic_streams_match_itinerary(part):
+    d, n, K = part.degree, 40, 2000
+    assert part.lattice * d ** 8 > streams_module._SCAN_ROWS
+    rng = np.random.default_rng(K)
+    nums = [int.from_bytes(rng.bytes(K // 2), "big") % d ** K
+            for _ in range(5)]
+    rows = dyadic_symbol_streams(nums, K, n, part)
+    for j, row in zip(nums, rows):
+        assert list(row) == list(itinerary(F(j, d ** K), part, n))
 
 
 @pytest.mark.parametrize("part", PARTITIONS + [QUARTIC_FINE],
