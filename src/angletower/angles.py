@@ -18,6 +18,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 def parse_angle(text: str, n: int | None = None):
@@ -266,11 +267,8 @@ class ArcSet:
                 for a, b in self._circle_spans()]
 
     @staticmethod
-    def from_pairs(pairs: Iterable[Sequence[str]],
-                   parse=None) -> "ArcSet":
-        """Inverse of to_pairs; parse maps "p/q" to (p, q)."""
-        parse = parse or _parse_ratio
-        ends = [[parse(x) for x in pair] for pair in pairs]
+    def from_pairs(pairs: Iterable[Sequence[str]]) -> "ArcSet":
+        ends = [[_parse_ratio(x) for x in pair] for pair in pairs]
         den = math.lcm(*(q for pair in ends for _, q in pair))
         spans = []
         for (p, q), (r, s) in ends:
@@ -308,6 +306,8 @@ def _merged(spans) -> list[int]:
     return cuts
 
 
+# a tower export repeats about lattice-many distinct angle texts
+@lru_cache(maxsize=1 << 12)
 def _parse_ratio(text: str) -> tuple[int, int]:
     """"p/q" (or "p") as the int pair (p, q)."""
     p, _, q = text.partition("/")

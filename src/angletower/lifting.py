@@ -18,8 +18,8 @@ import numpy as np
 
 from .angles import CirclePartition, angle_orbit, format_angle
 from .geometry import LandingError, LandingSolver, PolynomialModel
-from .streams import (TraceEnsemble, is_dyadic, trace_ensemble,
-                      window_digits, word_codes)
+from .streams import (TraceEnsemble, common_numerators, is_dyadic,
+                      trace_ensemble, window_digits, word_codes)
 from .tower import TowerGraph
 
 PROVENANCES = ("brolin", "dirac-periodic", "conformal", "custom")
@@ -37,10 +37,10 @@ _BLOCK_CELLS = 1 << 18
 class SampleMeasure:
     """Weighted rational angles nums[i] / den summing to unit mass.
 
-    Built from (angle, weight) pairs over the lcm of their denominators,
-    or with den given from (numerator, weight) pairs over den, which need
-    not be reduced (d^K, d^bits - 1 for the Brolin samplers).  angles and
-    samples are lazy, cached, read-only Fraction views in lowest terms.
+    SampleMeasure(pairs, provenance) puts (angle, weight) pairs over the
+    lcm of their denominators; SampleMeasure.over takes numerators over a
+    den that need not be reduced (d^K, d^bits - 1 for the Brolin
+    samplers).  angles and samples are lazy, read-only Fraction views.
     horizon bounds the number of steps for which the samples are
     guaranteed to behave like typical points (dyadic samples eventually
     ride the partition boundary); None means unlimited.
@@ -54,18 +54,25 @@ class SampleMeasure:
     horizon: int | None
 
     def __init__(self, samples, provenance: str, seed: int | None = None,
-                 horizon: int | None = None, den: int | None = None):
+                 horizon: int | None = None):
+        samples = tuple(samples)
+        self._fill(*common_numerators(a for a, _ in samples),
+                   [w for _, w in samples], provenance, seed, horizon)
+
+    @classmethod
+    def over(cls, den: int, nums, weights, provenance: str, seed=None,
+             horizon=None) -> "SampleMeasure":
+        """The measure of weights[i] at nums[i] / den, no Fraction built."""
+        mu = cls.__new__(cls)
+        mu._fill(tuple(nums), den, weights, provenance, seed, horizon)
+        return mu
+
+    def _fill(self, nums, den, weights, provenance, seed, horizon):
         if provenance not in PROVENANCES:
             raise ValueError(f"unknown provenance {provenance!r}")
-        samples = tuple(samples)
-        if not samples:
+        if not nums:
             raise ValueError("a measure needs at least one sample")
-        nums = tuple(a for a, _ in samples)
-        if den is None:
-            angles = [Fraction(a) % 1 for a in nums]
-            den = math.lcm(*{a.denominator for a in angles})
-            nums = tuple(a.numerator * (den // a.denominator) for a in angles)
-        weights = np.array([w for _, w in samples], dtype=np.float64)
+        weights = np.array(weights, dtype=np.float64)
         total = 0.0
         for j, w in zip(nums, weights.tolist()):
             if w <= 0:
@@ -162,8 +169,8 @@ def brolin_samples(partition: CirclePartition, count: int, horizon: int,
     w = 1.0 / count
     js = (int.from_bytes(raw[i * nbytes:(i + 1) * nbytes], "big") % den
           for i in range(count))
-    return SampleMeasure([(j + (j % d == 0), w) for j in js], "brolin",
-                         seed, horizon, den=den)
+    return SampleMeasure.over(den, [j + (j % d == 0) for j in js],
+                              [w] * count, "brolin", seed, horizon)
 
 
 def brolin_period_samples(partition: CirclePartition, count: int,
@@ -183,8 +190,8 @@ def brolin_period_samples(partition: CirclePartition, count: int,
     rng = np.random.default_rng(seed)
     js = rng.integers(0, den, size=count)
     w = 1.0 / count
-    return SampleMeasure([(j, w) for j in js.tolist()], "brolin", seed,
-                         None, den=den)
+    return SampleMeasure.over(den, js.tolist(), [w] * count, "brolin",
+                              seed)
 
 
 def dirac_cycle(partition: CirclePartition, a: Fraction) -> SampleMeasure:
@@ -263,7 +270,7 @@ def make_ensemble(mu: SampleMeasure, g: TowerGraph, n: int) -> TraceEnsemble:
     if mu.horizon is not None and n > mu.horizon:
         raise ValueError(
             f"measure is exact to horizon {mu.horizon}, requested {n}")
-    return trace_ensemble(mu.nums, mu.weights, g, n, den=mu.den)
+    return trace_ensemble(mu, mu.weights, g, n)
 
 
 def _count_sums(weights: np.ndarray) -> np.ndarray | None:
@@ -275,13 +282,6 @@ def _count_sums(weights: np.ndarray) -> np.ndarray | None:
         return None
     return np.concatenate(([0.0], np.cumsum(np.full(len(weights),
                                                     weights[0]))))
-
-
-def _bin_sums(idx, w, T, size: int) -> np.ndarray:
-    """np.bincount(idx, weights=w, minlength=size), or read through T."""
-    if T is None:
-        return np.bincount(idx, weights=w, minlength=size)
-    return T[np.bincount(idx, minlength=size)]
 
 
 def _traced(ens: TraceEnsemble, n: int) -> TraceEnsemble:
@@ -428,12 +428,11 @@ def invariance_defect(ensemble: TraceEnsemble, n: int, test_ids) -> float:
         raise ValueError(f"n must be in 1..{ensemble.horizon}")
     states = ensemble.states
     w = ensemble.weights
-    T = _count_sums(w)
     size = len(ensemble.graph.domains)
-    first = _bin_sums(states[:, 0], w, T, size)
+    first = np.bincount(states[:, 0], weights=w, minlength=size)
     total = first.copy()
     for k in range(1, n + 1):
-        last = _bin_sums(states[:, k], w, T, size)
+        last = np.bincount(states[:, k], weights=w, minlength=size)
         total += last
     ids = np.asarray(list(test_ids), dtype=np.intp)
     if not len(ids):
@@ -489,7 +488,7 @@ def project_and_density(ensemble: TraceEnsemble, m: int, R: int,
     base = N ** m
 
     wid = word_codes(syms[:, :m], N)
-    mu_mass = _bin_sums(wid, w, T, base)
+    mu_mass = np.bincount(wid, weights=w, minlength=base)
     # w[keep].sum() is numpy's pairwise sum of c copies of w
     pairwise = cache(lambda c: float(np.full(c, w[0]).sum()))
 
@@ -508,7 +507,7 @@ def project_and_density(ensemble: TraceEnsemble, m: int, R: int,
                 wid += syms[:, k + m - 1]
             keep = kept[:, k - k0]
             if T is not None:
-                proj += _bin_sums(wid[keep], None, T, base)
+                proj += T[np.bincount(wid[keep], minlength=base)]
                 retained_sum += pairwise(int(np.count_nonzero(keep)))
             elif keep.any():
                 proj += np.bincount(wid[keep], weights=w[keep],

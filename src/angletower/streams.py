@@ -243,11 +243,9 @@ def walk_table(g: TowerGraph) -> tuple[np.ndarray, np.ndarray]:
 class TraceEnsemble:
     """Traced lifts of a weighted angle ensemble.
 
-    Sample s is the angle nums[s] / den over one common denominator, which
-    need not be reduced (d^K for the Brolin samples).  angles is a lazy,
-    cached, read-only Fraction view in lowest terms; the walk, count and
-    the lift diagnostics never build it.  With equal weights the
-    diagnostics read per-step counts (lifting._count_sums).
+    Sample s is nums[s] / den, den not necessarily reduced (d^K for the
+    Brolin samples); angles is a lazy, cached, read-only Fraction view
+    that the walk, count and lift diagnostics never build.
 
     states[s, k] is the domain id of sample s after k steps (column 0 is
     the base for every sample); symbols[s, k] the partition symbol of the
@@ -290,40 +288,69 @@ class TraceEnsemble:
         return self.levels[self.states]
 
 
-def trace_ensemble(angles, weights, g: TowerGraph, n: int,
-                   den: int | None = None) -> TraceEnsemble:
+def common_numerators(angles) -> tuple[tuple[int, ...], int]:
+    """Angles (anything Fraction takes) as integer numerators in [0, den)
+    over den, the lcm of their reduced denominators."""
+    angles = [a if isinstance(a, Fraction) and 0 <= a < 1
+              else Fraction(a) % 1 for a in angles]
+    den = math.lcm(*{a.denominator for a in angles})
+    return tuple(a.numerator * (den // a.denominator) for a in angles), den
+
+
+def _symbol_rows(nums, dens, n: int, partition: CirclePartition):
+    """Symbol streams of nums[i] / dens[i], each q routed to a scan of
+    the module docstring; one route for all hands its matrix over."""
+    d, M = partition.degree, partition.lattice
+    exps = {q: _d_adic_exponent(q, d) for q in set(dens)
+            if not fits_int64(q, M, d)}
+    # route 0: forward on int64, -1: on Python ints, 1: backward at K
+    route = {q: 0 if q not in exps else -1 if exps[q] is None else 1
+             for q in set(dens)}
+    K = max(filter(None, exps.values()), default=0)
+    scale = {q: d ** K // q for q, k in exps.items() if k}
+    parts = []
+    for r in set(route.values()):
+        rows = [i for i, q in enumerate(dens) if route[q] == r]
+        parts.append((rows, dyadic_symbol_streams(
+            [nums[i] * scale[dens[i]] for i in rows], K, n, partition)
+            if r > 0 else cell_streams(
+                [nums[i] for i in rows], [dens[i] for i in rows], d, n, M,
+                *_symbol_cuts(partition))))
+    if len(parts) == 1:
+        return parts[0][1]
+    syms = np.empty((len(nums), n), dtype=np.uint8, order="F")
+    for rows, part in parts:
+        syms[rows] = part
+    return syms
+
+
+def trace_ensemble(angles, weights, g: TowerGraph, n: int) -> TraceEnsemble:
     """Trace every sample n steps from the base through the tower.
 
-    With den given, the samples are the integer numerators `angles`, in
-    [0, den), over den; otherwise they are angles (Fractions), put over
-    the lcm of their denominators.  That one denominator picks one scan
-    for the whole ensemble (module docstring): forward on int64 when it
-    fits_int64, backward when it is d-adic, else forward on Python ints.
-    Every scan is exact, so an unreduced den may change the route, never
-    a symbol.
+    angles are Fractions, put over the lcm of their denominators, or a
+    measure with integer nums over one den (lifting.SampleMeasure), read
+    with no Fraction built.  A den that fits_int64 or is d-adic, reduced
+    or not, routes the whole ensemble; any other den is often the lcm of
+    many small ones (a mixed measure), so samples route in lowest terms.
     """
     if n < 1:
         raise ValueError("horizon must be >= 1")
-    if den is None:
-        angles = [a if isinstance(a, Fraction) else Fraction(a)
-                  for a in angles]
-        den = math.lcm(*{a.denominator for a in angles})
-        angles = [a.numerator * (den // a.denominator) % den
-                  for a in angles]
-    nums = tuple(angles)
+    if hasattr(angles, "den"):
+        nums, den = tuple(angles.nums), angles.den
+    else:
+        nums, den = common_numerators(angles)
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (len(nums),):
         raise ValueError("one weight per angle required")
     count = len(nums)
     partition = g.partition
-    d, M = partition.degree, partition.lattice
-    K = None if fits_int64(den, M, d) else _d_adic_exponent(den, d)
-    if K is None:
-        syms = cell_streams(nums, [den] * count, d, n, M,
-                            *_symbol_cuts(partition))
-    else:
-        syms = dyadic_symbol_streams([j * (d ** K // den) for j in nums],
-                                     K, n, partition)
+    tops, dens = nums, [den] * count
+    if not (fits_int64(den, partition.lattice, partition.degree)
+            or _d_adic_exponent(den, partition.degree)):
+        gcds = [math.gcd(j, den) for j in nums]
+        tops = [j // c for j, c in zip(nums, gcds)]
+        dens = [den // c for c in gcds]
+    syms = _symbol_rows(tops, dens, n, partition)
 
     table, levels = walk_table(g)
     flat = table.ravel()

@@ -22,12 +22,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
 from typing import Sequence
 
 from .angles import (
-    ArcSet, CirclePartition, RayChoice, _parse_ratio, build_partition,
-    format_angle, parse_angle, times_d,
+    ArcSet, CirclePartition, RayChoice, build_partition, format_angle,
+    parse_angle, times_d,
 )
 
 
@@ -427,7 +426,8 @@ def tower_from_json(payload: dict) -> TowerGraph:
 
     Every arc endpoint and cutpoint angle must lie on the partition lattice
     of the config's angles; one that does not raises ValueError.  The text
-    holds about lattice-many distinct angles, so each is parsed once.
+    holds about lattice-many distinct angles, each parsed once (the ratio
+    parser is memoized).
     """
     cfg = payload["config"]
     rc = RayChoice(cfg["degree"],
@@ -435,15 +435,13 @@ def tower_from_json(payload: dict) -> TowerGraph:
     part = build_partition(rc)
     n = part.lattice
     g = TowerGraph(part, cfg["truncation"], cfg["extra_levels"])
-    on_lattice = cache(lambda text: parse_angle(text, n))
-    ratio = cache(_parse_ratio)
     for dj in payload["domains"]:
         cps = tuple(sorted(
             (CutPoint(c["age"], c["origin"], tuple(sorted(
-                on_lattice(a) for a in c["angles"])), n)
+                parse_angle(a, n) for a in c["angles"])), n)
              for c in dj["cutpoints"]),
             key=lambda cp: (cp.age, cp.origin)))
-        arcs = ArcSet.from_pairs(dj["arcs"], ratio)
+        arcs = ArcSet.from_pairs(dj["arcs"])
         if n % arcs.den:
             raise ValueError(f"domain {dj['id']} has an arc endpoint off "
                              f"the lattice of 1/{n}")

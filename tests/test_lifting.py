@@ -84,6 +84,10 @@ def test_measure_validation():
         lf.SampleMeasure(((F(1, 3), 1.0),), "homebrew")
     with pytest.raises(ValueError):
         lf.SampleMeasure((), "custom")
+    with pytest.raises(ValueError):
+        lf.SampleMeasure.over(8, [1, 3], [0.5, 0.25], "custom")
+    with pytest.raises(ValueError):
+        lf.SampleMeasure.over(8, [], [], "custom")
 
 
 def test_brolin_sampler(part):
@@ -150,6 +154,10 @@ def test_measure_views_and_denominators(part):
                               allow_boundary_orbit=True)
     assert (mixed.den, mixed.nums) == (24, (8, 15))
     assert mixed.samples == ((F(1, 3), 0.5), (F(5, 8), 0.5))
+    # numerators over an unreduced den keep it; the views reduce
+    over = lf.SampleMeasure.over(8, [2, 3], [0.5, 0.5], "custom")
+    assert (over.den, over.nums) == (8, (2, 3))
+    assert over.samples == ((F(1, 4), 0.5), (F(3, 8), 0.5))
     # the views are built once and cannot be written through
     assert mixed.angles is mixed.angles
     with pytest.raises(ValueError):

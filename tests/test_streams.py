@@ -1,5 +1,6 @@
 """Vectorized symbol streams and tower walks against the exact oracles."""
 
+import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -185,6 +186,30 @@ def test_angle_at_and_level_matrix(cheb_graph):
     assert lv[0, 0] == 0
 
 
+def test_wide_mixed_denominators_route_in_lowest_terms(monkeypatch,
+                                                      cheb_graph):
+    # the lcm of many small primes is far too wide for int64, while each
+    # sample alone fits: the samples are stepped over their own primes
+    primes = [p for p in range(3, 300) if all(p % q for q in range(2, p))]
+    angles = tuple(F(1 + p // 2, p) for p in primes)
+    seen = []
+    kernel = streams_module.cell_streams
+
+    def recording(nums, dens, *args):
+        seen.extend(dens)
+        return kernel(nums, dens, *args)
+
+    monkeypatch.setattr(streams_module, "cell_streams", recording)
+    ens = trace_ensemble(angles, np.full(len(angles), 1 / len(angles)),
+                         cheb_graph, 30)
+    assert ens.den == math.prod(primes)
+    assert ens.angles == angles
+    assert seen == primes
+    for s, a in enumerate(angles):
+        assert list(ens.symbols[s]) == list(itinerary(a, cheb_graph.partition,
+                                                      30))
+
+
 def test_trace_rejects_bad_inputs(cheb_graph):
     with pytest.raises(ValueError):
         trace_ensemble((F(1, 3),), [0.5, 0.5], cheb_graph, 10)
@@ -249,9 +274,9 @@ def ray_choices(draw):
 def test_trace_matches_exact_oracles(rc, seed):
     # every route: d-adic Brolin samples (backward), periodic samples and
     # a small dyadic angle (forward on int64), and a wide non-d-adic angle
-    # (forward on Python ints); an ensemble takes one route for all its
-    # samples, the one of their common denominator, so each group is
-    # traced alone as well as in one mixed ensemble
+    # (forward on Python ints); each group is traced alone, on the route
+    # of its common denominator, and in one mixed ensemble, whose wide
+    # lcm sends every sample down the route of its own denominator
     n = 24
     g = build_tower(rc, 2, extra_levels=n)
     part = g.partition
