@@ -420,11 +420,7 @@ def lyapunov_liftability_experiment(
     excluded = []
     for i, landing in enumerate(landings):
         try:
-            for k in range(nmax):
-                z = landing.point_at(k)
-                if abs(z) < crit_tol:
-                    raise CriticalProximity(k, z)
-                logs[i, k] = solver.model.log_deriv(z)
+            logs[i] = landing.log_derivs(solver.model, nmax, crit_tol)
         except CriticalProximity:
             excluded.append(i)
     inc = np.ones(len(landings), dtype=bool)
@@ -435,19 +431,16 @@ def lyapunov_liftability_experiment(
     win = win / win.sum()
     cum = np.cumsum(logs[inc], axis=1)
 
-    lyap_cells = {}
-    for lam in lambdas:
-        for n in horizons:
-            big = cum[:, n - 1] > n * math.log(lam)
-            lyap_cells[(float(lam), int(n))] = float(win[big].sum())
-
-    # dichotomy sets: expanding nodes whose early visit frequency at or
-    # below the cap is under eps (their mass should be negligible)
+    # Lyapunov cells: mass of the nodes expanding faster than lam over n
+    # steps; dichotomy sets: those of them whose early visit frequency at
+    # or below the cap is under eps (their mass should be negligible)
     lv = ens.level_matrix()[inc]
+    lyap_cells = {}
     dich_cells = {}
     for lam in lambdas:
         for n in horizons:
             big = cum[:, n - 1] > n * math.log(lam)
+            lyap_cells[(float(lam), int(n))] = float(win[big].sum())
             freq = (lv[:, :n] <= level_cap).mean(axis=1)
             for eps in eps_grid:
                 dich_cells[(float(lam), int(n), float(eps))] = \

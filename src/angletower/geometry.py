@@ -9,8 +9,8 @@ lowered geometrically in fractional substeps so consecutive points on a ray
 stay close enough to make the branch choice unambiguous.  A batch of angles
 sweeps one shared pool holding each distinct angle of their orbits once,
 so orbits that run into each other's tails land those points only once;
-every angle gets the landing points of its whole orbit, which also provide
-exact re-anchor targets for long Birkhoff sums.
+every angle gets the landing points of its whole orbit, and every
+log|Df| series along an orbit is read off those points.
 """
 
 from __future__ import annotations
@@ -107,20 +107,28 @@ class OrbitLanding:
     rows: int
     final_diff: float
 
-    def point_at(self, k: int) -> complex:
-        """Landing point of the k-th forward image of the angle."""
-        if k < len(self.points):
-            return self.points[k]
-        return self.points[self.preperiod
-                           + (k - self.preperiod) % self.period]
-
     def step_indices(self, n: int) -> np.ndarray:
-        """Indices into points of the images at steps 0..n-1, as point_at
-        reads them."""
+        """Indices into points of the images at steps 0..n-1, wrapping
+        round the cycle once the points run out."""
         k = np.arange(n)
         tail = k >= len(self.points)
         k[tail] = self.preperiod + (k[tail] - self.preperiod) % self.period
         return k
+
+    def log_derivs(self, model: PolynomialModel, n: int,
+                   crit_tol: float = 0.0) -> np.ndarray:
+        """log|Df| at steps 0..n-1, one evaluation per landed point tiled
+        by step_indices.  The steps visit points 0, 1, ... in order before
+        they repeat, so CriticalProximity names the first point within
+        crit_tol of the critical point."""
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        points = self.points[:n]
+        for k, z in enumerate(points):
+            if abs(z) < crit_tol:
+                raise CriticalProximity(k, z)
+        vals = np.array([model.log_deriv(z) for z in points])
+        return vals[self.step_indices(n)]
 
 
 def _nearest_roots(w: np.ndarray, d: int, ref: np.ndarray) -> np.ndarray:
@@ -333,39 +341,17 @@ def green(model: PolynomialModel, z: complex, n: int = 50) -> float:
 
 
 def birkhoff_lyapunov(model: PolynomialModel, solver: LandingSolver,
-                      a: Fraction, n: int, reanchor_interval: int = 25,
-                      crit_tol: float = 1e-7) -> float:
+                      a: Fraction, n: int, crit_tol: float = 1e-7) -> float:
     """Birkhoff average of log|Df| over n steps of the landed orbit of a.
 
-    The orbit is forward-iterated from land(a) and pulled back onto the
-    landing point of the shifted angle every reanchor_interval steps, which
-    removes the exponential drift of raw iteration near a repelling set.
-    Orbits passing within crit_tol of the critical point are rejected as
-    excluded samples; the default sits above the sqrt(machine eps) error
-    floor of landed precritical points, whose log-derivative would
-    otherwise contribute a large finite value in place of -infinity.
+    The steps read the landed points of the whole orbit (log_derivs), so
+    the average follows the true orbit.  Orbits passing within crit_tol of
+    the critical point are rejected as excluded samples; the default sits
+    above the sqrt(machine eps) error floor of landed precritical points,
+    whose log-derivative would otherwise contribute a large finite value
+    in place of -infinity.
     """
-    return _birkhoff(model, solver.land_orbit(a), n, reanchor_interval,
-                     crit_tol)
-
-
-def _birkhoff(model: PolynomialModel, landing: OrbitLanding, n: int,
-              reanchor_interval: int = 25, crit_tol: float = 1e-7) -> float:
-    """birkhoff_lyapunov along an orbit that is already landed."""
-    if n <= 0:
-        raise ValueError("n must be >= 1")
-    if reanchor_interval < 1:
-        raise ValueError("reanchor_interval must be >= 1")
-    z = landing.points[0]
-    total = 0.0
-    for k in range(n):
-        if abs(z) < crit_tol:
-            raise CriticalProximity(k, z)
-        total += model.log_deriv(z)
-        z = model.f(z)
-        if (k + 1) % reanchor_interval == 0:
-            z = landing.point_at(k + 1)
-    return total / n
+    return float(solver.land_orbit(a).log_derivs(model, n, crit_tol).mean())
 
 
 # --------------------------------------------------------------------------
@@ -384,7 +370,8 @@ def landing_table_csv(model: PolynomialModel, solver: LandingSolver,
             raise landing
         z = landing.points[0]
         try:
-            lam = format(_birkhoff(model, landing, n), ".17g")
+            vals = landing.log_derivs(model, n, crit_tol=1e-7)
+            lam = format(float(vals.mean()), ".17g")
         except CriticalProximity:
             lam = "excluded"
         w.writerow([format_angle(a), format(z.real, ".17g"),

@@ -293,8 +293,8 @@ def kac_check(ind: InducedSystem, tower_mass: TowerMass,
     rel = abs(mean_tau - expected) / expected
     w = ind.weights
     counts = np.bincount(ind.sample_index, minlength=ind.ensemble.count)
-    spans = np.zeros(ind.ensemble.count)
-    np.add.at(spans, ind.sample_index, ind.return_time)
+    spans = np.bincount(ind.sample_index, weights=ind.return_time,
+                        minlength=ind.ensemble.count)
     visits = ind.visits_per_sample
     enough = counts >= min_sample_returns
     if enough.any():
@@ -388,7 +388,6 @@ def expansion_and_abramov(ind: InducedSystem, solver: LandingSolver,
                                ind.witness_frequency, None, None, None,
                                None, None, None, None, 0)
     ens = ind.ensemble
-    model = solver.model
     h = ind.horizon
     vals = np.zeros((ens.count, h))
     excluded = []
@@ -396,8 +395,7 @@ def expansion_and_abramov(ind: InducedSystem, solver: LandingSolver,
         if isinstance(land, LandingError):
             excluded.append((i, str(land)))
             continue
-        per = np.array([model.log_deriv(z) for z in land.points[:h]])
-        vals[i] = per[land.step_indices(h)]
+        vals[i] = land.log_derivs(solver.model, h)
     bad = {i for i, _ in excluded}
     keep = np.array([i not in bad for i in range(ens.count)])
     sel = keep[ind.sample_index]

@@ -17,7 +17,8 @@ from fractions import Fraction
 import numpy as np
 
 from .angles import CirclePartition, angle_orbit, format_angle
-from .geometry import LandingError, LandingSolver, PolynomialModel
+from .geometry import (CriticalProximity, LandingError, LandingSolver,
+                       PolynomialModel)
 from .streams import (TraceEnsemble, common_numerators, is_dyadic,
                       trace_ensemble, window_digits, word_codes)
 from .tower import TowerGraph
@@ -590,16 +591,11 @@ def lyapunov_consistency(mu: SampleMeasure, ensemble: TraceEnsemble,
         if landing.preperiod + landing.period > max_orbit:
             excluded.append((s, "orbit too long to land"))
             continue
-        # the steps visit points 0, 1, ... in order before they repeat, so
-        # the first step near the critical point is the first such point
-        points = landing.points[:n]
-        near = next((k for k, z in enumerate(points) if abs(z) < crit_tol),
-                    None)
-        if near is not None:
-            excluded.append((s, f"critical proximity at step {near}"))
+        try:
+            vals = landing.log_derivs(model, n, crit_tol)
+        except CriticalProximity as e:
+            excluded.append((s, f"critical proximity at step {e.step}"))
             continue
-        vals = np.array([model.log_deriv(z) for z in points])[
-            landing.step_indices(n)]
         lam_sum += w * float(vals.mean())
         used += w
         keep = lv[s] <= R

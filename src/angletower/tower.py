@@ -164,10 +164,6 @@ class TowerGraph:
     _index: dict = field(default_factory=dict, repr=False)
 
     @property
-    def base(self) -> Domain:
-        return self.domains[0]
-
-    @property
     def expand_limit(self) -> int:
         return self.truncation + self.extra_levels
 

@@ -1,7 +1,10 @@
 """End-to-end checks for the command line driver."""
 
+import csv
 import hashlib
 import json
+import math
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -9,6 +12,7 @@ import pytest
 from angletower.angles import itinerary
 from angletower.cli import (EXIT_CHECK, EXIT_CONFIG, EXIT_DEPENDENCY,
                             EXIT_OK, git_blob_sha1, main)
+from angletower.geometry import LandingSolver, PolynomialModel
 from angletower.lifting import brolin_samples, make_ensemble
 from angletower.tower import tower_from_json
 
@@ -201,6 +205,24 @@ def test_shipped_cubic_config_runs_every_stage(tmp_path):
                   "lyapunov", "induce", "conformal", "report"):
         assert main([stage, "--config", str(cfg),
                      "--out", str(tmp_path)]) == EXIT_OK, stage
+
+
+def test_shipped_cubic_landings_read_the_cycle_mean(tmp_path):
+    # the ray 1619/1640 is periodic, so its landings.csv row is the mean
+    # of log|Df| over its landed cycle
+    cfg = Path(__file__).resolve().parents[1] / "configs" / "cubic.ini"
+    for stage in ("tower-build", "lyapunov"):
+        assert main([stage, "--config", str(cfg),
+                     "--out", str(tmp_path)]) == EXIT_OK, stage
+    with open(tmp_path / "landings.csv", newline="") as fh:
+        rows = {r["angle"]: r for r in csv.DictReader(fh)}
+    model = PolynomialModel(3, complex(0.34062501931660666,
+                                       1.2712298784187062))
+    landing = LandingSolver(model).land_orbit(Fraction(1619, 1640))
+    cycle = [model.log_deriv(z) for z in landing.points]
+    exact = math.fsum(cycle) / len(cycle)
+    assert float(rows["1619/1640"]["lyapunov"]) == \
+        pytest.approx(exact, rel=1e-12)
 
 
 def test_shallow_tower_is_dependency_error(tmp_path, capsys):

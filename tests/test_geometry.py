@@ -114,7 +114,7 @@ def test_whole_orbit_landed_consistently(dend_solver):
         assert abs(DEND.f(res.points[k]) - res.points[k + 1]) < 1e-9
     # wraparound into the cycle
     last = res.points[-1]
-    assert abs(DEND.f(last) - res.point_at(len(res.points))) < 1e-9
+    assert abs(DEND.f(last) - res.points[res.preperiod]) < 1e-9
 
 
 def test_nonconvergence_reported():
@@ -321,6 +321,53 @@ def test_lyapunov_shift_invariant(cheb_solver):
     lam = birkhoff_lyapunov(CHEB, cheb_solver, a, 310)
     lam2 = birkhoff_lyapunov(CHEB, cheb_solver, a * 2, 310)
     assert lam == pytest.approx(lam2, abs=1e-6)
+
+
+# z^3 + c with the ray 1/6 landing on the critical value (the shipped
+# cubic config), and z^4 + c with c = -2^(1/3), whose critical value maps
+# to the fixed point 2^(1/3)
+CUBIC = PolynomialModel(3, complex(0.34062501931660666, 1.2712298784187062))
+QUARTIC = PolynomialModel(4, -2 ** (1 / 3))
+
+
+@pytest.mark.parametrize("d,angle", [
+    (2, "1/7"), (2, "9/31"), (2, "1601/4095"), (2, "982/1365"),
+    (3, "1619/1640"), (3, "59/82"), (3, "5/13"),
+    (4, "1/5"), (4, "13/255"), (4, "7/85"),
+])
+def test_lyapunov_is_the_exact_cycle_mean(d, angle):
+    # a periodic angle's steps run round its landed cycle, so over a
+    # whole number of turns the Birkhoff average is the cycle mean
+    model = {2: DEND, 3: CUBIC, 4: QUARTIC}[d]
+    a = F(angle)
+    solver = LandingSolver(model)
+    landing = solver.land_orbit(a)
+    assert landing.preperiod == 0
+    cycle = [model.log_deriv(z) for z in landing.points]
+    exact = math.fsum(cycle) / len(cycle)
+    n = landing.period * (200 // landing.period + 1)
+    lam = birkhoff_lyapunov(model, solver, a, n)
+    assert lam == pytest.approx(exact, rel=1e-12)
+
+
+def test_log_derivs_tile_the_landed_points(dend_solver):
+    landing = dend_solver.land_orbit(F(1, 12))
+    n = 3 * len(landing.points)
+    vals = landing.log_derivs(DEND, n)
+    assert vals.tolist() == [DEND.log_deriv(landing.points[k])
+                             for k in landing.step_indices(n)]
+    # past the last point the steps wrap round into the cycle
+    assert vals[len(landing.points)] == vals[landing.preperiod]
+
+
+def test_log_derivs_stop_at_the_first_critical_step(cheb_solver):
+    # 1/8 -> 1/4 -> 1/2 -> 0: the second image lands on the critical point
+    landing = cheb_solver.land_orbit(F(1, 8))
+    with pytest.raises(CriticalProximity) as err:
+        landing.log_derivs(CHEB, 10, crit_tol=1e-7)
+    assert err.value.step == 1
+    assert landing.log_derivs(CHEB, 1, crit_tol=1e-7)[0] == \
+        CHEB.log_deriv(landing.points[0])
 
 
 def test_lyapunov_excluded_near_critical(cheb_solver):
