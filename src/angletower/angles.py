@@ -269,6 +269,9 @@ class ArcSet:
     @staticmethod
     def from_pairs(pairs: Iterable[Sequence[str]]) -> "ArcSet":
         ends = [[_parse_ratio(x) for x in pair] for pair in pairs]
+        for p, q in (end for pair in ends for end in pair):
+            if q <= 0 or not 0 <= p <= q:
+                raise ValueError(f"arc end {p}/{q} is not in [0, 1]")
         den = math.lcm(*(q for pair in ends for _, q in pair))
         spans = []
         for (p, q), (r, s) in ends:
@@ -310,6 +313,8 @@ def _merged(spans) -> list[int]:
 @lru_cache(maxsize=1 << 12)
 def _parse_ratio(text: str) -> tuple[int, int]:
     """"p/q" (or "p") as the int pair (p, q)."""
+    if not isinstance(text, str):
+        raise TypeError(f"angle {text!r} is not a string")
     p, _, q = text.partition("/")
     return int(p), int(q or 1)
 

@@ -147,18 +147,27 @@ class RawConfig:
         return self.get(section, key, lambda x: Fraction(str(x)), default,
                         'a fraction "p/q"')
 
-    def get_list(self, section, key, conv, default, what):
+    def get_list(self, section, key, conv, default, what, minimum=None,
+                 maximum=None):
         v = self.raw(section, key)
         if v is None:
-            return default
-        parts = list(v) if isinstance(v, (list, tuple)) else str(v).split()
-        try:
-            out = tuple(conv(str(p)) for p in parts)
-        except (ValueError, ZeroDivisionError) as e:
+            out = default
+        else:
+            parts = (list(v) if isinstance(v, (list, tuple))
+                     else str(v).split())
+            try:
+                out = tuple(conv(str(p)) for p in parts)
+            except (ValueError, ZeroDivisionError) as e:
+                raise self.error(section, key, f"{key} must be a list of "
+                                 f"{what}: {e}") from None
+            if not out:
+                raise self.error(section, key, f"{key} must be nonempty")
+        if minimum is not None and min(out) < minimum:
             raise self.error(section, key,
-                             f"{key} must be a list of {what}: {e}") from None
-        if not out:
-            raise self.error(section, key, f"{key} must be nonempty")
+                             f"{key} entries must be >= {minimum}")
+        if maximum is not None and max(out) > maximum:
+            raise self.error(section, key,
+                             f"{key} entries must be <= {maximum}")
         return out
 
     def get_choice(self, section, key, choices, default):
@@ -212,8 +221,6 @@ class RunConfig:
     seed: int
     samples: int
     horizon: int
-    n_grid: tuple
-    R_grid: tuple
     tol_land: float
     eigen_tol: float
     bisection_tol: float
@@ -275,10 +282,6 @@ def load_config(args) -> RunConfig:
         seed=int(seed),
         samples=raw.get_int("sampling", "samples", default=1000, minimum=1),
         horizon=raw.get_int("sampling", "horizon", default=1000, minimum=1),
-        n_grid=raw.get_list("sampling", "n_grid", int, (250, 500, 1000),
-                            "integers"),
-        R_grid=raw.get_list("sampling", "R_grid", int, (4, 6, 8),
-                            "integers"),
         tol_land=raw.get_float("tolerances", "tol_land", default=1e-12,
                                positive=True),
         eigen_tol=raw.get_float("tolerances", "eigen_tol", default=1e-10,
@@ -418,17 +421,22 @@ def _sampler(cfg: RunConfig, section: str, partition, seed: int):
 
 def cmd_lift(cfg: RunConfig, out: Path):
     g = _load_tower(cfg, out)
+    raw = cfg.raw
     mu = _sampler(cfg, "lift", g.partition, cfg.seed)
-    floor = cfg.raw.get_float("lift", "floor", default=DEFAULT_FLOOR,
-                              positive=True)
-    rep = lift_report(mu, g, cfg.n_grid, cfg.R_grid, floor=floor)
+    # a Brolin measure is exact to its horizon; the others to any
+    n_grid = raw.get_list("sampling", "n_grid", int, (250, 500, 1000),
+                          "integers", minimum=1, maximum=mu.horizon)
+    R_grid = raw.get_list("sampling", "R_grid", int, (4, 6, 8), "integers")
+    floor = raw.get_float("lift", "floor", default=DEFAULT_FLOOR,
+                          positive=True)
+    rep = lift_report(mu, g, n_grid, R_grid, floor=floor)
     files = {
         "lift.json": _dump({"provenance": mu.provenance,
                             "samples": len(mu.nums),
                             **rep.to_json()}),
         "curves.csv": curves_csv(rep.curves),
     }
-    n_max, r_max = max(cfg.n_grid), max(cfg.R_grid)
+    n_max, r_max = max(n_grid), max(R_grid)
     tail = [r for r in rep.curves if r[0] == n_max and r[1] == r_max]
     retained = tail[0][2] if tail else float("nan")
     summary = [f"{mu.provenance} x{len(mu.nums)}: verdict {rep.verdict}, "
@@ -449,11 +457,11 @@ def cmd_lyapunov(cfg: RunConfig, out: Path):
     solver = cfg.solver()
     rep = lyapunov_consistency(mu, ens, solver.model, solver,
                                R=cfg.tower_R, n=n)
-    angles = list(mu.angles[:rows])
     files = {
         "lyapunov.json": _dump({"count": count, "bits": bits,
                                 **rep.to_json()}),
-        "landings.csv": landing_table_csv(solver.model, solver, angles, n),
+        "landings.csv": landing_table_csv(solver.model, rep.landings[:rows],
+                                          n),
     }
     lam = "none" if rep.lambda_f is None else f"{rep.lambda_f:.6f}"
     lam_hat = ("none" if rep.lambda_fhat is None
@@ -499,12 +507,12 @@ def cmd_conformal(cfg: RunConfig, out: Path):
     depth = raw.get_int("conformal", "depth", default=8, minimum=1)
     lambdas = raw.get_list("conformal", "lambdas", float, (1.1, 1.2, 1.5),
                            "numbers")
-    horizons = raw.get_list("conformal", "horizons", int, (6, 8, 10),
-                            "integers")
-    eps_grid = raw.get_list("conformal", "eps", float, (0.05, 0.1, 0.2),
-                            "numbers")
     lift_horizon = raw.get_int("conformal", "lift_horizon",
                                default=cfg.horizon, minimum=depth + 1)
+    horizons = raw.get_list("conformal", "horizons", int, (6, 8, 10),
+                            "integers", minimum=1, maximum=lift_horizon)
+    eps_grid = raw.get_list("conformal", "eps", float, (0.05, 0.1, 0.2),
+                            "numbers")
     solver = cfg.solver()
     basis = build_basis(g.partition, solver, depth)
     solve = solve_delta(basis, delta_tol=cfg.bisection_tol,

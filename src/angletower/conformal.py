@@ -24,7 +24,8 @@ from scipy.sparse import csgraph
 
 from .angles import (ArcSet, CirclePartition, enumerate_cylinders,
                      format_angle)
-from .geometry import CriticalProximity, LandingError, LandingSolver
+from .geometry import (CRIT_TOL, CriticalProximity, LandingError,
+                       LandingSolver)
 from .inducing import DEFAULT_MARGIN, choose_W, first_return, \
     recurrent_witness_domain
 from .lifting import (DEFAULT_FLOOR, DensityReport, LiftReport,
@@ -48,6 +49,7 @@ EIGEN_TOL = 1e-10
 EIGEN_MAX_ITER = 20_000
 DELTA_TOL = 1e-6
 RHO_TOL = 1e-9
+DELTA_GRID = tuple(k / 10 for k in range(21))
 
 
 def quadrature_node(arcset: ArcSet, partition: CirclePartition) -> Fraction:
@@ -233,16 +235,15 @@ class ConformalSolve:
         }
 
 
-def solve_delta(basis: CylinderBasis, grid=None,
-                delta_tol: float = DELTA_TOL, rho_tol: float = RHO_TOL,
+def solve_delta(basis: CylinderBasis, delta_tol: float = DELTA_TOL,
                 eigen_tol: float = EIGEN_TOL) -> ConformalSolve:
     """Bisect rho(delta) = 1 over [0, 2].
 
-    The grid is evaluated first, both to report the curve and to tighten
+    DELTA_GRID is evaluated first, both to report the curve and to tighten
     the bracket; bisection then runs until the bracket is below delta_tol
-    and the midpoint eigenvalue is within rho_tol of 1.
+    and the midpoint eigenvalue is within RHO_TOL of 1.
     """
-    grid = tuple(k / 10 for k in range(21)) if grid is None else tuple(grid)
+    grid = DELTA_GRID
     rhos = []
     for dlt in grid:
         rhos.append(leading_eigen(build_operator(basis, dlt),
@@ -268,7 +269,7 @@ def solve_delta(basis: CylinderBasis, grid=None,
             lo = mid
         else:
             hi = mid
-        if hi - lo <= delta_tol and abs(rho - 1.0) <= rho_tol:
+        if hi - lo <= delta_tol and abs(rho - 1.0) <= RHO_TOL:
             break
     final = leading_eigen(build_operator(basis, mid), tol=eigen_tol)
     return ConformalSolve(basis, grid, tuple(rhos), mid, final.rho,
@@ -333,9 +334,6 @@ class EquivalenceReport:
     """
 
     delta: float
-    lambdas: tuple
-    horizons: tuple
-    eps_grid: tuple
     level_cap: int
     lift_horizon: int
     lyapunov_cells: dict
@@ -381,15 +379,14 @@ def lyapunov_liftability_experiment(
         solve: ConformalSolve, g: TowerGraph, solver: LandingSolver, *,
         lambdas=(1.1, 1.2, 1.5), horizons=(6, 8, 10),
         eps_grid=(0.05, 0.1, 0.2), level_cap: int = 8,
-        lift_horizon: int = 1000, margin: Fraction = DEFAULT_MARGIN,
-        floor: float = DEFAULT_FLOOR,
-        crit_tol: float = 1e-7) -> EquivalenceReport:
+        lift_horizon: int = 1000,
+        margin: Fraction = DEFAULT_MARGIN) -> EquivalenceReport:
     """Run both sides of the liftability criterion on a solved measure.
 
     The solved cylinder weights become a weighted atomic measure at the
     quadrature nodes; that measure is lifted through the tower graph for
     the retained-mass verdict while the node orbits supply the n-step
-    derivative sums.  Nodes passing within crit_tol of the critical
+    derivative sums.  Nodes passing within CRIT_TOL of the critical
     point are excluded from the Lyapunov side and reported.
     """
     basis = solve.basis
@@ -411,7 +408,7 @@ def lyapunov_liftability_experiment(
                      max(lift_horizon // 2, 1), lift_horizon})
     rows = retained_curves(mu, g, tuple(n_grid), (level_cap,),
                            ensemble=ens)
-    lift = liftability_verdict(rows, floor)
+    lift = liftability_verdict(rows, DEFAULT_FLOOR)
     liftable = lift.verdict == "liftable"
 
     # n-step derivative sums along the node orbits
@@ -420,7 +417,7 @@ def lyapunov_liftability_experiment(
     excluded = []
     for i, landing in enumerate(landings):
         try:
-            logs[i] = landing.log_derivs(solver.model, nmax, crit_tol)
+            logs[i] = landing.log_derivs(solver.model, nmax, CRIT_TOL)
         except CriticalProximity:
             excluded.append(i)
     inc = np.ones(len(landings), dtype=bool)
@@ -457,10 +454,9 @@ def lyapunov_liftability_experiment(
     ratios = np.array(list(density.ratios.values()))
     density_min = float(ratios.min()) if len(ratios) else 0.0
 
-    consistent = (headline > floor) == liftable
+    consistent = (headline > DEFAULT_FLOOR) == liftable
     return EquivalenceReport(
-        solve.delta, tuple(lambdas), tuple(horizons), tuple(eps_grid),
-        level_cap, lift_horizon, lyap_cells, dich_cells, headline,
+        solve.delta, level_cap, lift_horizon, lyap_cells, dich_cells, headline,
         tuple(excluded), lift, liftable, witness.domain_id,
         ind.witness_frequency, tail_mass, ind.return_count, density,
         density_min, consistent)

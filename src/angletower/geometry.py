@@ -26,6 +26,16 @@ import numpy as np
 
 from .angles import format_angle
 
+# Orbits passing within CRIT_TOL of the critical point are excluded from
+# Lyapunov averages: it sits above the sqrt(machine eps) error floor of
+# landed precritical points, whose log-derivative would otherwise
+# contribute a large finite value in place of -infinity.
+CRIT_TOL = 1e-7
+
+# Potential levels t0 * d^(-m/SUBSTEPS), from t0 = BASE_POTENTIAL down
+SUBSTEPS = 3
+BASE_POTENTIAL = math.log(1e4)
+
 
 class LandingError(RuntimeError):
     """Pullback cascade failed to reach the Cauchy tolerance in depth."""
@@ -50,8 +60,7 @@ class PolynomialModel:
     are rejected.
     """
 
-    __slots__ = ("degree", "c", "tol_orbit", "critical_orbit", "preperiod",
-                 "period")
+    __slots__ = ("degree", "c", "critical_orbit", "preperiod", "period")
 
     def __init__(self, degree: int, c: complex, tol_orbit: float = 1e-9,
                  max_preperiod: int = 200):
@@ -59,7 +68,6 @@ class PolynomialModel:
             raise ValueError("degree must be >= 2")
         self.degree = degree
         self.c = complex(c)
-        self.tol_orbit = tol_orbit
         pts: list[complex] = [0j]
         z = 0j
         found = None
@@ -220,7 +228,7 @@ class LandingSolver:
     own angle's forward orbit, so a landing does not depend on the rest of
     the batch, and land_orbit is the batch of one.
 
-    substeps interleaved potential levels t0 * d^(-m/substeps) keep
+    SUBSTEPS interleaved potential levels t0 * d^(-m/SUBSTEPS) keep
     consecutive points on each ray close, so the d-th-root branch nearest
     the previous sweep is always the continuation of the same ray.  Once
     the potential is below potential_floor, each orbit whose sweep moved
@@ -236,18 +244,13 @@ class LandingSolver:
     one-ulp phase error at the critical value into its square root.
     """
 
-    __slots__ = ("model", "tol_land", "depth", "substeps", "base_potential",
-                 "potential_floor")
+    __slots__ = ("model", "tol_land", "depth", "potential_floor")
 
     def __init__(self, model: PolynomialModel, tol_land: float = 1e-12,
-                 depth: int = 600, substeps: int = 3,
-                 base_potential: float = math.log(1e4),
-                 potential_floor: float = 1e-15):
+                 depth: int = 600, potential_floor: float = 1e-15):
         self.model = model
         self.tol_land = tol_land
         self.depth = depth
-        self.substeps = substeps
-        self.base_potential = base_potential
         self.potential_floor = potential_floor
 
     def land_many(self, angles) -> list[OrbitLanding | LandingError]:
@@ -255,8 +258,8 @@ class LandingSolver:
         angles = list(angles)
         d = self.model.degree
         c = self.model.c
-        S = self.substeps
-        t0 = self.base_potential
+        S = SUBSTEPS
+        t0 = BASE_POTENTIAL
         keys = list(dict.fromkeys(a % 1 for a in angles))
         phase, members, sizes, pres, succ = _orbit_pool(keys, d)
         starts = np.cumsum(sizes) - sizes
@@ -313,8 +316,7 @@ class LandingSolver:
         Each row then pays numpy's per-call overhead for one short orbit,
         about twice the time of a scalar loop.  That cost is accepted: the
         stages land in batches, and the one-at-a-time callers
-        (birkhoff_lyapunov, the benchmark's output checks and the tests)
-        land few angles.
+        (the benchmark's output checks and the tests) land few angles.
         """
         landing = self.land_many([a])[0]
         if isinstance(landing, LandingError):
@@ -340,40 +342,25 @@ def green(model: PolynomialModel, z: complex, n: int = 50) -> float:
     return max(0.0, math.log(abs(w))) / d ** n if w != 0 else 0.0
 
 
-def birkhoff_lyapunov(model: PolynomialModel, solver: LandingSolver,
-                      a: Fraction, n: int, crit_tol: float = 1e-7) -> float:
-    """Birkhoff average of log|Df| over n steps of the landed orbit of a.
-
-    The steps read the landed points of the whole orbit (log_derivs), so
-    the average follows the true orbit.  Orbits passing within crit_tol of
-    the critical point are rejected as excluded samples; the default sits
-    above the sqrt(machine eps) error floor of landed precritical points,
-    whose log-derivative would otherwise contribute a large finite value
-    in place of -infinity.
-    """
-    return float(solver.land_orbit(a).log_derivs(model, n, crit_tol).mean())
-
-
 # --------------------------------------------------------------------------
 # export
 
 
-def landing_table_csv(model: PolynomialModel, solver: LandingSolver,
-                      angles, n: int) -> str:
-    """CSV of angle, landing point, and n-step Lyapunov average."""
+def landing_table_csv(model: PolynomialModel, landings, n: int) -> str:
+    """CSV of angle, landing point, and n-step Lyapunov average of each
+    landing slot; a LandingError slot is raised."""
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(["angle", "re", "im", "lyapunov"])
-    angles = list(angles)
-    for a, landing in zip(angles, solver.land_many(angles)):
+    for landing in landings:
         if isinstance(landing, LandingError):
             raise landing
         z = landing.points[0]
         try:
-            vals = landing.log_derivs(model, n, crit_tol=1e-7)
+            vals = landing.log_derivs(model, n, CRIT_TOL)
             lam = format(float(vals.mean()), ".17g")
         except CriticalProximity:
             lam = "excluded"
-        w.writerow([format_angle(a), format(z.real, ".17g"),
+        w.writerow([format_angle(landing.angle), format(z.real, ".17g"),
                     format(z.imag, ".17g"), lam])
     return buf.getvalue()

@@ -10,7 +10,7 @@ Lyapunov exponent and entropy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -24,8 +24,10 @@ from .streams import TraceEnsemble, cell_streams, fits_int64, word_codes
 from .tower import Domain, TowerGraph
 
 DEFAULT_MARGIN = Fraction(1, 64)
-DEFAULT_HORIZON = 10_000
-DEFAULT_CENSOR_THRESHOLD = 0.05
+CENSOR_THRESHOLD = 0.05
+MIN_SAMPLE_RETURNS = 5
+BRANCH_RUN_MAX = 10
+ENTROPY_DEPTHS = (2, 4)
 
 
 @dataclass(frozen=True)
@@ -182,15 +184,6 @@ class InducedSystem:
             rows.append((int(t), int(sel.sum()), float(w[sel].sum())))
         return rows
 
-    def to_json(self) -> dict:
-        return {"witness": self.witness.to_json(),
-                "horizon": self.horizon,
-                "returns": self.return_count,
-                "censored": len(self.censored_sample),
-                "mean_tau": self.mean_tau,
-                "witness_frequency": self.witness_frequency,
-                "censor_fraction": self.censor_fraction}
-
 
 def first_return(ensemble: TraceEnsemble, witness: WitnessRegion,
                  horizon: int | None = None) -> InducedSystem:
@@ -256,30 +249,20 @@ class KacReport:
     verdict: str
 
     def to_json(self) -> dict:
-        return {"mean_tau": self.mean_tau,
-                "witness_mass": self.witness_mass,
-                "expected_tau": self.expected_tau,
-                "relative_error": self.relative_error,
-                "per_sample_error": self.per_sample_error,
-                "never_visit_weight": self.never_visit_weight,
-                "censor_fraction": self.censor_fraction,
-                "domain_mass_lift": self.domain_mass_lift,
-                "return_count": self.return_count,
-                "verdict": self.verdict}
+        return asdict(self)
 
 
-def kac_check(ind: InducedSystem, tower_mass: TowerMass,
-              censor_threshold: float = DEFAULT_CENSOR_THRESHOLD,
-              min_sample_returns: int = 5) -> KacReport:
+def kac_check(ind: InducedSystem, tower_mass: TowerMass) -> KacReport:
     """Mean return time against the reciprocal witness mass.
 
     witness mass is the ensemble's own weighted visit frequency, so the
     identity couples the return bookkeeping to the occupation statistics.
     The pooled error is the contract quantity; the per-sample error
-    averages |mean_tau_s * frequency_s - 1| over samples with enough
-    returns, which stays tight even when per-sample witness frequencies
-    are heterogeneous.  Excessive censoring makes the verdict
-    inconclusive rather than a number to trust.
+    averages |mean_tau_s * frequency_s - 1| over samples with at least
+    MIN_SAMPLE_RETURNS returns, which stays tight even when per-sample
+    witness frequencies are heterogeneous.  A censored fraction above
+    CENSOR_THRESHOLD makes the verdict inconclusive rather than a number
+    to trust.
     """
     if not ind.return_count:
         return KacReport(math.nan, ind.witness_frequency, math.nan,
@@ -296,7 +279,7 @@ def kac_check(ind: InducedSystem, tower_mass: TowerMass,
     spans = np.bincount(ind.sample_index, weights=ind.return_time,
                         minlength=ind.ensemble.count)
     visits = ind.visits_per_sample
-    enough = counts >= min_sample_returns
+    enough = counts >= MIN_SAMPLE_RETURNS
     if enough.any():
         prods = (spans[enough] / counts[enough]) * (visits[enough]
                                                     / ind.horizon)
@@ -305,7 +288,7 @@ def kac_check(ind: InducedSystem, tower_mass: TowerMass,
     else:
         per_sample = math.nan
     censor = ind.censor_fraction
-    verdict = "ok" if censor <= censor_threshold else "inconclusive"
+    verdict = "ok" if censor <= CENSOR_THRESHOLD else "inconclusive"
     return KacReport(mean_tau, mass, expected, rel, per_sample,
                      1.0 - ind.visiting_weight, censor,
                      tower_mass.mass.get(ind.witness.domain_id, 0.0),
@@ -333,21 +316,9 @@ class ExpansionReport:
     distinct_words: int
 
     def to_json(self) -> dict:
-        return {"degenerate": self.degenerate,
-                "branch_count": self.branch_count,
-                "excluded_samples": list(self.excluded_samples),
-                "min_branch": self.min_branch,
-                "min_by_n": {str(k): v for k, v in self.min_by_n.items()},
-                "n_two": self.n_two,
-                "witness_frequency": self.witness_frequency,
-                "lambda_f": self.lambda_f,
-                "lambda_induced": self.lambda_induced,
-                "lambda_error": self.lambda_error,
-                "entropy_rate": self.entropy_rate,
-                "entropy_induced_block": self.entropy_induced_block,
-                "entropy_induced_rate": self.entropy_induced_rate,
-                "entropy_error": self.entropy_error,
-                "distinct_words": self.distinct_words}
+        # str keys: a sorted dump would order int keys as numbers
+        min_by_n = {str(k): v for k, v in self.min_by_n.items()}
+        return {**asdict(self), "min_by_n": min_by_n}
 
 
 def _branch_codes(ind, r_s, r_t, r_tau):
@@ -369,19 +340,19 @@ def _branch_codes(ind, r_s, r_t, r_tau):
     return codes
 
 
-def expansion_and_abramov(ind: InducedSystem, solver: LandingSolver,
-                          n_max: int = 10,
-                          entropy_depths=(2, 4)) -> ExpansionReport:
+def expansion_and_abramov(ind: InducedSystem,
+                          solver: LandingSolver) -> ExpansionReport:
     """Branch |DF| statistics plus the two Abramov scaling checks.
 
     Branch derivatives are log-derivative sums of landed orbits along
     return blocks.  min_by_n tracks the worst product over n consecutive
     branches; n_two is the first n at which it clears 2, or None if the
-    search up to n_max fails (reported, not asserted).  The Lyapunov check
-    compares the plain Birkhoff exponent with witness_frequency times the
-    mean branch sum; the entropy check compares the tower-side cylinder
-    estimate with witness_frequency times the induced process entropy
-    rate, estimated as the conditional block entropy H(pair) - H(single).
+    search up to BRANCH_RUN_MAX fails (reported, not asserted).  The
+    Lyapunov check compares the plain Birkhoff exponent with
+    witness_frequency times the mean branch sum; the entropy check
+    compares the tower-side cylinder estimate at ENTROPY_DEPTHS with
+    witness_frequency times the induced process entropy rate, estimated
+    as the conditional block entropy H(pair) - H(single).
     """
     if not ind.return_count:
         return ExpansionReport(True, 0, (), None, {}, None,
@@ -412,7 +383,7 @@ def expansion_and_abramov(ind: InducedSystem, solver: LandingSolver,
     blog = cums[r_s, r_t + r_tau] - cums[r_s, r_t]
     min_by_n = {}
     cb = np.concatenate([[0.0], np.cumsum(blog)])
-    for N in range(1, n_max + 1):
+    for N in range(1, BRANCH_RUN_MAX + 1):
         if N > len(r_s):
             break
         valid = r_s[N - 1:] == r_s[:len(r_s) - N + 1]
@@ -445,7 +416,7 @@ def expansion_and_abramov(ind: InducedSystem, solver: LandingSolver,
         h_rate = float(-(p2 * np.log(p2)).sum()) - h_block
     else:
         h_rate = h_block
-    ent = entropy_estimate(ens, entropy_depths)
+    ent = entropy_estimate(ens, ENTROPY_DEPTHS)
     h_err = abs(ent.estimate - wfreq * h_rate) / abs(ent.estimate) \
         if ent.estimate else None
     return ExpansionReport(False, len(r_s), tuple(excluded),

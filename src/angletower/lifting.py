@@ -17,8 +17,8 @@ from fractions import Fraction
 import numpy as np
 
 from .angles import CirclePartition, angle_orbit, format_angle
-from .geometry import (CriticalProximity, LandingError, LandingSolver,
-                       PolynomialModel)
+from .geometry import (CRIT_TOL, CriticalProximity, LandingError,
+                       LandingSolver, PolynomialModel)
 from .streams import (TraceEnsemble, common_numerators, is_dyadic,
                       trace_ensemble, window_digits, word_codes)
 from .tower import TowerGraph
@@ -26,8 +26,9 @@ from .tower import TowerGraph
 PROVENANCES = ("brolin", "dirac-periodic", "conformal", "custom")
 
 DEFAULT_FLOOR = 0.05
-DEFAULT_N_GRID = (250, 500, 1000, 2000)
-DEFAULT_R_GRID = (4, 6, 8)
+DENSITY_DEPTH = 6
+MAX_ORBIT = 64
+MIN_WORD_COUNT = 25
 
 # samples x steps cells per block of the lift diagnostics (2 MB of
 # float64), so no lift holds a samples x horizon temporary
@@ -41,7 +42,7 @@ class SampleMeasure:
     SampleMeasure(pairs, provenance) puts (angle, weight) pairs over the
     lcm of their denominators; SampleMeasure.over takes numerators over a
     den that need not be reduced (d^K, d^bits - 1 for the Brolin
-    samplers).  angles and samples are lazy, read-only Fraction views.
+    samplers).  angles is a lazy, read-only Fraction view.
     horizon bounds the number of steps for which the samples are
     guaranteed to behave like typical points (dyadic samples eventually
     ride the partition boundary); None means unlimited.
@@ -51,24 +52,22 @@ class SampleMeasure:
     den: int
     weights: np.ndarray
     provenance: str
-    seed: int | None
     horizon: int | None
 
-    def __init__(self, samples, provenance: str, seed: int | None = None,
-                 horizon: int | None = None):
+    def __init__(self, samples, provenance: str, horizon: int | None = None):
         samples = tuple(samples)
         self._fill(*common_numerators(a for a, _ in samples),
-                   [w for _, w in samples], provenance, seed, horizon)
+                   [w for _, w in samples], provenance, horizon)
 
     @classmethod
-    def over(cls, den: int, nums, weights, provenance: str, seed=None,
+    def over(cls, den: int, nums, weights, provenance: str,
              horizon=None) -> "SampleMeasure":
         """The measure of weights[i] at nums[i] / den, no Fraction built."""
         mu = cls.__new__(cls)
-        mu._fill(tuple(nums), den, weights, provenance, seed, horizon)
+        mu._fill(tuple(nums), den, weights, provenance, horizon)
         return mu
 
-    def _fill(self, nums, den, weights, provenance, seed, horizon):
+    def _fill(self, nums, den, weights, provenance, horizon):
         if provenance not in PROVENANCES:
             raise ValueError(f"unknown provenance {provenance!r}")
         if not nums:
@@ -82,24 +81,12 @@ class SampleMeasure:
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"weights sum to {total!r}, not 1")
         weights.setflags(write=False)
-        self.__dict__.update(nums=nums, den=den, weights=weights, seed=seed,
+        self.__dict__.update(nums=nums, den=den, weights=weights,
                              provenance=provenance, horizon=horizon)
 
     @cached_property
     def angles(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(j, self.den) for j in self.nums)
-
-    @cached_property
-    def samples(self) -> tuple[tuple[Fraction, float], ...]:
-        return tuple(zip(self.angles, self.weights.tolist()))
-
-    def to_json(self) -> dict:
-        return {
-            "provenance": self.provenance,
-            "seed": self.seed,
-            "horizon": self.horizon,
-            "count": len(self.nums),
-        }
 
 
 def orbit_hits_boundary(a: Fraction, partition: CirclePartition,
@@ -171,7 +158,7 @@ def brolin_samples(partition: CirclePartition, count: int, horizon: int,
     js = (int.from_bytes(raw[i * nbytes:(i + 1) * nbytes], "big") % den
           for i in range(count))
     return SampleMeasure.over(den, [j + (j % d == 0) for j in js],
-                              [w] * count, "brolin", seed, horizon)
+                              [w] * count, "brolin", horizon)
 
 
 def brolin_period_samples(partition: CirclePartition, count: int,
@@ -191,8 +178,7 @@ def brolin_period_samples(partition: CirclePartition, count: int,
     rng = np.random.default_rng(seed)
     js = rng.integers(0, den, size=count)
     w = 1.0 / count
-    return SampleMeasure.over(den, js.tolist(), [w] * count, "brolin",
-                              seed)
+    return SampleMeasure.over(den, js.tolist(), [w] * count, "brolin")
 
 
 def dirac_cycle(partition: CirclePartition, a: Fraction) -> SampleMeasure:
@@ -208,8 +194,7 @@ def dirac_cycle(partition: CirclePartition, a: Fraction) -> SampleMeasure:
 
 
 def custom_measure(pairs, partition: CirclePartition | None = None,
-                   provenance: str = "custom", seed: int | None = None,
-                   horizon: int | None = None,
+                   provenance: str = "custom", horizon: int | None = None,
                    allow_boundary_orbit: bool = False) -> SampleMeasure:
     """Measure from explicit (angle, weight) pairs.
 
@@ -224,7 +209,7 @@ def custom_measure(pairs, partition: CirclePartition | None = None,
                 raise ValueError(
                     f"sample {format_angle(a)} has a boundary-riding "
                     f"orbit; pass allow_boundary_orbit=True if intended")
-    return SampleMeasure(samples, provenance, seed, horizon)
+    return SampleMeasure(samples, provenance, horizon)
 
 
 # --------------------------------------------------------------------------
@@ -255,15 +240,6 @@ class TowerMass:
     @property
     def retained(self) -> float:
         return sum(self.mass.values())
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "R": self.R,
-            "retained": self.retained,
-            "escaped": self.escaped,
-            "mass": {str(k): v for k, v in sorted(self.mass.items())},
-        }
 
 
 def make_ensemble(mu: SampleMeasure, g: TowerGraph, n: int) -> TraceEnsemble:
@@ -537,11 +513,15 @@ def project_and_density(ensemble: TraceEnsemble, m: int, R: int,
 
 @dataclass(frozen=True)
 class LyapunovReport:
+    """The two exponents; landings holds each sample's landing slot (None
+    when not landed), which to_json leaves out."""
+
     lambda_f: float | None
     lambda_fhat: float | None
     n: int
     used_weight: float
     excluded: tuple[tuple[int, str], ...]
+    landings: tuple
 
     def to_json(self) -> dict:
         return {
@@ -555,17 +535,17 @@ class LyapunovReport:
 
 def lyapunov_consistency(mu: SampleMeasure, ensemble: TraceEnsemble,
                          model: PolynomialModel, solver: LandingSolver,
-                         R: int | None = None, n: int | None = None,
-                         max_orbit: int = 64,
-                         crit_tol: float = 1e-7) -> LyapunovReport:
+                         R: int | None = None,
+                         n: int | None = None) -> LyapunovReport:
     """Base and tower Lyapunov estimates from the same landed orbits.
 
     lambda_f averages log|Df| over every traced step; lambda_fhat
     reweights the same evaluations by the retained (level <= R)
     indicator, which is the lift-side exponent.  Samples whose angle
-    orbit is too long to land (nonzero d-adic angles are taken as such
-    without landing), or whose landed orbit passes within crit_tol of the
-    critical point, are excluded and reported.
+    orbit is too long to land (over MAX_ORBIT points; nonzero d-adic
+    angles are taken as such without landing), or whose landed orbit
+    passes within CRIT_TOL of the critical point, are excluded and
+    reported.
     """
     g = ensemble.graph
     d = g.partition.degree
@@ -579,20 +559,20 @@ def lyapunov_consistency(mu: SampleMeasure, ensemble: TraceEnsemble,
     hat_den = 0.0
     angles = mu.angles
     todo = [s for s, a in enumerate(angles) if a == 0 or not is_dyadic(a, d)]
-    landings = dict(zip(todo, solver.land_many(angles[s] for s in todo)))
-    for s, w in enumerate(mu.weights.tolist()):
-        landing = landings.get(s)
+    landed = dict(zip(todo, solver.land_many(angles[s] for s in todo)))
+    landings = [landed.get(s) for s in range(len(angles))]
+    for s, (landing, w) in enumerate(zip(landings, mu.weights.tolist())):
         if landing is None:
             excluded.append((s, "orbit too long to land"))
             continue
         if isinstance(landing, LandingError):
             excluded.append((s, f"landing failed: {landing}"))
             continue
-        if landing.preperiod + landing.period > max_orbit:
+        if landing.preperiod + landing.period > MAX_ORBIT:
             excluded.append((s, "orbit too long to land"))
             continue
         try:
-            vals = landing.log_derivs(model, n, crit_tol)
+            vals = landing.log_derivs(model, n, CRIT_TOL)
         except CriticalProximity as e:
             excluded.append((s, f"critical proximity at step {e.step}"))
             continue
@@ -608,7 +588,8 @@ def lyapunov_consistency(mu: SampleMeasure, ensemble: TraceEnsemble,
         lam_hat = hat_num / hat_den
     else:
         lam_hat = None
-    return LyapunovReport(lam_f, lam_hat, n, used, tuple(excluded))
+    return LyapunovReport(lam_f, lam_hat, n, used, tuple(excluded),
+                          tuple(landings))
 
 
 @dataclass(frozen=True)
@@ -618,18 +599,8 @@ class EntropyReport:
     increments: dict[tuple[int, int], float]
     insufficient: tuple[int, ...]
 
-    def to_json(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "per_depth": {str(k): v for k, v in self.per_depth.items()},
-            "increments": {f"{a}-{b}": v
-                           for (a, b), v in self.increments.items()},
-            "insufficient": list(self.insufficient),
-        }
 
-
-def entropy_estimate(ensemble: TraceEnsemble, m_grid,
-                     min_count: int = 25) -> EntropyReport:
+def entropy_estimate(ensemble: TraceEnsemble, m_grid) -> EntropyReport:
     """Plugin cylinder entropy over the depth grid.
 
     Per depth m the estimate is -(1/m) sum_s w_s log p(word_m(s)) with p
@@ -637,7 +608,7 @@ def entropy_estimate(ensemble: TraceEnsemble, m_grid,
     depths also give increment slopes, and the final estimate is the last
     increment (plugin values carry an m-independent bias that the
     difference cancels).  Depths whose rarest observed word has fewer than
-    min_count samples are flagged as statistically insufficient.
+    MIN_WORD_COUNT samples are flagged as statistically insufficient.
     """
     m_grid = sorted(set(int(m) for m in m_grid))
     if not m_grid or m_grid[0] < 1:
@@ -658,7 +629,7 @@ def entropy_estimate(ensemble: TraceEnsemble, m_grid,
         H = float(-(w * np.log(p[inv])).sum())
         h_values[m] = H
         per_depth[m] = H / m
-        if counts.min() < min_count:
+        if counts.min() < MIN_WORD_COUNT:
             insufficient.append(m)
     increments = {}
     for m1, m2 in zip(m_grid, m_grid[1:]):
@@ -671,11 +642,11 @@ def entropy_estimate(ensemble: TraceEnsemble, m_grid,
                          tuple(insufficient))
 
 
-def lift_report(mu: SampleMeasure, g: TowerGraph,
-                n_grid=DEFAULT_N_GRID, R_grid=DEFAULT_R_GRID,
-                floor: float = DEFAULT_FLOOR, density_depth: int = 6,
+def lift_report(mu: SampleMeasure, g: TowerGraph, n_grid, R_grid,
+                floor: float = DEFAULT_FLOOR,
                 ensemble: TraceEnsemble | None = None) -> LiftReport:
-    """One-stop verdict: curves, verdict, defect, and density ratios."""
+    """One-stop verdict: curves, verdict, defect, and density ratios of
+    the depth-DENSITY_DEPTH cylinders."""
     n_grid = sorted(set(int(n) for n in n_grid))
     R_grid = sorted(set(int(R) for R in R_grid))
     if not n_grid or not R_grid:
@@ -688,8 +659,8 @@ def lift_report(mu: SampleMeasure, g: TowerGraph,
                 if dom.level <= max(R_grid)]
     defect = invariance_defect(ens, n_max, test_ids)
     densities = None
-    if report.verdict == "liftable" and n_max > density_depth:
+    if report.verdict == "liftable" and n_max > DENSITY_DEPTH:
         densities = project_and_density(
-            ens, density_depth, max(R_grid), n=n_max).corrected
+            ens, DENSITY_DEPTH, max(R_grid), n=n_max).corrected
     return LiftReport(report.curves, report.verdict, floor,
                       densities, defect)

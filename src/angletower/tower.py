@@ -73,7 +73,6 @@ class Domain:
     arcset: ArcSet
     cutpoints: tuple[CutPoint, ...]
     level: int
-    is_base: bool = False
 
     def cutpoint_angles(self) -> tuple[Fraction, ...]:
         return tuple(a for cp in self.cutpoints for a in cp.angles)
@@ -194,8 +193,7 @@ class TowerGraph:
         if found is not None:
             return found
         did = len(self.domains)
-        dom = Domain(did, arcset, cutpoints, _level_of(cutpoints),
-                     is_base=(did == 0 and not cutpoints and arcset.is_full))
+        dom = Domain(did, arcset, cutpoints, _level_of(cutpoints))
         self.domains[did] = dom
         self._index[key] = did
         return did
@@ -249,12 +247,8 @@ class TowerGraph:
         return "\n".join(lines)
 
 
-def build_base() -> Candidate:
-    return ArcSet.full_circle(), ()
-
-
-def build_tower(ray_choice: RayChoice, truncation: int, extra_levels: int = 0,
-                partition: CirclePartition | None = None) -> TowerGraph:
+def build_tower(ray_choice: RayChoice, truncation: int,
+                extra_levels: int = 0) -> TowerGraph:
     """Breadth-first construction of the truncated tower.
 
     Expands every domain of level <= truncation + extra_levels; successors
@@ -267,9 +261,9 @@ def build_tower(ray_choice: RayChoice, truncation: int, extra_levels: int = 0,
         raise ValueError("truncation must be >= 0")
     if extra_levels < 0:
         raise ValueError("extra_levels must be >= 0")
-    part = partition or build_partition(ray_choice)
+    part = build_partition(ray_choice)
     g = TowerGraph(part, truncation, extra_levels)
-    base_id = g.identify(build_base())
+    base_id = g.identify((ArcSet.full_circle(), ()))
     pending = [base_id]
     while pending:
         nxt: list[int] = []
@@ -441,8 +435,7 @@ def tower_from_json(payload: dict) -> TowerGraph:
         if n % arcs.den:
             raise ValueError(f"domain {dj['id']} has an arc endpoint off "
                              f"the lattice of 1/{n}")
-        dom = Domain(dj["id"], arcs, cps, _level_of(cps),
-                     is_base=(dj["id"] == 0))
+        dom = Domain(dj["id"], arcs, cps, _level_of(cps))
         g.domains[dom.id] = dom
     for e in payload["edges"]:
         g.edges[(e["from"], e["symbol"])] = e["to"]

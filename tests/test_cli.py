@@ -281,8 +281,34 @@ def _off_lattice(text):
     return json.dumps(payload)
 
 
-@pytest.mark.parametrize("corrupt", [_truncated, _no_frontier, _off_lattice],
-                         ids=["truncated", "no-frontier", "off-lattice"])
+def _domain_angle(where, value):
+    """Set the end of domain 1's first arc, or its first cutpoint angle."""
+    def corrupt(text):
+        payload = json.loads(text)
+        dom = payload["domains"][1]
+        if where == "arc":
+            dom["arcs"][0][1] = value
+        else:
+            dom["cutpoints"][0]["angles"][0] = value
+        return json.dumps(payload)
+    return corrupt
+
+
+CORRUPT_TOWERS = {
+    "truncated": _truncated,
+    "no-frontier": _no_frontier,
+    "off-lattice": _off_lattice,
+    "numeric-arc-end": _domain_angle("arc", 0.5),
+    "numeric-cutpoint": _domain_angle("cutpoint", 0),
+    "zero-denominator": _domain_angle("arc", "1/0"),
+    "negative-arc-end": _domain_angle("arc", "-1/4"),
+    "arc-end-past-one": _domain_angle("arc", "5/4"),
+    "negative-denominator": _domain_angle("arc", "1/-4"),
+}
+
+
+@pytest.mark.parametrize("corrupt", list(CORRUPT_TOWERS.values()),
+                         ids=list(CORRUPT_TOWERS))
 def test_corrupt_tower_is_dependency_error(tmp_path, capsys, corrupt):
     cfg, out = write_cfg(tmp_path)
     assert main(["tower-build", "--config", str(cfg)]) == EXIT_OK
@@ -293,6 +319,78 @@ def test_corrupt_tower_is_dependency_error(tmp_path, capsys, corrupt):
     err = capsys.readouterr().err
     assert err.startswith("dependency error:")
     assert f"{path} is corrupt" in err and "rerun tower-build" in err
+
+
+@pytest.mark.parametrize("sampler,n_grid,message", [
+    ("brolin", "100 250", "n_grid entries must be <= 200"),
+    ("brolin", "0 100", "n_grid entries must be >= 1"),
+    ("brolin-periodic", "0 100", "n_grid entries must be >= 1"),
+], ids=["past-horizon", "zero", "periodic-zero"])
+def test_lift_grid_out_of_range_is_config_error(tmp_path, capsys, sampler,
+                                                n_grid, message):
+    # the Brolin measure is exact to [sampling] horizon = 200
+    text = BASE.format(R=5, extra=16, out=tmp_path / "o")
+    text = text.replace("n_grid = 100 200", f"n_grid = {n_grid}")
+    text = text.replace("sampler = brolin", f"sampler = {sampler}")
+    cfg, _ = write_cfg(tmp_path, text=text)
+    line = text.splitlines().index(f"n_grid = {n_grid}") + 1
+    assert main(["tower-build", "--config", str(cfg)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["lift", "--config", str(cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{cfg}:{line}: {message}" in err
+
+
+def test_periodic_lift_grid_may_pass_the_horizon(tmp_path):
+    # periodic samples have no horizon, so n may exceed [sampling] horizon
+    text = BASE.format(R=5, extra=16, out=tmp_path / "out")
+    text = text.replace("n_grid = 100 200", "n_grid = 100 250")
+    text = text.replace("sampler = brolin\ncount = 200",
+                        "sampler = brolin-periodic\ncount = 50")
+    cfg, out = write_cfg(tmp_path, text=text)
+    assert main(["tower-build", "--config", str(cfg)]) == EXIT_OK
+    assert main(["lift", "--config", str(cfg)]) == EXIT_OK
+    curves = (out / "curves.csv").read_text().splitlines()
+    assert {row.split(",")[0] for row in curves[1:]} == {"100", "250"}
+
+
+@pytest.mark.parametrize("horizons,message", [
+    ("0 8", "horizons entries must be >= 1"),
+    ("6 3000", "horizons entries must be <= 200"),
+], ids=["zero", "past-lift-horizon"])
+def test_conformal_horizons_out_of_range_is_config_error(tmp_path, capsys,
+                                                         horizons, message):
+    # lift_horizon defaults to [sampling] horizon = 200
+    text = (BASE.format(R=5, extra=16, out=tmp_path / "o")
+            + f"\n[conformal]\ndepth = 4\nhorizons = {horizons}\n")
+    cfg, _ = write_cfg(tmp_path, text=text)
+    line = text.splitlines().index(f"horizons = {horizons}") + 1
+    assert main(["tower-build", "--config", str(cfg)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["conformal", "--config", str(cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{cfg}:{line}: {message}" in err
+
+
+def test_lyapunov_stage_lands_each_sample_once(tmp_path, monkeypatch):
+    # landings.csv formats the landings lyapunov_consistency made
+    batches = []
+    land_many = LandingSolver.land_many
+
+    def counted(self, angles):
+        batches.append(1)
+        return land_many(self, angles)
+
+    monkeypatch.setattr(LandingSolver, "land_many", counted)
+    text = (BASE.format(R=5, extra=16, out=tmp_path / "out")
+            + "\n[lyapunov]\ncount = 24\nbits = 8\nn = 40\n"
+            "landing_rows = 5\n")
+    cfg, out = write_cfg(tmp_path, text=text)
+    assert main(["tower-build", "--config", str(cfg)]) == EXIT_OK
+    assert main(["lyapunov", "--config", str(cfg)]) == EXIT_OK
+    assert len(batches) == 1
+    rows = (out / "landings.csv").read_text().splitlines()
+    assert len(rows) == 1 + 5
 
 
 def test_config_error_is_line_anchored(tmp_path, capsys):

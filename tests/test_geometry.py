@@ -22,8 +22,8 @@ from angletower.angles import RayChoice, angle_orbit, build_partition
 from angletower.conformal import (build_basis, enumerate_cylinders,
                                   quadrature_node)
 from angletower.geometry import (
-    CriticalProximity, LandingError, LandingSolver, PolynomialModel,
-    birkhoff_lyapunov, green, landing_table_csv,
+    BASE_POTENTIAL, CRIT_TOL, SUBSTEPS, CriticalProximity, LandingError,
+    LandingSolver, PolynomialModel, green, landing_table_csv,
 )
 
 CHEB = PolynomialModel(2, -2)
@@ -193,10 +193,10 @@ def test_land_many_sweeps_each_distinct_angle_once(monkeypatch):
 def _scalar_landing(solver, a):
     """The per-point cascade as a plain loop: (rows, points) of the orbit
     of a, choosing each root with cmath and the first nearest on a tie."""
-    d, c, S = solver.model.degree, solver.model.c, solver.substeps
+    d, c, S = solver.model.degree, solver.model.c, SUBSTEPS
     pre, _, orbit = angle_orbit(a, d)
     succ = [k + 1 for k in range(len(orbit) - 1)] + [pre]
-    ring = [[cmath.rect(math.exp(solver.base_potential * d ** (-m / S)),
+    ring = [[cmath.rect(math.exp(BASE_POTENTIAL * d ** (-m / S)),
                         2 * math.pi * float(x)) for x in orbit]
             for m in range(S)]
     prev = ring[S - 1]
@@ -210,7 +210,7 @@ def _scalar_landing(solver, a):
             new.append(min(roots, key=lambda z: abs(z - ref)))
         diff = max(abs(x - y) for x, y in zip(new, old))
         ring[m % S] = prev = new
-        if (solver.base_potential * d ** (-m / S) < solver.potential_floor
+        if (BASE_POTENTIAL * d ** (-m / S) < solver.potential_floor
                 and diff <= solver.tol_land):
             return m, new
     raise LandingError(a)
@@ -288,20 +288,22 @@ def test_green_positive_off_the_set():
 
 
 def test_lyapunov_fixed_point(cheb_solver):
-    lam = birkhoff_lyapunov(CHEB, cheb_solver, F(0), 100)
+    lam = cheb_solver.land_orbit(F(0)).log_derivs(CHEB, 100, CRIT_TOL).mean()
     assert lam == pytest.approx(math.log(4), abs=1e-12)
 
 
 def test_lyapunov_period_one_interior(cheb_solver):
     # ray 1/3 lands at -1, a fixed point with |f'| = 2
-    lam = birkhoff_lyapunov(CHEB, cheb_solver, F(1, 3), 200)
+    landing = cheb_solver.land_orbit(F(1, 3))
+    lam = landing.log_derivs(CHEB, 200, CRIT_TOL).mean()
     assert lam == pytest.approx(math.log(2), abs=1e-10)
 
 
 def test_lyapunov_two_cycle_dendrite(dend_solver):
     # ray 1/3 lands on the cycle -1+i -> -i of multiplier moduli
     # 2 sqrt 2 and 2
-    lam = birkhoff_lyapunov(DEND, dend_solver, F(1, 3), 200)
+    landing = dend_solver.land_orbit(F(1, 3))
+    lam = landing.log_derivs(DEND, 200, CRIT_TOL).mean()
     assert lam == pytest.approx(1.25 * math.log(2), abs=1e-8)
 
 
@@ -311,15 +313,17 @@ def test_lyapunov_random_angles_near_log_two(cheb_solver):
     vals = []
     for _ in range(64):
         a = F(rng.randrange(1, den), den)
-        vals.append(birkhoff_lyapunov(CHEB, cheb_solver, a, 512))
+        landing = cheb_solver.land_orbit(a)
+        vals.append(landing.log_derivs(CHEB, 512, CRIT_TOL).mean())
     mean = sum(vals) / len(vals)
     assert mean == pytest.approx(math.log(2), rel=0.1)
 
 
 def test_lyapunov_shift_invariant(cheb_solver):
     a = F(9, 31)
-    lam = birkhoff_lyapunov(CHEB, cheb_solver, a, 310)
-    lam2 = birkhoff_lyapunov(CHEB, cheb_solver, a * 2, 310)
+    lam = cheb_solver.land_orbit(a).log_derivs(CHEB, 310, CRIT_TOL).mean()
+    landing2 = cheb_solver.land_orbit(a * 2)
+    lam2 = landing2.log_derivs(CHEB, 310, CRIT_TOL).mean()
     assert lam == pytest.approx(lam2, abs=1e-6)
 
 
@@ -346,7 +350,7 @@ def test_lyapunov_is_the_exact_cycle_mean(d, angle):
     cycle = [model.log_deriv(z) for z in landing.points]
     exact = math.fsum(cycle) / len(cycle)
     n = landing.period * (200 // landing.period + 1)
-    lam = birkhoff_lyapunov(model, solver, a, n)
+    lam = landing.log_derivs(model, n, CRIT_TOL).mean()
     assert lam == pytest.approx(exact, rel=1e-12)
 
 
@@ -373,13 +377,13 @@ def test_log_derivs_stop_at_the_first_critical_step(cheb_solver):
 def test_lyapunov_excluded_near_critical(cheb_solver):
     # ray 1/4 lands exactly on the critical point
     with pytest.raises(CriticalProximity) as err:
-        birkhoff_lyapunov(CHEB, cheb_solver, F(1, 4), 10)
+        cheb_solver.land_orbit(F(1, 4)).log_derivs(CHEB, 10, CRIT_TOL).mean()
     assert err.value.step == 0
 
 
 def test_lyapunov_rejects_bad_n(cheb_solver):
     with pytest.raises(ValueError):
-        birkhoff_lyapunov(CHEB, cheb_solver, F(1, 7), 0)
+        cheb_solver.land_orbit(F(1, 7)).log_derivs(CHEB, 0, CRIT_TOL).mean()
 
 
 # --------------------------------------------------------------------------
@@ -387,7 +391,8 @@ def test_lyapunov_rejects_bad_n(cheb_solver):
 
 
 def test_landing_csv(cheb_solver):
-    text = landing_table_csv(CHEB, cheb_solver, [F(1, 3), F(1, 4)], 50)
+    text = landing_table_csv(CHEB, cheb_solver.land_many([F(1, 3), F(1, 4)]),
+                             50)
     lines = text.strip().splitlines()
     assert lines[0] == "angle,re,im,lyapunov"
     row = lines[1].split(",")

@@ -395,10 +395,9 @@ def test_branch_words_csv_frozen_head(cheb_system):
 
 def test_to_json_round_trips(cheb_system, cheb_mass, cheb_expansion):
     import json
-    blob = json.dumps([cheb_system.to_json(),
-                       kac_check(cheb_system, cheb_mass).to_json(),
+    blob = json.dumps([kac_check(cheb_system, cheb_mass).to_json(),
                        cheb_expansion.to_json()])
-    assert json.loads(blob)[1]["verdict"] == "ok"
+    assert json.loads(blob)[0]["verdict"] == "ok"
 
 
 @settings(max_examples=25, deadline=None)

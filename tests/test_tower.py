@@ -86,7 +86,7 @@ class TestChebyshevTower:
             assert d.level == i
 
     def test_domain_decorations(self, cheb6):
-        assert cheb6.domains[0].is_base
+        assert cheb6.domains[0].arcset.is_full
         assert cheb6.domains[0].cutpoints == ()
         assert cheb6.domains[1].cutpoints == (cp(1, F(1, 2)),)
         for l in range(2, 8):
