@@ -507,6 +507,8 @@ def cmd_conformal(cfg: RunConfig, out: Path):
     depth = raw.get_int("conformal", "depth", default=8, minimum=1)
     lambdas = raw.get_list("conformal", "lambdas", float, (1.1, 1.2, 1.5),
                            "numbers")
+    if min(lambdas) <= 0:
+        raise raw.error("conformal", "lambdas", "lambdas entries must be > 0")
     lift_horizon = raw.get_int("conformal", "lift_horizon",
                                default=cfg.horizon, minimum=depth + 1)
     horizons = raw.get_list("conformal", "horizons", int, (6, 8, 10),

@@ -8,11 +8,12 @@ forward, ages the surviving cutpoints, and cuts at the critical point whenever
 the arc boundary is touched.  Domains with identical arc-sets and identical
 cutpoint decorations are identified, which keeps the graph finite per level.
 
-Everything here is exact integer arithmetic: arc-sets are integer cuts, and
-a cutpoint angle is a numerator k over the partition lattice N (see
-``CirclePartition.lattice``), aged as d*k mod N, so the identification key is
-a tuple of ints.  Fractions appear only as the read-only ``CutPoint.angles``
-view and in the "p/q" text of the JSON export.  The graph is truncated at a
+Everything here is exact integer arithmetic: every tower arc endpoint and
+cutpoint angle is a multiple of 1/N, N the partition lattice (see
+``CirclePartition.lattice``), so the build steps and identifies a domain as
+an N-bit mask of lattice cells plus cutpoint numerators k of k/N, aged as
+d*k mod N.  Fractions appear only as the read-only ``CutPoint.angles`` view
+and in the "p/q" text of the JSON export.  The graph is truncated at a
 configurable level, with unexpanded domains kept as frontier markers so
 escape across the truncation stays accounted for.
 """
@@ -22,11 +23,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from functools import cache, cached_property
 
 from .angles import (
-    ArcSet, CirclePartition, RayChoice, build_partition, format_angle,
-    parse_angle, times_d,
+    ArcSet, CirclePartition, RayChoice, _parse_ratio, build_partition,
+    format_angle, parse_angle, times_d,
 )
 
 
@@ -60,10 +61,6 @@ class CutPoint:
     def __hash__(self):
         return hash((self.age, self.origin, self.angles))
 
-    def to_json(self) -> dict:
-        return {"age": self.age, "origin": self.origin,
-                "angles": [format_angle(k, self.lattice) for k in self.nums]}
-
 
 @dataclass(frozen=True)
 class Domain:
@@ -83,65 +80,98 @@ class Domain:
             out[cp.age] = out.get(cp.age, 0) + 1
         return out
 
-    def to_json(self) -> dict:
-        return {"id": self.id, "level": self.level,
-                "arcs": self.arcset.to_pairs(),
-                "cutpoints": [cp.to_json() for cp in self.cutpoints]}
-
 
 Candidate = tuple[ArcSet, tuple[CutPoint, ...]]
 
 
-def _candidate_key(arcset: ArcSet, cutpoints: tuple[CutPoint, ...]):
-    return (arcset.den, arcset.cuts,
-            tuple((cp.age, cp.origin, cp.lattice, cp.nums)
-                  for cp in cutpoints))
+class _Cells:
+    """Domains on the lattice of 1/n as all-integer keys (mask, cps).
 
+    Bit k of mask is the cell [k/n, (k+1)/n), and cps holds (age, origin,
+    numerators over n) sorted by age and origin.  A step rests on exact bit
+    facts: the part of a domain in arc s is mask & arcs[s]; multiplication
+    by d maps cell k onto cells d*k .. d*k+d-1 mod n; and the point k/n lies
+    in the closure of a mask when cell k or cell k-1 is in it.
+    """
 
-def _level_of(cutpoints: Sequence[CutPoint]) -> int:
-    return max((cp.age for cp in cutpoints), default=0)
+    def __init__(self, part: CirclePartition):
+        self.n, self.d = n, d = part.lattice, part.degree
+        b = part.boundary_nums
+        self.arcs = [self.mask(part.arc_set(s)) for s in range(len(b))]
+        self.ends = [(b[s], b[(s + 1) % len(b)]) for s in range(len(b))]
+        self.images = [sum({1 << (d * k + j) % n for j in range(d)})
+                       for k in range(n)]
+        self.moves, self.arcsets = {}, {}
+        self.cutpoint = cache(lambda cp: CutPoint(*cp, n))
+
+    def mask(self, arcset: ArcSet) -> int:
+        if self.n % arcset.den:
+            raise ValueError(f"{arcset} is off the lattice of 1/{self.n}")
+        c = [x * (self.n // arcset.den) for x in arcset.cuts]
+        return sum((1 << b) - (1 << a) for a, b in zip(c[::2], c[1::2]))
+
+    def key(self, arcset: ArcSet, cutpoints) -> tuple:
+        if any(self.n % cp.lattice for cp in cutpoints):
+            raise ValueError(f"a cutpoint is off the lattice of 1/{self.n}")
+        return self.mask(arcset), tuple(sorted(
+            (cp.age, cp.origin, tuple(sorted(k * (self.n // cp.lattice)
+                                             for k in cp.nums)))
+            for cp in cutpoints))
+
+    def domain(self, did: int, key) -> Domain:
+        """The domain of a key, one ArcSet per distinct mask (cut where
+        cells k-1 and k differ) and one CutPoint per distinct cutpoint."""
+        (mask, cps), n = key, self.n
+        if mask not in self.arcsets:
+            edges = mask ^ mask << 1
+            self.arcsets[mask] = ArcSet._of(
+                n, [k for k in range(n + 1) if edges >> k & 1])
+        return Domain(did, self.arcsets[mask], tuple(map(self.cutpoint, cps)),
+                      cps[-1][0] if cps else 0)
+
+    def step(self, mask: int, cps, symbol: int):
+        """Key of the image of the part of the domain in the arc, or None
+        when they do not meet.  Cutpoint angles in the closure of the part
+        survive with age+1 and angles times d; a touch of either arc end
+        (the critical point) makes the age-1 cutpoint at their images."""
+        d, n = self.d, self.n
+        move = self.moves.get((mask, symbol))
+        if move is None:
+            piece, image = mask & self.arcs[symbol], 0
+            for k in range(n):
+                if piece >> k & 1:
+                    image |= self.images[k]
+            closed = piece | (piece << 1 | piece >> n - 1) & (1 << n) - 1
+            born = {d * k % n for k in self.ends[symbol] if closed >> k & 1}
+            move = self.moves[(mask, symbol)] = piece and (
+                image, closed, tuple(sorted(born)))
+        if not move:  # an empty piece, memoized as 0
+            return None
+        image, closed, born = move
+        # carried ages are all >= 2, so the born cutpoint sorts first
+        out = [(1, 0, born)] if born else []
+        for age, origin, nums in cps:
+            hit = {d * k % n for k in nums if closed >> k & 1}
+            if hit:
+                out.append((age + 1, origin, tuple(sorted(hit))))
+        if not out:
+            # images are cut either at the critical point (arc endpoints
+            # touched) or at a surviving cutpoint; a bare one cannot occur
+            raise AssertionError("successor domain with no cutpoints")
+        return image, tuple(out)
 
 
 def step(domain: Domain, symbol: int, partition: CirclePartition) -> Candidate | None:
-    """Image of the part of a domain inside one partition arc.
-
-    Returns the candidate (arc-set, cutpoints) of the successor domain, or
-    None when the domain does not meet the arc.  Cutpoints with an angle in
-    the closure of the intersection survive with age+1 and angles times d; a
-    touch of either arc endpoint (the critical point) creates the age-1
-    cutpoint at the image angles.  A cutpoint angle k over lattice m steps
-    to d*k mod m; built towers hold every cutpoint on the partition lattice
-    n, where the born cutpoints are made.
-    """
-    d, n = partition.degree, partition.lattice
-    piece = domain.arcset.intersect(partition.arc_set(symbol))
-    if piece.is_empty:
+    """Image of the part of a domain inside one partition arc: the
+    candidate (arc-set, cutpoints) of the successor domain, or None when
+    the domain does not meet the arc.  The one-domain form of the build's
+    step on keys; the domain must live on the partition lattice."""
+    cells = _Cells(partition)
+    key = cells.step(*cells.key(domain.arcset, domain.cutpoints), symbol)
+    if key is None:
         return None
-    image = piece.image_times_d(d)
-
-    # (age, origin) -> (lattice, numerators); a domain has one cutpoint per
-    # (age, origin), so each key is filled once
-    carried: dict[tuple[int, int], tuple[int, set[int]]] = {}
-    for cp in domain.cutpoints:
-        m = cp.lattice
-        hit = {d * k % m for k in cp.nums if piece.closure_contains(k, m)}
-        if hit:
-            carried[(cp.age + 1, cp.origin)] = (m, hit)
-
-    ends = (partition.boundary_nums[symbol],
-            partition.boundary_nums[(symbol + 1) % partition.size])
-    born = {d * k % n for k in ends if piece.closure_contains(k, n)}
-    if born:
-        # carried keys all have age >= 2, so the age-1 slot is always free
-        carried[(1, 0)] = (n, born)
-
-    cutpoints = tuple(CutPoint(age, origin, tuple(sorted(nums)), m)
-                      for (age, origin), (m, nums) in sorted(carried.items()))
-    if not cutpoints:
-        # images are cut either at the critical point (arc endpoints touched)
-        # or at a surviving cutpoint; a bare candidate cannot occur
-        raise AssertionError("successor domain with no cutpoints")
-    return image, cutpoints
+    image = cells.domain(domain.id, key)
+    return image.arcset, image.cutpoints
 
 
 @dataclass
@@ -161,6 +191,10 @@ class TowerGraph:
     edges: dict[tuple[int, int], int] = field(default_factory=dict)
     frontier: set[int] = field(default_factory=set)
     _index: dict = field(default_factory=dict, repr=False)
+
+    @cached_property
+    def _cells(self) -> _Cells:
+        return _Cells(self.partition)
 
     @property
     def expand_limit(self) -> int:
@@ -185,17 +219,15 @@ class TowerGraph:
         """Id of the candidate domain, inserting it if never seen."""
         if len(self._index) < len(self.domains):
             # a graph read by tower_from_json is indexed on first use
-            self._index = {_candidate_key(d.arcset, d.cutpoints): i
+            self._index = {self._cells.key(d.arcset, d.cutpoints): i
                            for i, d in self.domains.items()}
-        arcset, cutpoints = candidate
-        key = _candidate_key(arcset, cutpoints)
-        found = self._index.get(key)
-        if found is not None:
-            return found
-        did = len(self.domains)
-        dom = Domain(did, arcset, cutpoints, _level_of(cutpoints))
-        self.domains[did] = dom
-        self._index[key] = did
+        return self._identify(self._cells.key(*candidate))
+
+    def _identify(self, key) -> int:
+        did = self._index.get(key)
+        if did is None:
+            did = self._index[key] = len(self.domains)
+            self.domains[did] = self._cells.domain(did, key)
         return did
 
     def level_counts(self) -> dict[int, int]:
@@ -217,8 +249,13 @@ class TowerGraph:
     def to_json(self) -> dict:
         return {
             "config": self.config_json(),
-            "domains": [self.domains[i].to_json()
-                        for i in sorted(self.domains)],
+            "domains": [{"id": d.id, "level": d.level,
+                         "arcs": d.arcset.to_pairs(),
+                         "cutpoints": [{"age": cp.age, "origin": cp.origin,
+                                        "angles": [format_angle(k, cp.lattice)
+                                                   for k in cp.nums]}
+                                       for cp in d.cutpoints]}
+                        for d in map(self.domains.get, sorted(self.domains))],
             "edges": [{"from": f, "symbol": s, "to": t}
                       for (f, s), t in sorted(self.edges.items())],
             "frontier": sorted(self.frontier),
@@ -263,24 +300,23 @@ def build_tower(ray_choice: RayChoice, truncation: int,
         raise ValueError("extra_levels must be >= 0")
     part = build_partition(ray_choice)
     g = TowerGraph(part, truncation, extra_levels)
-    base_id = g.identify((ArcSet.full_circle(), ()))
-    pending = [base_id]
+    base = ((1 << part.lattice) - 1, ())
+    pending = [(g._identify(base), base)]
     while pending:
-        nxt: list[int] = []
-        for did in pending:
-            dom = g.domains[did]
-            if dom.level > g.expand_limit:
+        nxt = []
+        for did, (mask, cps) in pending:
+            if g.domains[did].level > g.expand_limit:
                 g.frontier.add(did)
                 continue
             for sym in range(part.size):
-                cand = step(dom, sym, part)
+                cand = g._cells.step(mask, cps, sym)
                 if cand is None:
                     continue
                 known = len(g.domains)
-                tid = g.identify(cand)
+                tid = g._identify(cand)
                 g.edges[(did, sym)] = tid
                 if tid >= known:
-                    nxt.append(tid)
+                    nxt.append((tid, cand))
         pending = nxt
     return g
 
@@ -311,12 +347,13 @@ def structural_checks(g: TowerGraph) -> StructuralReport:
     """Verify the tower's combinatorial guarantees on the built graph.
 
     Checks, for every recorded edge (D, Z, D'): the image arc-set equality
-    (the Markov property, exact), level(D') <= level(D) + 1, and collects
-    sideways moves (level preserved or decreased) as a report, since they are
-    allowed.  Per-level domain counts are compared against the bound
-    #critical-points * product(kappa) = kappa for unicritical maps; per-age
-    cutpoint multiplicity against #critical-points = 1.  In-edges to the base
-    are counted and must be zero.
+    (the Markov property, exact, in ArcSet algebra apart from the build's
+    masks, once per distinct (arc-set, symbol)), level(D') <= level(D) + 1,
+    and collects sideways moves (level preserved or decreased) as a report,
+    since they are allowed.  Per-level domain counts are compared against
+    the bound #critical-points * product(kappa) = kappa for unicritical
+    maps; per-age cutpoint multiplicity against #critical-points = 1.
+    In-edges to the base are counted and must be zero.
     """
     part = g.partition
     bound = part.ray_choice.kappa
@@ -328,6 +365,8 @@ def structural_checks(g: TowerGraph) -> StructuralReport:
     markov_failures = []
     sideways = []
     base_in = 0
+    image = cache(lambda arcset, sym: arcset.intersect(
+        part.arc_set(sym)).image_times_d(part.degree))
     for (fid, sym), tid in g.edges.items():
         src, dst = g.domains[fid], g.domains[tid]
         if dst.level > src.level + 1:
@@ -336,8 +375,7 @@ def structural_checks(g: TowerGraph) -> StructuralReport:
             sideways.append((fid, sym, tid))
         if tid == 0:
             base_in += 1
-        piece = src.arcset.intersect(part.arc_set(sym))
-        if piece.image_times_d(part.degree) != dst.arcset:
+        if image(src.arcset, sym) != dst.arcset:
             markov_failures.append((fid, sym))
 
     age_violations = []
@@ -407,36 +445,68 @@ def trace(a: Fraction, g: TowerGraph, n: int) -> TracePath:
 # import/export
 
 
+def _nested(obj, depth: int) -> str:
+    """json.dumps(obj, indent=1, sort_keys=True) of a value depth deep."""
+    return json.dumps(obj, indent=1, sort_keys=True).replace(
+        "\n", "\n" + " " * depth)
+
+
+def _json_list(items: list[str], depth: int) -> str:
+    """Encoded items as a list depth deep, laid out as _nested does."""
+    if not items:
+        return "[]"
+    pad = "\n" + " " * (depth + 1)
+    return "[" + pad + ("," + pad).join(items) + pad[:-1] + "]"
+
+
 def tower_to_json_str(g: TowerGraph) -> str:
-    return json.dumps(g.to_json(), indent=1, sort_keys=True)
+    """json.dumps(g.to_json(), indent=1, sort_keys=True), written straight
+    from the graph with the text of each distinct arc-set and cutpoint
+    angle list made once."""
+    arcs = cache(lambda arcset: _nested(arcset.to_pairs(), 3))
+    angles = cache(lambda nums, n: _nested([format_angle(k, n)
+                                            for k in nums], 5))
+    doms = []
+    for d in map(g.domains.get, sorted(g.domains)):
+        cps = [f'{{\n     "age": {cp.age},\n     "angles": '
+               f'{angles(cp.nums, cp.lattice)},\n     "origin": '
+               f'{cp.origin}\n    }}' for cp in d.cutpoints]
+        doms.append(f'{{\n   "arcs": {arcs(d.arcset)},\n   "cutpoints": '
+                    f'{_json_list(cps, 3)},\n   "id": {d.id},\n   '
+                    f'"level": {d.level}\n  }}')
+    edges = [f'{{\n   "from": {f},\n   "symbol": {s},\n   "to": {t}\n  }}'
+             for (f, s), t in sorted(g.edges.items())]
+    return (f'{{\n "config": {_nested(g.config_json(), 1)},\n "domains": '
+            f'{_json_list(doms, 1)},\n "edges": {_json_list(edges, 1)},\n '
+            f'"frontier": {_nested(sorted(g.frontier), 1)}\n}}')
 
 
 def tower_from_json(payload: dict) -> TowerGraph:
     """Rebuild a TowerGraph from its JSON export (domains are trusted).
 
-    Every arc endpoint and cutpoint angle must lie on the partition lattice
-    of the config's angles; one that does not raises ValueError.  The text
-    holds about lattice-many distinct angles, each parsed once (the ratio
-    parser is memoized).
+    Every arc endpoint must lie in [0, 1] and every cutpoint angle in
+    [0, 1), both on the partition lattice of the config's angles; one that
+    does not raises ValueError.  Each distinct arcs text and cutpoint angle
+    list is parsed once, and the domains are made as the build makes them.
     """
     cfg = payload["config"]
     rc = RayChoice(cfg["degree"],
                    tuple(parse_angle(a) for a in cfg["critical_value_angles"]))
-    part = build_partition(rc)
-    n = part.lattice
-    g = TowerGraph(part, cfg["truncation"], cfg["extra_levels"])
+    g = TowerGraph(build_partition(rc), cfg["truncation"], cfg["extra_levels"])
+    mask = cache(lambda arcs: g._cells.mask(ArcSet.from_pairs(arcs)))
+
+    @cache
+    def nums(angles: tuple) -> tuple[int, ...]:
+        if not all(0 <= p < q for p, q in map(_parse_ratio, angles)):
+            raise ValueError(f"a cutpoint angle of {list(angles)} is not "
+                             "in [0, 1)")
+        return tuple(sorted(parse_angle(a, g._cells.n) for a in angles))
+
     for dj in payload["domains"]:
-        cps = tuple(sorted(
-            (CutPoint(c["age"], c["origin"], tuple(sorted(
-                parse_angle(a, n) for a in c["angles"])), n)
-             for c in dj["cutpoints"]),
-            key=lambda cp: (cp.age, cp.origin)))
-        arcs = ArcSet.from_pairs(dj["arcs"])
-        if n % arcs.den:
-            raise ValueError(f"domain {dj['id']} has an arc endpoint off "
-                             f"the lattice of 1/{n}")
-        dom = Domain(dj["id"], arcs, cps, _level_of(cps))
-        g.domains[dom.id] = dom
+        cps = sorted((c["age"], c["origin"], nums(tuple(c["angles"])))
+                     for c in dj["cutpoints"])
+        g.domains[dj["id"]] = g._cells.domain(
+            dj["id"], (mask(tuple(map(tuple, dj["arcs"]))), tuple(cps)))
     for e in payload["edges"]:
         g.edges[(e["from"], e["symbol"])] = e["to"]
     g.frontier = set(payload["frontier"])

@@ -304,6 +304,7 @@ CORRUPT_TOWERS = {
     "negative-arc-end": _domain_angle("arc", "-1/4"),
     "arc-end-past-one": _domain_angle("arc", "5/4"),
     "negative-denominator": _domain_angle("arc", "1/-4"),
+    "cutpoint-past-one": _domain_angle("cutpoint", "5/4"),
 }
 
 
@@ -354,17 +355,19 @@ def test_periodic_lift_grid_may_pass_the_horizon(tmp_path):
     assert {row.split(",")[0] for row in curves[1:]} == {"100", "250"}
 
 
-@pytest.mark.parametrize("horizons,message", [
-    ("0 8", "horizons entries must be >= 1"),
-    ("6 3000", "horizons entries must be <= 200"),
-], ids=["zero", "past-lift-horizon"])
+@pytest.mark.parametrize("entry,message", [
+    ("horizons = 0 8", "horizons entries must be >= 1"),
+    ("horizons = 6 3000", "horizons entries must be <= 200"),
+    ("lambdas = 0 1.2", "lambdas entries must be > 0"),
+], ids=["zero", "past-lift-horizon", "lambda-zero"])
 def test_conformal_horizons_out_of_range_is_config_error(tmp_path, capsys,
-                                                         horizons, message):
-    # lift_horizon defaults to [sampling] horizon = 200
+                                                         entry, message):
+    # lift_horizon defaults to [sampling] horizon = 200; a lambda <= 0 is
+    # refused at load too, not left to fail in log(lambda)
     text = (BASE.format(R=5, extra=16, out=tmp_path / "o")
-            + f"\n[conformal]\ndepth = 4\nhorizons = {horizons}\n")
+            + f"\n[conformal]\ndepth = 4\n{entry}\n")
     cfg, _ = write_cfg(tmp_path, text=text)
-    line = text.splitlines().index(f"horizons = {horizons}") + 1
+    line = text.splitlines().index(entry) + 1
     assert main(["tower-build", "--config", str(cfg)]) == EXIT_OK
     capsys.readouterr()
     assert main(["conformal", "--config", str(cfg)]) == EXIT_CONFIG

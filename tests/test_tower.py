@@ -491,6 +491,8 @@ def ray_choices(draw):
 @settings(max_examples=40, deadline=None)
 @given(ray_choices(), st.integers(0, 4), st.integers(0, 6))
 def test_integer_step_matches_fraction_oracle(rc, truncation, extra):
+    # the text, not only its parse: the schema writer must lay out every
+    # list as json.dumps does, the empty ones included
     g = build_tower(rc, truncation, extra_levels=extra)
-    assert json.loads(tower_to_json_str(g)) == fraction_tower_json(
-        rc, truncation, extra)
+    assert tower_to_json_str(g) == json.dumps(
+        fraction_tower_json(rc, truncation, extra), indent=1, sort_keys=True)
