@@ -178,6 +178,18 @@ class ArcSet:
         k = a.numerator * self.den // a.denominator % self.den
         return bisect_right(self.cuts, k) % 2 == 1
 
+    def closure_contains(self, p: int, q: int) -> bool:
+        """Membership of the angle p/q (q > 0, any p) in the closed version
+        of every arc."""
+        k, rest = divmod(p * self.den, q)
+        k %= self.den
+        i = bisect_right(self.cuts, k)
+        if i % 2 or rest:
+            return i % 2 == 1
+        # a sits on k / den: in the closure when an arc ends there
+        return (i > 0 and self.cuts[i - 1] == k) or (
+            k == 0 and self.cuts[-1:] == (self.den,))
+
     # -- set operations ----------------------------------------------------
 
     def intersect(self, other: "ArcSet") -> "ArcSet":

@@ -8,14 +8,15 @@ forward, ages the surviving cutpoints, and cuts at the critical point whenever
 the arc boundary is touched.  Domains with identical arc-sets and identical
 cutpoint decorations are identified, which keeps the graph finite per level.
 
-Everything here is exact integer arithmetic: every tower arc endpoint and
-cutpoint angle is a multiple of 1/N, N the partition lattice (see
-``CirclePartition.lattice``), so the build steps and identifies a domain as
-an N-bit mask of lattice cells plus cutpoint numerators k of k/N, aged as
-d*k mod N.  Fractions appear only as the read-only ``CutPoint.angles`` view
-and in the "p/q" text of the JSON export.  The graph is truncated at a
-configurable level, with unexpanded domains kept as frontier markers so
-escape across the truncation stays accounted for.
+Everything here is exact integer arithmetic: arc-sets are integer cuts, and
+a cutpoint angle is a numerator k over the partition lattice N (see
+``CirclePartition.lattice``), aged as d*k mod N, so the identification key is
+an arc-set and a tuple of ints.  The build makes each move once per distinct
+(arc-set, symbol) and a Domain only for a new key.  Fractions appear only as
+the read-only ``CutPoint.angles`` view and in the "p/q" text of the JSON
+export.  The graph is truncated at a configurable level, with unexpanded
+domains kept as frontier markers so escape across the truncation stays
+accounted for.
 """
 
 from __future__ import annotations
@@ -84,76 +85,59 @@ class Domain:
 Candidate = tuple[ArcSet, tuple[CutPoint, ...]]
 
 
-class _Cells:
-    """Domains on the lattice of 1/n as all-integer keys (mask, cps).
+def _key(arcset: ArcSet, cutpoints) -> tuple:
+    """The all-integer identification key of a domain."""
+    return arcset, tuple((cp.age, cp.origin, cp.nums, cp.lattice)
+                         for cp in cutpoints)
 
-    Bit k of mask is the cell [k/n, (k+1)/n), and cps holds (age, origin,
-    numerators over n) sorted by age and origin.  A step rests on exact bit
-    facts: the part of a domain in arc s is mask & arcs[s]; multiplication
-    by d maps cell k onto cells d*k .. d*k+d-1 mod n; and the point k/n lies
-    in the closure of a mask when cell k or cell k-1 is in it.
+
+class _Kernel:
+    """The step on keys (arcset, cps), cps holding (age, origin, nums,
+    lattice) sorted by age and origin.  Each move (the piece of an arc-set
+    in one arc, its image and the cutpoint born there) is made once per
+    distinct (arc-set, symbol), and each cutpoint's fate under a move once
+    per distinct angle list, so the cost of a step follows the number of
+    cuts and never the lattice.
     """
 
     def __init__(self, part: CirclePartition):
-        self.n, self.d = n, d = part.lattice, part.degree
-        b = part.boundary_nums
-        self.arcs = [self.mask(part.arc_set(s)) for s in range(len(b))]
-        self.ends = [(b[s], b[(s + 1) % len(b)]) for s in range(len(b))]
-        self.images = [sum({1 << (d * k + j) % n for j in range(d)})
-                       for k in range(n)]
-        self.moves, self.arcsets = {}, {}
-        self.cutpoint = cache(lambda cp: CutPoint(*cp, n))
-
-    def mask(self, arcset: ArcSet) -> int:
-        if self.n % arcset.den:
-            raise ValueError(f"{arcset} is off the lattice of 1/{self.n}")
-        c = [x * (self.n // arcset.den) for x in arcset.cuts]
-        return sum((1 << b) - (1 << a) for a, b in zip(c[::2], c[1::2]))
-
-    def key(self, arcset: ArcSet, cutpoints) -> tuple:
-        if any(self.n % cp.lattice for cp in cutpoints):
-            raise ValueError(f"a cutpoint is off the lattice of 1/{self.n}")
-        return self.mask(arcset), tuple(sorted(
-            (cp.age, cp.origin, tuple(sorted(k * (self.n // cp.lattice)
-                                             for k in cp.nums)))
-            for cp in cutpoints))
+        self.part = part
+        self.moves: dict = {}
+        self.cutpoint = cache(lambda cp: CutPoint(*cp))
 
     def domain(self, did: int, key) -> Domain:
-        """The domain of a key, one ArcSet per distinct mask (cut where
-        cells k-1 and k differ) and one CutPoint per distinct cutpoint."""
-        (mask, cps), n = key, self.n
-        if mask not in self.arcsets:
-            edges = mask ^ mask << 1
-            self.arcsets[mask] = ArcSet._of(
-                n, [k for k in range(n + 1) if edges >> k & 1])
-        return Domain(did, self.arcsets[mask], tuple(map(self.cutpoint, cps)),
+        """The domain of a key, with one CutPoint per distinct cutpoint."""
+        arcset, cps = key
+        return Domain(did, arcset, tuple(map(self.cutpoint, cps)),
                       cps[-1][0] if cps else 0)
 
-    def step(self, mask: int, cps, symbol: int):
+    def step(self, arcset: ArcSet, cps, symbol: int):
         """Key of the image of the part of the domain in the arc, or None
         when they do not meet.  Cutpoint angles in the closure of the part
-        survive with age+1 and angles times d; a touch of either arc end
-        (the critical point) makes the age-1 cutpoint at their images."""
-        d, n = self.d, self.n
-        move = self.moves.get((mask, symbol))
+        survive with age+1 and angles times d (a numerator k over lattice m
+        steps to d*k mod m); a touch of either arc end (the critical point)
+        makes the age-1 cutpoint at their images on the partition lattice."""
+        part, d = self.part, self.part.degree
+        move = self.moves.get((arcset, symbol))
         if move is None:
-            piece, image = mask & self.arcs[symbol], 0
-            for k in range(n):
-                if piece >> k & 1:
-                    image |= self.images[k]
-            closed = piece | (piece << 1 | piece >> n - 1) & (1 << n) - 1
-            born = {d * k % n for k in self.ends[symbol] if closed >> k & 1}
-            move = self.moves[(mask, symbol)] = piece and (
-                image, closed, tuple(sorted(born)))
-        if not move:  # an empty piece, memoized as 0
+            n, b = part.lattice, part.boundary_nums
+            piece = arcset.intersect(part.arc_set(symbol))
+            born = {d * k % n for k in (b[symbol], b[(symbol + 1) % len(b)])
+                    if piece.closure_contains(k, n)}
+            move = self.moves[(arcset, symbol)] = piece.cuts and (
+                piece, piece.image_times_d(d), tuple(sorted(born)), {})
+        if not move:  # an empty piece, memoized as ()
             return None
-        image, closed, born = move
+        piece, image, born, fates = move
         # carried ages are all >= 2, so the born cutpoint sorts first
-        out = [(1, 0, born)] if born else []
-        for age, origin, nums in cps:
-            hit = {d * k % n for k in nums if closed >> k & 1}
+        out = [(1, 0, born, part.lattice)] if born else []
+        for age, origin, nums, m in cps:
+            hit = fates.get((nums, m))
+            if hit is None:
+                hit = fates[(nums, m)] = tuple(sorted(
+                    {d * k % m for k in nums if piece.closure_contains(k, m)}))
             if hit:
-                out.append((age + 1, origin, tuple(sorted(hit))))
+                out.append((age + 1, origin, hit, m))
         if not out:
             # images are cut either at the critical point (arc endpoints
             # touched) or at a surviving cutpoint; a bare one cannot occur
@@ -165,13 +149,13 @@ def step(domain: Domain, symbol: int, partition: CirclePartition) -> Candidate |
     """Image of the part of a domain inside one partition arc: the
     candidate (arc-set, cutpoints) of the successor domain, or None when
     the domain does not meet the arc.  The one-domain form of the build's
-    step on keys; the domain must live on the partition lattice."""
-    cells = _Cells(partition)
-    key = cells.step(*cells.key(domain.arcset, domain.cutpoints), symbol)
+    step on keys."""
+    kernel = _Kernel(partition)
+    arcset, cps = _key(domain.arcset, domain.cutpoints)
+    key = kernel.step(arcset, tuple(sorted(cps)), symbol)
     if key is None:
         return None
-    image = cells.domain(domain.id, key)
-    return image.arcset, image.cutpoints
+    return key[0], tuple(map(kernel.cutpoint, key[1]))
 
 
 @dataclass
@@ -193,8 +177,8 @@ class TowerGraph:
     _index: dict = field(default_factory=dict, repr=False)
 
     @cached_property
-    def _cells(self) -> _Cells:
-        return _Cells(self.partition)
+    def _kernel(self) -> _Kernel:
+        return _Kernel(self.partition)
 
     @property
     def expand_limit(self) -> int:
@@ -219,15 +203,15 @@ class TowerGraph:
         """Id of the candidate domain, inserting it if never seen."""
         if len(self._index) < len(self.domains):
             # a graph read by tower_from_json is indexed on first use
-            self._index = {self._cells.key(d.arcset, d.cutpoints): i
+            self._index = {_key(d.arcset, d.cutpoints): i
                            for i, d in self.domains.items()}
-        return self._identify(self._cells.key(*candidate))
+        return self._identify(_key(*candidate))
 
     def _identify(self, key) -> int:
         did = self._index.get(key)
         if did is None:
             did = self._index[key] = len(self.domains)
-            self.domains[did] = self._cells.domain(did, key)
+            self.domains[did] = self._kernel.domain(did, key)
         return did
 
     def level_counts(self) -> dict[int, int]:
@@ -300,16 +284,16 @@ def build_tower(ray_choice: RayChoice, truncation: int,
         raise ValueError("extra_levels must be >= 0")
     part = build_partition(ray_choice)
     g = TowerGraph(part, truncation, extra_levels)
-    base = ((1 << part.lattice) - 1, ())
+    base = (ArcSet.full_circle(), ())
     pending = [(g._identify(base), base)]
     while pending:
         nxt = []
-        for did, (mask, cps) in pending:
+        for did, (arcset, cps) in pending:
             if g.domains[did].level > g.expand_limit:
                 g.frontier.add(did)
                 continue
             for sym in range(part.size):
-                cand = g._cells.step(mask, cps, sym)
+                cand = g._kernel.step(arcset, cps, sym)
                 if cand is None:
                     continue
                 known = len(g.domains)
@@ -347,8 +331,8 @@ def structural_checks(g: TowerGraph) -> StructuralReport:
     """Verify the tower's combinatorial guarantees on the built graph.
 
     Checks, for every recorded edge (D, Z, D'): the image arc-set equality
-    (the Markov property, exact, in ArcSet algebra apart from the build's
-    masks, once per distinct (arc-set, symbol)), level(D') <= level(D) + 1,
+    (the Markov property, exact, recomputed apart from the build's move
+    memo, once per distinct (arc-set, symbol)), level(D') <= level(D) + 1,
     and collects sideways moves (level preserved or decreased) as a report,
     since they are allowed.  Per-level domain counts are compared against
     the bound #critical-points * product(kappa) = kappa for unicritical
@@ -493,20 +477,24 @@ def tower_from_json(payload: dict) -> TowerGraph:
     rc = RayChoice(cfg["degree"],
                    tuple(parse_angle(a) for a in cfg["critical_value_angles"]))
     g = TowerGraph(build_partition(rc), cfg["truncation"], cfg["extra_levels"])
-    mask = cache(lambda arcs: g._cells.mask(ArcSet.from_pairs(arcs)))
+    n = g.partition.lattice
+    arcsets = cache(lambda arcs: ArcSet.from_pairs(arcs))
 
     @cache
     def nums(angles: tuple) -> tuple[int, ...]:
         if not all(0 <= p < q for p, q in map(_parse_ratio, angles)):
             raise ValueError(f"a cutpoint angle of {list(angles)} is not "
                              "in [0, 1)")
-        return tuple(sorted(parse_angle(a, g._cells.n) for a in angles))
+        return tuple(sorted(parse_angle(a, n) for a in angles))
 
     for dj in payload["domains"]:
-        cps = sorted((c["age"], c["origin"], nums(tuple(c["angles"])))
+        arcs = arcsets(tuple(map(tuple, dj["arcs"])))
+        if n % arcs.den:
+            raise ValueError(f"domain {dj['id']} has an arc endpoint off "
+                             f"the lattice of 1/{n}")
+        cps = sorted((c["age"], c["origin"], nums(tuple(c["angles"])), n)
                      for c in dj["cutpoints"])
-        g.domains[dj["id"]] = g._cells.domain(
-            dj["id"], (mask(tuple(map(tuple, dj["arcs"]))), tuple(cps)))
+        g.domains[dj["id"]] = g._kernel.domain(dj["id"], (arcs, tuple(cps)))
     for e in payload["edges"]:
         g.edges[(e["from"], e["symbol"])] = e["to"]
     g.frontier = set(payload["frontier"])

@@ -86,11 +86,13 @@ def test_arcset_basic():
     a = ArcSet.arc(F(1, 4), F(3, 4))
     assert a.length() == F(1, 2)
     assert a.contains(F(1, 4)) and not a.contains(F(3, 4))
+    assert a.closure_contains(3, 4)
     assert not a.contains(F(7, 8))
     w = ArcSet.arc(F(3, 4), F(1, 4))   # wraps through 0
     assert w.length() == F(1, 2)
     assert w.contains(F(0)) and w.contains(F(7, 8))
     assert not w.contains(F(1, 4))
+    assert w.closure_contains(1, 4)
 
 
 def test_arcset_full_and_empty():

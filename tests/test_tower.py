@@ -14,7 +14,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from angletower.angles import (ArcSet, RayChoice, build_partition,
@@ -279,6 +279,14 @@ def test_json_roundtrip(rc):
     assert g2.identify((d1.arcset, d1.cutpoints)) == 1
 
 
+def test_reload_names_the_domain_of_an_off_lattice_arc():
+    payload = json.loads(tower_to_json_str(build_tower(DEND, 5)))
+    payload["domains"][1]["arcs"][0][1] = "1/5"
+    with pytest.raises(ValueError, match="domain 1 has an arc endpoint off "
+                       "the lattice of 1/12"):
+        tower_from_json(payload)
+
+
 # every arc endpoint and cutpoint angle is a multiple of 1/N, N the lcm of
 # the angle universe's denominators, so each domain's cuts live over N
 @pytest.mark.parametrize("rc, n", [(CHEB, 4), (DEND, 12), (PAIR, 24),
@@ -488,8 +496,12 @@ def ray_choices(draw):
     return RayChoice(d, tuple(angles))
 
 
+# a step costs what the arc-sets' cuts cost, never the lattice: 1/1048574
+# puts N = 2,097,148 past the dense cell tables of streams
 @settings(max_examples=40, deadline=None)
 @given(ray_choices(), st.integers(0, 4), st.integers(0, 6))
+@example(RayChoice(2, (F(1, 16382),)), 3, 4)
+@example(RayChoice(2, (F(1, 1048574),)), 3, 4)
 def test_integer_step_matches_fraction_oracle(rc, truncation, extra):
     # the text, not only its parse: the schema writer must lay out every
     # list as json.dumps does, the empty ones included
