@@ -334,7 +334,7 @@ def cmd_tower_build(cfg: RunConfig, out: Path):
     files = {
         "tower.json": tower_to_json_str(g) + "\n",
         "structure.json": _dump({"passed": rep.passed,
-                                 **dataclasses.asdict(rep)}),
+                                 **vars(rep)}),
     }
     failures = [] if rep.passed else ["structural checks failed"]
     inside = g.domain_count(within_truncation=True)

@@ -20,7 +20,8 @@ from .angles import CirclePartition, angle_orbit, format_angle
 from .geometry import (CRIT_TOL, CriticalProximity, LandingError,
                        LandingSolver, PolynomialModel)
 from .streams import (TraceEnsemble, common_numerators, is_dyadic,
-                      trace_ensemble, window_digits, word_codes)
+                      symbol_matrix, trace_ensemble, walk_blocks, walk_table,
+                      window_digits, word_codes)
 from .tower import TowerGraph
 
 PROVENANCES = ("brolin", "dirac-periodic", "conformal", "custom")
@@ -29,10 +30,6 @@ DEFAULT_FLOOR = 0.05
 DENSITY_DEPTH = 6
 MAX_ORBIT = 64
 MIN_WORD_COUNT = 25
-
-# samples x steps cells per block of the lift diagnostics (2 MB of
-# float64), so no lift holds a samples x horizon temporary
-_BLOCK_CELLS = 1 << 18
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -242,11 +239,15 @@ class TowerMass:
         return sum(self.mass.values())
 
 
-def make_ensemble(mu: SampleMeasure, g: TowerGraph, n: int) -> TraceEnsemble:
-    """Trace the measure's samples n steps, honoring its horizon."""
+def _within_horizon(mu: SampleMeasure, n: int) -> None:
     if mu.horizon is not None and n > mu.horizon:
         raise ValueError(
             f"measure is exact to horizon {mu.horizon}, requested {n}")
+
+
+def make_ensemble(mu: SampleMeasure, g: TowerGraph, n: int) -> TraceEnsemble:
+    """Trace the measure's samples n steps, honoring its horizon."""
+    _within_horizon(mu, n)
     return trace_ensemble(mu, mu.weights, g, n)
 
 
@@ -267,11 +268,67 @@ def _traced(ens: TraceEnsemble, n: int) -> TraceEnsemble:
     return ens
 
 
-def _step_blocks(ens: TraceEnsemble, n: int):
-    """Step ranges covering 0..n-1, about _BLOCK_CELLS trace cells each."""
-    block = max(1, _BLOCK_CELLS // max(1, ens.count))
-    for k0 in range(0, n, block):
-        yield k0, min(k0 + block, n)
+def _trace(mu: SampleMeasure, g: TowerGraph, n: int,
+           ensemble: TraceEnsemble | None):
+    """Weights, symbols, levels and state blocks over steps 0..n of the
+    trace of mu: views of the ensemble's states when one is given, else
+    the blocks of walk_blocks, with no samples x horizon state matrix."""
+    if ensemble is not None:
+        ens = _traced(ensemble, n)
+        return ens.weights, ens.symbols, ens.levels, ens.state_blocks(n)
+    _within_horizon(mu, n)
+    symbols = symbol_matrix(mu.nums, mu.den, n, g.partition)
+    table, levels = walk_table(g)
+    return mu.weights, symbols, levels, walk_blocks(g, table, symbols, n)
+
+
+def _gather(table: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """table[states], step-major like states: take on the transpose is
+    about twice as fast as indexing by the int32 domain ids."""
+    return table.take(states.T).T
+
+
+def _fold(blocks, *folds) -> None:
+    """Hand every state block to every fold, in step order."""
+    for k0, states in blocks:
+        for fold in folds:
+            fold.add(k0, states)
+
+
+class _Curves:
+    """Retained mass at levels <= R, for each R of R_grid, at each step
+    0..n-1."""
+
+    def __init__(self, weights, levels, R_grid, n: int):
+        self.T = _count_sums(weights)
+        self.w = weights[:, None]
+        self.levels = levels
+        self.R_grid = R_grid
+        self.n = n
+        self.step_mass = np.empty((len(R_grid), n))
+
+    def add(self, k0: int, states: np.ndarray) -> None:
+        lv = _gather(self.levels, states[:, :max(0, self.n - k0)])
+        k1 = k0 + lv.shape[1]
+        for i, R in enumerate(self.R_grid):
+            if self.T is not None:
+                self.step_mass[i, k0:k1] = self.T[
+                    np.count_nonzero(lv <= R, axis=0)]
+            else:
+                # a running sum down the samples adds them in sample
+                # order, which fixes the last bit of every curve value
+                self.step_mass[i, k0:k1] = np.cumsum((lv <= R) * self.w,
+                                                     axis=0)[-1]
+
+    def rows(self, n_grid) -> list[tuple[int, int, float, float]]:
+        rows = []
+        for R, mass in zip(self.R_grid, self.step_mass):
+            cum = np.cumsum(mass)
+            for n in n_grid:
+                retained = float(cum[n - 1] / n)
+                rows.append((n, R, retained, 1.0 - retained))
+        rows.sort()
+        return rows
 
 
 def lift_cesaro(mu: SampleMeasure, g: TowerGraph, n: int,
@@ -315,27 +372,10 @@ def retained_curves(mu: SampleMeasure, g: TowerGraph, n_grid, R_grid,
     if n_grid[0] < 1:
         raise ValueError("horizons must be >= 1")
     n_max = n_grid[-1]
-    ens = _traced(ensemble or make_ensemble(mu, g, n_max), n_max)
-    T = _count_sums(ens.weights)
-    w = ens.weights[:, None]
-    step_mass = np.empty((len(R_grid), n_max))
-    for k0, k1 in _step_blocks(ens, n_max):
-        lv = ens.levels[ens.states[:, k0:k1]]
-        for i, R in enumerate(R_grid):
-            if T is not None:
-                step_mass[i, k0:k1] = T[np.count_nonzero(lv <= R, axis=0)]
-            else:
-                # a running sum down the samples adds them in sample
-                # order, which fixes the last bit of every curve value
-                step_mass[i, k0:k1] = np.cumsum((lv <= R) * w, axis=0)[-1]
-    rows = []
-    for R, mass in zip(R_grid, step_mass):
-        cum = np.cumsum(mass)
-        for n in n_grid:
-            retained = float(cum[n - 1] / n)
-            rows.append((n, R, retained, 1.0 - retained))
-    rows.sort()
-    return rows
+    weights, _, levels, blocks = _trace(mu, g, n_max, ensemble)
+    curves = _Curves(weights, levels, R_grid, n_max)
+    _fold(blocks, curves)
+    return curves.rows(n_grid)
 
 
 def curves_csv(rows) -> str:
@@ -393,6 +433,34 @@ def liftability_verdict(rows, floor: float = DEFAULT_FLOOR) -> LiftReport:
     return LiftReport(rows, verdict, floor)
 
 
+class _Defect:
+    """Weighted domain counts at step 0, summed over steps 0..n, and at
+    step n."""
+
+    def __init__(self, weights, size: int, n: int):
+        self.w = weights
+        self.size = size
+        self.n = n
+
+    def add(self, k0: int, states: np.ndarray) -> None:
+        for k in range(k0, min(k0 + states.shape[1], self.n + 1)):
+            self.last = np.bincount(states[:, k - k0], weights=self.w,
+                                    minlength=self.size)
+            if k == 0:
+                self.first = self.last
+                self.total = self.last.copy()
+            else:
+                self.total += self.last
+
+    def value(self, test_ids) -> float:
+        ids = np.asarray(list(test_ids), dtype=np.intp)
+        if not len(ids):
+            return 0.0
+        shifted = (self.total[ids] - self.first[ids]) / self.n
+        plain = (self.total[ids] - self.last[ids]) / self.n
+        return float(np.abs(shifted - plain).max())
+
+
 def invariance_defect(ensemble: TraceEnsemble, n: int, test_ids) -> float:
     """max over domain indicators of |Cesaro(phi o fhat) - Cesaro(phi)|.
 
@@ -403,20 +471,9 @@ def invariance_defect(ensemble: TraceEnsemble, n: int, test_ids) -> float:
     """
     if not 1 <= n <= ensemble.horizon:
         raise ValueError(f"n must be in 1..{ensemble.horizon}")
-    states = ensemble.states
-    w = ensemble.weights
-    size = len(ensemble.graph.domains)
-    first = np.bincount(states[:, 0], weights=w, minlength=size)
-    total = first.copy()
-    for k in range(1, n + 1):
-        last = np.bincount(states[:, k], weights=w, minlength=size)
-        total += last
-    ids = np.asarray(list(test_ids), dtype=np.intp)
-    if not len(ids):
-        return 0.0
-    shifted = (total[ids] - first[ids]) / n
-    plain = (total[ids] - last[ids]) / n
-    return float(np.abs(shifted - plain).max())
+    defect = _Defect(ensemble.weights, len(ensemble.graph.domains), n)
+    _fold(ensemble.state_blocks(n), defect)
+    return defect.value(test_ids)
 
 
 @dataclass(frozen=True)
@@ -441,6 +498,63 @@ class DensityReport:
         }
 
 
+class _Density:
+    """Retained (level <= R) weight of each depth-m cylinder word summed
+    over steps 0..n-m-1, and mu, the weight of the words at step 0."""
+
+    def __init__(self, symbols, weights, levels, N: int, m: int, R: int,
+                 n: int):
+        self.syms, self.w, self.N, self.m = symbols, weights, N, m
+        self.T = _count_sums(weights)
+        self.steps = n - m
+        self.base = N ** m
+        self.lead = np.int64(N ** (m - 1))
+        self.wid = word_codes(symbols[:, :m], N)
+        self.mu_mass = np.bincount(self.wid, weights=weights,
+                                   minlength=self.base)
+        # w[keep].sum() is numpy's pairwise sum of c copies of w
+        self.pairwise = cache(lambda c: float(np.full(c, weights[0]).sum()))
+        self.proj = np.zeros(self.base, dtype=np.float64)
+        self.retained_sum = 0.0
+        self.retained_at = levels <= R
+
+    def add(self, k0: int, states: np.ndarray) -> None:
+        syms, w, T, wid = self.syms, self.w, self.T, self.wid
+        kept = _gather(self.retained_at, states[:, :max(0, self.steps - k0)])
+        for k in range(k0, k0 + kept.shape[1]):
+            if k > 0:
+                # shift the word one symbol on, in place
+                wid -= syms[:, k - 1] * self.lead
+                wid *= self.N
+                wid += syms[:, k + self.m - 1]
+            keep = kept[:, k - k0]
+            if T is not None:
+                self.proj += T[np.bincount(wid[keep], minlength=self.base)]
+                self.retained_sum += self.pairwise(
+                    int(np.count_nonzero(keep)))
+            elif keep.any():
+                self.proj += np.bincount(wid[keep], weights=w[keep],
+                                         minlength=self.base)
+                self.retained_sum += float(w[keep].sum())
+
+    def report(self, min_mass: float = 0.0) -> DensityReport:
+        N, m, mu_mass = self.N, self.m, self.mu_mass
+        proj = self.proj / self.steps
+        retained = self.retained_sum / self.steps
+        ratios = {}
+        corrected = {}
+        skipped = []
+        for i in np.nonzero(mu_mass + proj)[0]:
+            word = tuple(int(x) for x in np.unravel_index(i, (N,) * m))
+            if mu_mass[i] <= min_mass or mu_mass[i] == 0.0:
+                skipped.append(word)
+                continue
+            r = float(proj[i] / mu_mass[i])
+            ratios[word] = r
+            corrected[word] = r / retained if retained > 0 else math.inf
+        return DensityReport(m, retained, ratios, corrected, tuple(skipped))
+
+
 def project_and_density(ensemble: TraceEnsemble, m: int, R: int,
                         n: int | None = None,
                         min_mass: float = 0.0) -> DensityReport:
@@ -458,53 +572,10 @@ def project_and_density(ensemble: TraceEnsemble, m: int, R: int,
     _traced(ensemble, n)
     if n - m < 1:
         raise ValueError("horizon too short for this cylinder depth")
-    syms = ensemble.symbols
-    w = ensemble.weights
-    T = _count_sums(w)
-    N = ensemble.graph.partition.size
-    base = N ** m
-
-    wid = word_codes(syms[:, :m], N)
-    mu_mass = np.bincount(wid, weights=w, minlength=base)
-    # w[keep].sum() is numpy's pairwise sum of c copies of w
-    pairwise = cache(lambda c: float(np.full(c, w[0]).sum()))
-
-    proj = np.zeros(base, dtype=np.float64)
-    steps = n - m
-    retained_sum = 0.0
-    retained_at = ensemble.levels <= R
-    lead = np.int64(N ** (m - 1))
-    for k0, k1 in _step_blocks(ensemble, steps):
-        kept = retained_at[ensemble.states[:, k0:k1]]
-        for k in range(k0, k1):
-            if k > 0:
-                # shift the word one symbol on, in place
-                wid -= syms[:, k - 1] * lead
-                wid *= N
-                wid += syms[:, k + m - 1]
-            keep = kept[:, k - k0]
-            if T is not None:
-                proj += T[np.bincount(wid[keep], minlength=base)]
-                retained_sum += pairwise(int(np.count_nonzero(keep)))
-            elif keep.any():
-                proj += np.bincount(wid[keep], weights=w[keep],
-                                    minlength=base)
-                retained_sum += float(w[keep].sum())
-    proj /= steps
-    retained = retained_sum / steps
-
-    ratios = {}
-    corrected = {}
-    skipped = []
-    for i in np.nonzero(mu_mass + proj)[0]:
-        word = tuple(int(x) for x in np.unravel_index(i, (N,) * m))
-        if mu_mass[i] <= min_mass or mu_mass[i] == 0.0:
-            skipped.append(word)
-            continue
-        r = float(proj[i] / mu_mass[i])
-        ratios[word] = r
-        corrected[word] = r / retained if retained > 0 else math.inf
-    return DensityReport(m, retained, ratios, corrected, tuple(skipped))
+    density = _Density(ensemble.symbols, ensemble.weights, ensemble.levels,
+                       ensemble.graph.partition.size, m, R, n)
+    _fold(ensemble.state_blocks(n - m - 1), density)
+    return density.report(min_mass)
 
 
 # --------------------------------------------------------------------------
@@ -646,21 +717,35 @@ def lift_report(mu: SampleMeasure, g: TowerGraph, n_grid, R_grid,
                 floor: float = DEFAULT_FLOOR,
                 ensemble: TraceEnsemble | None = None) -> LiftReport:
     """One-stop verdict: curves, verdict, defect, and density ratios of
-    the depth-DENSITY_DEPTH cylinders."""
+    the depth-DENSITY_DEPTH cylinders.
+
+    One pass over the state blocks of the trace to the largest horizon
+    folds all three diagnostics; without an ensemble the blocks come
+    straight out of the tower walk, and no samples x horizon state matrix
+    is built.
+    """
     n_grid = sorted(set(int(n) for n in n_grid))
     R_grid = sorted(set(int(R) for R in R_grid))
     if not n_grid or not R_grid:
         return LiftReport((), "inconclusive", floor)
+    if n_grid[0] < 1:
+        raise ValueError("horizons must be >= 1")
     n_max = n_grid[-1]
-    ens = ensemble if ensemble is not None else make_ensemble(mu, g, n_max)
-    rows = retained_curves(mu, g, n_grid, R_grid, ensemble=ens)
-    report = liftability_verdict(rows, floor)
+    weights, symbols, levels, blocks = _trace(mu, g, n_max, ensemble)
+    curves = _Curves(weights, levels, R_grid, n_max)
+    defect = _Defect(weights, len(g.domains), n_max)
+    folds = [curves, defect]
+    if n_max > DENSITY_DEPTH:
+        # folded whatever the verdict, which the curves give only at the end
+        density = _Density(symbols, weights, levels, g.partition.size,
+                           DENSITY_DEPTH, max(R_grid), n_max)
+        folds.append(density)
+    _fold(blocks, *folds)
+    report = liftability_verdict(curves.rows(n_grid), floor)
     test_ids = [i for i, dom in g.domains.items()
                 if dom.level <= max(R_grid)]
-    defect = invariance_defect(ens, n_max, test_ids)
     densities = None
     if report.verdict == "liftable" and n_max > DENSITY_DEPTH:
-        densities = project_and_density(
-            ens, DENSITY_DEPTH, max(R_grid), n=n_max).corrected
+        densities = density.report().corrected
     return LiftReport(report.curves, report.verdict, floor,
-                      densities, defect)
+                      densities, defect.value(test_ids))

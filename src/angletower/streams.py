@@ -39,6 +39,10 @@ _SCAN_ROWS = 1 << 16
 # elementwise divmod of object arrays of Python ints
 _divmod = np.frompyfunc(divmod, 2, 2)
 
+# samples x steps cells per block of the tower walk (1 MB of int32
+# states), which a caller folds as it comes out of the walk
+_BLOCK_CELLS = 1 << 18
+
 
 def _d_adic_exponent(den: int, d: int) -> int | None:
     """Smallest K with den | d^K, or None when no power of d is a multiple."""
@@ -221,6 +225,11 @@ class FrontierReached(Exception):
             f"larger")
 
 
+def _block_width(count: int) -> int:
+    """Steps per block of _BLOCK_CELLS cells, for count samples."""
+    return max(1, _BLOCK_CELLS // max(1, count))
+
+
 def walk_table(g: TowerGraph) -> tuple[np.ndarray, np.ndarray]:
     """Dense transition table (domains x symbols, -1 absent) and level array.
 
@@ -287,6 +296,13 @@ class TraceEnsemble:
     def level_matrix(self) -> np.ndarray:
         return self.levels[self.states]
 
+    def state_blocks(self, n: int):
+        """Views (k0, states[:, k0:k1]) over steps 0..n, in the blocks
+        walk_blocks yields."""
+        width = _block_width(self.count)
+        for k0 in range(0, n + 1, width):
+            yield k0, self.states[:, k0:min(k0 + width, n + 1)]
+
 
 def common_numerators(angles) -> tuple[tuple[int, ...], int]:
     """Angles (anything Fraction takes) as integer numerators in [0, den)
@@ -297,10 +313,21 @@ def common_numerators(angles) -> tuple[tuple[int, ...], int]:
     return tuple(a.numerator * (den // a.denominator) for a in angles), den
 
 
-def _symbol_rows(nums, dens, n: int, partition: CirclePartition):
-    """Symbol streams of nums[i] / dens[i], each q routed to a scan of
-    the module docstring; one route for all hands its matrix over."""
+def symbol_matrix(nums, den: int, n: int,
+                  partition: CirclePartition) -> np.ndarray:
+    """Symbol streams (samples x n, column-major uint8) of nums[s] / den.
+
+    A den that fits_int64 or is d-adic, reduced or not, routes the whole
+    ensemble to one scan of the module docstring; any other den is often
+    the lcm of many small ones (a mixed measure), so samples route by
+    their denominators in lowest terms.
+    """
     d, M = partition.degree, partition.lattice
+    dens = [den] * len(nums)
+    if not (fits_int64(den, M, d) or _d_adic_exponent(den, d)):
+        gcds = [math.gcd(j, den) for j in nums]
+        nums = [j // c for j, c in zip(nums, gcds)]
+        dens = [den // c for c in gcds]
     exps = {q: _d_adic_exponent(q, d) for q in set(dens)
             if not fits_int64(q, M, d)}
     # route 0: forward on int64, -1: on Python ints, 1: backward at K
@@ -316,6 +343,7 @@ def _symbol_rows(nums, dens, n: int, partition: CirclePartition):
             if r > 0 else cell_streams(
                 [nums[i] for i in rows], [dens[i] for i in rows], d, n, M,
                 *_symbol_cuts(partition))))
+    # one route for all hands its matrix over
     if len(parts) == 1:
         return parts[0][1]
     syms = np.empty((len(nums), n), dtype=np.uint8, order="F")
@@ -324,14 +352,44 @@ def _symbol_rows(nums, dens, n: int, partition: CirclePartition):
     return syms
 
 
+def walk_blocks(g: TowerGraph, table: np.ndarray, syms: np.ndarray,
+                n: int):
+    """The tower walk of the symbol rows syms over steps 0..n, in blocks.
+
+    Yields (k0, block): block[:, j] holds each sample's domain id after
+    k0 + j steps (column 0 of the first block is the base), from the
+    walk_table `table`.  The blocks hold about _BLOCK_CELLS cells of one
+    reused column-major buffer, so a caller reads each block before it
+    asks for the next, and no samples x horizon matrix is ever held.
+    """
+    flat = table.ravel()
+    N = g.partition.size
+    count = len(syms)
+    width = _block_width(count)
+    buf = np.zeros((count, width), dtype=np.int32, order="F")
+    for k0 in range(0, n + 1, width):
+        block = buf[:, :min(width, n + 1 - k0)]
+        # step 0 is the base, the zeros buf starts with; at j = 0 of a
+        # later block the previous step is the last column of the
+        # previous block, which was full
+        for j in range(int(k0 == 0), block.shape[1]):
+            k = k0 + j
+            nxt = block[:, j]
+            # every index is in range: states so far are domain ids
+            np.take(flat, buf[:, j - 1] * N + syms[:, k - 1], out=nxt,
+                    mode="clip")
+            if (nxt < 0).any():
+                raise FrontierReached(k, max(1, n - 1 - g.expand_limit))
+        yield k0, block
+
+
 def trace_ensemble(angles, weights, g: TowerGraph, n: int) -> TraceEnsemble:
     """Trace every sample n steps from the base through the tower.
 
     angles are Fractions, put over the lcm of their denominators, or a
     measure with integer nums over one den (lifting.SampleMeasure), read
-    with no Fraction built.  A den that fits_int64 or is d-adic, reduced
-    or not, routes the whole ensemble; any other den is often the lcm of
-    many small ones (a mixed measure), so samples route in lowest terms.
+    with no Fraction built; symbol_matrix routes them.  states is filled
+    from walk_blocks.
     """
     if n < 1:
         raise ValueError("horizon must be >= 1")
@@ -342,25 +400,9 @@ def trace_ensemble(angles, weights, g: TowerGraph, n: int) -> TraceEnsemble:
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (len(nums),):
         raise ValueError("one weight per angle required")
-    count = len(nums)
-    partition = g.partition
-    tops, dens = nums, [den] * count
-    if not (fits_int64(den, partition.lattice, partition.degree)
-            or _d_adic_exponent(den, partition.degree)):
-        gcds = [math.gcd(j, den) for j in nums]
-        tops = [j // c for j, c in zip(nums, gcds)]
-        dens = [den // c for c in gcds]
-    syms = _symbol_rows(tops, dens, n, partition)
-
+    syms = symbol_matrix(nums, den, n, g.partition)
     table, levels = walk_table(g)
-    flat = table.ravel()
-    N = partition.size
-    states = np.empty((count, n + 1), dtype=np.int32, order="F")
-    states[:, 0] = 0
-    for k in range(n):
-        nxt = states[:, k + 1]
-        # every index is in range: states so far are domain ids
-        np.take(flat, states[:, k] * N + syms[:, k], out=nxt, mode="clip")
-        if (nxt < 0).any():
-            raise FrontierReached(k + 1, max(1, n - 1 - g.expand_limit))
+    states = np.empty((len(nums), n + 1), dtype=np.int32, order="F")
+    for k0, block in walk_blocks(g, table, syms, n):
+        states[:, k0:k0 + block.shape[1]] = block
     return TraceEnsemble(g, nums, den, weights, syms, states, levels)

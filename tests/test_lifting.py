@@ -21,7 +21,8 @@ from angletower import lifting as lf
 from angletower.angles import RayChoice, angle_orbit, build_partition, times_d
 from angletower.geometry import LandingSolver, PolynomialModel
 from angletower.inducing import choose_W, first_return
-from angletower.streams import trace_ensemble, word_codes
+from angletower import streams
+from angletower.streams import FrontierReached, trace_ensemble, word_codes
 from angletower.tower import build_tower
 
 CHEB = RayChoice(2, (F(1, 2),))
@@ -707,6 +708,80 @@ def test_lift_report_memory_and_step_layout():
         tracemalloc.stop()
     assert report.densities
     assert peak <= 2 * ens.states.nbytes
+
+
+# a cycle per tower whose lift leaves level 1 for good: not liftable at R = 1
+CYCLE_ABOVE_LEVEL_1 = {"cheb": F(1, 7), "dend": F(1, 7), "cubic": F(1, 8),
+                       "pair": F(1, 5)}
+
+
+@pytest.mark.parametrize("name, rc", [("cheb", CHEB), ("dend", DEND),
+                                      ("cubic", CUBIC), ("pair", PAIR)])
+def test_streamed_lift_matches_materialized(monkeypatch, name, rc):
+    n = 160
+    g = build_tower(rc, 6, extra_levels=n)
+    part = g.partition
+    cases = {
+        "brolin": (lf.brolin_samples(part, 60, n, seed=9), (2, 4, 6)),
+        "periodic": (lf.brolin_period_samples(part, 60, 9, bits=10),
+                     (2, 4, 6)),
+        "dirac": (lf.dirac_cycle(part, CYCLE_ABOVE_LEVEL_1[name]), (1,)),
+        # unequal weights over denominators no one scan takes together
+        "custom": (lf.custom_measure(
+            [(F(1, 3), 0.5), (F(5, 2 ** 70), 0.25), (F(2, 7), 0.125),
+             (F(1, 7 ** 25), 0.125)], part, horizon=n,
+            allow_boundary_orbit=True), (2, 4, 6)),
+    }
+    reports = {}
+    for case, (mu, R_grid) in cases.items():
+        ens = lf.make_ensemble(mu, g, n)
+        traced = reports[case] = lf.lift_report(mu, g, (40, 100, n), R_grid,
+                                                ensemble=ens)
+        # the default blocks hold the whole horizon; smaller ones carry
+        # the walk across block ends, down to one step per block
+        for cells in (streams._BLOCK_CELLS, 7 * len(mu.nums), 1):
+            monkeypatch.setattr(streams, "_BLOCK_CELLS", cells)
+            assert lf.lift_report(mu, g, (40, 100, n), R_grid) == traced, \
+                (case, cells)
+            monkeypatch.undo()
+    assert reports["brolin"].densities and reports["custom"].densities
+    assert reports["dirac"].verdict != "liftable"
+    assert reports["dirac"].densities is None
+
+
+def test_streamed_lift_raises_as_the_ensemble_does(monkeypatch):
+    g = build_tower(CHEB, 3)
+    climber = lf.custom_measure([(F(1, 8), 1.0)], g.partition,
+                                allow_boundary_orbit=True)
+    brolin = lf.brolin_samples(g.partition, 50, 300, seed=2)
+    monkeypatch.setattr(streams, "_BLOCK_CELLS", 50 * 3)
+    for mu, n in ((climber, 12), (brolin, 300)):
+        with pytest.raises(FrontierReached) as built:
+            lf.make_ensemble(mu, g, n)
+        with pytest.raises(FrontierReached) as streamed:
+            lf.lift_report(mu, g, (n // 2, n), (2,))
+        assert (streamed.value.step, streamed.value.needed_extra,
+                str(streamed.value)) == (built.value.step,
+                                         built.value.needed_extra,
+                                         str(built.value))
+    with pytest.raises(ValueError,
+                       match="measure is exact to horizon 300, requested 301"):
+        lf.lift_report(brolin, g, (100, 301), (2,))
+
+
+def test_streamed_lift_report_holds_no_state_matrix():
+    # the shipped dendrite lift, walked and folded block by block: the
+    # peak stays below one samples x (horizon + 1) int32 state matrix
+    g = build_tower(DEND, 8, extra_levels=64)
+    mu = lf.brolin_samples(g.partition, 2000, 1000, seed=7)
+    tracemalloc.start()
+    try:
+        report = lf.lift_report(mu, g, (250, 500, 1000), (4, 6, 8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.densities
+    assert peak < 2000 * 1001 * 4
 
 
 def test_lift_report_empty_grid(graph, brolin_ens):
