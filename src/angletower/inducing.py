@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -20,7 +21,7 @@ from scipy.sparse import csgraph
 from .angles import ArcSet, format_angle
 from .geometry import LandingError, LandingSolver
 from .lifting import TowerMass, entropy_estimate
-from .streams import TraceEnsemble, cell_streams, fits_int64, word_codes
+from .streams import TraceEnsemble, _block_width, cell_streams, fits_int64
 from .tower import Domain, TowerGraph
 
 DEFAULT_MARGIN = Fraction(1, 64)
@@ -130,11 +131,13 @@ class InducedSystem:
     def weights(self) -> np.ndarray:
         return self.ensemble.weights
 
-    @property
+    @cached_property
     def visits_per_sample(self) -> np.ndarray:
         n = self.ensemble.count
-        return (np.bincount(self.sample_index, minlength=n)
-                + np.bincount(self.censored_sample, minlength=n))
+        visits = (np.bincount(self.sample_index, minlength=n)
+                  + np.bincount(self.censored_sample, minlength=n))
+        visits.flags.writeable = False
+        return visits
 
     @property
     def witness_frequency(self) -> float:
@@ -158,13 +161,6 @@ class InducedSystem:
         wr = float(self.weights[self.sample_index].sum())
         wc = float(self.weights[self.censored_sample].sum())
         return wc / (wr + wc) if wr + wc else math.nan
-
-    def tau_additive(self) -> bool:
-        """Entry steps accumulate return times exactly within samples."""
-        same = self.sample_index[1:] == self.sample_index[:-1]
-        lhs = self.entry_step[1:][same]
-        rhs = (self.entry_step[:-1] + self.return_time[:-1])[same]
-        return bool(np.array_equal(lhs, rhs))
 
     def branch_word(self, i: int) -> tuple:
         s = int(self.sample_index[i])
@@ -229,10 +225,7 @@ def first_return(ensemble: TraceEnsemble, witness: WitnessRegion,
     last = np.ones(len(ss), dtype=bool)
     last[:-1] = ~same
     c_s, c_t = ss[last], kk[last]
-    return InducedSystem(witness, h, r_s.astype(np.int64),
-                         r_t.astype(np.int64), r_tau.astype(np.int64),
-                         c_s.astype(np.int64), c_t.astype(np.int64),
-                         ensemble)
+    return InducedSystem(witness, h, r_s, r_t, r_tau, c_s, c_t, ensemble)
 
 
 @dataclass(frozen=True)
@@ -322,22 +315,82 @@ class ExpansionReport:
 
 
 def _branch_codes(ind, r_s, r_t, r_tau):
-    """Prefix-free integer codes for branch words (length tau word w maps
-    to 2^tau + w); branches too long to encode become unique negatives."""
+    """Prefix-free integer codes for branch words (a length tau word w of
+    b-bit symbols maps to 2^(b tau) + w); branches too long to encode
+    become unique negatives."""
     syms = ind.ensemble.symbols
     N = ind.ensemble.graph.partition.size
     bits_per = max(1, (N - 1).bit_length())
     codes = np.empty(len(r_s), dtype=np.int64)
     for tau in np.unique(r_tau):
-        sel = r_tau == tau
+        sel = np.flatnonzero(r_tau == tau)
         if tau * bits_per > 60:
-            codes[sel] = -(np.flatnonzero(sel) + 1)
+            codes[sel] = -(sel + 1)
             continue
-        idx = r_t[sel][:, None] + np.arange(tau)
-        codes[sel] = (word_codes(syms[r_s[sel][:, None], idx],
-                                 1 << bits_per)
-                      + (np.int64(1) << int(bits_per * tau)))
+        # shifted in one symbol column at a time after the leading 1, so
+        # no returns x tau index matrix is built
+        s, t = r_s[sel], r_t[sel]
+        word = np.ones(len(sel), dtype=np.int64)
+        for j in range(tau):
+            word <<= bits_per
+            word |= syms[s, t + j]
+        codes[sel] = word
     return codes
+
+
+def _branch_logs(landings, model, h, r_s, r_t, r_tau):
+    """log|DF| of every return's branch, and each sample's log-derivative
+    sum over the horizon.
+
+    Samples are folded in blocks of about _BLOCK_CELLS cells: a block's
+    rows are the prefix sums of its landed orbits' log-derivatives, from
+    which the block's returns (a slice, as returns are sorted by sample)
+    read their branch sums.  A prefix sum runs along its row in step
+    order, so each value has the bits it has in the whole samples x
+    horizon matrix, which is never held.  Rows of excluded samples are 0
+    and no return reads them.
+    """
+    count = len(landings)
+    width = _block_width(h)
+    cums = np.zeros((min(width, count), h + 1))
+    blog = np.empty(len(r_s))
+    totals = np.empty(count)
+    for s0 in range(0, count, width):
+        rows = cums[:min(width, count - s0)]
+        for row, land in zip(rows, landings[s0:s0 + width]):
+            if isinstance(land, LandingError):
+                row[1:] = 0.0
+            else:
+                np.cumsum(land.log_derivs(model, h), out=row[1:])
+        lo, hi = np.searchsorted(r_s, (s0, s0 + len(rows)))
+        s, t = r_s[lo:hi] - s0, r_t[lo:hi]
+        blog[lo:hi] = rows[s, t + r_tau[lo:hi]] - rows[s, t]
+        totals[s0:s0 + len(rows)] = rows[:, h]
+    return blog, totals
+
+
+def _min_by_n(r_s, blog) -> dict:
+    """Per n up to BRANCH_RUN_MAX, the least product of n consecutive
+    branch derivatives of one sample; stops at the first n no sample
+    reaches."""
+    min_by_n = {}
+    cb = np.concatenate([[0.0], np.cumsum(blog)])
+    for N in range(1, BRANCH_RUN_MAX + 1):
+        if N > len(r_s):
+            break
+        valid = r_s[N - 1:] == r_s[:len(r_s) - N + 1]
+        if not valid.any():
+            break
+        roll = cb[N:] - cb[:-N]
+        min_by_n[N] = float(np.exp(roll[valid].min()))
+    return min_by_n
+
+
+def _unique_inverse(keys):
+    """np.unique(keys, return_inverse=True) without its argsort and
+    scatter: the inverse is each key's place among the distinct keys."""
+    uniq = np.unique(keys)
+    return uniq, np.searchsorted(uniq, keys)
 
 
 def expansion_and_abramov(ind: InducedSystem,
@@ -360,37 +413,22 @@ def expansion_and_abramov(ind: InducedSystem,
                                None, None, None, None, 0)
     ens = ind.ensemble
     h = ind.horizon
-    vals = np.zeros((ens.count, h))
-    excluded = []
-    for i, land in enumerate(solver.land_many(ens.angles)):
-        if isinstance(land, LandingError):
-            excluded.append((i, str(land)))
-            continue
-        vals[i] = land.log_derivs(solver.model, h)
+    landings = solver.land_many(ens.angles)
+    excluded = [(i, str(land)) for i, land in enumerate(landings)
+                if isinstance(land, LandingError)]
     bad = {i for i, _ in excluded}
     keep = np.array([i not in bad for i in range(ens.count)])
-    sel = keep[ind.sample_index]
-    r_s = ind.sample_index[sel]
-    r_t = ind.entry_step[sel]
-    r_tau = ind.return_time[sel]
+    r_s, r_t, r_tau = ind.sample_index, ind.entry_step, ind.return_time
+    if bad:
+        sel = keep[r_s]
+        r_s, r_t, r_tau = r_s[sel], r_t[sel], r_tau[sel]
     if not len(r_s):
         return ExpansionReport(True, 0, tuple(excluded), None, {}, None,
                                ind.witness_frequency, None, None, None,
                                None, None, None, None, 0)
     w = ind.weights
-    cums = np.concatenate([np.zeros((ens.count, 1)),
-                           np.cumsum(vals, axis=1)], axis=1)
-    blog = cums[r_s, r_t + r_tau] - cums[r_s, r_t]
-    min_by_n = {}
-    cb = np.concatenate([[0.0], np.cumsum(blog)])
-    for N in range(1, BRANCH_RUN_MAX + 1):
-        if N > len(r_s):
-            break
-        valid = r_s[N - 1:] == r_s[:len(r_s) - N + 1]
-        if not valid.any():
-            break
-        roll = cb[N:] - cb[:-N]
-        min_by_n[N] = float(np.exp(roll[valid].min()))
+    blog, totals = _branch_logs(landings, solver.model, h, r_s, r_t, r_tau)
+    min_by_n = _min_by_n(r_s, blog)
     n_two = next((N for N in sorted(min_by_n)
                   if min_by_n[N] >= 2.0), None)
     # frequency restricted to samples the geometry could land
@@ -399,18 +437,19 @@ def expansion_and_abramov(ind: InducedSystem,
     wfreq = float((w * visits).sum() / (h * w[keep].sum()))
     wr = w[r_s]
     lam_induced = float((wr * blog).sum() / wr.sum())
-    lam_f = float((w[keep] * cums[keep, h]).sum() / (w[keep].sum() * h))
+    lam_f = float((w[keep] * totals[keep]).sum() / (w[keep].sum() * h))
     lam_err = abs(lam_f - wfreq * lam_induced) / abs(lam_f) \
         if lam_f else None
-    codes = _branch_codes(ind, r_s, r_t, r_tau)
-    uniq, inv = np.unique(codes, return_inverse=True)
+    uniq, inv = _unique_inverse(_branch_codes(ind, r_s, r_t, r_tau))
     p1 = np.bincount(inv, weights=wr)
     p1 = p1 / p1.sum()
     h_block = float(-(p1 * np.log(p1)).sum())
     pair = r_s[1:] == r_s[:-1]
     if pair.any():
-        pk = inv[:-1][pair] * np.int64(len(uniq)) + inv[1:][pair]
-        _, i2 = np.unique(pk, return_inverse=True)
+        pk = inv[:-1][pair]
+        pk *= len(uniq)
+        pk += inv[1:][pair]
+        _, i2 = _unique_inverse(pk)
         p2 = np.bincount(i2, weights=wr[:-1][pair])
         p2 = p2 / p2.sum()
         h_rate = float(-(p2 * np.log(p2)).sum()) - h_block

@@ -19,9 +19,9 @@ import numpy as np
 from .angles import CirclePartition, angle_orbit, format_angle
 from .geometry import (CRIT_TOL, CriticalProximity, LandingError,
                        LandingSolver, PolynomialModel)
-from .streams import (TraceEnsemble, common_numerators, is_dyadic,
-                      symbol_matrix, trace_ensemble, walk_blocks, walk_table,
-                      window_digits, word_codes)
+from .streams import (TraceEnsemble, _block_width, common_numerators,
+                      is_dyadic, symbol_matrix, trace_ensemble, walk_blocks,
+                      walk_table, window_digits, word_codes)
 from .tower import TowerGraph
 
 PROVENANCES = ("brolin", "dirac-periodic", "conformal", "custom")
@@ -344,10 +344,18 @@ def lift_cesaro(mu: SampleMeasure, g: TowerGraph, n: int,
     R = g.truncation if R is None else R
     ens = _traced(ensemble or make_ensemble(mu, g, n), n)
     # exact integer visit counts per (sample, domain) pair keep the float
-    # accumulation chains short enough for the 1e-12 conservation budget
-    keys = ((np.arange(ens.count, dtype=np.int64)[:, None] << 32)
-            | ens.states[:, :n].astype(np.int64))
-    uniq, cnt = np.unique(keys.ravel("K"), return_counts=True)
+    # accumulation chains short enough for the 1e-12 conservation budget.
+    # The keys are sample-major, so counting one block of samples at a time
+    # and concatenating gives the counts over all samples, sorted alike.
+    uniq, cnt = [], []
+    width = _block_width(n)
+    for s0 in range(0, ens.count, width):
+        keys = ens.states[s0:s0 + width, :n].astype(np.int64)
+        keys |= np.arange(s0, s0 + len(keys), dtype=np.int64)[:, None] << 32
+        u, c = np.unique(keys, return_counts=True)
+        uniq.append(u)
+        cnt.append(c)
+    uniq, cnt = np.concatenate(uniq), np.concatenate(cnt)
     contrib = ens.weights[uniq >> 32] * (cnt / n)
     per_state = np.bincount(uniq & 0xFFFFFFFF, weights=contrib,
                             minlength=len(g.domains))

@@ -226,7 +226,9 @@ class FrontierReached(Exception):
 
 
 def _block_width(count: int) -> int:
-    """Steps per block of _BLOCK_CELLS cells, for count samples."""
+    """Width of a block of about _BLOCK_CELLS cells whose other side is
+    count: steps per block of count samples, or samples per block of count
+    steps."""
     return max(1, _BLOCK_CELLS // max(1, count))
 
 

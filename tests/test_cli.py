@@ -185,6 +185,26 @@ def test_lift_artifacts_bytes_frozen(tmp_path, name):
     assert got == FROZEN_LIFTS[name]
 
 
+# sha1 of the shipped chebyshev config's induce artifacts at seed 7,
+# computed with the dense samples x horizon matrices that the sample-block
+# folds replaced
+FROZEN_INDUCE = {
+    "induce.json": "6f90f2d35605811ba6b37ed897b95d174d8c360c",
+    "tau_histogram.csv": "c70541ad795ac2b508f6226af77dd97cd0aa74f0",
+    "branch_words.csv": "f74c2203045fc2050d014c25cdba8041c8f8f489",
+}
+
+
+def test_induce_artifacts_bytes_frozen(tmp_path):
+    cfg = Path(__file__).resolve().parents[1] / "configs" / "chebyshev.ini"
+    for stage in ("tower-build", "induce"):
+        assert main([stage, "--config", str(cfg),
+                     "--out", str(tmp_path)]) == EXIT_OK, stage
+    got = {f: hashlib.sha1((tmp_path / f).read_bytes()).hexdigest()
+           for f in FROZEN_INDUCE}
+    assert got == FROZEN_INDUCE
+
+
 def test_cubic_lift_streams_are_exact(tmp_path):
     # base-3 Brolin samples must follow their ternary itineraries
     cfg, out = write_cfg(tmp_path, text=CUBIC.format(out=tmp_path / "out"))

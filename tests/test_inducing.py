@@ -1,6 +1,7 @@
 """First-return systems: witness choice, Kac, expansion, Abramov."""
 
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -8,14 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from angletower import streams
 from angletower.angles import ArcSet, RayChoice, build_partition, itinerary
-from angletower.geometry import LandingSolver, PolynomialModel
-from angletower.inducing import (WitnessRegion, branch_words_csv, choose_W,
+from angletower.geometry import LandingError, LandingSolver, PolynomialModel
+from angletower.inducing import (BRANCH_RUN_MAX, ENTROPY_DEPTHS,
+                                 ExpansionReport, WitnessRegion,
+                                 _branch_codes, branch_words_csv, choose_W,
                                  expansion_and_abramov, first_return,
                                  kac_check, recurrent_witness_domain,
                                  tau_histogram_csv)
 from angletower.lifting import (brolin_period_samples, brolin_samples,
-                                custom_measure, lift_cesaro, make_ensemble)
+                                custom_measure, entropy_estimate,
+                                lift_cesaro, make_ensemble)
 from angletower.streams import fits_int64
 from angletower.tower import build_tower
 
@@ -23,6 +28,90 @@ CHEB = RayChoice(2, (F(1, 2),))
 DEND = RayChoice(2, (F(1, 6),))
 
 PROP_GRAPH = build_tower(CHEB, 4, extra_levels=48)
+
+
+def tau_additive(ind) -> bool:
+    """Entry steps accumulate return times exactly within samples."""
+    same = ind.sample_index[1:] == ind.sample_index[:-1]
+    lhs = ind.entry_step[1:][same]
+    rhs = (ind.entry_step[:-1] + ind.return_time[:-1])[same]
+    return bool(np.array_equal(lhs, rhs))
+
+
+def dense_expansion_and_abramov(ind, solver) -> ExpansionReport:
+    """expansion_and_abramov over one samples x horizon matrix of prefix
+    sums: the oracle that the sample-block folds must match bit for bit."""
+    if not ind.return_count:
+        return ExpansionReport(True, 0, (), None, {}, None,
+                               ind.witness_frequency, None, None, None,
+                               None, None, None, None, 0)
+    ens = ind.ensemble
+    h = ind.horizon
+    vals = np.zeros((ens.count, h))
+    excluded = []
+    for i, land in enumerate(solver.land_many(ens.angles)):
+        if isinstance(land, LandingError):
+            excluded.append((i, str(land)))
+            continue
+        vals[i] = land.log_derivs(solver.model, h)
+    bad = {i for i, _ in excluded}
+    keep = np.array([i not in bad for i in range(ens.count)])
+    sel = keep[ind.sample_index]
+    r_s = ind.sample_index[sel]
+    r_t = ind.entry_step[sel]
+    r_tau = ind.return_time[sel]
+    if not len(r_s):
+        return ExpansionReport(True, 0, tuple(excluded), None, {}, None,
+                               ind.witness_frequency, None, None, None,
+                               None, None, None, None, 0)
+    w = ind.weights
+    cums = np.concatenate([np.zeros((ens.count, 1)),
+                           np.cumsum(vals, axis=1)], axis=1)
+    blog = cums[r_s, r_t + r_tau] - cums[r_s, r_t]
+    min_by_n = {}
+    cb = np.concatenate([[0.0], np.cumsum(blog)])
+    for N in range(1, BRANCH_RUN_MAX + 1):
+        if N > len(r_s):
+            break
+        valid = r_s[N - 1:] == r_s[:len(r_s) - N + 1]
+        if not valid.any():
+            break
+        roll = cb[N:] - cb[:-N]
+        min_by_n[N] = float(np.exp(roll[valid].min()))
+    n_two = next((N for N in sorted(min_by_n)
+                  if min_by_n[N] >= 2.0), None)
+    visits = (np.bincount(ind.sample_index, minlength=ens.count)
+              + np.bincount(ind.censored_sample, minlength=ens.count))
+    visits = visits.astype(float)
+    visits[~keep] = 0.0
+    wfreq = float((w * visits).sum() / (h * w[keep].sum()))
+    wr = w[r_s]
+    lam_induced = float((wr * blog).sum() / wr.sum())
+    lam_f = float((w[keep] * cums[keep, h]).sum() / (w[keep].sum() * h))
+    lam_err = abs(lam_f - wfreq * lam_induced) / abs(lam_f) \
+        if lam_f else None
+    uniq, inv = np.unique(_branch_codes(ind, r_s, r_t, r_tau),
+                          return_inverse=True)
+    p1 = np.bincount(inv, weights=wr)
+    p1 = p1 / p1.sum()
+    h_block = float(-(p1 * np.log(p1)).sum())
+    pair = r_s[1:] == r_s[:-1]
+    if pair.any():
+        pk = inv[:-1][pair] * np.int64(len(uniq)) + inv[1:][pair]
+        _, i2 = np.unique(pk, return_inverse=True)
+        p2 = np.bincount(i2, weights=wr[:-1][pair])
+        p2 = p2 / p2.sum()
+        h_rate = float(-(p2 * np.log(p2)).sum()) - h_block
+    else:
+        h_rate = h_block
+    ent = entropy_estimate(ens, ENTROPY_DEPTHS)
+    h_err = abs(ent.estimate - wfreq * h_rate) / abs(ent.estimate) \
+        if ent.estimate else None
+    return ExpansionReport(False, len(r_s), tuple(excluded),
+                           min_by_n.get(1), min_by_n, n_two, wfreq,
+                           lam_f, lam_induced, lam_err,
+                           ent.estimate, h_block, h_rate, h_err,
+                           len(uniq))
 
 
 @pytest.fixture(scope="module")
@@ -159,7 +248,7 @@ def test_first_return_frozen_counts(cheb_system):
     assert cheb_system.return_count == 575878
     assert len(cheb_system.censored_sample) == 766
     assert cheb_system.return_time.min() >= 1
-    assert cheb_system.tau_additive()
+    assert tau_additive(cheb_system)
 
 
 def test_return_locations_inside_witness(cheb_system, cheb_ens,
@@ -237,7 +326,7 @@ def test_first_return_horizon_validation(cheb_ens, cheb_witness):
 
 def test_shorter_horizon_is_prefix(cheb_ens, cheb_witness, cheb_system):
     short = first_return(cheb_ens, cheb_witness, horizon=400)
-    assert short.tau_additive()
+    assert tau_additive(short)
     assert short.return_count < cheb_system.return_count
     full = cheb_system.entry_step[(cheb_system.sample_index == 0)]
     part = short.entry_step[(short.sample_index == 0)]
@@ -356,6 +445,69 @@ def test_abramov_entropy_scaling(cheb_expansion):
         math.log(2), rel=0.05)
 
 
+def test_expansion_matches_dense_formula(cheb_system, cheb_solver,
+                                         cheb_expansion):
+    # 768 samples in blocks of 163: four full blocks and one of 116
+    width = streams._block_width(cheb_system.horizon)
+    assert cheb_system.ensemble.count > 3 * width
+    assert cheb_system.ensemble.count % width
+    assert cheb_expansion == dense_expansion_and_abramov(cheb_system,
+                                                         cheb_solver)
+
+
+def test_expansion_blocks_skip_an_unlandable_sample(monkeypatch, cheb_graph,
+                                                    cheb_solver):
+    # 100 samples in blocks of 7 (the last holds 2), sample 40 unlandable:
+    # its returns and its row drop out as in the dense formula
+    mu = brolin_period_samples(cheb_graph.partition, 100, seed=5, bits=12)
+    ind = first_return(make_ensemble(mu, cheb_graph, 300),
+                       choose_W(cheb_graph, 2, F(1, 64)))
+    land_many = LandingSolver.land_many
+
+    def one_fails(self, angles):
+        slots = land_many(self, angles)
+        slots[40] = LandingError("forced")
+        return slots
+
+    monkeypatch.setattr(LandingSolver, "land_many", one_fails)
+    want = dense_expansion_and_abramov(ind, cheb_solver)
+    assert want.excluded_samples == ((40, "forced"),)
+    assert want.branch_count < ind.return_count
+    for cells in (streams._BLOCK_CELLS, 7 * 300):
+        monkeypatch.setattr(streams, "_BLOCK_CELLS", cells)
+        assert expansion_and_abramov(ind, cheb_solver) == want, cells
+    assert streams._block_width(300) == 7
+
+
+def test_expansion_holds_no_samples_by_horizon_matrix(cheb_ens, cheb_graph,
+                                                      cheb_solver):
+    # a level-5 witness on the 768 x 1600 fixture: few enough returns that
+    # the report fits below one samples x horizon float matrix, which the
+    # dense formula held three times over
+    ind = first_return(cheb_ens, choose_W(cheb_graph, 5, F(1, 64)))
+    assert ind.return_count > 50_000
+    tracemalloc.start()
+    try:
+        er = expansion_and_abramov(ind, cheb_solver)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not er.degenerate
+    assert peak < cheb_ens.count * ind.horizon * 8
+
+
+def test_lift_cesaro_holds_less_than_the_state_matrix(cheb_mu, cheb_graph,
+                                                      cheb_ens, cheb_mass):
+    tracemalloc.start()
+    try:
+        mass = lift_cesaro(cheb_mu, cheb_graph, 1600, 8, ensemble=cheb_ens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mass == cheb_mass
+    assert peak < cheb_ens.states.nbytes
+
+
 def test_expansion_degenerate_report(dirac_system, cheb_graph,
                                      cheb_solver):
     mu, ens, _ = dirac_system
@@ -410,10 +562,11 @@ def test_bookkeeping_properties(angles, n):
     mu = custom_measure(pairs, allow_boundary_orbit=True)
     ens = make_ensemble(mu, PROP_GRAPH, n)
     sys = first_return(ens, choose_W(PROP_GRAPH, 2, F(1, 64)))
-    assert sys.tau_additive()
+    assert tau_additive(sys)
     if sys.return_count:
         assert sys.return_time.min() >= 1
     visits = sys.visits_per_sample
+    assert sys.visits_per_sample is visits
     returns = np.bincount(sys.sample_index, minlength=ens.count)
     censored = np.bincount(sys.censored_sample, minlength=ens.count)
     assert np.all(censored == (visits > 0).astype(int))

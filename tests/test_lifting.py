@@ -312,6 +312,44 @@ def test_mass_conservation_exact(graph, brolin_ens):
         assert abs(sum(tm.mass.values()) + tm.escaped - 1.0) <= 1e-12
 
 
+def dense_lift_cesaro(g, n, R, ens) -> lf.TowerMass:
+    """lift_cesaro over one samples x n key matrix: the oracle that the
+    sample-block counts must match bit for bit."""
+    keys = ((np.arange(ens.count, dtype=np.int64)[:, None] << 32)
+            | ens.states[:, :n].astype(np.int64))
+    uniq, cnt = np.unique(keys.ravel("K"), return_counts=True)
+    contrib = ens.weights[uniq >> 32] * (cnt / n)
+    per_state = np.bincount(uniq & 0xFFFFFFFF, weights=contrib,
+                            minlength=len(g.domains))
+    mass = {i: float(w) for i, w in enumerate(per_state)
+            if w != 0.0 and g.domains[i].level <= R}
+    escaped = math.fsum([math.fsum(ens.weights), -math.fsum(mass.values())])
+    return lf.TowerMass(mass, max(escaped, 0.0), n, R)
+
+
+@pytest.mark.parametrize("case", ["periodic", "unequal"])
+def test_lift_cesaro_sample_blocks_match_dense_formula(monkeypatch, part,
+                                                       graph, case):
+    # 50 samples in blocks of 7 (the last holds 1), down to one sample per
+    # block; the unequal weights grow with the sample index
+    n = 300
+    if case == "periodic":
+        mu = lf.brolin_period_samples(part, 50, seed=4, bits=12)
+    else:
+        mu = lf.custom_measure([(F(k, 1023), (k + 1) / 1325)
+                                for k in range(1, 51)], part,
+                               allow_boundary_orbit=True)
+        assert len(set(mu.weights)) == 50
+    ens = lf.make_ensemble(mu, graph, n)
+    for R in (4, 8):
+        want = dense_lift_cesaro(graph, n, R, ens)
+        for cells in (streams._BLOCK_CELLS, 7 * n, 1):
+            monkeypatch.setattr(streams, "_BLOCK_CELLS", cells)
+            assert lf.lift_cesaro(mu, graph, n, R, ensemble=ens) == want, \
+                (R, cells)
+            monkeypatch.undo()
+
+
 def test_tower_mass_validation():
     with pytest.raises(ValueError):
         lf.TowerMass({0: 0.7}, 0.2, 10, 4)
