@@ -149,10 +149,6 @@ class ArcSet:
     def is_empty(self) -> bool:
         return not self.cuts
 
-    @property
-    def is_full(self) -> bool:
-        return self.cuts == (0, self.den)
-
     def _spans(self):
         return zip(self.cuts[::2], self.cuts[1::2])
 
@@ -173,10 +169,6 @@ class ArcSet:
 
     def length(self) -> Fraction:
         return Fraction(sum(self.cuts[1::2]) - sum(self.cuts[::2]), self.den)
-
-    def contains(self, a: Fraction) -> bool:
-        k = a.numerator * self.den // a.denominator % self.den
-        return bisect_right(self.cuts, k) % 2 == 1
 
     def closure_contains(self, p: int, q: int) -> bool:
         """Membership of the angle p/q (q > 0, any p) in the closed version
@@ -359,9 +351,10 @@ class CirclePartition:
     arc has length <= 1/d, so multiplication by d is injective on every arc
     (an arc of length exactly 1/d maps onto the full circle).
 
-    lattice is the lcm of the denominators of angle_universe(): every tower
-    arc endpoint and cutpoint angle is a multiple of 1/lattice, and
-    multiplication by d maps that lattice into itself.  boundary_nums holds
+    lattice is the lcm of the denominators of the boundary and of the
+    forward orbits of the chosen angles: every tower arc endpoint and
+    cutpoint angle is a multiple of 1/lattice, and multiplication by d
+    maps that lattice into itself.  boundary_nums holds
     the boundary as numerators over lattice.
     """
 
@@ -404,14 +397,6 @@ class CirclePartition:
     def arc_set(self, symbol: int) -> ArcSet:
         return self._arc_sets[symbol]
 
-    def angle_universe(self) -> frozenset[Fraction]:
-        """All angles that can ever appear as arc endpoints or cutpoint marks:
-        the boundary plus the full forward orbits of the chosen angles."""
-        out = set(self.boundary)
-        for t in self.ray_choice.angles:
-            out.update(angle_orbit(t, self.degree)[2])
-        return frozenset(out)
-
     def __repr__(self):
         b = ", ".join(format_angle(x) for x in self.boundary)
         return f"CirclePartition(d={self.degree}, boundary=[{b}])"
@@ -431,19 +416,6 @@ def itinerary(a: Fraction, partition: CirclePartition, n: int) -> tuple[int, ...
         out.append(partition.symbol_of(x))
         x = times_d(x, d)
     return tuple(out)
-
-
-def cylinder_arcset(word: Sequence[int], partition: CirclePartition) -> ArcSet:
-    """Exact arc-set of angles whose itinerary begins with the given word.
-
-    Empty for non-admissible words.  Computed by backward refinement:
-    cyl(s w) = arc(s) & preimage(cyl(w)).
-    """
-    d = partition.degree
-    out = ArcSet.full_circle()
-    for s in reversed(tuple(word)):
-        out = partition.arc_set(s).intersect(out.preimage_times_d(d))
-    return out
 
 
 def enumerate_cylinders(partition: CirclePartition, depth: int

@@ -46,9 +46,15 @@ class CensusTable:
         return self.L.get((t, m), 0)
 
 
-def _census(g: TowerGraph, domain_id: int, horizon: int) -> CensusTable:
-    dom = g.domains[domain_id]
-    R = dom.level
+def cutpoint_census(g: TowerGraph, R: int, domain_id: int,
+                    horizon: int) -> CensusTable:
+    """Full survival census (path and cutpoint counts) up to the horizon."""
+    if g.domains[domain_id].level != R:
+        raise ValueError(
+            f"domain {domain_id} has level {g.domains[domain_id].level}, "
+            f"expected {R}")
+    if horizon < 0:
+        raise ValueError("horizon must be >= 0")
     ages = {did: d.age_counts() for did, d in g.domains.items()}
     vec: dict[int, int] = {domain_id: 1}
     s = [1]
@@ -73,18 +79,6 @@ def _census(g: TowerGraph, domain_id: int, horizon: int) -> CensusTable:
         # ages beyond R+t are impossible for paths of length t
         assert all(a <= R + t for did in vec for a in ages[did])
     return CensusTable(R, domain_id, horizon, tuple(s), L)
-
-
-def cutpoint_census(g: TowerGraph, R: int, domain_id: int,
-                    horizon: int) -> CensusTable:
-    """Full survival census (path and cutpoint counts) up to the horizon."""
-    if g.domains[domain_id].level != R:
-        raise ValueError(
-            f"domain {domain_id} has level {g.domains[domain_id].level}, "
-            f"expected {R}")
-    if horizon < 0:
-        raise ValueError("horizon must be >= 0")
-    return _census(g, domain_id, horizon)
 
 
 def brute_force_paths(g: TowerGraph, domain_id: int,

@@ -494,10 +494,8 @@ def cmd_induce(cfg: RunConfig, out: Path):
         "tau_histogram.csv": tau_histogram_csv(ind),
         "branch_words.csv": branch_words_csv(ind, limit=word_limit),
     }
-    rel = ("n/a" if kac.relative_error is None
-           else f"{kac.relative_error:.4f}")
     summary = [f"witness D{witness.domain_id}, returns {ind.return_count}, "
-               f"kac rel err {rel} ({kac.verdict})"]
+               f"kac rel err {kac.relative_error:.4f} ({kac.verdict})"]
     return files, [], summary
 
 

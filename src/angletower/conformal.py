@@ -93,9 +93,6 @@ class CylinderBasis:
     def size(self) -> int:
         return len(self.words)
 
-    def deriv_moduli(self) -> np.ndarray:
-        return np.exp(self.log_derivs)
-
 
 def build_basis(partition: CirclePartition, solver: LandingSolver,
                 depth: int) -> CylinderBasis:
@@ -117,15 +114,15 @@ def build_basis(partition: CirclePartition, solver: LandingSolver,
                 f"{''.join(map(str, word))}: {landing}") from landing
     lds = [solver.model.log_deriv(landing.points[0]) for landing in landings]
 
-    d = partition.size
+    N = partition.size
     index = {w: i for i, w in enumerate(words)}
-    children = np.full((len(words), d), -1, dtype=np.int64)
+    children = np.full((len(words), N), -1, dtype=np.int64)
     if depth == 0:
         children[0, 0] = 0
     else:
         for i, w in enumerate(words):
             pref = w[1:]
-            for t in range(d):
+            for t in range(N):
                 j = index.get(pref + (t,))
                 if j is not None:
                     children[i, t] = j
@@ -214,10 +211,6 @@ class ConformalSolve:
         return all(a > b for a, b in zip(self.grid_rhos,
                                          self.grid_rhos[1:]))
 
-    @property
-    def support_full(self) -> bool:
-        return self.support_size == self.basis.size
-
     def to_json(self) -> dict:
         return {
             "depth": self.basis.depth,
@@ -258,7 +251,6 @@ def solve_delta(basis: CylinderBasis, delta_tol: float = DELTA_TOL,
         else:
             hi = min(hi, g)
     evals = 0
-    mid = (lo + hi) / 2
     while True:
         mid = (lo + hi) / 2
         if mid == lo or mid == hi:
@@ -309,8 +301,8 @@ def weights_csv(solve: ConformalSolve) -> str:
     w = csv.writer(buf)
     w.writerow(["word", "angle", "deriv", "weight"])
     basis = solve.basis
-    derivs = basis.deriv_moduli()
-    for word, rep, dv, wt in zip(basis.words, basis.reps, derivs,
+    for word, rep, dv, wt in zip(basis.words, basis.reps,
+                                 np.exp(basis.log_derivs),
                                  solve.weights):
         w.writerow(["".join(map(str, word)), format_angle(rep),
                     format(dv, ".17g"), format(wt, ".17g")])

@@ -90,9 +90,6 @@ class PolynomialModel:
         self.period = len(pts) - found
         self.critical_orbit = tuple(pts)
 
-    def f(self, z: complex) -> complex:
-        return z ** self.degree + self.c
-
     def log_deriv(self, z: complex) -> float:
         """log|f'(z)|; the critical point is a logarithmic singularity."""
         if z == 0:
@@ -325,21 +322,6 @@ class LandingSolver:
 
     def land(self, a: Fraction) -> complex:
         return self.land_orbit(a).points[0]
-
-
-def green(model: PolynomialModel, z: complex, n: int = 50) -> float:
-    """Truncated Green function estimate max(0, log|f^n(z)|) / d^n.
-
-    Escaping orbits are cut off early at |z| > 1e8, where log|f(z)| is
-    log|z| * d to machine precision, so no overflow occurs.
-    """
-    d = model.degree
-    w = complex(z)
-    for k in range(n):
-        if abs(w) > 1e8:
-            return math.log(abs(w)) / d ** k
-        w = model.f(w)
-    return max(0.0, math.log(abs(w))) / d ** n if w != 0 else 0.0
 
 
 # --------------------------------------------------------------------------

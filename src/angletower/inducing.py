@@ -21,7 +21,7 @@ from scipy.sparse import csgraph
 from .angles import ArcSet, format_angle
 from .geometry import LandingError, LandingSolver
 from .lifting import TowerMass, entropy_estimate
-from .streams import TraceEnsemble, _block_width, cell_streams, fits_int64
+from .streams import Cells, TraceEnsemble, _block_width, symbol_matrix
 from .tower import Domain, TowerGraph
 
 DEFAULT_MARGIN = Fraction(1, 64)
@@ -188,8 +188,8 @@ def first_return(ensemble: TraceEnsemble, witness: WitnessRegion,
     A visit at step k means the trace occupies the witness domain with an
     angle inside the notched arc-set.  The arc-set's cuts are integers over
     its denominator, so membership is a cell -> inside lookup along the
-    exact int64 stream kernel: a cell is inside when an odd number of cuts
-    lies at or below it.
+    streams' exact router, for any ensemble it takes: a cell is inside
+    when an odd number of cuts lies at or below it.
     Consecutive visits of one sample give completed returns; the stretch
     from a sample's last visit to the horizon is its censored record.
     """
@@ -199,20 +199,10 @@ def first_return(ensemble: TraceEnsemble, witness: WitnessRegion,
     if h < 1 or h > ensemble.horizon:
         raise ValueError(
             f"horizon must lie in [1, {ensemble.horizon}], got {h}")
-    d = ensemble.graph.partition.degree
-    den, cuts = witness.arcs.den, witness.arcs.cuts
-    nums, dens = ensemble.nums, [ensemble.den] * ensemble.count
-    if not fits_int64(ensemble.den, den, d):
-        # the common denominator may be wider than every sample's own
-        nums = [a.numerator for a in ensemble.angles]
-        dens = [a.denominator for a in ensemble.angles]
-        if not fits_int64(max(dens), den, d):
-            raise ValueError(
-                "sample denominators too large for exact witness "
-                "membership; use small-denominator samples such as "
-                "brolin_period_samples")
-    inside = cell_streams(nums, dens, d, h, den, cuts,
-                          [i % 2 for i in range(len(cuts) + 1)])
+    arcs = witness.arcs
+    parity = Cells(ensemble.graph.partition.degree, arcs.den, arcs.cuts,
+                   tuple(i % 2 for i in range(len(arcs.cuts) + 1)))
+    inside = symbol_matrix(ensemble.nums, ensemble.den, h, parity)
     visits = (inside.view(bool)
               & (ensemble.states[:, :h] == witness.domain_id))
     # np.nonzero walks the index in row-major order whatever the memory

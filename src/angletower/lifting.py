@@ -20,8 +20,8 @@ from .angles import CirclePartition, angle_orbit, format_angle
 from .geometry import (CRIT_TOL, CriticalProximity, LandingError,
                        LandingSolver, PolynomialModel)
 from .streams import (TraceEnsemble, _block_width, common_numerators,
-                      is_dyadic, symbol_matrix, trace_ensemble, walk_blocks,
-                      walk_table, window_digits, word_codes)
+                      is_dyadic, symbol_cells, symbol_matrix, trace_ensemble,
+                      walk_blocks, walk_table, window_digits, word_codes)
 from .tower import TowerGraph
 
 PROVENANCES = ("brolin", "dirac-periodic", "conformal", "custom")
@@ -277,7 +277,7 @@ def _trace(mu: SampleMeasure, g: TowerGraph, n: int,
         ens = _traced(ensemble, n)
         return ens.weights, ens.symbols, ens.levels, ens.state_blocks(n)
     _within_horizon(mu, n)
-    symbols = symbol_matrix(mu.nums, mu.den, n, g.partition)
+    symbols = symbol_matrix(mu.nums, mu.den, n, symbol_cells(g.partition))
     table, levels = walk_table(g)
     return mu.weights, symbols, levels, walk_blocks(g, table, symbols, n)
 

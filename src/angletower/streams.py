@@ -1,16 +1,18 @@
 """Vectorized tracing of sample ensembles through the Markov extension.
 
-Symbol streams are exact, from one kernel.  Every cut is a multiple of 1/M
-(M = partition.lattice for the boundary, a witness arc-set's denominator),
-so the arc holding x depends only on its cell floor(M*x), lattice points
-included, and each step is one cell -> symbol (or -> inside) lookup.  The
-cells come from one of two exact scans:
+Exact streams come from one router, `symbol_matrix`.  A map of the circle
+into small integers that is constant between sorted integer cuts over a
+lattice M (`Cells`: the partition's symbols, or a witness arc-set's
+inside/outside parity) depends only on the cell floor(M*x) of x, lattice
+points included, so each step is one cell -> value lookup.  The router
+sends each sample to one of two exact scans of its cells:
 
 * forward: p <- d*p mod q with cell M*p // q, on int64 when
   q * max(d, M) < 2^62 and on Python ints otherwise;
-* backward, for d-adic j / d^K (the Brolin samples): over the base-d
-  digits from the last, c_k = (digit_k * M + c_{k+1}) // d from c_K = 0,
-  exact since floor((A + f) / d) = A // d for integer A and 0 <= f < 1.
+* backward, for d-adic j / d^K (the Brolin samples) when d*M fits the
+  scan's block table: over the base-d digits from the last,
+  c_k = (digit_k * M + c_{k+1}) // d from c_K = 0, exact since
+  floor((A + f) / d) = A // d for integer A and 0 <= f < 1.
 
 The tower walk is an integer table iteration.
 """
@@ -21,6 +23,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,13 +60,8 @@ def _d_adic_exponent(den: int, d: int) -> int | None:
 
 
 def is_dyadic(a: Fraction, d: int = 2) -> bool:
-    """Whether a is d-adic: its denominator divides a power of d.
-
-    No prime divides den more than bit_length(den) times, so that power
-    of d is high enough.
-    """
-    den = a.denominator
-    return pow(d, den.bit_length(), den) == 0
+    """Whether a is d-adic: its denominator divides a power of d."""
+    return _d_adic_exponent(a.denominator, d) is not None
 
 
 def window_digits(d: int) -> int:
@@ -79,42 +77,54 @@ def fits_int64(q: int, lattice: int, d: int) -> bool:
     return q * max(d, lattice) < _INT64_LIMIT
 
 
-def _symbol_cuts(partition: CirclePartition):
-    """Cuts and values giving each lattice cell its symbol: a cell below
-    the first boundary angle lies in the last arc."""
+class Cells(NamedTuple):
+    """Small integers constant on the cells of the lattice of 1/lattice,
+    stepped by x -> d*x mod 1: the value at x is values[i], i the count
+    of the sorted integer cuts at or below lattice*x."""
+
+    d: int
+    lattice: int
+    cuts: tuple
+    values: tuple
+
+
+def symbol_cells(partition: CirclePartition) -> Cells:
+    """The partition's symbols as cells: a cell below the first boundary
+    angle lies in the last arc."""
     N = partition.size
     if N > 255:
         raise ValueError("more than 255 symbols does not fit uint8 streams")
-    return partition.boundary_nums, [(i - 1) % N for i in range(N + 1)]
+    return Cells(partition.degree, partition.lattice,
+                 partition.boundary_nums,
+                 tuple((i - 1) % N for i in range(N + 1)))
 
 
-def _cell_table(lattice: int, cuts, values) -> np.ndarray:
-    """values[i] for each cell k < lattice, i the count of cuts <= k."""
-    return np.asarray(values, dtype=np.uint8)[
-        np.searchsorted(cuts, np.arange(lattice), side="right")]
+def _cell_table(cells: Cells) -> np.ndarray:
+    """The value of each cell k < lattice."""
+    return np.asarray(cells.values, dtype=np.uint8)[
+        np.searchsorted(cells.cuts, np.arange(cells.lattice), side="right")]
 
 
-def cell_streams(nums, dens, d: int, n: int, lattice: int, cuts,
-                 values) -> np.ndarray:
+def cell_streams(nums, dens, n: int, cells: Cells) -> np.ndarray:
     """Cell values of the angles p/q along n steps of p <- d*p mod q.
 
-    The value at x is values[i], i the count of the sorted integer cuts
-    at or below lattice*x.  Entry [s, k] is for the k-th image of sample
-    s, in a column-major uint8 matrix like the TraceEnsemble's.
+    Entry [s, k] is for the k-th image of sample s, in a column-major
+    uint8 matrix like the TraceEnsemble's.
     """
-    cuts = np.asarray(cuts, dtype=np.int64)
+    d, lattice = cells.d, cells.lattice
+    cuts = np.asarray(cells.cuts, dtype=np.int64)
     dense = lattice <= _DENSE_CELLS
-    values = (_cell_table(lattice, cuts, values) if dense
-              else np.asarray(values, dtype=np.uint8))
+    values = (_cell_table(cells) if dense
+              else np.asarray(cells.values, dtype=np.uint8))
     wide = not fits_int64(int(max(dens, default=1)), lattice, d)
     p = np.array(nums, dtype=object if wide else np.int64)
     q = np.array(dens, dtype=p.dtype)
     out = np.empty((len(p), n), dtype=np.uint8, order="F")
-    cells = np.empty_like(p)
+    cell = np.empty_like(p)
     for k in range(n):
-        np.multiply(p, lattice, out=cells)
-        cells //= q
-        index = cells.astype(np.int64) if wide else cells
+        np.multiply(p, lattice, out=cell)
+        cell //= q
+        index = cell.astype(np.int64) if wide else cell
         if not dense:
             index = np.searchsorted(cuts, index, side="right")
         np.take(values, index, out=out[:, k], mode="clip")
@@ -159,12 +169,16 @@ def _digit_blocks(numerators, rows: int, D: int) -> np.ndarray:
     return out.reshape(words * per, len(chunks))[:rows]
 
 
-def _backward(numerators, K: int, n: int, d: int,
-              table: np.ndarray) -> np.ndarray:
-    """Table values along n steps of j / d^K, scanned backward B digits
-    at a time: a block of value g entered at cell c leaves at cell
-    (g*M + c) // d^B, its i-th digit at ((g mod d^(B-i))*M + c) // d^(B-i),
-    so one 8-byte table row at g*M + c holds the block's values."""
+def dyadic_symbol_streams(numerators, K: int, n: int,
+                          cells: Cells) -> np.ndarray:
+    """Cell values (samples x n) of the d-adic angles j / d^K, any K.
+
+    Scanned backward B digits at a time: a block of value g entered at
+    cell c leaves at cell (g*M + c) // d^B, its i-th digit at
+    ((g mod d^(B-i))*M + c) // d^(B-i), so one 8-byte table row at
+    g*M + c holds the block's values.
+    """
+    d, table = cells.d, _cell_table(cells)
     M = len(table)
     B = 1
     while B < 8 and d ** (B + 1) <= min(256, _SCAN_ROWS // M):
@@ -191,18 +205,6 @@ def _backward(numerators, K: int, n: int, d: int,
             vals = packed.take(row).view(np.uint8).reshape(count, 8)
             out[:, lo:hi] = vals[:, lo - k0:hi - k0]
     return out
-
-
-def dyadic_symbol_streams(numerators, K: int, n: int,
-                          partition: CirclePartition) -> np.ndarray:
-    """Symbol matrix (samples x n) for the d-adic angles j / d^K, any K
-    (d = partition.degree)."""
-    d, M = partition.degree, partition.lattice
-    cuts, values = _symbol_cuts(partition)
-    if d * M > _SCAN_ROWS:
-        return cell_streams(numerators, [d ** K] * len(numerators), d, n,
-                            M, cuts, values)
-    return _backward(numerators, K, n, d, _cell_table(M, cuts, values))
 
 
 # --------------------------------------------------------------------------
@@ -289,12 +291,6 @@ class TraceEnsemble:
     def horizon(self) -> int:
         return self.symbols.shape[1]
 
-    def angle_at(self, sample: int, k: int) -> Fraction:
-        """Exact angle of one sample after k steps of multiplication by d."""
-        d = self.graph.partition.degree
-        return Fraction(self.nums[sample] * pow(d, k, self.den) % self.den,
-                        self.den)
-
     def level_matrix(self) -> np.ndarray:
         return self.levels[self.states]
 
@@ -315,22 +311,24 @@ def common_numerators(angles) -> tuple[tuple[int, ...], int]:
     return tuple(a.numerator * (den // a.denominator) for a in angles), den
 
 
-def symbol_matrix(nums, den: int, n: int,
-                  partition: CirclePartition) -> np.ndarray:
-    """Symbol streams (samples x n, column-major uint8) of nums[s] / den.
+def symbol_matrix(nums, den: int, n: int, cells: Cells) -> np.ndarray:
+    """Cell values (samples x n, column-major uint8) of nums[s] / den.
 
-    A den that fits_int64 or is d-adic, reduced or not, routes the whole
-    ensemble to one scan of the module docstring; any other den is often
-    the lcm of many small ones (a mixed measure), so samples route by
-    their denominators in lowest terms.
+    The one router of the exact streams: a sample over q steps forward on
+    int64 when q fits_int64, backward when q is d-adic and d*M rows fit
+    the scan's table, and forward on Python ints otherwise.  A den that
+    fits_int64 or is d-adic, reduced or not, is every sample's q; any
+    other den is often the lcm of many small ones (a mixed measure), so
+    samples route by their denominators in lowest terms.
     """
-    d, M = partition.degree, partition.lattice
+    d, M = cells.d, cells.lattice
     dens = [den] * len(nums)
     if not (fits_int64(den, M, d) or _d_adic_exponent(den, d)):
         gcds = [math.gcd(j, den) for j in nums]
         nums = [j // c for j, c in zip(nums, gcds)]
         dens = [den // c for c in gcds]
-    exps = {q: _d_adic_exponent(q, d) for q in set(dens)
+    scan = d * M <= _SCAN_ROWS
+    exps = {q: _d_adic_exponent(q, d) if scan else None for q in set(dens)
             if not fits_int64(q, M, d)}
     # route 0: forward on int64, -1: on Python ints, 1: backward at K
     route = {q: 0 if q not in exps else -1 if exps[q] is None else 1
@@ -341,10 +339,9 @@ def symbol_matrix(nums, den: int, n: int,
     for r in set(route.values()):
         rows = [i for i, q in enumerate(dens) if route[q] == r]
         parts.append((rows, dyadic_symbol_streams(
-            [nums[i] * scale[dens[i]] for i in rows], K, n, partition)
+            [nums[i] * scale[dens[i]] for i in rows], K, n, cells)
             if r > 0 else cell_streams(
-                [nums[i] for i in rows], [dens[i] for i in rows], d, n, M,
-                *_symbol_cuts(partition))))
+                [nums[i] for i in rows], [dens[i] for i in rows], n, cells)))
     # one route for all hands its matrix over
     if len(parts) == 1:
         return parts[0][1]
@@ -402,7 +399,7 @@ def trace_ensemble(angles, weights, g: TowerGraph, n: int) -> TraceEnsemble:
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (len(nums),):
         raise ValueError("one weight per angle required")
-    syms = symbol_matrix(nums, den, n, g.partition)
+    syms = symbol_matrix(nums, den, n, symbol_cells(g.partition))
     table, levels = walk_table(g)
     states = np.empty((len(nums), n + 1), dtype=np.int32, order="F")
     for k0, block in walk_blocks(g, table, syms, n):

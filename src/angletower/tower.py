@@ -28,7 +28,7 @@ from functools import cache, cached_property
 
 from .angles import (
     ArcSet, CirclePartition, RayChoice, _parse_ratio, build_partition,
-    format_angle, parse_angle, times_d,
+    format_angle, parse_angle,
 )
 
 
@@ -80,15 +80,6 @@ class Domain:
         for cp in self.cutpoints:
             out[cp.age] = out.get(cp.age, 0) + 1
         return out
-
-
-Candidate = tuple[ArcSet, tuple[CutPoint, ...]]
-
-
-def _key(arcset: ArcSet, cutpoints) -> tuple:
-    """The all-integer identification key of a domain."""
-    return arcset, tuple((cp.age, cp.origin, cp.nums, cp.lattice)
-                         for cp in cutpoints)
 
 
 class _Kernel:
@@ -145,19 +136,6 @@ class _Kernel:
         return image, tuple(out)
 
 
-def step(domain: Domain, symbol: int, partition: CirclePartition) -> Candidate | None:
-    """Image of the part of a domain inside one partition arc: the
-    candidate (arc-set, cutpoints) of the successor domain, or None when
-    the domain does not meet the arc.  The one-domain form of the build's
-    step on keys."""
-    kernel = _Kernel(partition)
-    arcset, cps = _key(domain.arcset, domain.cutpoints)
-    key = kernel.step(arcset, tuple(sorted(cps)), symbol)
-    if key is None:
-        return None
-    return key[0], tuple(map(kernel.cutpoint, key[1]))
-
-
 @dataclass
 class TowerGraph:
     """Truncated tower: identified domains, labeled edges, frontier markers.
@@ -174,7 +152,6 @@ class TowerGraph:
     domains: dict[int, Domain] = field(default_factory=dict)
     edges: dict[tuple[int, int], int] = field(default_factory=dict)
     frontier: set[int] = field(default_factory=set)
-    _index: dict = field(default_factory=dict, repr=False)
 
     @cached_property
     def _kernel(self) -> _Kernel:
@@ -198,21 +175,6 @@ class TowerGraph:
 
     def is_expanded(self, domain_id: int) -> bool:
         return domain_id not in self.frontier
-
-    def identify(self, candidate: Candidate) -> int:
-        """Id of the candidate domain, inserting it if never seen."""
-        if len(self._index) < len(self.domains):
-            # a graph read by tower_from_json is indexed on first use
-            self._index = {_key(d.arcset, d.cutpoints): i
-                           for i, d in self.domains.items()}
-        return self._identify(_key(*candidate))
-
-    def _identify(self, key) -> int:
-        did = self._index.get(key)
-        if did is None:
-            did = self._index[key] = len(self.domains)
-            self.domains[did] = self._kernel.domain(did, key)
-        return did
 
     def level_counts(self) -> dict[int, int]:
         out: dict[int, int] = {}
@@ -284,8 +246,17 @@ def build_tower(ray_choice: RayChoice, truncation: int,
         raise ValueError("extra_levels must be >= 0")
     part = build_partition(ray_choice)
     g = TowerGraph(part, truncation, extra_levels)
+    index: dict = {}
+
+    def identify(key) -> int:
+        did = index.get(key)
+        if did is None:
+            did = index[key] = len(g.domains)
+            g.domains[did] = g._kernel.domain(did, key)
+        return did
+
     base = (ArcSet.full_circle(), ())
-    pending = [(g._identify(base), base)]
+    pending = [(identify(base), base)]
     while pending:
         nxt = []
         for did, (arcset, cps) in pending:
@@ -297,7 +268,7 @@ def build_tower(ray_choice: RayChoice, truncation: int,
                 if cand is None:
                     continue
                 known = len(g.domains)
-                tid = g._identify(cand)
+                tid = identify(cand)
                 g.edges[(did, sym)] = tid
                 if tid >= known:
                     nxt.append((tid, cand))
@@ -377,52 +348,6 @@ def structural_checks(g: TowerGraph) -> StructuralReport:
         base_in_edges=base_in,
         sideways_edges=sorted(sideways),
     )
-
-
-# --------------------------------------------------------------------------
-# traces
-
-
-@dataclass(frozen=True)
-class TracePath:
-    """Domain path of an angle lifted to the base: ids visited step by step.
-
-    exit_step is the index of the first step that left the expanded graph
-    (None when the whole trace stayed inside); exit_level is the level of the
-    frontier domain it stood on when it left.
-    """
-
-    domain_ids: tuple[int, ...]
-    exit_step: int | None
-    exit_level: int | None
-
-    def __len__(self):
-        return len(self.domain_ids)
-
-
-def trace(a: Fraction, g: TowerGraph, n: int) -> TracePath:
-    """Follow the lift of angle a starting at the base for n steps.
-
-    Angles sitting on a partition boundary follow the half-open convention,
-    so the path is always single-valued.
-    """
-    part = g.partition
-    x = a % 1
-    ids = [0]
-    cur = 0
-    for k in range(n):
-        if not g.is_expanded(cur):
-            return TracePath(tuple(ids), k, g.domains[cur].level)
-        sym = part.symbol_of(x)
-        nxt = g.edges.get((cur, sym))
-        if nxt is None:
-            raise AssertionError(
-                f"expanded domain {cur} with no edge for symbol {sym}; the "
-                "traced angle left its domain's arc-set")
-        ids.append(nxt)
-        cur = nxt
-        x = times_d(x, part.degree)
-    return TracePath(tuple(ids), None, None)
 
 
 # --------------------------------------------------------------------------

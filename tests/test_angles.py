@@ -11,9 +11,11 @@ from hypothesis import given, settings, strategies as st
 
 from angletower.angles import (
     ArcSet, CirclePartition, RayChoice, angle_orbit, build_partition,
-    cylinder_arcset, enumerate_cylinders, format_angle,
+    enumerate_cylinders, format_angle,
     is_strictly_preperiodic, itinerary, parse_angle, times_d,
 )
+
+from oracles import angle_universe, contains, cylinder_arcset
 
 F = Fraction
 
@@ -85,19 +87,19 @@ def test_ray_choice_validation():
 def test_arcset_basic():
     a = ArcSet.arc(F(1, 4), F(3, 4))
     assert a.length() == F(1, 2)
-    assert a.contains(F(1, 4)) and not a.contains(F(3, 4))
+    assert contains(a, F(1, 4)) and not contains(a, F(3, 4))
     assert a.closure_contains(3, 4)
-    assert not a.contains(F(7, 8))
+    assert not contains(a, F(7, 8))
     w = ArcSet.arc(F(3, 4), F(1, 4))   # wraps through 0
     assert w.length() == F(1, 2)
-    assert w.contains(F(0)) and w.contains(F(7, 8))
-    assert not w.contains(F(1, 4))
+    assert contains(w, F(0)) and contains(w, F(7, 8))
+    assert not contains(w, F(1, 4))
     assert w.closure_contains(1, 4)
 
 
 def test_arcset_full_and_empty():
     assert ArcSet.full_circle().length() == 1
-    assert ArcSet.full_circle().is_full
+    assert ArcSet.full_circle().cuts == (0, ArcSet.full_circle().den)
     assert ArcSet.arc(F(1, 3), F(1, 3)).is_empty
     assert ArcSet.empty().intersect(ArcSet.full_circle()).is_empty
 
@@ -110,7 +112,7 @@ def test_arcset_merge_touching():
     assert b.components == ((F(7, 8), F(3, 8)),)
     # tiling the circle collapses to the full circle
     c = ArcSet([(F(0), F(1, 2)), (F(1, 2), F(1, 2))])
-    assert c.is_full
+    assert c == ArcSet.full_circle()
 
 
 def test_arcset_overlap_rejected():
@@ -122,7 +124,8 @@ def test_arcset_overlap_rejected():
 
 def test_image_times_d():
     # an arc of length exactly 1/d covers the circle
-    assert ArcSet.arc(F(1, 4), F(3, 4)).image_times_d(2).is_full
+    full = ArcSet.full_circle()
+    assert ArcSet.arc(F(1, 4), F(3, 4)).image_times_d(2) == full
     a = ArcSet.arc(F(7, 24), F(17, 24)).image_times_d(2)
     assert a == ArcSet.arc(F(7, 12), F(5, 12))
     assert a.length() == F(5, 6)
@@ -139,11 +142,11 @@ def test_subtract_closed_margins():
     w = full.subtract_closed_margins([F(0), F(1, 2)], F(1, 32))
     assert w.length() == 1 - F(4, 32)
     assert len(w.components) == 2
-    assert not w.contains(F(0)) and not w.contains(F(1, 2))
+    assert not contains(w, F(0)) and not contains(w, F(1, 2))
     # the half-open notch [c - m, c + m) keeps c + m and drops c - m
-    assert w.contains(F(1, 32))
-    assert not w.contains(F(31, 32))
-    assert w.contains(F(1, 4))
+    assert contains(w, F(1, 32))
+    assert not contains(w, F(31, 32))
+    assert contains(w, F(1, 4))
 
 
 def test_serialization_roundtrip():
@@ -183,7 +186,7 @@ PROBES = [F(k, 96) for k in range(96)]
 def test_intersection_matches_membership(a, b):
     c = a.intersect(b)
     for p in PROBES:
-        assert c.contains(p) == (a.contains(p) and b.contains(p))
+        assert contains(c, p) == (contains(a, p) and contains(b, p))
 
 
 @settings(max_examples=200, deadline=None)
@@ -191,7 +194,7 @@ def test_intersection_matches_membership(a, b):
 def test_preimage_matches_membership(a, d):
     pre = a.preimage_times_d(d)
     for p in PROBES:
-        assert pre.contains(p) == a.contains(times_d(p, d))
+        assert contains(pre, p) == contains(a, times_d(p, d))
     assert pre.length() == a.length()
 
 
@@ -201,7 +204,7 @@ def test_image_contains_forward_points(a, d):
     # exactly the forward points: p is in the image iff a preimage is in a
     img = a.image_times_d(d)
     for p in PROBES:
-        assert img.contains(p) == any(a.contains((p + j) / d)
+        assert contains(img, p) == any(contains(a, (p + j) / d)
                                       for j in range(d))
 
 
@@ -282,7 +285,7 @@ def test_cylinder_shrinks():
     p = build_partition(CHEB)
     cyl = cylinder_arcset((1, 1, 1), p)
     assert cyl.length() == F(1, 8)
-    assert cyl.contains(F(0))
+    assert contains(cyl, F(0))
     assert cyl == ArcSet.arc(F(15, 16), F(1, 16))
 
 
@@ -292,7 +295,7 @@ def test_cylinder_membership_matches_itinerary():
         for k in range(0, 97, 5):
             a = F(k, 97)
             w = itinerary(a, p, 5)
-            assert cylinder_arcset(w, p).contains(a)
+            assert contains(cylinder_arcset(w, p), a)
 
 
 def test_nonadmissible_word_empty():
@@ -333,4 +336,4 @@ def test_cylinder_endpoint_angles_live_in_orbit_field():
                 y = x
                 for _ in range(5):
                     y = times_d(y, 2)
-                assert y in p.angle_universe() or y in p.boundary
+                assert y in angle_universe(p) or y in p.boundary

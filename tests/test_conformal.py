@@ -200,7 +200,7 @@ def test_m1_closed_form(cheb_solves, cheb_bases):
     assert s.delta == pytest.approx(expect, abs=2e-6)
     assert s.weights.tolist() == [0.5, 0.5]
     assert s.eigen_residual == 0.0
-    assert s.support_full
+    assert s.support_size == s.basis.size
 
 
 def test_m0_bracket_failure(cheb_bases):
@@ -223,7 +223,7 @@ def test_delta_star_table(cheb_solves):
 def test_solve_invariants(cheb_solves):
     for m, s in cheb_solves.items():
         assert s.grid_strictly_decreasing
-        assert s.support_full
+        assert s.support_size == s.basis.size
         assert (s.weights >= 0).all()
         assert s.weights.sum() == pytest.approx(1.0, abs=1e-12)
         assert s.eigen_residual <= 1e-8
@@ -270,7 +270,7 @@ def test_dendrite_regression(dend_part, dend_solver):
     assert s10.delta == pytest.approx(1.28292679, abs=2e-6)
     assert 1.0 < s10.delta < 2.0
     assert s10.grid_strictly_decreasing
-    assert s10.support_full
+    assert s10.support_size == s10.basis.size
     assert s10.basis.moved == ()
 
 

@@ -24,8 +24,11 @@ from angletower.lifting import (brolin_period_samples, brolin_samples,
 from angletower.streams import fits_int64
 from angletower.tower import build_tower
 
+from oracles import angle_at, contains
+
 CHEB = RayChoice(2, (F(1, 2),))
 DEND = RayChoice(2, (F(1, 6),))
+CUBIC = RayChoice(3, (F(1, 6),))
 
 PROP_GRAPH = build_tower(CHEB, 4, extra_levels=48)
 
@@ -203,7 +206,7 @@ def test_recurrent_witness_ignores_cycle_through_frontier():
 
 def test_choose_w_base_margin_zero_is_whole_base(cheb_graph):
     w = choose_W(cheb_graph, 0, F(0))
-    assert w.arcs.is_full and w.length == 1
+    assert w.arcs == ArcSet.full_circle() and w.length == 1
 
 
 def test_choose_w_cuts_two_notches(cheb_graph):
@@ -260,7 +263,7 @@ def test_return_locations_inside_witness(cheb_system, cheb_ens,
         tau = int(cheb_system.return_time[i])
         for step in (t, t + tau):
             assert cheb_ens.states[s, step] == cheb_witness.domain_id
-            assert arcs.contains(cheb_ens.angle_at(s, step))
+            assert contains(arcs, angle_at(cheb_ens, s, step))
 
 
 def test_single_trace_returns_match_manual_scan(cheb_system, cheb_ens,
@@ -268,7 +271,7 @@ def test_single_trace_returns_match_manual_scan(cheb_system, cheb_ens,
     s = 0
     visits = [k for k in range(cheb_ens.horizon)
               if cheb_ens.states[s, k] == cheb_witness.domain_id
-              and cheb_witness.arcs.contains(cheb_ens.angle_at(s, k))]
+              and contains(cheb_witness.arcs, angle_at(cheb_ens, s, k))]
     mine = cheb_system.sample_index == s
     assert cheb_system.entry_step[mine].tolist() == visits[:-1]
     assert cheb_system.return_time[mine].tolist() == list(
@@ -283,7 +286,7 @@ def test_branch_word_matches_itinerary(cheb_system, cheb_ens, cheb_part):
         t = int(cheb_system.entry_step[i])
         tau = int(cheb_system.return_time[i])
         word = cheb_system.branch_word(i)
-        assert word == itinerary(cheb_ens.angle_at(s, t), cheb_part, tau)
+        assert word == itinerary(angle_at(cheb_ens, s, t), cheb_part, tau)
 
 
 def test_first_return_rejects_empty_witness(cheb_ens):
@@ -292,12 +295,64 @@ def test_first_return_rejects_empty_witness(cheb_ens):
         first_return(cheb_ens, empty)
 
 
-def test_first_return_rejects_wide_denominators(cheb_part, cheb_graph,
-                                                cheb_witness):
-    mu = brolin_samples(cheb_part, 4, 8, seed=1)
-    ens = make_ensemble(mu, cheb_graph, 8)
-    with pytest.raises(ValueError, match="denominators"):
-        first_return(ens, cheb_witness)
+def route_recorder(monkeypatch):
+    """The routes the streams router sends samples down, as they run:
+    "backward", "int64" or "python"."""
+    seen = set()
+    scan, forward = streams.dyadic_symbol_streams, streams.cell_streams
+
+    def backward(*args):
+        seen.add("backward")
+        return scan(*args)
+
+    def stepped(nums, dens, n, cells):
+        seen.add("int64" if streams.fits_int64(max(dens), cells.lattice,
+                                               cells.d) else "python")
+        return forward(nums, dens, n, cells)
+
+    monkeypatch.setattr(streams, "dyadic_symbol_streams", backward)
+    monkeypatch.setattr(streams, "cell_streams", stepped)
+    return seen
+
+
+ROUTE_CASES = {
+    # (ray choice, witness margin, ensemble, routes of the witness test)
+    "brolin-cheb": (CHEB, F(1, 64), "brolin", {"backward"}),
+    "brolin-cubic": (CUBIC, F(1, 64), "brolin", {"backward"}),
+    # 2 * 3 * 2^15 cells are too many rows for the backward table
+    "fine-witness": (DEND, F(1, 2 ** 15), "brolin", {"python"}),
+    # the lcm of 2^K and 2^10 - 1 is neither d-adic nor int64-sized, so
+    # each sample routes by its own denominator
+    "mixed": (CHEB, F(1, 64), "mixed", {"backward", "int64"}),
+}
+
+
+@pytest.mark.parametrize("case", ROUTE_CASES)
+def test_first_return_visits_match_oracle_on_every_route(monkeypatch, case):
+    rc, margin, kind, routes = ROUTE_CASES[case]
+    n = 160
+    g = build_tower(rc, 4, extra_levels=n)
+    w = choose_W(g, recurrent_witness_domain(g), margin)
+    angles = brolin_samples(g.partition, 24, n, seed=3).angles
+    if kind == "mixed":
+        angles += brolin_period_samples(g.partition, 24, 5, bits=10).angles
+    mu = custom_measure([(a, 1 / len(angles)) for a in angles])
+    ens = make_ensemble(mu, g, n)
+    seen = route_recorder(monkeypatch)
+    ind = first_return(ens, w)
+    assert seen == routes
+    got = sorted(zip(ind.sample_index.tolist(), ind.entry_step.tolist()))
+    got += sorted(zip(ind.censored_sample.tolist(),
+                      ind.censored_entry.tolist()))
+    want = [(s, k) for s in range(ens.count) for k in range(n)
+            if ens.states[s, k] == w.domain_id
+            and contains(w.arcs, angle_at(ens, s, k))]
+    # a sample's returns start at each visit but its last, which opens
+    # its censored record
+    last = {s: k for s, k in want}
+    assert got == ([(s, k) for s, k in want if last[s] != k]
+                   + sorted(last.items()))
+    assert ind.return_count > ens.count
 
 
 def test_first_return_reads_wide_common_denominator(cheb_graph,
@@ -575,7 +630,7 @@ def test_bookkeeping_properties(angles, n):
         s = int(sys.sample_index[i])
         t = int(sys.entry_step[i])
         assert ens.states[s, t] == 2
-        assert sys.witness.arcs.contains(ens.angle_at(s, t))
+        assert contains(sys.witness.arcs, angle_at(ens, s, t))
 
 
 @pytest.mark.parametrize("margin", [F(1, 64), F(1, 2 ** 22)],
@@ -599,7 +654,7 @@ def test_first_return_visits_match_exact_membership(margin):
                      ind.censored_entry.tolist())))
     want = {(s, k) for s in range(ens.count) for k in range(n)
             if ens.states[s, k] == dom.id
-            and w.arcs.contains(ens.angle_at(s, k))}
+            and contains(w.arcs, angle_at(ens, s, k))}
     assert w.arcs.den > 1 << 20 or margin == F(1, 64)
     assert got == want
     assert any(k > 0 for _, k in want)

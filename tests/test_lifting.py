@@ -25,6 +25,8 @@ from angletower import streams
 from angletower.streams import FrontierReached, trace_ensemble, word_codes
 from angletower.tower import build_tower
 
+from oracles import angle_at
+
 CHEB = RayChoice(2, (F(1, 2),))
 DEND = RayChoice(2, (F(1, 6),))
 CUBIC = RayChoice(3, (F(1, 6),))
@@ -193,7 +195,7 @@ def test_tracing_numerators_matches_each_fraction(rc):
             alone = trace_ensemble((a,), [1.0], g, n)
             assert (ens.symbols[s] == alone.symbols[0]).all(), (name, s)
             assert (ens.states[s] == alone.states[0]).all(), (name, s)
-            assert ens.angle_at(s, 5) == alone.angle_at(0, 5)
+            assert angle_at(ens, s, 5) == angle_at(alone, 0, 5)
 
 
 def test_brolin_trace_builds_no_fraction(monkeypatch, graph):

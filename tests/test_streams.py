@@ -14,8 +14,11 @@ from angletower.angles import (CirclePartition, RayChoice, build_partition,
 from angletower.lifting import brolin_period_samples, brolin_samples
 from angletower.streams import (FrontierReached, cell_streams,
                                 dyadic_symbol_streams, is_dyadic,
-                                trace_ensemble, walk_table, window_digits)
-from angletower.tower import build_tower, trace
+                                symbol_cells, symbol_matrix, trace_ensemble,
+                                walk_table, window_digits)
+from angletower.tower import build_tower
+
+from oracles import angle_at, trace
 
 CHEB = RayChoice(2, (F(1, 2),))
 DEND = RayChoice(2, (F(1, 6),))
@@ -62,7 +65,7 @@ def test_dyadic_streams_match_itinerary(part):
     rng = np.random.default_rng(99)
     numerators = [(int.from_bytes(rng.bytes((K + 7) // 8), "big")
                    % (1 << K)) | 1 for _ in range(25)]
-    streams = dyadic_symbol_streams(numerators, K, n, part)
+    streams = dyadic_symbol_streams(numerators, K, n, symbol_cells(part))
     for j, row in zip(numerators, streams):
         assert list(row) == list(itinerary(F(j, 1 << K), part, n))
 
@@ -86,7 +89,7 @@ def test_boundary_prefix_tie_uses_exact_fallback():
     K = n + 64
     j = ((5 << K) // 24) | 1
     assert j >> (K - 64) == (5 << 64) // 24
-    streams = dyadic_symbol_streams([j], K, n, part)
+    streams = dyadic_symbol_streams([j], K, n, symbol_cells(part))
     assert list(streams[0]) == list(itinerary(F(j, 1 << K), part, n))
 
 
@@ -115,7 +118,7 @@ def test_cubic_boundary_prefix_tie_uses_exact_fallback(monkeypatch):
         return symbol_of(self, a)
 
     monkeypatch.setattr(CirclePartition, "symbol_of", counted)
-    streams = dyadic_symbol_streams(numerators, K, n, part)
+    streams = dyadic_symbol_streams(numerators, K, n, symbol_cells(part))
     assert fallback == []
     monkeypatch.undo()
     for num, row in zip(numerators, streams):
@@ -128,7 +131,7 @@ def test_dyadic_boundary_tie_is_exact_without_fallback():
     part = build_partition(CHEB)
     K = 84
     j = 1 << (K - 2)
-    streams = dyadic_symbol_streams([j], K, 20, part)
+    streams = dyadic_symbol_streams([j], K, 20, symbol_cells(part))
     assert list(streams[0]) == list(itinerary(F(1, 4), part, 20))
 
 
@@ -179,8 +182,8 @@ def test_trace_symbols_match_itinerary_mixed(cheb_graph):
 
 def test_angle_at_and_level_matrix(cheb_graph):
     ens = trace_ensemble((F(1, 7),), [1.0], cheb_graph, 12)
-    assert ens.angle_at(0, 0) == F(1, 7)
-    assert ens.angle_at(0, 3) == F(8, 7) % 1
+    assert angle_at(ens, 0, 0) == F(1, 7)
+    assert angle_at(ens, 0, 3) == F(8, 7) % 1
     lv = ens.level_matrix()
     assert lv.shape == ens.states.shape
     assert lv[0, 0] == 0
@@ -241,7 +244,7 @@ def test_dyadic_stream_property(num, which):
     part = PARTITIONS[which]
     j = (num << 34) | 1
     K = 30 + 64
-    streams = dyadic_symbol_streams([j], K, 30, part)
+    streams = dyadic_symbol_streams([j], K, 30, symbol_cells(part))
     assert list(streams[0]) == list(itinerary(F(j, 1 << K), part, 30))
 
 
@@ -291,12 +294,6 @@ def test_trace_matches_exact_oracles(rc, seed):
             assert list(ens.states[s]) == list(trace(a, g, n).domain_ids)
 
 
-def symbol_cuts(part):
-    """Cuts and values that give each lattice cell its partition symbol."""
-    N = part.size
-    return part.boundary_nums, [(i - 1) % N for i in range(N + 1)]
-
-
 @st.composite
 def partitions(draw):
     d = draw(st.sampled_from([2, 3, 4, 6]))
@@ -309,7 +306,7 @@ def assert_cell_kernel_matches_itinerary(part, seed):
     d, M = part.degree, part.lattice
     n = 40
     rng = np.random.default_rng(seed)
-    cuts, values = symbol_cuts(part)
+    cells = symbol_cells(part)
     # forward: lattice points (the boundary among them), points between
     # them, and one wide angle whose steps run on Python ints
     ks = set(rng.integers(0, M, 24).tolist()) | set(part.boundary_nums)
@@ -317,20 +314,22 @@ def assert_cell_kernel_matches_itinerary(part, seed):
               + [F(int(j), 7 * M) for j in rng.integers(0, 7 * M, 8)])
     for group in (angles, [F(1 + seed, WIDE)]):
         rows = cell_streams([a.numerator for a in group],
-                            [a.denominator for a in group], d, n, M, cuts,
-                            values)
+                            [a.denominator for a in group], n, cells)
         for a, row in zip(group, rows):
             assert list(row) == list(itinerary(a, part, n))
     # backward: d-adic angles j / d^K with K below and above the horizon,
-    # with the d-adic boundary angles among them
+    # with the d-adic boundary angles among them; the router takes them
+    # on whichever route their denominator gets
     for K in (1 + seed % (n - 1), n + 9):
         nums = [int.from_bytes(rng.bytes(K), "big") % d ** K
                 for _ in range(6)]
         nums += [b * d ** K // M for b in part.boundary_nums
                  if b * d ** K % M == 0]
-        rows = dyadic_symbol_streams(nums, K, n, part)
-        for j, row in zip(nums, rows):
-            assert list(row) == list(itinerary(F(j, d ** K), part, n))
+        rows = dyadic_symbol_streams(nums, K, n, cells)
+        routed = symbol_matrix(nums, d ** K, n, cells)
+        for j, row, other in zip(nums, rows, routed):
+            assert list(row) == list(other) == list(
+                itinerary(F(j, d ** K), part, n))
 
 
 @settings(max_examples=40, deadline=None)
@@ -387,7 +386,7 @@ def test_deep_d_adic_streams_match_itinerary(part):
     rng = np.random.default_rng(K)
     nums = [int.from_bytes(rng.bytes(K // 2), "big") % d ** K
             for _ in range(5)]
-    rows = dyadic_symbol_streams(nums, K, n, part)
+    rows = dyadic_symbol_streams(nums, K, n, symbol_cells(part))
     for j, row in zip(nums, rows):
         assert list(row) == list(itinerary(F(j, d ** K), part, n))
 
@@ -397,8 +396,14 @@ def test_deep_d_adic_streams_match_itinerary(part):
 def test_fine_lattice_fallbacks_match_itinerary(monkeypatch, part):
     # a lattice too fine for a dense cell table counts its cuts by
     # bisection, and one too fine for the backward block table is
-    # stepped forward; shrink both limits below every lattice here
+    # stepped forward by the router; shrink both limits below every
+    # lattice here
     monkeypatch.setattr(streams_module, "_DENSE_CELLS", 2)
     monkeypatch.setattr(streams_module, "_SCAN_ROWS", 2)
+
+    def no_scan(*args):
+        raise AssertionError("routed to the backward scan")
+
+    monkeypatch.setattr(streams_module, "dyadic_symbol_streams", no_scan)
     for seed in range(3):
         assert_cell_kernel_matches_itinerary(part, seed)

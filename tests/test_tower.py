@@ -20,9 +20,11 @@ from hypothesis import strategies as st
 from angletower.angles import (ArcSet, RayChoice, build_partition,
                                format_angle, is_strictly_preperiodic, times_d)
 from angletower.tower import (
-    CutPoint, Domain, build_tower, step,
-    structural_checks, tower_from_json, tower_to_json_str, trace,
+    CutPoint, _Kernel, build_tower, structural_checks, tower_from_json,
+    tower_to_json_str,
 )
+
+from oracles import angle_universe, trace
 
 CHEB = RayChoice(2, (F(1, 2),))       # z^2 - 2, angle of the value -2
 DEND = RayChoice(2, (F(1, 6),))       # z^2 + i
@@ -86,7 +88,7 @@ class TestChebyshevTower:
             assert d.level == i
 
     def test_domain_decorations(self, cheb6):
-        assert cheb6.domains[0].arcset.is_full
+        assert cheb6.domains[0].arcset == ArcSet.full_circle()
         assert cheb6.domains[0].cutpoints == ()
         assert cheb6.domains[1].cutpoints == (cp(1, F(1, 2)),)
         for l in range(2, 8):
@@ -182,11 +184,13 @@ class TestTwoRayTower:
         # the wrap domain meets arc [7/24,17/24) in two pieces; both existing
         # ray angles sit on the closure, so the step doubles them and also
         # cuts anew at the images of both arc endpoints
-        dom = Domain(99, ArcSet.arc(F(7, 12), F(5, 12)),
-                     (cp(1, F(5, 12), F(7, 12)),), level=1)
-        image, cuts = step(dom, 1, pair_part)
+        kernel = _Kernel(pair_part)
+        ray = cp(1, F(5, 12), F(7, 12))
+        image, cuts = kernel.step(ArcSet.arc(F(7, 12), F(5, 12)),
+                                  ((1, 0, ray.nums, ray.lattice),), 1)
         assert image == ArcSet(((F(1, 6), F(1, 4)), (F(7, 12), F(1, 4))))
-        assert cuts == (cp(1, F(5, 12), F(7, 12)), cp(2, F(1, 6), F(5, 6)))
+        assert tuple(map(kernel.cutpoint, cuts)) == (
+            cp(1, F(5, 12), F(7, 12)), cp(2, F(1, 6), F(5, 6)))
 
     def test_split_step_in_graph(self, pair4):
         tid = pair4.edges[(2, 1)]
@@ -274,9 +278,6 @@ def test_json_roundtrip(rc):
     g2 = tower_from_json(payload)
     assert g2.to_json() == g.to_json()
     assert g2.frontier == g.frontier
-    # the rebuilt index still identifies known candidates
-    d1 = g.domains[1]
-    assert g2.identify((d1.arcset, d1.cutpoints)) == 1
 
 
 def test_reload_names_the_domain_of_an_off_lattice_arc():
@@ -295,7 +296,7 @@ def test_reload_names_the_domain_of_an_off_lattice_arc():
 def test_endpoints_live_on_the_universe_lattice(rc, n):
     g = build_tower(rc, 8, extra_levels=16)
     assert math.lcm(*(a.denominator
-                      for a in g.partition.angle_universe())) == n
+                      for a in angle_universe(g.partition))) == n
     assert g.partition.lattice == n
     assert [F(k, n) for k in g.partition.boundary_nums] == list(
         g.partition.boundary)
