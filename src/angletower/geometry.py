@@ -110,7 +110,6 @@ class OrbitLanding:
     period: int
     points: tuple[complex, ...]
     rows: int
-    final_diff: float
 
     def step_indices(self, n: int) -> np.ndarray:
         """Indices into points of the images at steps 0..n-1, wrapping
@@ -288,8 +287,7 @@ class LandingSolver:
                 k = live[i]
                 pre, n = pres[k], int(sizes[i])
                 pts = tuple(new[members[starts[i]:starts[i] + n]].tolist())
-                done[keys[k]] = OrbitLanding(keys[k], pre, n - pre, pts, m,
-                                             float(diff[i]))
+                done[keys[k]] = OrbitLanding(keys[k], pre, n - pre, pts, m)
             # keep the points a live orbit still uses
             members = members[np.repeat(~landed, sizes)]
             used = np.zeros(len(new), dtype=bool)

@@ -445,13 +445,12 @@ def expansion_and_abramov(ind: InducedSystem,
         h_rate = float(-(p2 * np.log(p2)).sum()) - h_block
     else:
         h_rate = h_block
-    ent = entropy_estimate(ens, ENTROPY_DEPTHS)
-    h_err = abs(ent.estimate - wfreq * h_rate) / abs(ent.estimate) \
-        if ent.estimate else None
+    h = entropy_estimate(ens, ENTROPY_DEPTHS)
+    h_err = abs(h - wfreq * h_rate) / abs(h) if h else None
     return ExpansionReport(False, len(r_s), tuple(excluded),
                            min_by_n.get(1), min_by_n, n_two, wfreq,
                            lam_f, lam_induced, lam_err,
-                           ent.estimate, h_block, h_rate, h_err,
+                           h, h_block, h_rate, h_err,
                            len(uniq))
 
 

@@ -29,7 +29,6 @@ PROVENANCES = ("brolin", "dirac-periodic", "conformal", "custom")
 DEFAULT_FLOOR = 0.05
 DENSITY_DEPTH = 6
 MAX_ORBIT = 64
-MIN_WORD_COUNT = 25
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -233,10 +232,6 @@ class TowerMass:
         total = sum(self.mass.values()) + self.escaped
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"mass plus escaped is {total!r}, not 1")
-
-    @property
-    def retained(self) -> float:
-        return sum(self.mass.values())
 
 
 def _within_horizon(mu: SampleMeasure, n: int) -> None:
@@ -671,54 +666,31 @@ def lyapunov_consistency(mu: SampleMeasure, ensemble: TraceEnsemble,
                           tuple(landings))
 
 
-@dataclass(frozen=True)
-class EntropyReport:
-    estimate: float
-    per_depth: dict[int, float]
-    increments: dict[tuple[int, int], float]
-    insufficient: tuple[int, ...]
-
-
-def entropy_estimate(ensemble: TraceEnsemble, m_grid) -> EntropyReport:
+def entropy_estimate(ensemble: TraceEnsemble, m_grid) -> float:
     """Plugin cylinder entropy over the depth grid.
 
-    Per depth m the estimate is -(1/m) sum_s w_s log p(word_m(s)) with p
-    the empirical word distribution of the ensemble itself; consecutive
-    depths also give increment slopes, and the final estimate is the last
-    increment (plugin values carry an m-independent bias that the
-    difference cancels).  Depths whose rarest observed word has fewer than
-    MIN_WORD_COUNT samples are flagged as statistically insufficient.
+    Per depth m the plugin entropy is H_m = -sum_s w_s log p(word_m(s))
+    with p the empirical word distribution of the ensemble itself.  The
+    estimate is the increment (H_m2 - H_m1) / (m2 - m1) of the grid's two
+    deepest depths (plugin values carry an m-independent bias that the
+    difference cancels), or H_m / m for a grid of one depth.
     """
     m_grid = sorted(set(int(m) for m in m_grid))
     if not m_grid or m_grid[0] < 1:
         raise ValueError("depth grid must contain positive depths")
     if m_grid[-1] > ensemble.horizon:
         raise ValueError("depth grid exceeds the traced horizon")
-    syms = ensemble.symbols
     w = ensemble.weights
-    N = ensemble.graph.partition.size
-    per_depth = {}
-    h_values = {}
-    insufficient = []
-    for m in m_grid:
-        wid = word_codes(syms[:, :m], N)
-        uniq, inv, counts = np.unique(wid, return_inverse=True,
-                                      return_counts=True)
+    H = []
+    for m in m_grid[-2:]:
+        wid = word_codes(ensemble.symbols[:, :m],
+                         ensemble.graph.partition.size)
+        _, inv = np.unique(wid, return_inverse=True)
         p = np.bincount(inv, weights=w)
-        H = float(-(w * np.log(p[inv])).sum())
-        h_values[m] = H
-        per_depth[m] = H / m
-        if counts.min() < MIN_WORD_COUNT:
-            insufficient.append(m)
-    increments = {}
-    for m1, m2 in zip(m_grid, m_grid[1:]):
-        increments[(m1, m2)] = (h_values[m2] - h_values[m1]) / (m2 - m1)
-    if increments:
-        estimate = increments[(m_grid[-2], m_grid[-1])]
-    else:
-        estimate = per_depth[m_grid[0]]
-    return EntropyReport(estimate, per_depth, increments,
-                         tuple(insufficient))
+        H.append(float(-(w * np.log(p[inv])).sum()))
+    if len(H) == 1:
+        return H[0] / m_grid[0]
+    return (H[1] - H[0]) / (m_grid[-1] - m_grid[-2])
 
 
 def lift_report(mu: SampleMeasure, g: TowerGraph, n_grid, R_grid,

@@ -36,7 +36,9 @@ _INT64_LIMIT = 1 << 62
 # a finer lattice (a tiny witness margin) bisects its cuts per step
 _DENSE_CELLS = 1 << 20
 
-# rows of the backward scan's block table; finer lattices step forward
+# rows of the backward scan's block table: more than one digit a block
+# only while d^B * M rows fit, else one (d * M rows, which the router
+# keeps within _DENSE_CELLS, 8 MB)
 _SCAN_ROWS = 1 << 16
 
 # elementwise divmod of object arrays of Python ints
@@ -315,11 +317,12 @@ def symbol_matrix(nums, den: int, n: int, cells: Cells) -> np.ndarray:
     """Cell values (samples x n, column-major uint8) of nums[s] / den.
 
     The one router of the exact streams: a sample over q steps forward on
-    int64 when q fits_int64, backward when q is d-adic and d*M rows fit
-    the scan's table, and forward on Python ints otherwise.  A den that
-    fits_int64 or is d-adic, reduced or not, is every sample's q; any
-    other den is often the lcm of many small ones (a mixed measure), so
-    samples route by their denominators in lowest terms.
+    int64 when q fits_int64, backward when q is d-adic and d*M is at most
+    _DENSE_CELLS (the scan's table at one digit a block), and forward on
+    Python ints otherwise.  A den that fits_int64 or is d-adic, reduced or
+    not, is every sample's q; any other den is often the lcm of many small
+    ones (a mixed measure), so samples route by their denominators in
+    lowest terms.
     """
     d, M = cells.d, cells.lattice
     dens = [den] * len(nums)
@@ -327,7 +330,7 @@ def symbol_matrix(nums, den: int, n: int, cells: Cells) -> np.ndarray:
         gcds = [math.gcd(j, den) for j in nums]
         nums = [j // c for j, c in zip(nums, gcds)]
         dens = [den // c for c in gcds]
-    scan = d * M <= _SCAN_ROWS
+    scan = d * M <= _DENSE_CELLS
     exps = {q: _d_adic_exponent(q, d) if scan else None for q in set(dens)
             if not fits_int64(q, M, d)}
     # route 0: forward on int64, -1: on Python ints, 1: backward at K

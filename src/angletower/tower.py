@@ -32,19 +32,17 @@ from .angles import (
 )
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, slots=True)
 class CutPoint:
     """A marked point of a domain: the critical orbit point of the given age.
 
-    age a marks the a-th forward image of the critical point; origin indexes
-    which critical point (always 0 for unicritical maps); nums is the sorted
-    tuple of this point's external angles present in the domain, as
-    numerators k of k/lattice.  Two cutpoints are equal when their age,
-    origin and angles are, whatever their lattice.
+    age a marks the a-th forward image of the one critical point of
+    z^d + c; nums is the sorted tuple of this point's external angles
+    present in the domain, as numerators k of k/lattice, the partition
+    lattice.
     """
 
     age: int
-    origin: int
     nums: tuple[int, ...]
     lattice: int
 
@@ -52,15 +50,6 @@ class CutPoint:
     def angles(self) -> tuple[Fraction, ...]:
         """The sorted angles as Fractions (a read-only view)."""
         return tuple(Fraction(k, self.lattice) for k in self.nums)
-
-    def __eq__(self, other):
-        if not isinstance(other, CutPoint):
-            return NotImplemented
-        return (self.age, self.origin, self.angles) == (
-            other.age, other.origin, other.angles)
-
-    def __hash__(self):
-        return hash((self.age, self.origin, self.angles))
 
 
 @dataclass(frozen=True)
@@ -83,8 +72,8 @@ class Domain:
 
 
 class _Kernel:
-    """The step on keys (arcset, cps), cps holding (age, origin, nums,
-    lattice) sorted by age and origin.  Each move (the piece of an arc-set
+    """The step on keys (arcset, cps), cps holding (age, nums) sorted by
+    age, nums over the partition lattice.  Each move (the piece of an arc-set
     in one arc, its image and the cutpoint born there) is made once per
     distinct (arc-set, symbol), and each cutpoint's fate under a move once
     per distinct angle list, so the cost of a step follows the number of
@@ -94,7 +83,7 @@ class _Kernel:
     def __init__(self, part: CirclePartition):
         self.part = part
         self.moves: dict = {}
-        self.cutpoint = cache(lambda cp: CutPoint(*cp))
+        self.cutpoint = cache(lambda cp: CutPoint(*cp, part.lattice))
 
     def domain(self, did: int, key) -> Domain:
         """The domain of a key, with one CutPoint per distinct cutpoint."""
@@ -105,13 +94,13 @@ class _Kernel:
     def step(self, arcset: ArcSet, cps, symbol: int):
         """Key of the image of the part of the domain in the arc, or None
         when they do not meet.  Cutpoint angles in the closure of the part
-        survive with age+1 and angles times d (a numerator k over lattice m
-        steps to d*k mod m); a touch of either arc end (the critical point)
-        makes the age-1 cutpoint at their images on the partition lattice."""
-        part, d = self.part, self.part.degree
+        survive with age+1 and angles times d (a numerator k steps to d*k
+        mod the lattice); a touch of either arc end (the critical point)
+        makes the age-1 cutpoint at their images."""
+        part, d, n = self.part, self.part.degree, self.part.lattice
         move = self.moves.get((arcset, symbol))
         if move is None:
-            n, b = part.lattice, part.boundary_nums
+            b = part.boundary_nums
             piece = arcset.intersect(part.arc_set(symbol))
             born = {d * k % n for k in (b[symbol], b[(symbol + 1) % len(b)])
                     if piece.closure_contains(k, n)}
@@ -121,14 +110,14 @@ class _Kernel:
             return None
         piece, image, born, fates = move
         # carried ages are all >= 2, so the born cutpoint sorts first
-        out = [(1, 0, born, part.lattice)] if born else []
-        for age, origin, nums, m in cps:
-            hit = fates.get((nums, m))
+        out = [(1, born)] if born else []
+        for age, nums in cps:
+            hit = fates.get(nums)
             if hit is None:
-                hit = fates[(nums, m)] = tuple(sorted(
-                    {d * k % m for k in nums if piece.closure_contains(k, m)}))
+                hit = fates[nums] = tuple(sorted(
+                    {d * k % n for k in nums if piece.closure_contains(k, n)}))
             if hit:
-                out.append((age + 1, origin, hit, m))
+                out.append((age + 1, hit))
         if not out:
             # images are cut either at the critical point (arc endpoints
             # touched) or at a surviving cutpoint; a bare one cannot occur
@@ -197,7 +186,7 @@ class TowerGraph:
             "config": self.config_json(),
             "domains": [{"id": d.id, "level": d.level,
                          "arcs": d.arcset.to_pairs(),
-                         "cutpoints": [{"age": cp.age, "origin": cp.origin,
+                         "cutpoints": [{"age": cp.age, "origin": 0,
                                         "angles": [format_angle(k, cp.lattice)
                                                    for k in cp.nums]}
                                        for cp in d.cutpoints]}
@@ -378,8 +367,8 @@ def tower_to_json_str(g: TowerGraph) -> str:
     doms = []
     for d in map(g.domains.get, sorted(g.domains)):
         cps = [f'{{\n     "age": {cp.age},\n     "angles": '
-               f'{angles(cp.nums, cp.lattice)},\n     "origin": '
-               f'{cp.origin}\n    }}' for cp in d.cutpoints]
+               f'{angles(cp.nums, cp.lattice)},\n     "origin": 0'
+               f'\n    }}' for cp in d.cutpoints]
         doms.append(f'{{\n   "arcs": {arcs(d.arcset)},\n   "cutpoints": '
                     f'{_json_list(cps, 3)},\n   "id": {d.id},\n   '
                     f'"level": {d.level}\n  }}')
@@ -394,7 +383,8 @@ def tower_from_json(payload: dict) -> TowerGraph:
     """Rebuild a TowerGraph from its JSON export (domains are trusted).
 
     Every arc endpoint must lie in [0, 1] and every cutpoint angle in
-    [0, 1), both on the partition lattice of the config's angles; one that
+    [0, 1), both on the partition lattice of the config's angles, and
+    every cutpoint's origin must be 0 (the one critical point); one that
     does not raises ValueError.  Each distinct arcs text and cutpoint angle
     list is parsed once, and the domains are made as the build makes them.
     """
@@ -417,7 +407,10 @@ def tower_from_json(payload: dict) -> TowerGraph:
         if n % arcs.den:
             raise ValueError(f"domain {dj['id']} has an arc endpoint off "
                              f"the lattice of 1/{n}")
-        cps = sorted((c["age"], c["origin"], nums(tuple(c["angles"])), n)
+        if any(c["origin"] != 0 for c in dj["cutpoints"]):
+            raise ValueError(f"domain {dj['id']} has a cutpoint of a "
+                             "critical point other than 0")
+        cps = sorted((c["age"], nums(tuple(c["angles"])))
                      for c in dj["cutpoints"])
         g.domains[dj["id"]] = g._kernel.domain(dj["id"], (arcs, tuple(cps)))
     for e in payload["edges"]:

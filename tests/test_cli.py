@@ -301,6 +301,13 @@ def _off_lattice(text):
     return json.dumps(payload)
 
 
+def _second_critical_point(text):
+    # z^d + c has one critical point, so every cutpoint's origin is 0
+    payload = json.loads(text)
+    payload["domains"][1]["cutpoints"][0]["origin"] = 1
+    return json.dumps(payload)
+
+
 def _domain_angle(where, value):
     """Set the end of domain 1's first arc, or its first cutpoint angle."""
     def corrupt(text):
@@ -325,6 +332,7 @@ CORRUPT_TOWERS = {
     "arc-end-past-one": _domain_angle("arc", "5/4"),
     "negative-denominator": _domain_angle("arc", "1/-4"),
     "cutpoint-past-one": _domain_angle("cutpoint", "5/4"),
+    "cutpoint-origin-one": _second_critical_point,
 }
 
 

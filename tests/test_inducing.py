@@ -107,13 +107,12 @@ def dense_expansion_and_abramov(ind, solver) -> ExpansionReport:
         h_rate = float(-(p2 * np.log(p2)).sum()) - h_block
     else:
         h_rate = h_block
-    ent = entropy_estimate(ens, ENTROPY_DEPTHS)
-    h_err = abs(ent.estimate - wfreq * h_rate) / abs(ent.estimate) \
-        if ent.estimate else None
+    h = entropy_estimate(ens, ENTROPY_DEPTHS)
+    h_err = abs(h - wfreq * h_rate) / abs(h) if h else None
     return ExpansionReport(False, len(r_s), tuple(excluded),
                            min_by_n.get(1), min_by_n, n_two, wfreq,
                            lam_f, lam_induced, lam_err,
-                           ent.estimate, h_block, h_rate, h_err,
+                           h, h_block, h_rate, h_err,
                            len(uniq))
 
 
@@ -319,8 +318,10 @@ ROUTE_CASES = {
     # (ray choice, witness margin, ensemble, routes of the witness test)
     "brolin-cheb": (CHEB, F(1, 64), "brolin", {"backward"}),
     "brolin-cubic": (CUBIC, F(1, 64), "brolin", {"backward"}),
-    # 2 * 3 * 2^15 cells are too many rows for the backward table
-    "fine-witness": (DEND, F(1, 2 ** 15), "brolin", {"python"}),
+    # the backward table takes 2 * 3 * 2^15 rows at one digit a block,
+    # but not 2 * 3 * 2^19 (more than 2^20)
+    "fine-witness": (DEND, F(1, 2 ** 15), "brolin", {"backward"}),
+    "finer-witness": (DEND, F(1, 2 ** 19), "brolin", {"python"}),
     # the lcm of 2^K and 2^10 - 1 is neither d-adic nor int64-sized, so
     # each sample routes by its own denominator
     "mixed": (CHEB, F(1, 64), "mixed", {"backward", "int64"}),

@@ -5,9 +5,12 @@ top-level class, must be referenced somewhere in src/ (outside its own
 definition), in bench/, or in tests/test_acceptance.py.  A name that only
 other tests use is a test oracle and belongs in tests/.  References are
 matched by name: a read of the name or attribute, an imported name, or a
-string equal to it (the benchmark's tracer names methods by string), so
-any same-named reference counts and the check errs towards passing.  Only
-the standard-library `ast` module is needed.
+string equal to it (the benchmark's tracer names methods by string).  A
+bare-name read counts only where no enclosing function, lambda or
+comprehension binds that name, so a local `step` or `f` does not stand
+for a public `step` or `f`; any other same-named reference counts, and
+the check errs towards passing.  Only the standard-library `ast` module
+is needed.
 """
 
 import ast
@@ -19,6 +22,8 @@ CALLERS = (sorted(SRC.glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
            + [ROOT / "tests" / "test_acceptance.py"])
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ListComp,
+          ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
 
 def public_names(source: str) -> list[str]:
@@ -35,25 +40,52 @@ def public_names(source: str) -> list[str]:
     return out
 
 
+def bound_names(scope) -> set[str]:
+    """The names a function, lambda or comprehension binds: its
+    parameters, and the targets, imports and definitions of its own body
+    (not of the scopes nested in it)."""
+    args = getattr(scope, "args", None)
+    found = {a.arg for a in ast.walk(args)
+             if isinstance(a, ast.arg)} if args else set()
+    todo = list(ast.iter_child_nodes(scope))
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.alias):
+            found.add((node.asname or node.name).partition(".")[0])
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            found.add(node.name)
+        if isinstance(node, DEFINITIONS):
+            found.add(node.name)
+        if not isinstance(node, SCOPES + (ast.ClassDef,)):
+            todo.extend(ast.iter_child_nodes(node))
+    return found
+
+
 def referenced_names(source: str) -> set[str]:
     """Names source reads, imports or spells as a string, each outside
-    the definitions of that same name."""
+    the definitions of that same name; a bare name counts when it is
+    read where no enclosing scope binds it."""
     found = set()
 
-    def visit(node, inside):
+    def visit(node, inside, local):
         if isinstance(node, DEFINITIONS):
             inside = inside | {node.name}
-        name = (node.id if isinstance(node, ast.Name) else
-                node.attr if isinstance(node, ast.Attribute) else
+        if isinstance(node, SCOPES):
+            local = local | bound_names(node)
+        name = (node.id if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load) and node.id not in local
+                else node.attr if isinstance(node, ast.Attribute) else
                 node.name if isinstance(node, ast.alias) else
                 node.value if isinstance(node, ast.Constant)
                 and isinstance(node.value, str) else None)
         if name is not None and name not in inside:
             found.add(name)
         for child in ast.iter_child_nodes(node):
-            visit(child, inside)
+            visit(child, inside, local)
 
-    visit(ast.parse(source), frozenset())
+    visit(ast.parse(source), frozenset(), frozenset())
     return found
 
 
@@ -75,13 +107,20 @@ def test_checker_flags_unreferenced_names():
         "    def named(self):\n        pass\n"
         "    def __len__(self):\n        return 0\n"
         "class Dropped:\n"
-        "    pass\n")
+        "    pass\n"
+        "def shadowed(x):\n    return x\n"
+        "def looped(x):\n    return x\n")
     callers = [definitions,
                "from pkg import used\nKept().method()\n"
-               "METHODS = (('mod', 'Kept', 'named'),)\n"]
+               "METHODS = (('mod', 'Kept', 'named'),)\n",
+               # each read below is of a local, not of the public name
+               "def run(shadowed, xs):\n"
+               "    def inner():\n        return shadowed(xs)\n"
+               "    return inner() + [looped(x) for looped in xs]\n"
+               "def other(helper):\n    return helper\n"]
     refs = set().union(*map(referenced_names, callers))
     assert uncalled(definitions, refs) == [
-        "recursive", "Kept.spare", "Dropped"]
+        "recursive", "Kept.spare", "Dropped", "shadowed", "looped"]
 
 
 def test_every_public_name_has_a_caller():

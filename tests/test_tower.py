@@ -35,11 +35,11 @@ QUARTIC = RayChoice(4, (F(1, 12),))
 FULL = ArcSet.full_circle()
 
 
-def cp(age, *angles):
-    fs = sorted(F(a) for a in angles)
-    n = math.lcm(*(a.denominator for a in fs))
-    return CutPoint(age, 0, tuple(a.numerator * (n // a.denominator)
-                                  for a in fs), n)
+def cp(n, age, *angles):
+    """The cutpoint of the given age at the angles, over the lattice n."""
+    nums = sorted(F(a) * n for a in angles)
+    assert all(k.denominator == 1 for k in nums)
+    return CutPoint(age, tuple(map(int, nums)), n)
 
 
 
@@ -88,11 +88,13 @@ class TestChebyshevTower:
             assert d.level == i
 
     def test_domain_decorations(self, cheb6):
+        n = cheb6.partition.lattice
         assert cheb6.domains[0].arcset == ArcSet.full_circle()
         assert cheb6.domains[0].cutpoints == ()
-        assert cheb6.domains[1].cutpoints == (cp(1, F(1, 2)),)
+        assert cheb6.domains[1].cutpoints == (cp(n, 1, F(1, 2)),)
         for l in range(2, 8):
-            assert cheb6.domains[l].cutpoints == (cp(1, F(1, 2)), cp(l, 0))
+            assert cheb6.domains[l].cutpoints == (
+                cp(n, 1, F(1, 2)), cp(n, l, 0))
         assert all(d.arcset == FULL for d in cheb6.domains.values())
 
     def test_exact_edge_list(self, cheb6):
@@ -134,16 +136,20 @@ class TestDendriteTower:
 
     def test_domain_decorations(self, dend6):
         sixth, third, two_thirds = F(1, 6), F(1, 3), F(2, 3)
-        assert dend6.domains[1].cutpoints == (cp(1, sixth),)
-        assert dend6.domains[2].cutpoints == (cp(1, sixth), cp(2, third))
+        n = dend6.partition.lattice
+        assert dend6.domains[1].cutpoints == (cp(n, 1, sixth),)
+        assert dend6.domains[2].cutpoints == (
+            cp(n, 1, sixth), cp(n, 2, third))
         assert dend6.domains[3].cutpoints == (
-            cp(1, sixth), cp(2, third), cp(3, two_thirds))
-        assert dend6.domains[4].cutpoints == (cp(1, sixth), cp(4, third))
+            cp(n, 1, sixth), cp(n, 2, third), cp(n, 3, two_thirds))
+        assert dend6.domains[4].cutpoints == (
+            cp(n, 1, sixth), cp(n, 4, third))
         assert dend6.domains[5].cutpoints == (
-            cp(1, sixth), cp(2, third), cp(5, two_thirds))
-        assert dend6.domains[6].cutpoints == (cp(1, sixth), cp(6, third))
+            cp(n, 1, sixth), cp(n, 2, third), cp(n, 5, two_thirds))
+        assert dend6.domains[6].cutpoints == (
+            cp(n, 1, sixth), cp(n, 6, third))
         assert dend6.domains[7].cutpoints == (
-            cp(1, sixth), cp(2, third), cp(7, two_thirds))
+            cp(n, 1, sixth), cp(n, 2, third), cp(n, 7, two_thirds))
 
     def test_exact_edge_list(self, dend6):
         assert dend6.edges == {
@@ -173,9 +179,10 @@ class TestTwoRayTower:
         assert [l for _, l in pair_part.arcs] == [F(1, 12), F(5, 12), F(1, 12), F(5, 12)]
 
     def test_level_one_domains(self, pair4):
+        n = pair4.partition.lattice
         assert pair4.domains[1].arcset == ArcSet.arc(F(5, 12), F(7, 12))
         assert pair4.domains[2].arcset == ArcSet.arc(F(7, 12), F(5, 12))
-        both = (cp(1, F(5, 12), F(7, 12)),)
+        both = (cp(n, 1, F(5, 12), F(7, 12)),)
         assert pair4.domains[1].cutpoints == both
         assert pair4.domains[2].cutpoints == both
         assert sum(1 for d in pair4.domains.values() if d.level == 1) == 2
@@ -184,19 +191,21 @@ class TestTwoRayTower:
         # the wrap domain meets arc [7/24,17/24) in two pieces; both existing
         # ray angles sit on the closure, so the step doubles them and also
         # cuts anew at the images of both arc endpoints
-        kernel = _Kernel(pair_part)
-        ray = cp(1, F(5, 12), F(7, 12))
+        kernel, n = _Kernel(pair_part), pair_part.lattice
+        ray = cp(n, 1, F(5, 12), F(7, 12))
         image, cuts = kernel.step(ArcSet.arc(F(7, 12), F(5, 12)),
-                                  ((1, 0, ray.nums, ray.lattice),), 1)
+                                  ((1, ray.nums),), 1)
         assert image == ArcSet(((F(1, 6), F(1, 4)), (F(7, 12), F(1, 4))))
         assert tuple(map(kernel.cutpoint, cuts)) == (
-            cp(1, F(5, 12), F(7, 12)), cp(2, F(1, 6), F(5, 6)))
+            cp(n, 1, F(5, 12), F(7, 12)), cp(n, 2, F(1, 6), F(5, 6)))
 
     def test_split_step_in_graph(self, pair4):
+        n = pair4.partition.lattice
         tid = pair4.edges[(2, 1)]
         d = pair4.domains[tid]
         assert d.arcset == ArcSet(((F(1, 6), F(1, 4)), (F(7, 12), F(1, 4))))
-        assert d.cutpoints == (cp(1, F(5, 12), F(7, 12)), cp(2, F(1, 6), F(5, 6)))
+        assert d.cutpoints == (cp(n, 1, F(5, 12), F(7, 12)),
+                               cp(n, 2, F(1, 6), F(5, 6)))
         assert d.level == 2
 
     def test_structure_report(self, pair4):
