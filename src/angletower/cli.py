@@ -35,20 +35,22 @@ import configparser
 import dataclasses
 import hashlib
 import json
+import math
 import re
 import sys
 import time
 from fractions import Fraction
 from pathlib import Path
 
-from .angles import RayChoice, build_partition, parse_angle
+from .angles import RayChoice, build_partition, format_angle, parse_angle
 from .census import (InsufficientDepth, brute_force_census, cutpoint_census,
                      l_table_csv, s_table_csv, subset_count_bound,
                      verify_appendix)
 from .conformal import (build_basis, conformality_residual, curve_csv,
                         lyapunov_liftability_experiment, solve_delta,
                         weights_csv)
-from .geometry import LandingSolver, PolynomialModel, landing_table_csv
+from .geometry import (LandingError, LandingSolver, PolynomialModel,
+                       landing_table_csv)
 from .inducing import (branch_words_csv, choose_W, expansion_and_abramov,
                        first_return, kac_check, recurrent_witness_domain,
                        tau_histogram_csv)
@@ -272,7 +274,7 @@ def load_config(args) -> RunConfig:
         raise raw.error("margins", "cutpoint_margin",
                         "cutpoint_margin must be >= 0")
 
-    return RunConfig(
+    cfg = RunConfig(
         raw=raw,
         ray_choice=rc,
         model=model,
@@ -291,6 +293,14 @@ def load_config(args) -> RunConfig:
         margin=margin,
         out=str(out),
     )
+    # each ray must land on c, or the tower is not this map's
+    for a, ld in zip(angles, cfg.solver().land_many(angles)):
+        miss = (math.inf if isinstance(ld, LandingError)
+                else abs(ld.points[0] - model.c))
+        if not miss <= tol_orbit:
+            raise raw.error("map", "angle", f"the ray at {format_angle(a)} "
+                            f"lands {miss:.3g} from c, beyond tol_orbit")
+    return cfg
 
 
 # --------------------------------------------------------------------------

@@ -423,7 +423,7 @@ def lyapunov_liftability_experiment(
     # Lyapunov cells: mass of the nodes expanding faster than lam over n
     # steps; dichotomy sets: those of them whose early visit frequency at
     # or below the cap is under eps (their mass should be negligible)
-    lv = ens.level_matrix()[inc]
+    lv = ens.levels[ens.states[inc, :nmax]]
     lyap_cells = {}
     dich_cells = {}
     for lam in lambdas:

@@ -16,11 +16,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .angles import CirclePartition, angle_orbit, format_angle
+from .angles import CirclePartition, format_angle, orbit_numerators
 from .geometry import (CRIT_TOL, CriticalProximity, LandingError,
                        LandingSolver, PolynomialModel)
-from .streams import (TraceEnsemble, _block_width, common_numerators,
-                      is_dyadic, symbol_cells, symbol_matrix, trace_ensemble,
+from .streams import (TraceEnsemble, common_numerators, is_dyadic,
+                      symbol_cells, symbol_matrix, trace_ensemble,
                       walk_blocks, walk_table, window_digits, word_codes)
 from .tower import TowerGraph
 
@@ -31,54 +31,36 @@ DENSITY_DEPTH = 6
 MAX_ORBIT = 64
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class SampleMeasure:
     """Weighted rational angles nums[i] / den summing to unit mass.
 
-    SampleMeasure(pairs, provenance) puts (angle, weight) pairs over the
-    lcm of their denominators; SampleMeasure.over takes numerators over a
-    den that need not be reduced (d^K, d^bits - 1 for the Brolin
-    samplers).  angles is a lazy, read-only Fraction view.
-    horizon bounds the number of steps for which the samples are
-    guaranteed to behave like typical points (dyadic samples eventually
-    ride the partition boundary); None means unlimited.
+    den need not be reduced (d^K, d^bits - 1 for the Brolin samplers);
+    angles is a lazy, read-only Fraction view.  horizon, unless None,
+    bounds the steps over which the samples behave like typical points
+    (dyadic samples eventually ride the partition boundary).
     """
 
     nums: tuple[int, ...]
     den: int
     weights: np.ndarray
     provenance: str
-    horizon: int | None
+    horizon: int | None = None
 
-    def __init__(self, samples, provenance: str, horizon: int | None = None):
-        samples = tuple(samples)
-        self._fill(*common_numerators(a for a, _ in samples),
-                   [w for _, w in samples], provenance, horizon)
-
-    @classmethod
-    def over(cls, den: int, nums, weights, provenance: str,
-             horizon=None) -> "SampleMeasure":
-        """The measure of weights[i] at nums[i] / den, no Fraction built."""
-        mu = cls.__new__(cls)
-        mu._fill(tuple(nums), den, weights, provenance, horizon)
-        return mu
-
-    def _fill(self, nums, den, weights, provenance, horizon):
-        if provenance not in PROVENANCES:
-            raise ValueError(f"unknown provenance {provenance!r}")
-        if not nums:
+    def __post_init__(self):
+        if self.provenance not in PROVENANCES:
+            raise ValueError(f"unknown provenance {self.provenance!r}")
+        if not self.nums:
             raise ValueError("a measure needs at least one sample")
-        weights = np.array(weights, dtype=np.float64)
-        total = 0.0
-        for j, w in zip(nums, weights.tolist()):
+        weights = np.array(self.weights, dtype=np.float64)
+        for j, w in zip(self.nums, weights.tolist()):
             if w <= 0:
-                raise ValueError(f"nonpositive weight {w} at {j}/{den}")
-            total += w
+                raise ValueError(f"nonpositive weight {w} at {j}/{self.den}")
+        total = math.fsum(weights)
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"weights sum to {total!r}, not 1")
         weights.setflags(write=False)
-        self.__dict__.update(nums=nums, den=den, weights=weights,
-                             provenance=provenance, horizon=horizon)
+        object.__setattr__(self, "weights", weights)
 
     @cached_property
     def angles(self) -> tuple[Fraction, ...]:
@@ -150,11 +132,10 @@ def brolin_samples(partition: CirclePartition, count: int, horizon: int,
         nbytes += 8
     rng = np.random.default_rng(seed)
     raw = rng.bytes(count * nbytes)
-    w = 1.0 / count
     js = (int.from_bytes(raw[i * nbytes:(i + 1) * nbytes], "big") % den
           for i in range(count))
-    return SampleMeasure.over(den, [j + (j % d == 0) for j in js],
-                              [w] * count, "brolin", horizon)
+    return SampleMeasure(tuple(j + (j % d == 0) for j in js), den,
+                         [1.0 / count] * count, "brolin", horizon)
 
 
 def brolin_period_samples(partition: CirclePartition, count: int,
@@ -172,21 +153,21 @@ def brolin_period_samples(partition: CirclePartition, count: int,
     d = partition.degree
     den = d ** bits - 1
     rng = np.random.default_rng(seed)
-    js = rng.integers(0, den, size=count)
-    w = 1.0 / count
-    return SampleMeasure.over(den, js.tolist(), [w] * count, "brolin")
+    js = rng.integers(0, den, size=count).tolist()
+    return SampleMeasure(tuple(js), den, [1.0 / count] * count, "brolin")
 
 
 def dirac_cycle(partition: CirclePartition, a: Fraction) -> SampleMeasure:
     """The invariant atomic measure on the cycle of a periodic angle."""
     d = partition.degree
     a = Fraction(a) % 1
-    preperiod, _, orbit = angle_orbit(a, d)
+    # q is coprime to d, so every iterate p/q is in lowest terms over q
+    preperiod, q, nums = orbit_numerators(a, d)
     if preperiod:
         raise ValueError(f"angle {format_angle(a)} is not periodic "
                          f"under multiplication by {d}")
-    w = 1.0 / len(orbit)
-    return SampleMeasure(tuple((p, w) for p in orbit), "dirac-periodic")
+    return SampleMeasure(tuple(nums), q, [1.0 / len(nums)] * len(nums),
+                         "dirac-periodic")
 
 
 def custom_measure(pairs, partition: CirclePartition | None = None,
@@ -198,14 +179,16 @@ def custom_measure(pairs, partition: CirclePartition | None = None,
     rejected unless allow_boundary_orbit is set (such measures are the
     canonical non-liftable examples, so the door stays open).
     """
-    samples = tuple((Fraction(a) % 1, float(w)) for a, w in pairs)
+    pairs = tuple(pairs)
+    angles = [Fraction(a) % 1 for a, _ in pairs]
     if partition is not None and not allow_boundary_orbit:
-        for a, _ in samples:
+        for a in angles:
             if orbit_hits_boundary(a, partition):
                 raise ValueError(
                     f"sample {format_angle(a)} has a boundary-riding "
                     f"orbit; pass allow_boundary_orbit=True if intended")
-    return SampleMeasure(samples, provenance, horizon)
+    return SampleMeasure(*common_numerators(angles),
+                         [float(w) for _, w in pairs], provenance, horizon)
 
 
 # --------------------------------------------------------------------------
@@ -331,36 +314,21 @@ def lift_cesaro(mu: SampleMeasure, g: TowerGraph, n: int,
                 ensemble: TraceEnsemble | None = None) -> TowerMass:
     """The horizon-n Cesaro lift of mu restricted to levels <= R.
 
-    Averages the pushed sample masses over steps 0..n-1; step 0 places
-    everything on the base, so n = 1 returns the inclusion itself.
+    Averages the pushed sample masses over steps 0..n-1, as the defect
+    folds them; step 0 places everything on the base, so n = 1 returns
+    the inclusion itself.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     R = g.truncation if R is None else R
-    ens = _traced(ensemble or make_ensemble(mu, g, n), n)
-    # exact integer visit counts per (sample, domain) pair keep the float
-    # accumulation chains short enough for the 1e-12 conservation budget.
-    # The keys are sample-major, so counting one block of samples at a time
-    # and concatenating gives the counts over all samples, sorted alike.
-    uniq, cnt = [], []
-    width = _block_width(n)
-    for s0 in range(0, ens.count, width):
-        keys = ens.states[s0:s0 + width, :n].astype(np.int64)
-        keys |= np.arange(s0, s0 + len(keys), dtype=np.int64)[:, None] << 32
-        u, c = np.unique(keys, return_counts=True)
-        uniq.append(u)
-        cnt.append(c)
-    uniq, cnt = np.concatenate(uniq), np.concatenate(cnt)
-    contrib = ens.weights[uniq >> 32] * (cnt / n)
-    per_state = np.bincount(uniq & 0xFFFFFFFF, weights=contrib,
-                            minlength=len(g.domains))
-    mass = {}
-    for i, w in enumerate(per_state):
-        if w != 0.0 and g.domains[i].level <= R:
-            mass[i] = float(w)
+    weights, _, _, blocks = _trace(mu, g, n, ensemble)
+    occupation = _Defect(weights, len(g.domains), n - 1)
+    _fold(blocks, occupation)
+    mass = {i: float(w) for i, w in enumerate(occupation.total / n)
+            if w != 0.0 and g.domains[i].level <= R}
     # escaped is the mass complement, so conservation holds to the same
     # accuracy as the input normalization
-    escaped = math.fsum([math.fsum(ens.weights), -math.fsum(mass.values())])
+    escaped = math.fsum([math.fsum(weights), -math.fsum(mass.values())])
     return TowerMass(mass, max(escaped, 0.0), n, R)
 
 
@@ -437,8 +405,8 @@ def liftability_verdict(rows, floor: float = DEFAULT_FLOOR) -> LiftReport:
 
 
 class _Defect:
-    """Weighted domain counts at step 0, summed over steps 0..n, and at
-    step n."""
+    """Weighted domain counts at step 0, summed over steps 0..n (the
+    Cesaro occupation), and at step n."""
 
     def __init__(self, weights, size: int, n: int):
         self.w = weights
@@ -625,7 +593,7 @@ def lyapunov_consistency(mu: SampleMeasure, ensemble: TraceEnsemble,
     d = g.partition.degree
     R = g.truncation if R is None else R
     n = ensemble.horizon if n is None else n
-    lv = ensemble.level_matrix()[:, :n]
+    lv = ensemble.levels[ensemble.states[:, :n]]
     excluded = []
     lam_sum = 0.0
     used = 0.0

@@ -186,10 +186,11 @@ def dyadic_symbol_streams(numerators, K: int, n: int,
     while B < 8 and d ** (B + 1) <= min(256, _SCAN_ROWS // M):
         B += 1
     D = d ** B
-    g, c = np.divmod(np.arange(D * M), M)
     block = np.zeros((D * M, 8), dtype=np.uint8)
     for i in range(B):
-        block[:, i] = table[((g % d ** (B - i)) * M + c) // d ** (B - i)]
+        # ((g mod q)*M + c) // q runs through the table, each entry q times
+        q = d ** (B - i)
+        block[:, i] = np.tile(np.repeat(table, q), D // q)
     packed = block.view(np.uint64).ravel()
     count = len(numerators)
     out = np.empty((count, n), dtype=np.uint8, order="F")
@@ -292,9 +293,6 @@ class TraceEnsemble:
     @property
     def horizon(self) -> int:
         return self.symbols.shape[1]
-
-    def level_matrix(self) -> np.ndarray:
-        return self.levels[self.states]
 
     def state_blocks(self, n: int):
         """Views (k0, states[:, k0:k1]) over steps 0..n, in the blocks

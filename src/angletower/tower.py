@@ -181,21 +181,6 @@ class TowerGraph:
                 "truncation": self.truncation,
                 "extra_levels": self.extra_levels}
 
-    def to_json(self) -> dict:
-        return {
-            "config": self.config_json(),
-            "domains": [{"id": d.id, "level": d.level,
-                         "arcs": d.arcset.to_pairs(),
-                         "cutpoints": [{"age": cp.age, "origin": 0,
-                                        "angles": [format_angle(k, cp.lattice)
-                                                   for k in cp.nums]}
-                                       for cp in d.cutpoints]}
-                        for d in map(self.domains.get, sorted(self.domains))],
-            "edges": [{"from": f, "symbol": s, "to": t}
-                      for (f, s), t in sorted(self.edges.items())],
-            "frontier": sorted(self.frontier),
-        }
-
     def to_dot(self) -> str:
         """Graphviz digraph with one rank per level."""
         lines = ["digraph tower {", "  rankdir=BT;",
@@ -358,9 +343,10 @@ def _json_list(items: list[str], depth: int) -> str:
 
 
 def tower_to_json_str(g: TowerGraph) -> str:
-    """json.dumps(g.to_json(), indent=1, sort_keys=True), written straight
-    from the graph with the text of each distinct arc-set and cutpoint
-    angle list made once."""
+    """json.dumps(indent=1, sort_keys=True) of {"config": config_json(),
+    "domains": [{"id", "level", "arcs", "cutpoints": [{"age", "angles",
+    "origin": 0}]}] by id, "edges": [{"from", "symbol", "to"}], "frontier"},
+    written from the graph, each arc-set and angle list text made once."""
     arcs = cache(lambda arcset: _nested(arcset.to_pairs(), 3))
     angles = cache(lambda nums, n: _nested([format_angle(k, n)
                                             for k in nums], 5))

@@ -187,9 +187,11 @@ def test_lift_artifacts_bytes_frozen(tmp_path, name):
 
 # sha1 of the shipped chebyshev config's induce artifacts at seed 7,
 # computed with the dense samples x horizon matrices that the sample-block
-# folds replaced
+# folds replaced; induce.json's since the Cesaro mass is read from the
+# per-step domain sums, whose domain_mass_lift 0.4889567057291667 lies
+# 5e-17 from the exact C/(count*n) = 600830/(768*1600)
 FROZEN_INDUCE = {
-    "induce.json": "6f90f2d35605811ba6b37ed897b95d174d8c360c",
+    "induce.json": "f5ded7771788885eadad4f31c5600a0cb0834bd3",
     "tau_histogram.csv": "c70541ad795ac2b508f6226af77dd97cd0aa74f0",
     "branch_words.csv": "f74c2203045fc2050d014c25cdba8041c8f8f489",
 }
@@ -404,12 +406,14 @@ def test_conformal_horizons_out_of_range_is_config_error(tmp_path, capsys,
 
 
 def test_lyapunov_stage_lands_each_sample_once(tmp_path, monkeypatch):
-    # landings.csv formats the landings lyapunov_consistency made
+    # landings.csv formats the landings lyapunov_consistency made; the
+    # config's own ray is landed apart, in a batch of one
     batches = []
     land_many = LandingSolver.land_many
 
     def counted(self, angles):
-        batches.append(1)
+        angles = list(angles)
+        batches.append(len(angles))
         return land_many(self, angles)
 
     monkeypatch.setattr(LandingSolver, "land_many", counted)
@@ -419,7 +423,7 @@ def test_lyapunov_stage_lands_each_sample_once(tmp_path, monkeypatch):
     cfg, out = write_cfg(tmp_path, text=text)
     assert main(["tower-build", "--config", str(cfg)]) == EXIT_OK
     assert main(["lyapunov", "--config", str(cfg)]) == EXIT_OK
-    assert len(batches) == 1
+    assert batches.count(24) == 1
     rows = (out / "landings.csv").read_text().splitlines()
     assert len(rows) == 1 + 5
 
@@ -461,6 +465,14 @@ def test_off_parameter_is_config_error(tmp_path, capsys):
     cfg, _ = write_cfg(tmp_path, name="real.ini", text=text)
     assert main(["tower-build", "--config", str(cfg)]) == EXIT_CONFIG
     assert f"{cfg}:3" in capsys.readouterr().err
+    # the ray at 1/6 lands 3 away from c = -2: the angle line is cited
+    text = BASE.format(R=5, extra=16, out=tmp_path / "o")
+    text = text.replace("angle = 1/2", "angle = 1/6")
+    cfg, _ = write_cfg(tmp_path, name="ray.ini", text=text)
+    for stage in ("tower-build", "lift"):
+        assert main([stage, "--config", str(cfg)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"{cfg}:5" in err and "1/6 lands 3 from c" in err, stage
 
 
 def test_missing_seed_is_config_error(tmp_path, capsys):

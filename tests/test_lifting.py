@@ -80,17 +80,17 @@ def climbing_ens(part, graph):
 
 def test_measure_validation():
     with pytest.raises(ValueError):
-        lf.SampleMeasure(((F(1, 3), 0.5),), "custom")
+        lf.custom_measure(((F(1, 3), 0.5),))
     with pytest.raises(ValueError):
-        lf.SampleMeasure(((F(1, 3), -1.0), (F(2, 3), 2.0)), "custom")
+        lf.custom_measure(((F(1, 3), -1.0), (F(2, 3), 2.0)))
     with pytest.raises(ValueError):
-        lf.SampleMeasure(((F(1, 3), 1.0),), "homebrew")
+        lf.custom_measure(((F(1, 3), 1.0),), provenance="homebrew")
     with pytest.raises(ValueError):
-        lf.SampleMeasure((), "custom")
+        lf.custom_measure(())
     with pytest.raises(ValueError):
-        lf.SampleMeasure.over(8, [1, 3], [0.5, 0.25], "custom")
+        lf.SampleMeasure((1, 3), 8, [0.5, 0.25], "custom")
     with pytest.raises(ValueError):
-        lf.SampleMeasure.over(8, [], [], "custom")
+        lf.SampleMeasure((), 8, [], "custom")
 
 
 def test_brolin_sampler(part):
@@ -159,7 +159,7 @@ def test_measure_views_and_denominators(part):
     assert mixed.angles == (F(1, 3), F(5, 8))
     assert mixed.weights.tolist() == [0.5, 0.5]
     # numerators over an unreduced den keep it; the views reduce
-    over = lf.SampleMeasure.over(8, [2, 3], [0.5, 0.5], "custom")
+    over = lf.SampleMeasure((2, 3), 8, [0.5, 0.5], "custom")
     assert (over.den, over.nums) == (8, (2, 3))
     assert over.angles == (F(1, 4), F(3, 8))
     assert over.weights.tolist() == [0.5, 0.5]
@@ -317,15 +317,14 @@ def test_mass_conservation_exact(graph, brolin_ens):
 
 
 def dense_lift_cesaro(g, n, R, ens) -> lf.TowerMass:
-    """lift_cesaro over one samples x n key matrix: the oracle that the
-    sample-block counts must match bit for bit."""
-    keys = ((np.arange(ens.count, dtype=np.int64)[:, None] << 32)
-            | ens.states[:, :n].astype(np.int64))
-    uniq, cnt = np.unique(keys.ravel("K"), return_counts=True)
-    contrib = ens.weights[uniq >> 32] * (cnt / n)
-    per_state = np.bincount(uniq & 0xFFFFFFFF, weights=contrib,
-                            minlength=len(g.domains))
-    mass = {i: float(w) for i, w in enumerate(per_state)
+    """lift_cesaro from its definition: the weighted domain sums of steps
+    0..n-1, one whole state column at a time, added in step order and
+    divided by n; the oracle the folded blocks must match bit for bit."""
+    total = np.zeros(len(g.domains))
+    for k in range(n):
+        total += np.bincount(ens.states[:, k], weights=ens.weights,
+                             minlength=len(g.domains))
+    mass = {i: float(w) for i, w in enumerate(total / n)
             if w != 0.0 and g.domains[i].level <= R}
     escaped = math.fsum([math.fsum(ens.weights), -math.fsum(mass.values())])
     return lf.TowerMass(mass, max(escaped, 0.0), n, R)
@@ -334,8 +333,8 @@ def dense_lift_cesaro(g, n, R, ens) -> lf.TowerMass:
 @pytest.mark.parametrize("case", ["periodic", "unequal"])
 def test_lift_cesaro_sample_blocks_match_dense_formula(monkeypatch, part,
                                                        graph, case):
-    # 50 samples in blocks of 7 (the last holds 1), down to one sample per
-    # block; the unequal weights grow with the sample index
+    # the 301 state columns in blocks of 7, down to one column per block;
+    # the unequal weights grow with the sample index
     n = 300
     if case == "periodic":
         mu = lf.brolin_period_samples(part, 50, seed=4, bits=12)
@@ -347,11 +346,27 @@ def test_lift_cesaro_sample_blocks_match_dense_formula(monkeypatch, part,
     ens = lf.make_ensemble(mu, graph, n)
     for R in (4, 8):
         want = dense_lift_cesaro(graph, n, R, ens)
-        for cells in (streams._BLOCK_CELLS, 7 * n, 1):
+        for cells in (streams._BLOCK_CELLS, 7 * 50, 1):
             monkeypatch.setattr(streams, "_BLOCK_CELLS", cells)
             assert lf.lift_cesaro(mu, graph, n, R, ensemble=ens) == want, \
                 (R, cells)
+            # with no ensemble the same blocks come out of the tower walk
+            assert lf.lift_cesaro(mu, graph, n, R) == want, (R, cells)
             monkeypatch.undo()
+
+
+def test_lift_cesaro_without_ensemble_streams_the_walk(graph, brolin_ens):
+    # without an ensemble the lift folds the tower walk's blocks, and
+    # holds no samples x horizon state matrix
+    mu, ens = brolin_ens
+    tracemalloc.start()
+    try:
+        got = lf.lift_cesaro(mu, graph, 1000, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == lf.lift_cesaro(mu, graph, 1000, 6, ensemble=ens)
+    assert peak < ens.states.nbytes / 2
 
 
 def test_tower_mass_validation():

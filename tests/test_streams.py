@@ -1,6 +1,7 @@
 """Vectorized symbol streams and tower walks against the exact oracles."""
 
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -11,7 +12,10 @@ from hypothesis import strategies as st
 from angletower import streams as streams_module
 from angletower.angles import (CirclePartition, RayChoice, build_partition,
                                itinerary, is_strictly_preperiodic)
-from angletower.lifting import brolin_period_samples, brolin_samples
+from angletower.inducing import (choose_W, first_return,
+                                 recurrent_witness_domain)
+from angletower.lifting import (brolin_period_samples, brolin_samples,
+                                make_ensemble)
 from angletower.streams import (FrontierReached, cell_streams,
                                 dyadic_symbol_streams, is_dyadic,
                                 symbol_cells, symbol_matrix, trace_ensemble,
@@ -180,11 +184,11 @@ def test_trace_symbols_match_itinerary_mixed(cheb_graph):
         assert list(ens.symbols[s]) == list(itinerary(a, part, 30))
 
 
-def test_angle_at_and_level_matrix(cheb_graph):
+def test_angle_at_and_level_gather(cheb_graph):
     ens = trace_ensemble((F(1, 7),), [1.0], cheb_graph, 12)
     assert angle_at(ens, 0, 0) == F(1, 7)
     assert angle_at(ens, 0, 3) == F(8, 7) % 1
-    lv = ens.level_matrix()
+    lv = ens.levels[ens.states]
     assert lv.shape == ens.states.shape
     assert lv[0, 0] == 0
 
@@ -407,3 +411,22 @@ def test_fine_lattice_fallbacks_match_itinerary(monkeypatch, part):
     monkeypatch.setattr(streams_module, "dyadic_symbol_streams", no_scan)
     for seed in range(3):
         assert_cell_kernel_matches_itinerary(part, seed)
+
+
+def test_fine_witness_block_table_memory():
+    # at margin 2^-17 the dendrite witness takes d * M = 786,432 rows of
+    # the backward table at one digit a block (6 MiB); building it holds
+    # no index array as long as the table
+    n = 400
+    g = build_tower(DEND, 8, extra_levels=n)
+    w = choose_W(g, recurrent_witness_domain(g), F(1, 2 ** 17))
+    assert 2 * w.arcs.den == 786_432
+    ens = make_ensemble(brolin_samples(g.partition, 64, n, seed=7), g, n)
+    tracemalloc.start()
+    try:
+        ind = first_return(ens, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ind.return_count == 8526
+    assert peak < 2 * 8 * 786_432
