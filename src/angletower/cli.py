@@ -16,9 +16,9 @@ subcommands against a shared output directory:
 tower-build writes tower.json; the other stages read it back, so a run
 directory is self-contained and diff-able.  Every command also writes
 <command>.manifest.json with the echoed config, the resolved seed, a
-git-blob sha1 per output file, and a combined content hash; wall time
-is recorded but excluded from hashing, so identical (config, seed)
-reruns produce identical artifact bytes and content hashes.
+git-blob sha1 per output file, a combined content hash and the landing
+counters; wall time is recorded but excluded from hashing, so identical
+(config, seed) reruns produce identical artifact bytes and manifests.
 
 All randomness flows from the single [sampling] seed; stages that draw
 samples use documented offsets (lift +0, lyapunov +1, induce +2,
@@ -223,14 +223,11 @@ class RunConfig:
     seed: int
     samples: int
     horizon: int
-    tol_land: float
+    solver: LandingSolver
     eigen_tol: float
     bisection_tol: float
     margin: Fraction
     out: str
-
-    def solver(self) -> LandingSolver:
-        return LandingSolver(self.model, tol_land=self.tol_land)
 
 
 def load_config(args) -> RunConfig:
@@ -284,8 +281,9 @@ def load_config(args) -> RunConfig:
         seed=int(seed),
         samples=raw.get_int("sampling", "samples", default=1000, minimum=1),
         horizon=raw.get_int("sampling", "horizon", default=1000, minimum=1),
-        tol_land=raw.get_float("tolerances", "tol_land", default=1e-12,
-                               positive=True),
+        # one solver lands every ray of the run, and counts its decisions
+        solver=LandingSolver(model, tol_land=raw.get_float(
+            "tolerances", "tol_land", default=1e-12, positive=True)),
         eigen_tol=raw.get_float("tolerances", "eigen_tol", default=1e-10,
                                 positive=True),
         bisection_tol=raw.get_float("tolerances", "bisection_tol",
@@ -294,7 +292,7 @@ def load_config(args) -> RunConfig:
         out=str(out),
     )
     # each ray must land on c, or the tower is not this map's
-    for a, ld in zip(angles, cfg.solver().land_many(angles)):
+    for a, ld in zip(angles, cfg.solver.land_many(angles)):
         miss = (math.inf if isinstance(ld, LandingError)
                 else abs(ld.points[0] - model.c))
         if not miss <= tol_orbit:
@@ -464,14 +462,12 @@ def cmd_lyapunov(cfg: RunConfig, out: Path):
     mu = brolin_period_samples(g.partition, count, seed=cfg.seed + 1,
                                bits=bits)
     ens = make_ensemble(mu, g, n)
-    solver = cfg.solver()
-    rep = lyapunov_consistency(mu, ens, solver.model, solver,
+    rep = lyapunov_consistency(mu, ens, cfg.model, cfg.solver,
                                R=cfg.tower_R, n=n)
     files = {
         "lyapunov.json": _dump({"count": count, "bits": bits,
                                 **rep.to_json()}),
-        "landings.csv": landing_table_csv(solver.model, rep.landings[:rows],
-                                          n),
+        "landings.csv": landing_table_csv(cfg.model, rep.landings[:rows], n),
     }
     lam = "none" if rep.lambda_f is None else f"{rep.lambda_f:.6f}"
     lam_hat = ("none" if rep.lambda_fhat is None
@@ -496,7 +492,7 @@ def cmd_induce(cfg: RunConfig, out: Path):
     ind = first_return(ens, witness)
     mass = lift_cesaro(mu, g, horizon, cfg.tower_R, ensemble=ens)
     kac = kac_check(ind, mass)
-    expansion = expansion_and_abramov(ind, cfg.solver())
+    expansion = expansion_and_abramov(ind, cfg.solver)
     files = {
         "induce.json": _dump({"witness": witness.to_json(),
                               "kac": kac.to_json(),
@@ -523,13 +519,12 @@ def cmd_conformal(cfg: RunConfig, out: Path):
                             "integers", minimum=1, maximum=lift_horizon)
     eps_grid = raw.get_list("conformal", "eps", float, (0.05, 0.1, 0.2),
                             "numbers")
-    solver = cfg.solver()
-    basis = build_basis(g.partition, solver, depth)
+    basis = build_basis(g.partition, cfg.solver, depth)
     solve = solve_delta(basis, delta_tol=cfg.bisection_tol,
                         eigen_tol=cfg.eigen_tol)
     residual = conformality_residual(basis, solve.weights, solve.delta)
     experiment = lyapunov_liftability_experiment(
-        solve, g, solver, lambdas=lambdas, horizons=horizons,
+        solve, g, cfg.solver, lambdas=lambdas, horizons=horizons,
         eps_grid=eps_grid, level_cap=cfg.tower_R,
         lift_horizon=lift_horizon, margin=cfg.margin)
     files = {
@@ -651,6 +646,7 @@ def write_run(out: Path, command: str, cfg: RunConfig, files: dict,
         "outputs": hashes,
         "content_hash": combined,
         "failures": failures,
+        "counters": dict(cfg.solver.counters),
         "wall_time_s": round(time.time() - t0, 3),
     }
     (out / f"{command}.manifest.json").write_text(_dump(manifest))

@@ -24,8 +24,8 @@ from scipy.sparse import csgraph
 
 from .angles import (ArcSet, CirclePartition, enumerate_cylinders,
                      format_angle)
-from .geometry import (CRIT_TOL, CriticalProximity, LandingError,
-                       LandingSolver)
+from .geometry import (CRIT_TOL, LandingError, LandingSolver,
+                       log_deriv_rows)
 from .inducing import DEFAULT_MARGIN, choose_W, first_return, \
     recurrent_witness_domain
 from .lifting import (DEFAULT_FLOOR, DensityReport, LiftReport,
@@ -112,8 +112,6 @@ def build_basis(partition: CirclePartition, solver: LandingSolver,
             raise LandingError(
                 f"node {format_angle(rep)} of cylinder "
                 f"{''.join(map(str, word))}: {landing}") from landing
-    lds = [solver.model.log_deriv(landing.points[0]) for landing in landings]
-
     N = partition.size
     index = {w: i for i, w in enumerate(words)}
     children = np.full((len(words), N), -1, dtype=np.int64)
@@ -128,8 +126,8 @@ def build_basis(partition: CirclePartition, solver: LandingSolver,
                     children[i, t] = j
     return CylinderBasis(partition, depth, words, arcs, reps,
                          tuple(landings),
-                         np.array(lds, dtype=np.float64), children,
-                         tuple(moved))
+                         log_deriv_rows(solver.model, landings, 1)[0][:, 0],
+                         children, tuple(moved))
 
 
 def build_operator(basis: CylinderBasis, delta: float) -> sp.csr_matrix:
@@ -405,15 +403,9 @@ def lyapunov_liftability_experiment(
 
     # n-step derivative sums along the node orbits
     nmax = max(horizons)
-    logs = np.zeros((len(landings), nmax))
-    excluded = []
-    for i, landing in enumerate(landings):
-        try:
-            logs[i] = landing.log_derivs(solver.model, nmax, CRIT_TOL)
-        except CriticalProximity:
-            excluded.append(i)
-    inc = np.ones(len(landings), dtype=bool)
-    inc[excluded] = False
+    logs, crit = log_deriv_rows(solver.model, landings, nmax, CRIT_TOL)
+    inc = crit == nmax
+    excluded = np.flatnonzero(~inc).tolist()
     win = wk[inc]
     if win.sum() <= 0:
         raise ValueError("every node was excluded near the critical point")

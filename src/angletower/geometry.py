@@ -1,16 +1,14 @@
 """Planar realization of the angle model for z -> z^d + c.
 
-Landing points of external rays are computed by a pullback cascade along
-the (finite, eventually periodic) orbit of a rational angle: starting from
-Boettcher-coordinate approximations at large potential, each sweep takes a
-d-th root of the successor ray's point one potential level down, choosing
-the root closest to the previous point on the same ray.  The potential is
-lowered geometrically in fractional substeps so consecutive points on a ray
-stay close enough to make the branch choice unambiguous.  A batch of angles
-sweeps one shared pool holding each distinct angle of their orbits once,
-so orbits that run into each other's tails land those points only once;
-every angle gets the landing points of its whole orbit, and every
-log|Df| series along an orbit is read off those points.
+Landing points of external rays are computed along the (finite, eventually
+periodic) orbit of a rational angle.  A pullback sweep starts from
+Boettcher-coordinate approximations at large potential and, row by row,
+takes the d-th root of the successor ray's point one potential level down
+nearest the previous point on the same ray; once the orbit barely moves,
+Newton on its cycle finishes it and the rest of the orbit is pulled back
+from there.  A batch of angles sweeps one pool holding each distinct angle
+of their orbits once, and the log|Df| series along the landed orbits are
+read off one array over their points.
 """
 
 from __future__ import annotations
@@ -19,6 +17,7 @@ import bisect
 import csv
 import io
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,6 +34,12 @@ CRIT_TOL = 1e-7
 # Potential levels t0 * d^(-m/SUBSTEPS), from t0 = BASE_POTENTIAL down
 SUBSTEPS = 3
 BASE_POTENTIAL = math.log(1e4)
+# An orbit moving at most COARSE below potential COARSE tries Newton once,
+# in a batch every NEWTON_EVERY rows: NEWTON_STEPS steps, NEWTON_REACH reach
+COARSE = 1e-6
+NEWTON_STEPS = 8
+NEWTON_REACH = 64
+NEWTON_EVERY = 16
 
 
 class LandingError(RuntimeError):
@@ -114,25 +119,45 @@ class OrbitLanding:
     def step_indices(self, n: int) -> np.ndarray:
         """Indices into points of the images at steps 0..n-1, wrapping
         round the cycle once the points run out."""
-        k = np.arange(n)
-        tail = k >= len(self.points)
-        k[tail] = self.preperiod + (k[tail] - self.preperiod) % self.period
-        return k
+        k, pre = np.arange(n), self.preperiod
+        return np.where(k < len(self.points), k, pre + (k - pre) % self.period)
 
     def log_derivs(self, model: PolynomialModel, n: int,
                    crit_tol: float = 0.0) -> np.ndarray:
-        """log|Df| at steps 0..n-1, one evaluation per landed point tiled
-        by step_indices.  The steps visit points 0, 1, ... in order before
-        they repeat, so CriticalProximity names the first point within
-        crit_tol of the critical point."""
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        points = self.points[:n]
-        for k, z in enumerate(points):
-            if abs(z) < crit_tol:
-                raise CriticalProximity(k, z)
-        vals = np.array([model.log_deriv(z) for z in points])
-        return vals[self.step_indices(n)]
+        """log_deriv_rows of this orbit, raising its CriticalProximity."""
+        rows, crit = log_deriv_rows(model, [self], n, crit_tol)
+        if crit[0] < n:
+            raise CriticalProximity(int(crit[0]), self.points[crit[0]])
+        return rows[0]
+
+
+def log_deriv_rows(model: PolynomialModel, landings, n: int,
+                   crit_tol: float = 0.0):
+    """log|Df| at steps 0..n-1 of each landing slot, one row each, and each
+    slot's first point within crit_tol of the critical point (n if none of
+    points[:n] is).  The rows gather one array of model.log_deriv at the
+    points the steps visit, so a point keeps its bits however it is read;
+    points within crit_tol hold nan, and a slot with no landing reads 0."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    vals, first, crit, shapes = [], [], [], []
+    # step indices per orbit shape; no landing reads the 0 after the values
+    steps = {None: np.zeros(n, dtype=np.int32)}
+    for ld in landings:
+        pts, key = (), None
+        if isinstance(ld, OrbitLanding):
+            pts, key = ld.points[:n], (len(ld.points), ld.preperiod)
+            if key not in steps:
+                steps[key] = ld.step_indices(n).astype(np.int32)
+        near = [abs(z) < crit_tol for z in pts]
+        crit.append(near.index(True) if True in near else n)
+        first.append(len(vals) if pts else -1)
+        shapes.append(key)
+        vals += [math.nan if x else model.log_deriv(z)
+                 for z, x in zip(pts, near)]
+    at = np.array([steps[k] for k in shapes], dtype=np.int32).reshape(-1, n)
+    at += np.array(first, dtype=np.intp)[:, None]
+    return np.append(vals, 0.0)[at], np.array(crit)
 
 
 def _nearest_roots(w: np.ndarray, d: int, ref: np.ndarray) -> np.ndarray:
@@ -206,41 +231,40 @@ def _orbit_pool(keys, d: int):
     nxt[starts + sizes - 1] = starts + pres
     succ = np.empty(len(phase), dtype=np.intp)
     succ[members] = members[nxt]
-    return 2 * math.pi * np.array(phase), members, sizes, pres, succ
+    return 2 * math.pi * np.array(phase), members, sizes, np.array(pres), succ
 
 
 class LandingSolver:
-    """Pullback cascade computing ray landing points to a Cauchy tolerance.
+    """Ray landing in two phases: a pullback sweep, then Newton on the cycle.
 
-    land_many lands a batch of angles at once.  Its points form a pool
-    holding each distinct reduced angle of the batch's orbits once, with
-    one successor index array, and each orbit is the list of its points'
-    pool indices in orbit order.  Each potential row is a single numpy
-    sweep over the pool: the successor's point one level up, minus c, has
-    its d d-th roots formed from |w|^(1/d) and arg(w)/d + 2 pi j/d, and the
-    root nearest the previous point on the same ray is kept (the first one
-    on a tie; w = 0 gives 0).  An orbit's move on a row is the largest move
-    among its points.  A point's value on every row depends only on its
-    own angle's forward orbit, so a landing does not depend on the rest of
-    the batch, and land_orbit is the batch of one.
+    land_many lands a batch of angles at once, sweeping a pool that holds
+    each distinct reduced angle of their orbits once.  Each potential row
+    t0 * d^(-m/SUBSTEPS) is one _nearest_roots call over the pool, and an
+    orbit's move on a row is the largest move among its points.
 
-    SUBSTEPS interleaved potential levels t0 * d^(-m/SUBSTEPS) keep
-    consecutive points on each ray close, so the d-th-root branch nearest
-    the previous sweep is always the continuation of the same ray.  Once
-    the potential is below potential_floor, each orbit whose sweep moved
-    no point by more than tol_land is frozen at that row, its points read
-    there, and the pool shrinks to the points a live orbit still uses; an
-    orbit still moving after depth rows gets a LandingError in its slot.
+    Once the potential is below COARSE (or potential_floor, if larger) and
+    an orbit's move is at most COARSE, Newton on f^p(z) = z refines its
+    cycle from its points on that row, and the orbit is pulled back from
+    the refined point along the roots nearest those points.  It lands at
+    that row if no Newton step overflows or exceeds NEWTON_REACH times its
+    last move, Newton converges, the cycle repels, and the pullback closes
+    within tol_land and moves no point beyond that reach.  Any other orbit
+    sweeps on, with no second try, to a row below potential_floor that
+    moves it by at most tol_land, or to a LandingError after depth rows.
+    Newton runs in batches (every NEWTON_EVERY rows, on the last row, on
+    rows below potential_floor, and once every live orbit waits), and
+    waiting orbits keep sweeping.  rows is the row an orbit froze at, and
+    counters adds up orbits, rows swept and the landings of each phase.
+    An orbit's steps read only its own points, which depend only on its
+    angle, so land_orbit is the batch of one.
 
-    Near a landing cycle of multiplier L the remaining error decays like
-    t^b with b = log|L| / (q log d), so weakly repelling cycles need many
-    rows; the default depth covers b down to about 0.2.  Angles whose
-    orbit passes through the critical point itself converge to a point
-    off by about sqrt(machine eps), since the root extraction turns a
-    one-ulp phase error at the critical value into its square root.
+    Near a cycle of multiplier L the sweep's error decays like t^b with
+    b = log|L| / (q log d); the default depth covers b down to about 0.2.
+    Orbits through the critical point land about sqrt(machine eps) off: the
+    root turns a one-ulp phase error at the critical value into its root.
     """
 
-    __slots__ = ("model", "tol_land", "depth", "potential_floor")
+    __slots__ = ("model", "tol_land", "depth", "potential_floor", "counters")
 
     def __init__(self, model: PolynomialModel, tol_land: float = 1e-12,
                  depth: int = 600, potential_floor: float = 1e-15):
@@ -248,15 +272,53 @@ class LandingSolver:
         self.tol_land = tol_land
         self.depth = depth
         self.potential_floor = potential_floor
+        self.counters = Counter()
+
+    def _finish(self, held, sizes, pres):
+        """Newton and the pullback for the held orbits, each from its own
+        (row, points, reach): {orbit: (row, points)} of those that pass."""
+        i = np.array(list(held))
+        rows, snaps, reach = zip(*held.values())
+        snap, sizes, pres = np.concatenate(snaps), sizes[i], pres[i]
+        d, c, reach = self.model.degree, self.model.c, np.array(reach)
+        per, first = sizes - pres, np.cumsum(sizes) - sizes
+        z, mult = snap[first + pres], np.zeros(len(sizes), dtype=complex)
+        sound, done = np.ones(len(z), dtype=bool), np.zeros(len(z), dtype=bool)
+        with np.errstate(all="ignore"):
+            for _ in range(NEWTON_STEPS):
+                on = sound & ~done
+                if not on.any():
+                    break
+                w, dw = z, np.ones_like(z)
+                for k in range(per.max()):
+                    dw = np.where(k < per, d * w ** (d - 1) * dw, dw)
+                    w = np.where(k < per, w ** d + c, w)
+                step = (w - z) / (dw - 1)
+                sound &= ~on | ((np.abs(step) <= reach) & np.isfinite(dw))
+                mult = np.where(on, dw, mult)
+                z = np.where(on, z - step, z)
+                done |= on & (np.abs(step) <= self.tol_land)
+        # pull back round each repelling orbit: point size - 1 - j on step j
+        ok = sound & done & (np.abs(mult) > 1)
+        if not ok.any():
+            return {}
+        out, cur, at0, n = snap.copy(), z[ok], first[ok], sizes[ok]
+        for j in range(n.max()):
+            at = at0 + np.maximum(n - 1 - j, 0)
+            cur = _nearest_roots(cur - c, d, snap[at])
+            out[at[j < n]] = cur[j < n]
+        ok &= ((np.abs(out[first + pres] - z) <= self.tol_land)
+               & (np.maximum.reduceat(np.abs(out - snap), first) <= reach))
+        return {j: (r, p) for j, r, p, o in
+                zip(i, rows, np.split(out, first[1:]), ok) if o}
 
     def land_many(self, angles) -> list[OrbitLanding | LandingError]:
         """One slot per angle, in order: its landing or its LandingError."""
         angles = list(angles)
-        d = self.model.degree
-        c = self.model.c
-        S = SUBSTEPS
-        t0 = BASE_POTENTIAL
-        keys = list(dict.fromkeys(a % 1 for a in angles))
+        d, c = self.model.degree, self.model.c
+        S, t0 = SUBSTEPS, BASE_POTENTIAL
+        reduced = [a % 1 for a in angles]
+        keys = list(dict.fromkeys(reduced))
         phase, members, sizes, pres, succ = _orbit_pool(keys, d)
         starts = np.cumsum(sizes) - sizes
         ring = []
@@ -267,27 +329,45 @@ class LandingSolver:
             z.imag = r * np.sin(phase)
             ring.append(z)
         live = np.arange(len(keys))
+        coarse = np.ones(len(keys), dtype=bool)
         diff = np.full(len(keys), math.inf)
-        done: dict[Fraction, OrbitLanding] = {}
+        done, held = {}, {}
         prev = ring[S - 1]
+        count = self.counters
+        count["landing.orbits"] += len(keys)
+
+        def points(i):  # live orbit i's points on the current row
+            return new[members[starts[i]:starts[i] + sizes[i]]]
         for m in range(S, self.depth + S):
             if not len(live):
                 break
+            count["landing.rows"] += 1
             old = ring[m % S]
             new = _nearest_roots(old[succ] - c, d, prev)
             diff = np.maximum.reduceat(np.abs(new - old)[members], starts)
-            ring[m % S] = new
-            prev = new
-            if t0 * d ** (-m / S) >= self.potential_floor:
+            ring[m % S] = prev = new
+            t = t0 * d ** (-m / S)
+            if t >= max(COARSE, self.potential_floor):
                 continue
-            landed = diff <= self.tol_land
+            tried = np.flatnonzero(coarse & (diff <= COARSE))
+            landed = (diff <= self.tol_land) & (t < self.potential_floor)
+            for i in tried:
+                held[i] = (m, points(i), NEWTON_REACH * diff[i])
+            coarse[tried] = False
+            found = {}
+            if held and (m % NEWTON_EVERY == 0 or t < self.potential_floor
+                         or len(held) == len(live) or m == self.depth + S - 1):
+                found = self._finish(held, sizes, pres)
+                landed[list(found)] = True
+                count["landing.newton"] += len(found)
+                held = {}
             if not landed.any():
                 continue
             for i in np.flatnonzero(landed):
-                k = live[i]
-                pre, n = pres[k], int(sizes[i])
-                pts = tuple(new[members[starts[i]:starts[i] + n]].tolist())
-                done[keys[k]] = OrbitLanding(keys[k], pre, n - pre, pts, m)
+                k, n, pre = live[i], int(sizes[i]), int(pres[i])
+                row, pts = found.get(i) or (m, points(i))
+                done[keys[k]] = OrbitLanding(keys[k], pre, n - pre,
+                                             tuple(pts.tolist()), row)
             # keep the points a live orbit still uses
             members = members[np.repeat(~landed, sizes)]
             used = np.zeros(len(new), dtype=bool)
@@ -297,22 +377,20 @@ class LandingSolver:
             succ = pos[succ[used]]
             ring = [z[used] for z in ring]
             prev = prev[used]
-            live, diff, sizes = live[~landed], diff[~landed], sizes[~landed]
+            live, pres, diff, sizes, coarse = (
+                x[~landed] for x in (live, pres, diff, sizes, coarse))
             starts = np.cumsum(sizes) - sizes
+        count["landing.sweep"] = (count["landing.orbits"]
+                                  - count["landing.newton"])
         last = {keys[k]: float(diff[i]) for i, k in enumerate(live)}
-        return [done[a % 1] if a % 1 in done else LandingError(
+        return [done[r] if r in done else LandingError(
             f"no convergence for angle {format_angle(a)} within depth "
-            f"{self.depth} (last sweep moved {last[a % 1]:.3e})")
-            for a in angles]
+            f"{self.depth} (last sweep moved {last[r]:.3e})")
+            for a, r in zip(angles, reduced)]
 
     def land_orbit(self, a: Fraction) -> OrbitLanding:
-        """land_many of one angle, raising its LandingError.
-
-        Each row then pays numpy's per-call overhead for one short orbit,
-        about twice the time of a scalar loop.  That cost is accepted: the
-        stages land in batches, and the one-at-a-time callers
-        (the benchmark's output checks and the tests) land few angles.
-        """
+        """land_many of one angle, raising its LandingError; about 3.6 ms a
+        ray of c = i on a 2-core x86 host, so the stages land in batches."""
         landing = self.land_many([a])[0]
         if isinstance(landing, LandingError):
             raise landing
@@ -332,15 +410,12 @@ def landing_table_csv(model: PolynomialModel, landings, n: int) -> str:
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(["angle", "re", "im", "lyapunov"])
-    for landing in landings:
+    rows, crit = log_deriv_rows(model, landings, n, CRIT_TOL)
+    for landing, vals, k in zip(landings, rows, crit):
         if isinstance(landing, LandingError):
             raise landing
         z = landing.points[0]
-        try:
-            vals = landing.log_derivs(model, n, CRIT_TOL)
-            lam = format(float(vals.mean()), ".17g")
-        except CriticalProximity:
-            lam = "excluded"
+        lam = format(float(vals.mean()), ".17g") if k == n else "excluded"
         w.writerow([format_angle(landing.angle), format(z.real, ".17g"),
                     format(z.imag, ".17g"), lam])
     return buf.getvalue()

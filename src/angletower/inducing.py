@@ -19,7 +19,7 @@ import scipy.sparse as sp
 from scipy.sparse import csgraph
 
 from .angles import ArcSet, format_angle
-from .geometry import LandingError, LandingSolver
+from .geometry import LandingError, LandingSolver, log_deriv_rows
 from .lifting import TowerMass, entropy_estimate
 from .streams import Cells, TraceEnsemble, _block_width, symbol_matrix
 from .tower import Domain, TowerGraph
@@ -332,30 +332,27 @@ def _branch_logs(landings, model, h, r_s, r_t, r_tau):
     """log|DF| of every return's branch, and each sample's log-derivative
     sum over the horizon.
 
-    Samples are folded in blocks of about _BLOCK_CELLS cells: a block's
-    rows are the prefix sums of its landed orbits' log-derivatives, from
-    which the block's returns (a slice, as returns are sorted by sample)
-    read their branch sums.  A prefix sum runs along its row in step
-    order, so each value has the bits it has in the whole samples x
-    horizon matrix, which is never held.  Rows of excluded samples are 0
-    and no return reads them.
+    Samples are folded in blocks of about _BLOCK_CELLS cells, whose rows
+    of log_deriv_rows are prefix-summed in place, in step order, so each
+    value has its bits in the samples x horizon matrix that is never held;
+    a block's returns (a slice, as returns are sorted by sample) read their
+    branch sums there.  Excluded samples' rows are 0 and no return reads
+    them.
     """
     count = len(landings)
     width = _block_width(h)
-    cums = np.zeros((min(width, count), h + 1))
     blog = np.empty(len(r_s))
     totals = np.empty(count)
     for s0 in range(0, count, width):
-        rows = cums[:min(width, count - s0)]
-        for row, land in zip(rows, landings[s0:s0 + width]):
-            if isinstance(land, LandingError):
-                row[1:] = 0.0
-            else:
-                np.cumsum(land.log_derivs(model, h), out=row[1:])
-        lo, hi = np.searchsorted(r_s, (s0, s0 + len(rows)))
+        # prefix sums in step order: column k + 1 sums steps 0..k, column 0 0
+        cum, _ = log_deriv_rows(model, landings[s0:s0 + width], h + 1)
+        np.cumsum(cum[:, :h], axis=1, out=cum[:, 1:])
+        cum[:, 0] = 0.0
+        lo, hi = np.searchsorted(r_s, (s0, s0 + len(cum)))
         s, t = r_s[lo:hi] - s0, r_t[lo:hi]
-        blog[lo:hi] = rows[s, t + r_tau[lo:hi]] - rows[s, t]
-        totals[s0:s0 + len(rows)] = rows[:, h]
+        blog[lo:hi] = cum[s, t + r_tau[lo:hi]] - cum[s, t]
+        totals[s0:s0 + len(cum)] = cum[:, h]
+        del cum
     return blog, totals
 
 
@@ -430,6 +427,8 @@ def expansion_and_abramov(ind: InducedSystem,
     lam_f = float((w[keep] * totals[keep]).sum() / (w[keep].sum() * h))
     lam_err = abs(lam_f - wfreq * lam_induced) / abs(lam_f) \
         if lam_f else None
+    # arrays are dropped once read, before the pair keys and their sort
+    del blog, totals
     uniq, inv = _unique_inverse(_branch_codes(ind, r_s, r_t, r_tau))
     p1 = np.bincount(inv, weights=wr)
     p1 = p1 / p1.sum()
@@ -439,6 +438,7 @@ def expansion_and_abramov(ind: InducedSystem,
         pk = inv[:-1][pair]
         pk *= len(uniq)
         pk += inv[1:][pair]
+        del inv
         _, i2 = _unique_inverse(pk)
         p2 = np.bincount(i2, weights=wr[:-1][pair])
         p2 = p2 / p2.sum()

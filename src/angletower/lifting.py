@@ -17,8 +17,8 @@ from fractions import Fraction
 import numpy as np
 
 from .angles import CirclePartition, format_angle, orbit_numerators
-from .geometry import (CRIT_TOL, CriticalProximity, LandingError,
-                       LandingSolver, PolynomialModel)
+from .geometry import (CRIT_TOL, LandingError, LandingSolver,
+                       PolynomialModel, log_deriv_rows)
 from .streams import (TraceEnsemble, common_numerators, is_dyadic,
                       symbol_cells, symbol_matrix, trace_ensemble,
                       walk_blocks, walk_table, window_digits, word_codes)
@@ -53,9 +53,10 @@ class SampleMeasure:
         if not self.nums:
             raise ValueError("a measure needs at least one sample")
         weights = np.array(self.weights, dtype=np.float64)
-        for j, w in zip(self.nums, weights.tolist()):
-            if w <= 0:
-                raise ValueError(f"nonpositive weight {w} at {j}/{self.den}")
+        if weights.shape != (len(self.nums),) or not (
+                np.isfinite(weights) & (weights > 0)).all():
+            raise ValueError(f"weights must be {len(self.nums)} finite "
+                             f"numbers > 0")
         total = math.fsum(weights)
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"weights sum to {total!r}, not 1")
@@ -595,35 +596,31 @@ def lyapunov_consistency(mu: SampleMeasure, ensemble: TraceEnsemble,
     n = ensemble.horizon if n is None else n
     lv = ensemble.levels[ensemble.states[:, :n]]
     excluded = []
-    lam_sum = 0.0
-    used = 0.0
-    hat_num = 0.0
-    hat_den = 0.0
     angles = mu.angles
     todo = [s for s, a in enumerate(angles) if a == 0 or not is_dyadic(a, d)]
     landed = dict(zip(todo, solver.land_many(angles[s] for s in todo)))
     landings = [landed.get(s) for s in range(len(angles))]
-    for s, (landing, w) in enumerate(zip(landings, mu.weights.tolist())):
-        if landing is None:
-            excluded.append((s, "orbit too long to land"))
-            continue
+    fit = []
+    for s, landing in enumerate(landings):
         if isinstance(landing, LandingError):
             excluded.append((s, f"landing failed: {landing}"))
-            continue
-        if landing.preperiod + landing.period > MAX_ORBIT:
+        elif (landing is None
+              or landing.preperiod + landing.period > MAX_ORBIT):
             excluded.append((s, "orbit too long to land"))
-            continue
-        try:
-            vals = landing.log_derivs(model, n, CRIT_TOL)
-        except CriticalProximity as e:
-            excluded.append((s, f"critical proximity at step {e.step}"))
-            continue
-        lam_sum += w * float(vals.mean())
-        used += w
-        keep = lv[s] <= R
-        hat_num += w * float(vals[keep].sum())
-        hat_den += w * float(keep.sum())
-    lam_f = lam_sum / used if used > 0 else None
+        else:
+            fit.append(s)
+    rows, crit = log_deriv_rows(model, [landings[s] for s in fit], n, CRIT_TOL)
+    excluded += [(s, f"critical proximity at step {k}")
+                 for s, k in zip(fit, crit.tolist()) if k < n]
+    excluded.sort()
+    fit = np.array(fit, dtype=np.intp)[crit == n]
+    rows = rows[crit == n]
+    w = mu.weights[fit]
+    keep = lv[fit] <= R
+    used = float(w.sum())
+    hat_num = float((w * np.where(keep, rows, 0.0).sum(axis=1)).sum())
+    hat_den = float((w * keep.sum(axis=1)).sum())
+    lam_f = float((w * rows.mean(axis=1)).sum()) / used if used > 0 else None
     # a vanishing retained fraction means the lift carries no mass and
     # the tower-side exponent is undefined, not merely noisy
     if hat_den > 1e-6 * max(used, 1e-300) * n:

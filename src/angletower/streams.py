@@ -365,7 +365,7 @@ def walk_blocks(g: TowerGraph, table: np.ndarray, syms: np.ndarray,
     flat = table.ravel()
     N = g.partition.size
     count = len(syms)
-    width = _block_width(count)
+    width = min(_block_width(count), n + 1)
     buf = np.zeros((count, width), dtype=np.int32, order="F")
     for k0 in range(0, n + 1, width):
         block = buf[:, :min(width, n + 1 - k0)]

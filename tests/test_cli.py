@@ -189,9 +189,13 @@ def test_lift_artifacts_bytes_frozen(tmp_path, name):
 # computed with the dense samples x horizon matrices that the sample-block
 # folds replaced; induce.json's since the Cesaro mass is read from the
 # per-step domain sums, whose domain_mass_lift 0.4889567057291667 lies
-# 5e-17 from the exact C/(count*n) = 600830/(768*1600)
+# 5e-17 from the exact C/(count*n) = 600830/(768*1600), and since the
+# orbits land by Newton on their cycles, which moved lambda_f from
+# 0.6931471805599457 to 0.6931471805599461, lambda_induced from
+# 1.5121262192486444 to 1.5121262192486449 and lambda_error from
+# 0.002278812007624564 to 0.002278812007624723
 FROZEN_INDUCE = {
-    "induce.json": "f5ded7771788885eadad4f31c5600a0cb0834bd3",
+    "induce.json": "3f2b4e54931674e2ceb94e30ca7f5c6575940760",
     "tau_histogram.csv": "c70541ad795ac2b508f6226af77dd97cd0aa74f0",
     "branch_words.csv": "f74c2203045fc2050d014c25cdba8041c8f8f489",
 }
@@ -205,6 +209,26 @@ def test_induce_artifacts_bytes_frozen(tmp_path):
     got = {f: hashlib.sha1((tmp_path / f).read_bytes()).hexdigest()
            for f in FROZEN_INDUCE}
     assert got == FROZEN_INDUCE
+
+
+def test_manifest_counters_repeat_and_dendrite_lands_by_newton(tmp_path):
+    # counters are deterministic, outside the content hash; every dendrite
+    # orbit of lyapunov and induce (and the load check's ray) is finished
+    # by Newton
+    cfg = Path(__file__).resolve().parents[1] / "configs" / "dendrite.ini"
+    runs = []
+    for out in (tmp_path / "a", tmp_path / "b"):
+        for stage in ("tower-build", "lyapunov", "induce"):
+            assert main([stage, "--config", str(cfg), "--out", str(out),
+                         "--seed", "7"]) == EXIT_OK, stage
+        runs.append({stage: json.loads(
+            (out / f"{stage}.manifest.json").read_text())["counters"]
+            for stage in ("lyapunov", "induce")})
+    assert runs[0] == runs[1]
+    for counters in runs[0].values():
+        assert counters["landing.sweep"] == 0
+        assert counters["landing.newton"] == counters["landing.orbits"] > 1
+        assert counters["landing.rows"] > 0
 
 
 def test_cubic_lift_streams_are_exact(tmp_path):

@@ -9,6 +9,7 @@ are the oracles for the cascade.
 from __future__ import annotations
 
 import cmath
+import hashlib
 import math
 import random
 from fractions import Fraction as F
@@ -22,9 +23,11 @@ from angletower.angles import RayChoice, angle_orbit, build_partition
 from angletower.conformal import (build_basis, enumerate_cylinders,
                                   quadrature_node)
 from angletower.geometry import (
-    BASE_POTENTIAL, CRIT_TOL, SUBSTEPS, CriticalProximity, LandingError,
-    LandingSolver, PolynomialModel, landing_table_csv,
+    BASE_POTENTIAL, COARSE, CRIT_TOL, NEWTON_REACH, NEWTON_STEPS, SUBSTEPS,
+    CriticalProximity, LandingError, LandingSolver, PolynomialModel,
+    landing_table_csv,
 )
+from angletower.lifting import brolin_period_samples
 
 from oracles import f, green
 
@@ -192,9 +195,49 @@ def test_land_many_sweeps_each_distinct_angle_once(monkeypatch):
     assert sizes[0] == len(distinct)
 
 
+def _scalar_roots(w, d):
+    return [cmath.rect(abs(w) ** (1 / d),
+                       cmath.phase(w) / d + 2 * math.pi * j / d)
+            for j in range(d)] if w else [0j]
+
+
+def _scalar_finish(solver, snap, pre, diff):
+    """The Newton finish as a plain loop: the refined points of the orbit
+    whose points on the coarse row are snap, or None when it is rejected."""
+    d, c = solver.model.degree, solver.model.c
+    z = snap[pre]
+    try:
+        for _ in range(NEWTON_STEPS):
+            w, dw = z, 1
+            for _ in range(len(snap) - pre):
+                w, dw = w ** d + c, d * w ** (d - 1) * dw
+            step = (w - z) / (dw - 1)
+            if not (cmath.isfinite(dw) and abs(step) <= NEWTON_REACH * diff):
+                return None
+            z -= step
+            if abs(step) <= solver.tol_land:
+                break
+        else:
+            return None
+    except OverflowError:
+        return None
+    if abs(dw) <= 1:
+        return None
+    points, cur = list(snap), z
+    for k in reversed(range(len(snap))):
+        cur = min(_scalar_roots(cur - c, d), key=lambda r: abs(r - snap[k]))
+        points[k] = cur
+    move = max(abs(x - y) for x, y in zip(points, snap))
+    if abs(points[pre] - z) > solver.tol_land or move > NEWTON_REACH * diff:
+        return None
+    return points
+
+
 def _scalar_landing(solver, a):
     """The per-point cascade as a plain loop: (rows, points) of the orbit
-    of a, choosing each root with cmath and the first nearest on a tie."""
+    of a, choosing each root with cmath and the first nearest on a tie,
+    with one try of the Newton finish at the first row that passes the
+    coarse test."""
     d, c, S = solver.model.degree, solver.model.c, SUBSTEPS
     pre, _, orbit = angle_orbit(a, d)
     succ = [k + 1 for k in range(len(orbit) - 1)] + [pre]
@@ -202,18 +245,22 @@ def _scalar_landing(solver, a):
                         2 * math.pi * float(x)) for x in orbit]
             for m in range(S)]
     prev = ring[S - 1]
+    coarse = True
     for m in range(S, solver.depth + S):
         old, new = ring[m % S], []
         for k, ref in enumerate(prev):
-            w = old[succ[k]] - c
-            roots = [cmath.rect(abs(w) ** (1 / d),
-                                cmath.phase(w) / d + 2 * math.pi * j / d)
-                     for j in range(d)] if w else [0j]
+            roots = _scalar_roots(old[succ[k]] - c, d)
             new.append(min(roots, key=lambda z: abs(z - ref)))
         diff = max(abs(x - y) for x, y in zip(new, old))
         ring[m % S] = prev = new
-        if (BASE_POTENTIAL * d ** (-m / S) < solver.potential_floor
-                and diff <= solver.tol_land):
+        t = BASE_POTENTIAL * d ** (-m / S)
+        if coarse and t < max(COARSE, solver.potential_floor) \
+                and diff <= COARSE:
+            coarse = False
+            points = _scalar_finish(solver, new, pre, diff)
+            if points is not None:
+                return m, points
+        if t < solver.potential_floor and diff <= solver.tol_land:
             return m, new
     raise LandingError(a)
 
@@ -232,16 +279,50 @@ def test_land_many_matches_scalar_cascade(model):
 
 
 def test_land_many_error_stays_in_its_slot():
-    # the ray 0 lands at row 160 and the ray 1/7 only at row 258, so at
-    # depth 200 only 1/7 fails, and the batch still lands 0
-    solver = LandingSolver(DEND, depth=200)
+    # the ray 0 lands at row 70 and the ray 1/7 only at row 131, so at
+    # depth 100 only 1/7 fails, and the batch still lands 0
+    solver = LandingSolver(DEND, depth=100)
     zero, seventh = solver.land_many([F(0), F(1, 7)])
     assert zero == LandingSolver(DEND).land_orbit(F(0))
     assert isinstance(seventh, LandingError)
     assert str(seventh).startswith(
-        "no convergence for angle 1/7 within depth 200")
+        "no convergence for angle 1/7 within depth 100")
     with pytest.raises(LandingError):
         solver.land_orbit(F(1, 7))
+
+
+def test_newton_lands_dendrite_orbits_on_their_cycles():
+    # the sweep alone stops once no point moves by more than tol_land, and
+    # leaves residuals near 1e-12; Newton on the cycle lands to rounding
+    part = build_partition(RayChoice(2, (F(1, 6),)))
+    mu = brolin_period_samples(part, 512, seed=8, bits=12)
+    solver = LandingSolver(DEND)
+    worst = 0.0
+    for ld in solver.land_many(mu.angles):
+        pts = ld.points
+        nxt = pts[1:] + (pts[ld.preperiod],)
+        worst = max(worst, *(abs(f(DEND, z) - w) for z, w in zip(pts, nxt)))
+    assert worst <= 1e-13
+    assert solver.counters["landing.sweep"] == 0
+
+
+# sha1 of the rows and points of the depth-5 cubic node landings, made by
+# the sweep alone before the Newton finish existed
+CUBIC_NODES_SHA1 = "dab94f8f66e0a0dbbb50a3ee93a2d4dd820abc7f"
+
+
+def test_long_cycles_keep_the_sweep_landing():
+    # the nodes' cycles are 256 long, so f^p overflows, Newton rejects
+    # every orbit and each lands bit for bit as the sweep alone lands it
+    part = build_partition(RayChoice(3, (F(1, 6),)))
+    nodes = [quadrature_node(arcs, part)
+             for _, arcs in enumerate_cylinders(part, 5)]
+    solver = LandingSolver(CUBIC)
+    landings = solver.land_many(nodes)
+    assert max(ld.period for ld in landings) == 256
+    text = repr([(ld.rows, ld.points) for ld in landings])
+    assert hashlib.sha1(text.encode()).hexdigest() == CUBIC_NODES_SHA1
+    assert solver.counters["landing.newton"] == 0
 
 
 @settings(max_examples=40, deadline=None)

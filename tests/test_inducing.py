@@ -552,6 +552,21 @@ def test_expansion_holds_no_samples_by_horizon_matrix(cheb_ens, cheb_graph,
     assert peak < cheb_ens.count * ind.horizon * 8
 
 
+def test_expansion_peak_stays_below_five_return_arrays(cheb_system,
+                                                      cheb_solver):
+    # the branch sums and the word inverse are dropped before the pair
+    # keys are sorted, so at most about four arrays of one value per
+    # return are alive at once
+    tracemalloc.start()
+    try:
+        expansion_and_abramov(cheb_system, cheb_solver)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cheb_system.return_count > 500_000
+    assert peak < 5 * cheb_system.return_count * 8
+
+
 def test_lift_cesaro_holds_less_than_the_state_matrix(cheb_mu, cheb_graph,
                                                       cheb_ens, cheb_mass):
     tracemalloc.start()

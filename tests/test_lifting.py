@@ -93,6 +93,16 @@ def test_measure_validation():
         lf.SampleMeasure((), 8, [], "custom")
 
 
+def test_measure_rejects_weights_of_another_length():
+    with pytest.raises(ValueError, match="must be 2 finite numbers"):
+        lf.SampleMeasure((1, 2), 3, [1.0], "custom")
+
+
+def test_measure_rejects_a_nan_weight():
+    with pytest.raises(ValueError, match="must be 1 finite numbers"):
+        lf.SampleMeasure((1,), 3, [math.nan], "custom")
+
+
 def test_brolin_sampler(part):
     mu = lf.brolin_samples(part, 50, 200, seed=1)
     assert len(mu.angles) == 50
@@ -367,6 +377,21 @@ def test_lift_cesaro_without_ensemble_streams_the_walk(graph, brolin_ens):
         tracemalloc.stop()
     assert got == lf.lift_cesaro(mu, graph, 1000, 6, ensemble=ens)
     assert peak < ens.states.nbytes / 2
+
+
+def test_lift_cesaro_walk_buffer_fits_the_horizon(part, graph):
+    # 400 samples x 500 steps: a walk buffer of the full block width (655
+    # columns) alone is 1.31 times the 501-column state matrix, and the
+    # lift held 1.68 times it at its peak
+    mu = lf.brolin_samples(part, 400, 500, seed=3)
+    states = 400 * 501 * np.dtype(np.int32).itemsize
+    tracemalloc.start()
+    try:
+        lf.lift_cesaro(mu, graph, 500, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * states
 
 
 def test_tower_mass_validation():
