@@ -3,11 +3,14 @@
 The conformality equation mu(f(A)) = int_A |Df|^delta dmu is discretized
 over depth-m cylinders: one landed node per cylinder, transfer weights
 |Df(node)|^(-delta), and the exponent delta* solved by bisection on the
-leading eigenvalue.  The left eigenvector at delta* is the approximate
-conformal measure on cylinders.  On top of the solve sits an experiment
-that feeds that measure to the tower lift and compares the two sides of
-the liftability criterion: positive-Lyapunov mass against the retained
-lift, with conical-point frequency and density checks alongside.
+leading eigenvalue.  The operator is applied as a gather over the
+cylinder child table, on the table's largest strong component, which
+each basis computes once.  The left eigenvector at delta* is the
+approximate conformal measure on cylinders.  On top of the solve sits an
+experiment that feeds that measure to the tower lift and compares the
+two sides of the liftability criterion: positive-Lyapunov mass against
+the retained lift, with conical-point frequency and density checks
+alongside.
 """
 
 from __future__ import annotations
@@ -17,17 +20,16 @@ import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse import csgraph
 
 from .angles import (ArcSet, CirclePartition, enumerate_cylinders,
                      format_angle)
 from .geometry import (CRIT_TOL, LandingError, LandingSolver,
                        log_deriv_rows)
-from .inducing import DEFAULT_MARGIN, choose_W, first_return, \
-    recurrent_witness_domain
+from .inducing import (DEFAULT_MARGIN, choose_W, first_return,
+                       recurrent_witness_domain, strong_components)
 from .lifting import (DEFAULT_FLOOR, DensityReport, LiftReport,
                       custom_measure, liftability_verdict, make_ensemble,
                       orbit_hits_boundary, project_and_density,
@@ -93,6 +95,12 @@ class CylinderBasis:
     def size(self) -> int:
         return len(self.words)
 
+    @cached_property
+    def support(self) -> np.ndarray:
+        """Mask of the largest strong component of the child graph."""
+        labels = strong_components(self.children)
+        return labels == np.bincount(labels).argmax()
+
 
 def build_basis(partition: CirclePartition, solver: LandingSolver,
                 depth: int) -> CylinderBasis:
@@ -130,20 +138,6 @@ def build_basis(partition: CirclePartition, solver: LandingSolver,
                          children, tuple(moved))
 
 
-def build_operator(basis: CylinderBasis, delta: float) -> sp.csr_matrix:
-    """Transfer matrix: entry (Z', Z) = |Df(node Z)|^(-delta) when the
-    shift sends Z into Z'."""
-    K = basis.size
-    d = basis.children.shape[1]
-    w = np.exp(-delta * basis.log_derivs)
-    rows = basis.children.ravel()
-    cols = np.repeat(np.arange(K), d)
-    data = np.repeat(w, d)
-    keep = rows >= 0
-    return sp.csr_matrix((data[keep], (rows[keep], cols[keep])),
-                         shape=(K, K))
-
-
 @dataclass(frozen=True, eq=False)
 class EigenResult:
     rho: float
@@ -153,41 +147,41 @@ class EigenResult:
     support_size: int
 
 
-def leading_eigen(op: sp.csr_matrix, tol: float = EIGEN_TOL,
+def leading_eigen(basis: CylinderBasis, delta: float,
+                  tol: float = EIGEN_TOL,
                   max_iter: int = EIGEN_MAX_ITER) -> EigenResult:
-    """Leading eigenvalue with nonnegative left eigenvector (sum 1).
+    """Leading eigenvalue with nonnegative left eigenvector (sum 1) of the
+    transfer operator at delta.
 
-    Irreducibility is checked via strong components; a reducible
-    operator is restricted to its largest strong component and the
-    eigenvector re-embedded with zeros outside it.
+    M^T v at cylinder Z is the sum over its children Z' of
+    |Df(node Z)|^(-delta) v[Z'], each term multiplied before it is added,
+    in ascending child order.  The operator is restricted to the support,
+    the largest strong component of the child graph, and the eigenvector
+    re-embedded with zeros outside it.
     """
-    K = op.shape[0]
-    ncomp, labels = csgraph.connected_components(op, directed=True,
-                                                 connection="strong")
-    if ncomp > 1:
-        big = int(np.bincount(labels).argmax())
-        mask = labels == big
-        sub = op[mask][:, mask]
-    else:
-        mask = np.ones(K, dtype=bool)
-        sub = op
-    MT = sub.T.tocsr()
-    v = np.full(sub.shape[0], 1.0 / sub.shape[0])
+    mask = basis.support
+    K = int(mask.sum())
+    # children renumbered inside the support; absent or outside reads v[K]
+    at = np.append(np.where(mask, np.cumsum(mask) - 1, K), K)
+    cols = at[basis.children[mask]].T
+    w = np.exp(-delta * basis.log_derivs)[mask]
+    v = np.append(np.full(K, 1.0 / K), 0.0)
     for it in range(max_iter):
-        u = MT @ v
+        u = sum(w * v[c] for c in cols)
         rho = float(u.sum())
         u /= rho
-        if np.max(np.abs(u - v)) <= tol:
-            v = u
+        done = np.max(np.abs(u - v[:K])) <= tol
+        v[:K] = u
+        if done:
             break
-        v = u
     else:
         raise RuntimeError(
             f"power iteration did not converge in {max_iter} steps")
-    residual = float(np.max(np.abs(MT @ v - rho * v)))
-    full = np.zeros(K)
-    full[mask] = v
-    return EigenResult(rho, full, residual, it + 1, int(mask.sum()))
+    residual = float(np.max(np.abs(sum(w * v[c] for c in cols)
+                                   - rho * v[:K])))
+    full = np.zeros(basis.size)
+    full[mask] = v[:K]
+    return EigenResult(rho, full, residual, it + 1, K)
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,8 +231,7 @@ def solve_delta(basis: CylinderBasis, delta_tol: float = DELTA_TOL,
     grid = DELTA_GRID
     rhos = []
     for dlt in grid:
-        rhos.append(leading_eigen(build_operator(basis, dlt),
-                                  tol=eigen_tol).rho)
+        rhos.append(leading_eigen(basis, dlt, tol=eigen_tol).rho)
     if not (rhos[0] > 1.0 > rhos[-1]):
         raise ValueError(f"no bracket: rho({grid[0]})={rhos[0]}, "
                          f"rho({grid[-1]})={rhos[-1]}")
@@ -253,7 +246,7 @@ def solve_delta(basis: CylinderBasis, delta_tol: float = DELTA_TOL,
         mid = (lo + hi) / 2
         if mid == lo or mid == hi:
             break
-        rho = leading_eigen(build_operator(basis, mid), tol=eigen_tol).rho
+        rho = leading_eigen(basis, mid, tol=eigen_tol).rho
         evals += 1
         if rho > 1.0:
             lo = mid
@@ -261,7 +254,7 @@ def solve_delta(basis: CylinderBasis, delta_tol: float = DELTA_TOL,
             hi = mid
         if hi - lo <= delta_tol and abs(rho - 1.0) <= RHO_TOL:
             break
-    final = leading_eigen(build_operator(basis, mid), tol=eigen_tol)
+    final = leading_eigen(basis, mid, tol=eigen_tol)
     return ConformalSolve(basis, grid, tuple(rhos), mid, final.rho,
                           final.vector, final.residual,
                           final.support_size, evals)

@@ -46,16 +46,6 @@ class LandingError(RuntimeError):
     """Pullback cascade failed to reach the Cauchy tolerance in depth."""
 
 
-class CriticalProximity(RuntimeError):
-    """An orbit passed within tolerance of the critical point."""
-
-    def __init__(self, step: int, z: complex):
-        super().__init__(f"orbit within critical tolerance at step {step} "
-                         f"(|z| = {abs(z):.3e})")
-        self.step = step
-        self.z = z
-
-
 class PolynomialModel:
     """The map f(z) = z^d + c with its cached critical orbit.
 
@@ -121,14 +111,6 @@ class OrbitLanding:
         round the cycle once the points run out."""
         k, pre = np.arange(n), self.preperiod
         return np.where(k < len(self.points), k, pre + (k - pre) % self.period)
-
-    def log_derivs(self, model: PolynomialModel, n: int,
-                   crit_tol: float = 0.0) -> np.ndarray:
-        """log_deriv_rows of this orbit, raising its CriticalProximity."""
-        rows, crit = log_deriv_rows(model, [self], n, crit_tol)
-        if crit[0] < n:
-            raise CriticalProximity(int(crit[0]), self.points[crit[0]])
-        return rows[0]
 
 
 def log_deriv_rows(model: PolynomialModel, landings, n: int,

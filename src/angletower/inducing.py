@@ -21,7 +21,8 @@ from scipy.sparse import csgraph
 from .angles import ArcSet, format_angle
 from .geometry import LandingError, LandingSolver, log_deriv_rows
 from .lifting import TowerMass, entropy_estimate
-from .streams import Cells, TraceEnsemble, _block_width, symbol_matrix
+from .streams import (Cells, TraceEnsemble, _block_width, symbol_matrix,
+                      walk_table)
 from .tower import Domain, TowerGraph
 
 DEFAULT_MARGIN = Fraction(1, 64)
@@ -75,25 +76,29 @@ def choose_W(g: TowerGraph, domain, margin) -> WitnessRegion:
     return WitnessRegion(dom.id, arcs, margin)
 
 
+def strong_components(table: np.ndarray) -> np.ndarray:
+    """Strong-component labels of the graph in which node i has an edge
+    to each table[i, t] >= 0."""
+    src, sym = np.nonzero(table >= 0)
+    adj = sp.csr_matrix((np.ones(len(src)), (src, table[src, sym])),
+                        shape=(len(table), len(table)))
+    return csgraph.connected_components(adj, directed=True,
+                                        connection="strong")[1]
+
+
 def recurrent_witness_domain(g: TowerGraph) -> Domain:
     """Lowest-level domain lying in a strongly connected set of size >= 2.
 
     Self-loops alone do not qualify: a domain whose only recurrence is its
     own loop carries no mass under nonatomic measures here, so the witness
     is taken from a component that genuinely cycles through the tower.
-    Components are the strong components of the edges between expanded
-    domains, so a cycle through a frontier marker does not count.
+    Frontier markers get no out-edges, so a cycle through one does not
+    count.
     """
-    ids = [i for i in g.domains if g.is_expanded(i)]
-    pos = {i: k for k, i in enumerate(ids)}
-    edges = np.array([(pos[s], pos[t]) for (s, _), t in g.edges.items()
-                      if s in pos and t in pos], dtype=np.intp).reshape(-1, 2)
-    adj = sp.csr_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])),
-                        shape=(len(ids), len(ids)))
-    _, labels = csgraph.connected_components(adj, directed=True,
-                                             connection="strong")
-    sizes = np.bincount(labels)
-    candidates = [i for i, lab in zip(ids, labels) if sizes[lab] >= 2]
+    table = walk_table(g)[0]
+    table[sorted(g.frontier)] = -1
+    labels = strong_components(table)
+    candidates = np.flatnonzero(np.bincount(labels)[labels] >= 2).tolist()
     if not candidates:
         raise ValueError("no strongly connected component of size >= 2")
     best = min(candidates, key=lambda i: (g.domains[i].level, i))

@@ -211,6 +211,26 @@ def test_induce_artifacts_bytes_frozen(tmp_path):
     assert got == FROZEN_INDUCE
 
 
+# sha1 of the shipped chebyshev config's conformal artifacts at seed 7,
+# computed with the transfer operator built as a CSR matrix, before it
+# became a gather over the cylinder child table
+FROZEN_CONFORMAL = {
+    "conformal.json": "cd6bf49a505e9d09800da167b53ea99a6757814c",
+    "weights.csv": "719c388bdb7357698f46cf41a3e8955828ef26b0",
+    "delta_curve.csv": "75d2dfb36de461c28a4e5b846112a38681536df2",
+}
+
+
+def test_conformal_artifacts_bytes_frozen(tmp_path):
+    cfg = Path(__file__).resolve().parents[1] / "configs" / "chebyshev.ini"
+    for stage in ("tower-build", "conformal"):
+        assert main([stage, "--config", str(cfg), "--out", str(tmp_path),
+                     "--seed", "7"]) == EXIT_OK, stage
+    got = {f: hashlib.sha1((tmp_path / f).read_bytes()).hexdigest()
+           for f in FROZEN_CONFORMAL}
+    assert got == FROZEN_CONFORMAL
+
+
 def test_manifest_counters_repeat_and_dendrite_lands_by_newton(tmp_path):
     # counters are deterministic, outside the content hash; every dendrite
     # orbit of lyapunov and induce (and the load check's ray) is finished

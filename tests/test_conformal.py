@@ -7,18 +7,18 @@ give independent routes to the operator entries, the eigenvector, and
 the residual that never touch the solver's own arithmetic.
 """
 
+import dataclasses
 import json
 import math
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from angletower.angles import ArcSet, RayChoice, build_partition
-from angletower.conformal import (NODE_OFFSETS, build_basis, build_operator,
+from angletower.conformal import (NODE_OFFSETS, build_basis,
                                   conformality_residual, curve_csv,
                                   leading_eigen,
                                   lyapunov_liftability_experiment,
@@ -157,35 +157,59 @@ def test_midpoints_ride_the_critical_orbit(cheb_part):
 # operator and eigen
 
 
+def dense_operator(basis, delta):
+    """Transfer matrix with entry (Z', Z) = |Df(node Z)|^(-delta) for each
+    child Z' of Z, built entry by entry."""
+    K = basis.size
+    op = np.zeros((K, K))
+    for z in range(K):
+        for child in basis.children[z]:
+            if child >= 0:
+                op[child, z] = math.exp(-delta * basis.log_derivs[z])
+    return op
+
+
 def test_operator_m1_entries_against_oracle(cheb_bases):
+    # every entry is 1/|Df(node)|, so each column sums to 2/|Df(node)|
     b = cheb_bases[1]
-    op = build_operator(b, 1.0).toarray()
-    expect = 1.0 / trig_deriv(b.reps[0])
-    assert op == pytest.approx(np.full((2, 2), expect), abs=1e-9)
+    res = leading_eigen(b, 1.0)
+    assert res.rho == pytest.approx(2.0 / trig_deriv(b.reps[0]), abs=1e-9)
+    assert res.vector.tolist() == [0.5, 0.5]
 
 
-def test_operator_delta0_counts_preimages(cheb_bases):
-    for m in (1, 2):
-        op = build_operator(cheb_bases[m], 0.0).toarray()
-        assert op.sum(axis=0) == pytest.approx(np.full(2 ** m, 2.0))
+def test_operator_matches_dense_oracle(cheb_bases, dend_part, dend_solver):
+    bases = (cheb_bases[6], build_basis(dend_part, dend_solver, 6))
+    for b in bases:
+        for delta in (0.0, 1.0, 1.7):
+            vals, vecs = np.linalg.eig(dense_operator(b, delta).T)
+            k = int(np.argmax(vals.real))
+            vec = np.abs(vecs[:, k].real)
+            res = leading_eigen(b, delta)
+            assert res.rho == pytest.approx(vals[k].real, rel=1e-9)
+            assert res.vector == pytest.approx(vec / vec.sum(), rel=1e-8)
 
 
 def test_rho_at_zero_is_symbol_count(cheb_bases):
     for m in (1, 2):
-        assert leading_eigen(build_operator(cheb_bases[m], 0.0)).rho == 2.0
+        assert leading_eigen(cheb_bases[m], 0.0).rho == 2.0
 
 
 def test_eigen_iteration_cap(cheb_bases):
     with pytest.raises(RuntimeError):
-        leading_eigen(build_operator(cheb_bases[8], 1.0), max_iter=2)
+        leading_eigen(cheb_bases[8], 1.0, max_iter=2)
 
 
-def test_eigen_reducible_fallback():
-    op = sp.csr_matrix(np.array([[1.0, 0.0], [1.0, 0.5]]))
-    res = leading_eigen(op)
-    assert res.support_size == 1
-    assert res.rho == pytest.approx(1.0)
-    assert res.vector.tolist() == [1.0, 0.0]
+def test_eigen_reducible_fallback(cheb_bases):
+    # one two-cylinder component {1, 2}, a transient cylinder 0 and a
+    # lone self-loop at 3: the operator lives on {1, 2}
+    b = dataclasses.replace(
+        cheb_bases[2],
+        children=np.array([[1, 2], [2, -1], [1, -1], [3, -1]]),
+        log_derivs=np.array([0.0, math.log(2), math.log(2), 0.0]))
+    res = leading_eigen(b, 1.0)
+    assert res.support_size == 2
+    assert res.rho == pytest.approx(0.5)
+    assert res.vector.tolist() == [0.0, 0.5, 0.5, 0.0]
 
 
 # --------------------------------------------------------------------------
@@ -242,7 +266,7 @@ def test_lebesgue_eigenvector_oracle(cheb_bases):
     b = cheb_bases[8]
     oracle = np.array([lebesgue_weight(a) for a in b.arcs])
     assert oracle.sum() == pytest.approx(1.0, abs=1e-12)
-    res = leading_eigen(build_operator(b, 1.0))
+    res = leading_eigen(b, 1.0)
     assert 0.97 <= res.rho <= 1.03
     assert abs(res.rho - 1.0) <= 2e-3
     assert np.max(np.abs(res.vector - oracle)) <= 5e-3
@@ -281,8 +305,8 @@ def test_rho_strictly_monotone(cheb_bases, ks):
     lo, hi = sorted(ks)
     d1, d2 = lo / 20.0, hi / 20.0
     b = cheb_bases[4]
-    r1 = leading_eigen(build_operator(b, d1)).rho
-    r2 = leading_eigen(build_operator(b, d2)).rho
+    r1 = leading_eigen(b, d1).rho
+    r2 = leading_eigen(b, d2).rho
     assert r1 > r2
 
 

@@ -24,8 +24,8 @@ from angletower.conformal import (build_basis, enumerate_cylinders,
                                   quadrature_node)
 from angletower.geometry import (
     BASE_POTENTIAL, COARSE, CRIT_TOL, NEWTON_REACH, NEWTON_STEPS, SUBSTEPS,
-    CriticalProximity, LandingError, LandingSolver, PolynomialModel,
-    landing_table_csv,
+    LandingError, LandingSolver, PolynomialModel, landing_table_csv,
+    log_deriv_rows,
 )
 from angletower.lifting import brolin_period_samples
 
@@ -370,15 +370,23 @@ def test_green_positive_off_the_set():
 # Birkhoff averages
 
 
+def orbit_row(model, landing, n, crit_tol=0.0):
+    """log|Df| at steps 0..n-1 of one landed orbit that stays off the
+    critical point."""
+    rows, crit = log_deriv_rows(model, [landing], n, crit_tol)
+    assert crit.tolist() == [n]
+    return rows[0]
+
+
 def test_lyapunov_fixed_point(cheb_solver):
-    lam = cheb_solver.land_orbit(F(0)).log_derivs(CHEB, 100, CRIT_TOL).mean()
+    lam = orbit_row(CHEB, cheb_solver.land_orbit(F(0)), 100, CRIT_TOL).mean()
     assert lam == pytest.approx(math.log(4), abs=1e-12)
 
 
 def test_lyapunov_period_one_interior(cheb_solver):
     # ray 1/3 lands at -1, a fixed point with |f'| = 2
     landing = cheb_solver.land_orbit(F(1, 3))
-    lam = landing.log_derivs(CHEB, 200, CRIT_TOL).mean()
+    lam = orbit_row(CHEB, landing, 200, CRIT_TOL).mean()
     assert lam == pytest.approx(math.log(2), abs=1e-10)
 
 
@@ -386,7 +394,7 @@ def test_lyapunov_two_cycle_dendrite(dend_solver):
     # ray 1/3 lands on the cycle -1+i -> -i of multiplier moduli
     # 2 sqrt 2 and 2
     landing = dend_solver.land_orbit(F(1, 3))
-    lam = landing.log_derivs(DEND, 200, CRIT_TOL).mean()
+    lam = orbit_row(DEND, landing, 200, CRIT_TOL).mean()
     assert lam == pytest.approx(1.25 * math.log(2), abs=1e-8)
 
 
@@ -397,16 +405,16 @@ def test_lyapunov_random_angles_near_log_two(cheb_solver):
     for _ in range(64):
         a = F(rng.randrange(1, den), den)
         landing = cheb_solver.land_orbit(a)
-        vals.append(landing.log_derivs(CHEB, 512, CRIT_TOL).mean())
+        vals.append(orbit_row(CHEB, landing, 512, CRIT_TOL).mean())
     mean = sum(vals) / len(vals)
     assert mean == pytest.approx(math.log(2), rel=0.1)
 
 
 def test_lyapunov_shift_invariant(cheb_solver):
     a = F(9, 31)
-    lam = cheb_solver.land_orbit(a).log_derivs(CHEB, 310, CRIT_TOL).mean()
+    lam = orbit_row(CHEB, cheb_solver.land_orbit(a), 310, CRIT_TOL).mean()
     landing2 = cheb_solver.land_orbit(a * 2)
-    lam2 = landing2.log_derivs(CHEB, 310, CRIT_TOL).mean()
+    lam2 = orbit_row(CHEB, landing2, 310, CRIT_TOL).mean()
     assert lam == pytest.approx(lam2, abs=1e-6)
 
 
@@ -433,14 +441,14 @@ def test_lyapunov_is_the_exact_cycle_mean(d, angle):
     cycle = [model.log_deriv(z) for z in landing.points]
     exact = math.fsum(cycle) / len(cycle)
     n = landing.period * (200 // landing.period + 1)
-    lam = landing.log_derivs(model, n, CRIT_TOL).mean()
+    lam = orbit_row(model, landing, n, CRIT_TOL).mean()
     assert lam == pytest.approx(exact, rel=1e-12)
 
 
 def test_log_derivs_tile_the_landed_points(dend_solver):
     landing = dend_solver.land_orbit(F(1, 12))
     n = 3 * len(landing.points)
-    vals = landing.log_derivs(DEND, n)
+    vals = orbit_row(DEND, landing, n)
     assert vals.tolist() == [DEND.log_deriv(landing.points[k])
                              for k in landing.step_indices(n)]
     # past the last point the steps wrap round into the cycle
@@ -450,23 +458,21 @@ def test_log_derivs_tile_the_landed_points(dend_solver):
 def test_log_derivs_stop_at_the_first_critical_step(cheb_solver):
     # 1/8 -> 1/4 -> 1/2 -> 0: the second image lands on the critical point
     landing = cheb_solver.land_orbit(F(1, 8))
-    with pytest.raises(CriticalProximity) as err:
-        landing.log_derivs(CHEB, 10, crit_tol=1e-7)
-    assert err.value.step == 1
-    assert landing.log_derivs(CHEB, 1, crit_tol=1e-7)[0] == \
+    crit = log_deriv_rows(CHEB, [landing], 10, crit_tol=1e-7)[1]
+    assert crit.tolist() == [1]
+    assert orbit_row(CHEB, landing, 1, crit_tol=1e-7)[0] == \
         CHEB.log_deriv(landing.points[0])
 
 
 def test_lyapunov_excluded_near_critical(cheb_solver):
     # ray 1/4 lands exactly on the critical point
-    with pytest.raises(CriticalProximity) as err:
-        cheb_solver.land_orbit(F(1, 4)).log_derivs(CHEB, 10, CRIT_TOL).mean()
-    assert err.value.step == 0
+    landing = cheb_solver.land_orbit(F(1, 4))
+    assert log_deriv_rows(CHEB, [landing], 10, CRIT_TOL)[1].tolist() == [0]
 
 
 def test_lyapunov_rejects_bad_n(cheb_solver):
     with pytest.raises(ValueError):
-        cheb_solver.land_orbit(F(1, 7)).log_derivs(CHEB, 0, CRIT_TOL).mean()
+        log_deriv_rows(CHEB, [cheb_solver.land_orbit(F(1, 7))], 0, CRIT_TOL)
 
 
 # --------------------------------------------------------------------------

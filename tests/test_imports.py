@@ -1,7 +1,9 @@
-"""No module-level import in src/angletower goes unused.
+"""No module-level import in src/angletower goes unused, and one module
+knows the graph library.
 
 A name bound by a top-level `import` or `from ... import` must be read
-somewhere in its module; `from __future__` imports are exempt.  Only the
+somewhere in its module; `from __future__` imports are exempt.  Only
+`inducing` imports scipy, at any depth of its source.  Only the
 standard-library `ast` module is needed.
 """
 
@@ -40,3 +42,19 @@ def test_checker_flags_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def imported_modules(source: str) -> set[str]:
+    """Top-level package of every import anywhere in source."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {a.name.partition(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            found.add(node.module.partition(".")[0])
+    return found
+
+
+def test_only_inducing_imports_scipy():
+    assert [p.name for p in MODULES
+            if "scipy" in imported_modules(p.read_text())] == ["inducing.py"]

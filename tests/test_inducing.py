@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from angletower import streams
 from angletower.angles import ArcSet, RayChoice, build_partition, itinerary
-from angletower.geometry import LandingError, LandingSolver, PolynomialModel
+from angletower.geometry import (LandingError, LandingSolver, PolynomialModel,
+                                 log_deriv_rows)
 from angletower.inducing import (BRANCH_RUN_MAX, ENTROPY_DEPTHS,
                                  ExpansionReport, WitnessRegion,
                                  _branch_codes, branch_words_csv, choose_W,
@@ -56,7 +57,7 @@ def dense_expansion_and_abramov(ind, solver) -> ExpansionReport:
         if isinstance(land, LandingError):
             excluded.append((i, str(land)))
             continue
-        vals[i] = land.log_derivs(solver.model, h)
+        vals[i] = log_deriv_rows(solver.model, [land], h)[0][0]
     bad = {i for i, _ in excluded}
     keep = np.array([i not in bad for i in range(ens.count)])
     sel = keep[ind.sample_index]
