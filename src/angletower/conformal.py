@@ -54,8 +54,10 @@ RHO_TOL = 1e-9
 DELTA_GRID = tuple(k / 10 for k in range(21))
 
 
-def quadrature_node(arcset: ArcSet, partition: CirclePartition) -> Fraction:
-    """Deterministic interior angle of the largest component.
+def quadrature_node(arcset: ArcSet,
+                    partition: CirclePartition) -> tuple[Fraction, int]:
+    """Deterministic interior angle of the largest component, and the
+    index into NODE_OFFSETS of the offset that placed it.
 
     Walks NODE_OFFSETS until the candidate's forward orbit misses the
     partition boundary; the first offset wins almost always, later ones
@@ -63,10 +65,10 @@ def quadrature_node(arcset: ArcSet, partition: CirclePartition) -> Fraction:
     cut angle.
     """
     s, length = arcset.largest_component()
-    for t in NODE_OFFSETS:
+    for k, t in enumerate(NODE_OFFSETS):
         cand = (s + length * t) % 1
         if not orbit_hits_boundary(cand, partition):
-            return cand
+            return cand, k
     raise ValueError(
         f"no interior node found in component at {format_angle(s)}")
 
@@ -108,12 +110,8 @@ def build_basis(partition: CirclePartition, solver: LandingSolver,
     cyls = enumerate_cylinders(partition, depth)
     words = tuple(word for word, _ in cyls)
     arcs = tuple(arcset for _, arcset in cyls)
-    reps = tuple(quadrature_node(arcset, partition) for arcset in arcs)
-    moved = []
-    for i, (arcset, rep) in enumerate(zip(arcs, reps)):
-        s, length = arcset.largest_component()
-        if rep != (s + length * NODE_OFFSETS[0]) % 1:
-            moved.append(i)
+    reps, offset_index = zip(*(quadrature_node(arcset, partition)
+                               for arcset in arcs))
     landings = solver.land_many(reps)
     for word, rep, landing in zip(words, reps, landings):
         if isinstance(landing, LandingError):
@@ -135,7 +133,8 @@ def build_basis(partition: CirclePartition, solver: LandingSolver,
     return CylinderBasis(partition, depth, words, arcs, reps,
                          tuple(landings),
                          log_deriv_rows(solver.model, landings, 1)[0][:, 0],
-                         children, tuple(moved))
+                         children,
+                         tuple(i for i, k in enumerate(offset_index) if k > 0))
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,8 +15,6 @@ from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse import csgraph
 
 from .angles import ArcSet, format_angle
 from .geometry import LandingError, LandingSolver, log_deriv_rows
@@ -79,6 +77,9 @@ def choose_W(g: TowerGraph, domain, margin) -> WitnessRegion:
 def strong_components(table: np.ndarray) -> np.ndarray:
     """Strong-component labels of the graph in which node i has an edge
     to each table[i, t] >= 0."""
+    # the one scipy call: only the stages that reach it pay the import
+    import scipy.sparse as sp
+    from scipy.sparse import csgraph
     src, sym = np.nonzero(table >= 0)
     adj = sp.csr_matrix((np.ones(len(src)), (src, table[src, sym])),
                         shape=(len(table), len(table)))

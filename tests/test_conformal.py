@@ -140,7 +140,8 @@ def test_quadrature_node_fallback(cheb_part):
     # first candidate lands exactly on the cut angle 1/4
     length = F(1, 8)
     s = (F(1, 4) - length * NODE_OFFSETS[0]) % 1
-    node = quadrature_node(ArcSet([(s, length)]), cheb_part)
+    node, k = quadrature_node(ArcSet([(s, length)]), cheb_part)
+    assert k == 1
     assert node != F(1, 4)
     assert node == (s + length * NODE_OFFSETS[1]) % 1
     assert not orbit_hits_boundary(node, cheb_part)

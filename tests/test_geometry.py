@@ -179,7 +179,7 @@ def test_land_many_sweeps_each_distinct_angle_once(monkeypatch):
     # the first row sweeps the pool: one point per distinct reduced angle
     # over all node orbits, however many orbits pass through it
     part = build_partition(RayChoice(3, (F(1, 6),)))
-    nodes = [quadrature_node(arcs, part)
+    nodes = [quadrature_node(arcs, part)[0]
              for _, arcs in enumerate_cylinders(part, 3)]
     distinct = {x for b in nodes for x in angle_orbit(b, 3)[2]}
     assert len(distinct) < sum(len(angle_orbit(b, 3)[2]) for b in nodes)
@@ -315,7 +315,7 @@ def test_long_cycles_keep_the_sweep_landing():
     # the nodes' cycles are 256 long, so f^p overflows, Newton rejects
     # every orbit and each lands bit for bit as the sweep alone lands it
     part = build_partition(RayChoice(3, (F(1, 6),)))
-    nodes = [quadrature_node(arcs, part)
+    nodes = [quadrature_node(arcs, part)[0]
              for _, arcs in enumerate_cylinders(part, 5)]
     solver = LandingSolver(CUBIC)
     landings = solver.land_many(nodes)
