@@ -1,17 +1,8 @@
 """Batch front end: configured runs, exports, and run manifests.
 
 One flat config file (INI-style sections, JSON accepted too) drives all
-subcommands against a shared output directory:
-
-    [map]
-    degree = 2
-    c_real = -2.0
-    angle = 1/2
-    [tower]
-    R = 8
-    extra_levels = 64
-    [sampling]
-    seed = 7
+subcommands against a shared output directory.  SCHEMA names its keys;
+every command checks the whole file at load, for every stage.
 
 tower-build writes tower.json; the other stages read it back, so a run
 directory is self-contained and diff-able.  Every command also writes
@@ -41,8 +32,9 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
-from .angles import RayChoice, build_partition, format_angle, parse_angle
+from .angles import RayChoice, build_partition, format_angle
 from .census import (InsufficientDepth, brute_force_census, cutpoint_census,
                      l_table_csv, s_table_csv, subset_count_bound,
                      verify_appendix)
@@ -54,8 +46,8 @@ from .geometry import (LandingError, LandingSolver, PolynomialModel,
 from .inducing import (branch_words_csv, choose_W, expansion_and_abramov,
                        first_return, kac_check, recurrent_witness_domain,
                        tau_histogram_csv)
-from .lifting import (DEFAULT_FLOOR, brolin_period_samples, brolin_samples,
-                      curves_csv, dirac_cycle, lift_cesaro, lift_report,
+from .lifting import (brolin_period_samples, brolin_samples, curves_csv,
+                      dirac_cycle, lift_cesaro, lift_report,
                       lyapunov_consistency, make_ensemble)
 from .streams import FrontierReached
 from .tower import (TowerGraph, build_tower, structural_checks,
@@ -83,106 +75,116 @@ def git_blob_sha1(text: str) -> str:
 
 
 # --------------------------------------------------------------------------
-# config
+# config: one schema, read whole at load
 
 
-def _find_line(text: str, section: str, key: str) -> int | None:
-    current = None
+SAMPLERS = ("brolin", "brolin-periodic", "dirac")
+# parsers of a value (of each entry of a list), with what they accept; the
+# sampler's index raises ValueError on a name off the list
+INT = (int, "an integer")
+NUMBER = (float, "a number")
+FRACTION = (Fraction, 'a fraction "p/q"')
+SAMPLER = (lambda s: SAMPLERS[SAMPLERS.index(s)], f"one of {list(SAMPLERS)}")
+
+
+class Key(NamedTuple):
+    """A key's parser, default (a value, None, or ... if the config or flag
+    must give it), and bounds on its value or each list entry (many),
+    inclusive unless strict; a callable one reads v, the values so far."""
+
+    parse: tuple
+    default: object
+    lo: object = None
+    hi: object = None
+    strict: bool = False
+    many: bool = False
+    flag: str | None = None
+
+
+def _max_bits(v) -> int:
+    # d**bits - 1 bounds the int64 draw of brolin_period_samples
+    return max(b for b in range(64) if v["map", "degree"] ** b <= 1 << 63)
+
+
+SCHEMA = {
+    ("map", "degree"): Key(INT, 2, lo=2),
+    ("map", "c_real"): Key(NUMBER, ...),
+    ("map", "c_imag"): Key(NUMBER, 0.0),
+    ("map", "angle"): Key(FRACTION, ..., many=True),
+    ("map", "kappa"): Key(INT, lambda v: len(v["map", "angle"])),
+    ("tower", "R"): Key(INT, 8, lo=1),
+    ("tower", "extra_levels"): Key(INT, 0, lo=0),
+    ("sampling", "seed"): Key(INT, ..., flag="seed"),
+    ("sampling", "samples"): Key(INT, 1000, lo=1),
+    ("sampling", "horizon"): Key(INT, 1000, lo=1),
+    # a Brolin measure is exact to its horizon; the others to any
+    ("sampling", "n_grid"): Key(INT, (250, 500, 1000), lo=1, many=True, hi=(
+        lambda v: v["sampling", "horizon"]
+        if v["lift", "sampler"] == "brolin" else None)),
+    ("sampling", "R_grid"): Key(INT, (4, 6, 8), many=True),
+    ("tolerances", "tol_land"): Key(NUMBER, 1e-12, lo=0, strict=True),
+    ("tolerances", "tol_orbit"): Key(NUMBER, 1e-9, lo=0, strict=True),
+    ("tolerances", "eigen_tol"): Key(NUMBER, 1e-10, lo=0, strict=True),
+    ("tolerances", "bisection_tol"): Key(NUMBER, 1e-6, lo=0, strict=True),
+    ("margins", "cutpoint_margin"): Key(FRACTION, Fraction(1, 64), lo=0),
+    ("output", "dir"): Key((str, "a path"), ..., flag="out"),
+    ("census", "R"): Key(INT, 2, lo=1),
+    ("census", "horizon"): Key(INT, 20, lo=1),
+    ("census", "brute_depth"): Key(INT, 8, lo=0),
+    ("census", "subset_n"): Key(INT, (20, 40, 60), lo=1, many=True),
+    ("census", "subset_eps"): Key(FRACTION, tuple(map(Fraction, (
+        "1/20", "1/10", "1/5", "3/10"))), lo=0, hi=1, strict=True, many=True),
+    ("lift", "sampler"): Key(SAMPLER, "brolin"),
+    ("lift", "count"): Key(INT, lambda v: v["sampling", "samples"], lo=1),
+    ("lift", "bits"): Key(INT, 16, lo=2, hi=_max_bits),
+    ("lift", "angle"): Key(FRACTION, lambda v: (
+        ... if v["lift", "sampler"] == "dirac" else None)),
+    ("lyapunov", "count"): Key(INT, 512, lo=1),
+    ("lyapunov", "bits"): Key(INT, 12, lo=2, hi=_max_bits),
+    ("lyapunov", "n"): Key(INT, 240, lo=1),
+    ("lyapunov", "landing_rows"): Key(INT, 12, lo=0),
+    ("induce", "count"): Key(INT, 768, lo=1),
+    ("induce", "bits"): Key(INT, 16, lo=2, hi=_max_bits),
+    ("induce", "horizon"): Key(INT, 1600, lo=2),
+    ("induce", "branch_words"): Key(INT, 200, lo=0),
+    ("conformal", "depth"): Key(INT, 8, lo=1),
+    ("conformal", "lambdas"): Key(NUMBER, (1.1, 1.2, 1.5), lo=0,
+                                  strict=True, many=True),
+    ("conformal", "lift_horizon"): Key(
+        INT, lambda v: v["sampling", "horizon"],
+        lo=lambda v: v["conformal", "depth"] + 1),
+    ("conformal", "horizons"): Key(INT, (6, 8, 10), lo=1, many=True, hi=(
+        lambda v: v["conformal", "lift_horizon"])),
+    ("conformal", "eps"): Key(NUMBER, (0.05, 0.1, 0.2), many=True),
+}
+
+
+def _members(text: str):
+    """(line, name, opens a section) of each INI or JSON section and key."""
+    if text.lstrip().startswith("{"):
+        for m in re.finditer(r'"((?:[^"\\]|\\.)*)"\s*:\s*(\{)?', text):
+            yield text.count("\n", 0, m.start()) + 1, m[1], bool(m[2])
+        return
     for i, line in enumerate(text.splitlines(), start=1):
-        m = re.match(r"\s*\[([^\]]+)\]", line)
-        if m:
-            current = m.group(1)
-            continue
-        if current == section and re.match(
-                rf"\s*{re.escape(key)}\s*[=:]", line):
-            return i
-    return None
+        if m := re.match(r"\s*(?:\[([^\]]+)\]|([^\s;#][^=:]*?)\s*[=:])", line):
+            yield i, m[1] or m[2], m[1] is not None
 
 
-class RawConfig:
-    """Parsed sections with anchored error reporting."""
+class RawConfig(NamedTuple):
+    """A config file's sections of unparsed values, and its text."""
 
-    def __init__(self, path: str, text: str, sections: dict):
-        self.path = path
-        self.text = text
-        self.sections = sections
+    path: str
+    text: str
+    sections: dict
 
-    def anchor(self, section: str, key: str) -> str:
-        line = _find_line(self.text, section, key)
-        if line is not None:
-            return f"{self.path}:{line}"
-        return f"{self.path} ({section}.{key})"
-
-    def error(self, section: str, key: str, message: str) -> ConfigError:
-        return ConfigError(f"{self.anchor(section, key)}: {message}")
-
-    def raw(self, section: str, key: str, default=None):
-        return self.sections.get(section, {}).get(key, default)
-
-    def get(self, section, key, conv, default, what):
-        v = self.raw(section, key)
-        if v is None:
-            if default is None:
-                raise self.error(section, key, f"{key} is mandatory")
-            return default
-        try:
-            return conv(v)
-        except (ValueError, ZeroDivisionError) as e:
-            raise self.error(section, key,
-                             f"{key} must be {what}: {e}") from None
-
-    def get_int(self, section, key, default=None, minimum=None):
-        v = self.get(section, key, lambda x: int(str(x)), default,
-                     "an integer")
-        if minimum is not None and v is not None and v < minimum:
-            raise self.error(section, key, f"{key} must be >= {minimum}")
-        return v
-
-    def get_float(self, section, key, default=None, positive=False):
-        v = self.get(section, key, lambda x: float(str(x)), default,
-                     "a number")
-        if positive and v is not None and v <= 0:
-            raise self.error(section, key, f"{key} must be > 0")
-        return v
-
-    def get_fraction(self, section, key, default=None):
-        return self.get(section, key, lambda x: Fraction(str(x)), default,
-                        'a fraction "p/q"')
-
-    def get_list(self, section, key, conv, default, what, minimum=None,
-                 maximum=None):
-        v = self.raw(section, key)
-        if v is None:
-            out = default
-        else:
-            parts = (list(v) if isinstance(v, (list, tuple))
-                     else str(v).split())
-            try:
-                out = tuple(conv(str(p)) for p in parts)
-            except (ValueError, ZeroDivisionError) as e:
-                raise self.error(section, key, f"{key} must be a list of "
-                                 f"{what}: {e}") from None
-            if not out:
-                raise self.error(section, key, f"{key} must be nonempty")
-        if minimum is not None and min(out) < minimum:
-            raise self.error(section, key,
-                             f"{key} entries must be >= {minimum}")
-        if maximum is not None and max(out) > maximum:
-            raise self.error(section, key,
-                             f"{key} entries must be <= {maximum}")
-        return out
-
-    def get_choice(self, section, key, choices, default):
-        v = str(self.raw(section, key, default))
-        if v not in choices:
-            raise self.error(section, key,
-                             f"{key} must be one of {sorted(choices)}")
-        return v
-
-    def echo(self) -> dict:
-        return {s: {k: (list(v) if isinstance(v, (list, tuple)) else str(v))
-                    for k, v in kv.items()}
-                for s, kv in sorted(self.sections.items())}
+    def error(self, section: str, key, message: str) -> ConfigError:
+        """message at key's line in section (the header's if key is None)"""
+        current = None
+        for line, name, opens in _members(self.text):
+            current = name if opens else current
+            if (current, name, opens) == (section, key or section, not key):
+                return ConfigError(f"{self.path}:{line}: {message}")
+        return ConfigError(f"{self.path} ({section}.{key}): {message}")
 
 
 def parse_config_file(path: str) -> RawConfig:
@@ -213,92 +215,92 @@ def parse_config_file(path: str) -> RawConfig:
     return RawConfig(path, text, sections)
 
 
+def read_schema(raw: RawConfig, args) -> dict:
+    """Every SCHEMA key's value, given, default or flag's, and bounded."""
+    for section, keys in raw.sections.items():
+        if not any(s == section for s, _ in SCHEMA):
+            raise raw.error(section, None, f"unknown section [{section}]")
+        for key in keys:
+            if (section, key) not in SCHEMA:
+                raise raw.error(section, key, f"unknown key [{section}] {key}")
+    v = {}
+    for (section, key), spec in SCHEMA.items():
+        text = raw.sections.get(section, {}).get(key)
+        given = getattr(args, spec.flag) if spec.flag else None
+        if text is None:
+            value = (spec.default(v) if callable(spec.default)
+                     else spec.default)
+            if value is ... and given is None:
+                raise raw.error(section, key, f"{key} is mandatory" + (
+                    f" (config or --{spec.flag})" if spec.flag else ""))
+        else:
+            parse, what = spec.parse
+            items = ((text if isinstance(text, list) else str(text).split())
+                     if spec.many else [text])
+            try:  # an empty list fails as one empty entry
+                value = tuple(parse(str(x)) for x in items or [""])
+            except (ValueError, ZeroDivisionError):
+                raise raw.error(section, key, f"{key} must be {what}"
+                                f"{' in each entry' * spec.many}, not "
+                                f"{text!r}") from None
+            value = value if spec.many else value[0]
+        v[section, key] = value if given is None else given
+    for (section, key), spec in SCHEMA.items():
+        xs = v[section, key] if spec.many else (v[section, key],)
+        label, op = f"{key}{' entries' * spec.many}", "=" * (not spec.strict)
+        lo, hi = (b(v) if callable(b) else b for b in (spec.lo, spec.hi))
+        for bound, sign, holds in ((lo, ">", lambda x: lo < x),
+                                   (hi, "<", lambda x: x < hi)):
+            if bound is not None and not all(
+                    holds(x) or op and x == bound for x in xs):
+                raise raw.error(section, key,
+                                f"{label} must be {sign}{op} {bound}")
+    return v
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class RunConfig:
-    raw: RawConfig
+    """Every config value, as cfg[section, key], and what the load built."""
+
+    values: dict
     ray_choice: RayChoice
     model: PolynomialModel
-    tower_R: int
-    extra_levels: int
-    seed: int
-    samples: int
-    horizon: int
     solver: LandingSolver
-    eigen_tol: float
-    bisection_tol: float
-    margin: Fraction
-    out: str
+    path: str
+    echo: dict
+
+    def __getitem__(self, key):
+        return self.values[key]
 
 
 def load_config(args) -> RunConfig:
     raw = parse_config_file(args.config)
-    degree = raw.get_int("map", "degree", default=2, minimum=2)
-    c_real = raw.get_float("map", "c_real")
-    c_imag = raw.get_float("map", "c_imag", default=0.0)
-    angles = raw.get_list("map", "angle", parse_angle, None,
-                          'fractions "p/q"')
-    if angles is None:
-        raise raw.error("map", "angle", "angle is mandatory")
+    v = read_schema(raw, args)
     try:
-        rc = RayChoice(degree, tuple(angles))
+        rc = RayChoice(v["map", "degree"], v["map", "angle"])
     except ValueError as e:
         raise raw.error("map", "angle", str(e)) from None
-    kappa = raw.get_int("map", "kappa", default=len(angles))
-    if kappa != len(angles):
-        raise raw.error("map", "kappa",
-                        f"kappa = {kappa} but {len(angles)} angle(s) given")
-    tol_orbit = raw.get_float("tolerances", "tol_orbit", default=1e-9,
-                              positive=True)
+    angles = rc.angles  # each reduced mod 1
+    if v["map", "kappa"] != len(angles):
+        raise raw.error("map", "kappa", f"kappa = {v['map', 'kappa']} but "
+                        f"{len(angles)} angle(s) given")
+    tol_orbit = v["tolerances", "tol_orbit"]
     try:
-        model = PolynomialModel(degree, complex(c_real, c_imag),
-                                tol_orbit=tol_orbit)
+        model = PolynomialModel(v["map", "degree"], complex(
+            v["map", "c_real"], v["map", "c_imag"]), tol_orbit=tol_orbit)
     except ValueError as e:
-        key = "c_imag" if raw.raw("map", "c_imag") is not None else "c_real"
+        key = "c_imag" if "c_imag" in raw.sections["map"] else "c_real"
         raise raw.error("map", key, str(e)) from None
-
-    seed = args.seed
-    if seed is None:
-        seed = raw.get_int("sampling", "seed")
-
-    out = args.out or raw.raw("output", "dir")
-    if out is None:
-        raise raw.error("output", "dir",
-                        "output directory is mandatory (config or --out)")
-
-    margin = raw.get_fraction("margins", "cutpoint_margin",
-                              default=Fraction(1, 64))
-    if margin < 0:
-        raise raw.error("margins", "cutpoint_margin",
-                        "cutpoint_margin must be >= 0")
-
-    cfg = RunConfig(
-        raw=raw,
-        ray_choice=rc,
-        model=model,
-        tower_R=raw.get_int("tower", "R", default=8, minimum=1),
-        extra_levels=raw.get_int("tower", "extra_levels", default=0,
-                                 minimum=0),
-        seed=int(seed),
-        samples=raw.get_int("sampling", "samples", default=1000, minimum=1),
-        horizon=raw.get_int("sampling", "horizon", default=1000, minimum=1),
-        # one solver lands every ray of the run, and counts its decisions
-        solver=LandingSolver(model, tol_land=raw.get_float(
-            "tolerances", "tol_land", default=1e-12, positive=True)),
-        eigen_tol=raw.get_float("tolerances", "eigen_tol", default=1e-10,
-                                positive=True),
-        bisection_tol=raw.get_float("tolerances", "bisection_tol",
-                                    default=1e-6, positive=True),
-        margin=margin,
-        out=str(out),
-    )
+    # one solver lands every ray of the run, and counts its decisions
+    solver = LandingSolver(model, tol_land=v["tolerances", "tol_land"])
     # each ray must land on c, or the tower is not this map's
-    for a, ld in zip(angles, cfg.solver.land_many(angles)):
+    for a, ld in zip(angles, solver.land_many(angles)):
         miss = (math.inf if isinstance(ld, LandingError)
                 else abs(ld.points[0] - model.c))
         if not miss <= tol_orbit:
             raise raw.error("map", "angle", f"the ray at {format_angle(a)} "
                             f"lands {miss:.3g} from c, beyond tol_orbit")
-    return cfg
+    return RunConfig(v, rc, model, solver, raw.path, raw.sections)
 
 
 # --------------------------------------------------------------------------
@@ -315,8 +317,8 @@ def _load_tower(cfg: RunConfig, out: Path):
     if not path.exists():
         raise DependencyError(
             f"{path} not found; run tower-build into this directory first")
-    expected = TowerGraph(build_partition(cfg.ray_choice), cfg.tower_R,
-                          cfg.extra_levels).config_json()
+    expected = TowerGraph(build_partition(cfg.ray_choice), cfg["tower", "R"],
+                          cfg["tower", "extra_levels"]).config_json()
     try:
         payload = json.loads(path.read_text())
         if payload["config"] != expected:
@@ -336,8 +338,8 @@ def _dump(obj) -> str:
 
 
 def cmd_tower_build(cfg: RunConfig, out: Path):
-    g = build_tower(cfg.ray_choice, cfg.tower_R,
-                    extra_levels=cfg.extra_levels)
+    g = build_tower(cfg.ray_choice, cfg["tower", "R"],
+                    extra_levels=cfg["tower", "extra_levels"])
     rep = structural_checks(g)
     files = {
         "tower.json": tower_to_json_str(g) + "\n",
@@ -346,7 +348,7 @@ def cmd_tower_build(cfg: RunConfig, out: Path):
     }
     failures = [] if rep.passed else ["structural checks failed"]
     inside = g.domain_count(within_truncation=True)
-    summary = [f"{inside} domains, truncation {cfg.tower_R}, "
+    summary = [f"{inside} domains, truncation {cfg['tower', 'R']}, "
                f"{g.domain_count() - inside} beyond truncation, "
                f"structural checks {'pass' if rep.passed else 'FAIL'}"]
     return files, failures, summary
@@ -360,16 +362,8 @@ def cmd_tower_export(cfg: RunConfig, out: Path):
 
 def cmd_census(cfg: RunConfig, out: Path):
     g = _load_tower(cfg, out)
-    raw = cfg.raw
-    R = raw.get_int("census", "R", default=2, minimum=1)
-    horizon = raw.get_int("census", "horizon", default=20, minimum=1)
-    brute_depth = raw.get_int("census", "brute_depth", default=8, minimum=0)
-    subset_n = raw.get_list("census", "subset_n", int, (20, 40, 60),
-                            "integers")
-    subset_eps = raw.get_list("census", "subset_eps", Fraction,
-                              (Fraction(1, 20), Fraction(1, 10),
-                               Fraction(1, 5), Fraction(3, 10)),
-                              "fractions")
+    R, horizon = cfg["census", "R"], cfg["census", "horizon"]
+    brute_depth = cfg["census", "brute_depth"]
     ids = sorted(i for i, d in g.domains.items() if d.level == R)
     if not ids:
         raise DependencyError(f"tower has no level-{R} domains")
@@ -395,8 +389,8 @@ def cmd_census(cfg: RunConfig, out: Path):
         domains_json.append({"domain": did, "brute_match": match,
                              "appendix": rep.to_json()})
     subsets = []
-    for n in subset_n:
-        for eps in subset_eps:
+    for n in cfg["census", "subset_n"]:
+        for eps in cfg["census", "subset_eps"]:
             b = subset_count_bound(eps, n)
             if not b.holds:
                 failures.append(f"subset bound fails at n={n} eps={eps}")
@@ -411,33 +405,20 @@ def cmd_census(cfg: RunConfig, out: Path):
     return files, failures, summary
 
 
-def _sampler(cfg: RunConfig, section: str, partition, seed: int):
-    raw = cfg.raw
-    kind = raw.get_choice(section, "sampler",
-                          {"brolin", "brolin-periodic", "dirac"}, "brolin")
-    count = raw.get_int(section, "count", default=cfg.samples, minimum=1)
-    if kind == "brolin":
-        return brolin_samples(partition, count, cfg.horizon, seed=seed)
-    if kind == "brolin-periodic":
-        bits = raw.get_int(section, "bits", default=16, minimum=2)
-        return brolin_period_samples(partition, count, seed=seed, bits=bits)
-    angle = raw.get_fraction(section, "angle", default=None)
-    if angle is None:
-        raise raw.error(section, "angle", "dirac sampler needs an angle")
-    return dirac_cycle(partition, angle)
-
-
 def cmd_lift(cfg: RunConfig, out: Path):
     g = _load_tower(cfg, out)
-    raw = cfg.raw
-    mu = _sampler(cfg, "lift", g.partition, cfg.seed)
-    # a Brolin measure is exact to its horizon; the others to any
-    n_grid = raw.get_list("sampling", "n_grid", int, (250, 500, 1000),
-                          "integers", minimum=1, maximum=mu.horizon)
-    R_grid = raw.get_list("sampling", "R_grid", int, (4, 6, 8), "integers")
-    floor = raw.get_float("lift", "floor", default=DEFAULT_FLOOR,
-                          positive=True)
-    rep = lift_report(mu, g, n_grid, R_grid, floor=floor)
+    kind, count = cfg["lift", "sampler"], cfg["lift", "count"]
+    if kind == "brolin":
+        mu = brolin_samples(g.partition, count, cfg["sampling", "horizon"],
+                            seed=cfg["sampling", "seed"])
+    elif kind == "brolin-periodic":
+        mu = brolin_period_samples(g.partition, count,
+                                   seed=cfg["sampling", "seed"],
+                                   bits=cfg["lift", "bits"])
+    else:
+        mu = dirac_cycle(g.partition, cfg["lift", "angle"])
+    n_grid, R_grid = cfg["sampling", "n_grid"], cfg["sampling", "R_grid"]
+    rep = lift_report(mu, g, n_grid, R_grid)
     files = {
         "lift.json": _dump({"provenance": mu.provenance,
                             "samples": len(mu.nums),
@@ -454,16 +435,13 @@ def cmd_lift(cfg: RunConfig, out: Path):
 
 def cmd_lyapunov(cfg: RunConfig, out: Path):
     g = _load_tower(cfg, out)
-    raw = cfg.raw
-    count = raw.get_int("lyapunov", "count", default=512, minimum=1)
-    bits = raw.get_int("lyapunov", "bits", default=12, minimum=2)
-    n = raw.get_int("lyapunov", "n", default=240, minimum=1)
-    rows = raw.get_int("lyapunov", "landing_rows", default=12, minimum=0)
-    mu = brolin_period_samples(g.partition, count, seed=cfg.seed + 1,
-                               bits=bits)
+    count, bits = cfg["lyapunov", "count"], cfg["lyapunov", "bits"]
+    n, rows = cfg["lyapunov", "n"], cfg["lyapunov", "landing_rows"]
+    mu = brolin_period_samples(g.partition, count,
+                               seed=cfg["sampling", "seed"] + 1, bits=bits)
     ens = make_ensemble(mu, g, n)
     rep = lyapunov_consistency(mu, ens, cfg.model, cfg.solver,
-                               R=cfg.tower_R, n=n)
+                               R=cfg["tower", "R"], n=n)
     files = {
         "lyapunov.json": _dump({"count": count, "bits": bits,
                                 **rep.to_json()}),
@@ -479,18 +457,15 @@ def cmd_lyapunov(cfg: RunConfig, out: Path):
 
 def cmd_induce(cfg: RunConfig, out: Path):
     g = _load_tower(cfg, out)
-    raw = cfg.raw
-    count = raw.get_int("induce", "count", default=768, minimum=1)
-    bits = raw.get_int("induce", "bits", default=16, minimum=2)
-    horizon = raw.get_int("induce", "horizon", default=1600, minimum=2)
-    word_limit = raw.get_int("induce", "branch_words", default=200,
-                             minimum=0)
-    mu = brolin_period_samples(g.partition, count, seed=cfg.seed + 2,
-                               bits=bits)
+    horizon = cfg["induce", "horizon"]
+    mu = brolin_period_samples(g.partition, cfg["induce", "count"],
+                               seed=cfg["sampling", "seed"] + 2,
+                               bits=cfg["induce", "bits"])
     ens = make_ensemble(mu, g, horizon)
-    witness = choose_W(g, recurrent_witness_domain(g), cfg.margin)
+    witness = choose_W(g, recurrent_witness_domain(g),
+                       cfg["margins", "cutpoint_margin"])
     ind = first_return(ens, witness)
-    mass = lift_cesaro(mu, g, horizon, cfg.tower_R, ensemble=ens)
+    mass = lift_cesaro(mu, g, horizon, cfg["tower", "R"], ensemble=ens)
     kac = kac_check(ind, mass)
     expansion = expansion_and_abramov(ind, cfg.solver)
     files = {
@@ -498,7 +473,8 @@ def cmd_induce(cfg: RunConfig, out: Path):
                               "kac": kac.to_json(),
                               "expansion": expansion.to_json()}),
         "tau_histogram.csv": tau_histogram_csv(ind),
-        "branch_words.csv": branch_words_csv(ind, limit=word_limit),
+        "branch_words.csv": branch_words_csv(
+            ind, limit=cfg["induce", "branch_words"]),
     }
     summary = [f"witness D{witness.domain_id}, returns {ind.return_count}, "
                f"kac rel err {kac.relative_error:.4f} ({kac.verdict})"]
@@ -507,31 +483,22 @@ def cmd_induce(cfg: RunConfig, out: Path):
 
 def cmd_conformal(cfg: RunConfig, out: Path):
     g = _load_tower(cfg, out)
-    raw = cfg.raw
-    depth = raw.get_int("conformal", "depth", default=8, minimum=1)
-    lambdas = raw.get_list("conformal", "lambdas", float, (1.1, 1.2, 1.5),
-                           "numbers")
-    if min(lambdas) <= 0:
-        raise raw.error("conformal", "lambdas", "lambdas entries must be > 0")
-    lift_horizon = raw.get_int("conformal", "lift_horizon",
-                               default=cfg.horizon, minimum=depth + 1)
-    horizons = raw.get_list("conformal", "horizons", int, (6, 8, 10),
-                            "integers", minimum=1, maximum=lift_horizon)
-    eps_grid = raw.get_list("conformal", "eps", float, (0.05, 0.1, 0.2),
-                            "numbers")
+    depth = cfg["conformal", "depth"]
     basis = build_basis(g.partition, cfg.solver, depth)
-    solve = solve_delta(basis, delta_tol=cfg.bisection_tol,
-                        eigen_tol=cfg.eigen_tol)
+    solve = solve_delta(basis, delta_tol=cfg["tolerances", "bisection_tol"],
+                        eigen_tol=cfg["tolerances", "eigen_tol"])
     residual = conformality_residual(basis, solve.weights, solve.delta)
     experiment = lyapunov_liftability_experiment(
-        solve, g, cfg.solver, lambdas=lambdas, horizons=horizons,
-        eps_grid=eps_grid, level_cap=cfg.tower_R,
-        lift_horizon=lift_horizon, margin=cfg.margin)
+        solve, g, cfg.solver, lambdas=cfg["conformal", "lambdas"],
+        horizons=cfg["conformal", "horizons"],
+        eps_grid=cfg["conformal", "eps"], level_cap=cfg["tower", "R"],
+        lift_horizon=cfg["conformal", "lift_horizon"],
+        margin=cfg["margins", "cutpoint_margin"])
     files = {
         "conformal.json": _dump({"solve": solve.to_json(),
                                  "residual": residual,
                                  "experiment": experiment.to_json(),
-                                 "seed": cfg.seed + 3}),
+                                 "seed": cfg["sampling", "seed"] + 3}),
         "delta_curve.csv": curve_csv(solve),
         "weights.csv": weights_csv(solve),
     }
@@ -640,9 +607,9 @@ def write_run(out: Path, command: str, cfg: RunConfig, files: dict,
         f"{n}:{h}" for n, h in sorted(hashes.items())).encode()).hexdigest()
     manifest = {
         "command": command,
-        "config": cfg.raw.echo(),
-        "config_path": cfg.raw.path,
-        "seed": cfg.seed,
+        "config": cfg.echo,
+        "config_path": cfg.path,
+        "seed": cfg["sampling", "seed"],
         "outputs": hashes,
         "content_hash": combined,
         "failures": failures,
@@ -674,13 +641,10 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    out = Path(cfg.out)
+    out = Path(cfg["output", "dir"])
     t0 = time.time()
     try:
         files, failures, summary = COMMANDS[args.command](cfg, out)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
     except (DependencyError, InsufficientDepth, FrontierReached) as e:
         print(f"dependency error: {e}", file=sys.stderr)
         return EXIT_DEPENDENCY

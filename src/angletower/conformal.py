@@ -390,7 +390,7 @@ def lyapunov_liftability_experiment(
                      max(lift_horizon // 2, 1), lift_horizon})
     rows = retained_curves(mu, g, tuple(n_grid), (level_cap,),
                            ensemble=ens)
-    lift = liftability_verdict(rows, DEFAULT_FLOOR)
+    lift = liftability_verdict(rows)
     liftable = lift.verdict == "liftable"
 
     # n-step derivative sums along the node orbits

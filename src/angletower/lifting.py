@@ -362,14 +362,13 @@ class LiftReport:
     """Empirical liftability verdict with its supporting curves.
 
     The verdict is a finite-horizon surrogate for the vague-limit
-    definition: `liftable` when some truncation keeps at least `floor`
-    mass across the whole horizon grid, `not-liftable` when every
-    truncation has fallen below the floor at the largest horizon.
+    definition: `liftable` when some truncation keeps at least
+    DEFAULT_FLOOR mass across the whole horizon grid, `not-liftable` when
+    every truncation has fallen below it at the largest horizon.
     """
 
     curves: tuple[tuple[int, int, float, float], ...]
     verdict: str
-    floor: float
     densities: dict | None = None
     invariance_defect: float | None = None
     note: str = "finite-horizon surrogate verdict"
@@ -377,7 +376,7 @@ class LiftReport:
     def to_json(self) -> dict:
         return {
             "verdict": self.verdict,
-            "floor": self.floor,
+            "floor": DEFAULT_FLOOR,
             "note": self.note,
             "curves": [list(r) for r in self.curves],
             "densities": (None if self.densities is None else
@@ -387,22 +386,22 @@ class LiftReport:
         }
 
 
-def liftability_verdict(rows, floor: float = DEFAULT_FLOOR) -> LiftReport:
+def liftability_verdict(rows) -> LiftReport:
     rows = tuple(sorted(rows))
     if not rows:
-        return LiftReport(rows, "inconclusive", floor)
+        return LiftReport(rows, "inconclusive")
     by_R: dict[int, list] = {}
     for n, R, retained, _ in rows:
         by_R.setdefault(R, []).append((n, retained))
-    stable = any(min(ret for _, ret in pts) >= floor
+    stable = any(min(ret for _, ret in pts) >= DEFAULT_FLOOR
                  for pts in by_R.values())
     if stable:
         verdict = "liftable"
-    elif all(max(pts)[1] < floor for pts in by_R.values()):
+    elif all(max(pts)[1] < DEFAULT_FLOOR for pts in by_R.values()):
         verdict = "not-liftable"
     else:
         verdict = "inconclusive"
-    return LiftReport(rows, verdict, floor)
+    return LiftReport(rows, verdict)
 
 
 class _Defect:
@@ -659,7 +658,6 @@ def entropy_estimate(ensemble: TraceEnsemble, m_grid) -> float:
 
 
 def lift_report(mu: SampleMeasure, g: TowerGraph, n_grid, R_grid,
-                floor: float = DEFAULT_FLOOR,
                 ensemble: TraceEnsemble | None = None) -> LiftReport:
     """One-stop verdict: curves, verdict, defect, and density ratios of
     the depth-DENSITY_DEPTH cylinders.
@@ -672,7 +670,7 @@ def lift_report(mu: SampleMeasure, g: TowerGraph, n_grid, R_grid,
     n_grid = sorted(set(int(n) for n in n_grid))
     R_grid = sorted(set(int(R) for R in R_grid))
     if not n_grid or not R_grid:
-        return LiftReport((), "inconclusive", floor)
+        return LiftReport((), "inconclusive")
     if n_grid[0] < 1:
         raise ValueError("horizons must be >= 1")
     n_max = n_grid[-1]
@@ -686,11 +684,11 @@ def lift_report(mu: SampleMeasure, g: TowerGraph, n_grid, R_grid,
                            DENSITY_DEPTH, max(R_grid), n_max)
         folds.append(density)
     _fold(blocks, *folds)
-    report = liftability_verdict(curves.rows(n_grid), floor)
+    report = liftability_verdict(curves.rows(n_grid))
     test_ids = [i for i, dom in g.domains.items()
                 if dom.level <= max(R_grid)]
     densities = None
     if report.verdict == "liftable" and n_max > DENSITY_DEPTH:
         densities = density.report().corrected
-    return LiftReport(report.curves, report.verdict, floor,
-                      densities, defect.value(test_ids))
+    return LiftReport(report.curves, report.verdict, densities,
+                      defect.value(test_ids))

@@ -4,14 +4,16 @@ import csv
 import hashlib
 import json
 import math
+import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from angletower.angles import itinerary
-from angletower.cli import (EXIT_CHECK, EXIT_CONFIG, EXIT_DEPENDENCY,
-                            EXIT_OK, git_blob_sha1, main)
+from angletower.cli import (COMMANDS, EXIT_CHECK, EXIT_CONFIG,
+                            EXIT_DEPENDENCY, EXIT_OK, SCHEMA, build_parser,
+                            git_blob_sha1, load_config, main)
 from angletower.geometry import LandingSolver, PolynomialModel
 from angletower.lifting import brolin_samples, make_ensemble
 from angletower.tower import tower_from_json
@@ -125,6 +127,15 @@ def write_cfg(tmp_path, name="run.ini", R=5, extra=16, out=None, text=None):
     path.write_text(text if text is not None
                     else BASE.format(R=R, extra=extra, out=out))
     return path, out
+
+
+def assert_refused(capsys, cfg, stages, anchored):
+    """Each stage exits 2 on cfg at load, printing the anchored message
+    (file:line: message)."""
+    capsys.readouterr()
+    for stage in stages:
+        assert main([stage, "--config", str(cfg)]) == EXIT_CONFIG, stage
+        assert f"config error: {anchored}" in capsys.readouterr().err, stage
 
 
 def test_tower_build_small(tmp_path, capsys):
@@ -409,11 +420,9 @@ def test_lift_grid_out_of_range_is_config_error(tmp_path, capsys, sampler,
     text = text.replace("sampler = brolin", f"sampler = {sampler}")
     cfg, _ = write_cfg(tmp_path, text=text)
     line = text.splitlines().index(f"n_grid = {n_grid}") + 1
-    assert main(["tower-build", "--config", str(cfg)]) == EXIT_OK
-    capsys.readouterr()
-    assert main(["lift", "--config", str(cfg)]) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert f"{cfg}:{line}: {message}" in err
+    # every key is checked at load: tower-build refuses it as lift does
+    assert_refused(capsys, cfg, ("tower-build", "lift"),
+                   f"{cfg}:{line}: {message}")
 
 
 def test_periodic_lift_grid_may_pass_the_horizon(tmp_path):
@@ -442,11 +451,8 @@ def test_conformal_horizons_out_of_range_is_config_error(tmp_path, capsys,
             + f"\n[conformal]\ndepth = 4\n{entry}\n")
     cfg, _ = write_cfg(tmp_path, text=text)
     line = text.splitlines().index(entry) + 1
-    assert main(["tower-build", "--config", str(cfg)]) == EXIT_OK
-    capsys.readouterr()
-    assert main(["conformal", "--config", str(cfg)]) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert f"{cfg}:{line}: {message}" in err
+    assert_refused(capsys, cfg, ("tower-build", "conformal"),
+                   f"{cfg}:{line}: {message}")
 
 
 def test_lyapunov_stage_lands_each_sample_once(tmp_path, monkeypatch):
@@ -534,9 +540,162 @@ def test_unknown_sampler_is_config_error(tmp_path, capsys):
     text = BASE.format(R=5, extra=16, out=tmp_path / "o")
     text = text.replace("sampler = brolin", "sampler = uniform")
     cfg, _ = write_cfg(tmp_path, text=text)
-    main(["tower-build", "--config", str(cfg)])
-    assert main(["lift", "--config", str(cfg)]) == EXIT_CONFIG
-    assert "must be one of" in capsys.readouterr().err
+    line = text.splitlines().index("sampler = uniform") + 1
+    assert_refused(capsys, cfg, ("tower-build", "lift"),
+                   f"{cfg}:{line}: sampler must be one of ['brolin', "
+                   f"'brolin-periodic', 'dirac'], not 'uniform'")
+
+
+# (config text, the text to replace, its replacement, whose last key line
+# is refused with the message); the draws of brolin_period_samples need
+# d**bits - 1 to fit int64
+LOAD_BOUNDS = {
+    "subset-eps-one": (BASE, "subset_eps = 1/10", "subset_eps = 1/10 1",
+                       "subset_eps entries must be < 1"),
+    "subset-eps-zero": (BASE, "subset_eps = 1/10", "subset_eps = 0",
+                        "subset_eps entries must be > 0"),
+    "subset-eps-past-one": (BASE, "subset_eps = 1/10", "subset_eps = 2",
+                            "subset_eps entries must be < 1"),
+    "subset-n-zero": (BASE, "subset_n = 20", "subset_n = 20 0",
+                      "subset_n entries must be >= 1"),
+    "lift-bits": (BASE, "count = 200", "count = 200\nbits = 64",
+                  "bits must be <= 63"),
+    "lyapunov-bits": (BASE, "[output]", "[lyapunov]\nbits = 70\n[output]",
+                      "bits must be <= 63"),
+    "induce-bits": (BASE, "[output]", "[induce]\nbits = 64\n[output]",
+                    "bits must be <= 63"),
+    "cubic-induce-bits": (CUBIC, "[output]", "[induce]\nbits = 40\n[output]",
+                          "bits must be <= 39"),
+}
+
+
+@pytest.mark.parametrize("case", list(LOAD_BOUNDS))
+def test_out_of_range_is_config_error_at_load(tmp_path, capsys, case):
+    template, old, new, message = LOAD_BOUNDS[case]
+    text = template.format(R=5, extra=16, out=tmp_path / "o")
+    assert text.count(old) == 1
+    text = text.replace(old, new)
+    cfg, _ = write_cfg(tmp_path, text=text)
+    bad = [ln for ln in new.splitlines() if not ln.startswith("[")][-1]
+    line = text.splitlines().index(bad) + 1
+    assert_refused(capsys, cfg, ("tower-build",), f"{cfg}:{line}: {message}")
+
+
+def test_dirac_without_angle_is_config_error(tmp_path, capsys):
+    text = BASE.format(R=5, extra=16, out=tmp_path / "o")
+    text = text.replace("sampler = brolin", "sampler = dirac")
+    cfg, _ = write_cfg(tmp_path, text=text)
+    assert_refused(capsys, cfg, ("tower-build", "lift"),
+                   f"{cfg} (lift.angle): angle is mandatory")
+
+
+def _unknown_json(tmp_path):
+    blob = {"map": {"degree": 2, "c_real": -2.0, "angle": "1/2"},
+            "sampling": {"seed": 3},
+            "lift": {"flor": 0.1},
+            "output": {"dir": str(tmp_path / "o")}}
+    text = json.dumps(blob, indent=1)
+    line = text.splitlines().index('  "flor": 0.1') + 1
+    return "run.json", text, line, "unknown key [lift] flor"
+
+
+def _unknown_ini(old, new, bad, message):
+    def case(tmp_path):
+        text = BASE.format(R=5, extra=16, out=tmp_path / "o")
+        text = text.replace(old, new)
+        return "run.ini", text, text.splitlines().index(bad) + 1, message
+    return case
+
+
+UNKNOWN = {
+    "key": _unknown_ini("count = 200", "count = 200\nflor = 0.1",
+                        "flor = 0.1", "unknown key [lift] flor"),
+    "section": _unknown_ini("[output]", "[conformall]\ndepth = 4\n[output]",
+                            "[conformall]", "unknown section [conformall]"),
+    "json-key": _unknown_json,
+}
+
+
+@pytest.mark.parametrize("case", list(UNKNOWN))
+def test_unknown_key_or_section_is_refused_by_every_stage(tmp_path, capsys,
+                                                          case):
+    # a misspelled key is not left to its default: every stage refuses it
+    name, text, line, message = UNKNOWN[case](tmp_path)
+    cfg, _ = write_cfg(tmp_path, name=name, text=text)
+    assert_refused(capsys, cfg, COMMANDS, f"{cfg}:{line}: {message}")
+
+
+# every key a config may set, loaded from a config that sets only the
+# mandatory ones: the defaults the stages run on
+MINIMAL = """\
+[map]
+c_real = -2.0
+angle = 1/2
+
+[sampling]
+seed = 3
+
+[output]
+dir = runs/minimal
+"""
+DEFAULTS = {
+    ("map", "degree"): 2,
+    ("map", "c_real"): -2.0,
+    ("map", "c_imag"): 0.0,
+    ("map", "angle"): (Fraction(1, 2),),
+    ("map", "kappa"): 1,
+    ("tower", "R"): 8,
+    ("tower", "extra_levels"): 0,
+    ("sampling", "seed"): 3,
+    ("sampling", "samples"): 1000,
+    ("sampling", "horizon"): 1000,
+    ("sampling", "n_grid"): (250, 500, 1000),
+    ("sampling", "R_grid"): (4, 6, 8),
+    ("tolerances", "tol_land"): 1e-12,
+    ("tolerances", "tol_orbit"): 1e-9,
+    ("tolerances", "eigen_tol"): 1e-10,
+    ("tolerances", "bisection_tol"): 1e-6,
+    ("margins", "cutpoint_margin"): Fraction(1, 64),
+    ("output", "dir"): "runs/minimal",
+    ("census", "R"): 2,
+    ("census", "horizon"): 20,
+    ("census", "brute_depth"): 8,
+    ("census", "subset_n"): (20, 40, 60),
+    ("census", "subset_eps"): (Fraction(1, 20), Fraction(1, 10),
+                               Fraction(1, 5), Fraction(3, 10)),
+    ("lift", "sampler"): "brolin",
+    ("lift", "count"): 1000,
+    ("lift", "bits"): 16,
+    ("lift", "angle"): None,
+    ("lyapunov", "count"): 512,
+    ("lyapunov", "bits"): 12,
+    ("lyapunov", "n"): 240,
+    ("lyapunov", "landing_rows"): 12,
+    ("induce", "count"): 768,
+    ("induce", "bits"): 16,
+    ("induce", "horizon"): 1600,
+    ("induce", "branch_words"): 200,
+    ("conformal", "depth"): 8,
+    ("conformal", "lambdas"): (1.1, 1.2, 1.5),
+    ("conformal", "lift_horizon"): 1000,
+    ("conformal", "horizons"): (6, 8, 10),
+    ("conformal", "eps"): (0.05, 0.1, 0.2),
+}
+
+
+def test_minimal_config_loads_the_defaults(tmp_path):
+    cfg, _ = write_cfg(tmp_path, text=MINIMAL)
+    args = build_parser().parse_args(["census", "--config", str(cfg)])
+    assert len(DEFAULTS) == 40
+    assert load_config(args).values == DEFAULTS
+
+
+def test_readme_lists_every_key():
+    # the README's key table, row by row, in the order of the schema
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    rows = re.findall(r"^\| `\[(\w+)\] (\w+)` \|", readme.read_text(),
+                      re.MULTILINE)
+    assert rows == list(SCHEMA)
 
 
 def test_missing_config_file(tmp_path, capsys):
