@@ -114,14 +114,14 @@ SCHEMA = {
     ("map", "kappa"): Key(INT, lambda v: len(v["map", "angle"])),
     ("tower", "R"): Key(INT, 8, lo=1),
     ("tower", "extra_levels"): Key(INT, 0, lo=0),
-    ("sampling", "seed"): Key(INT, ..., flag="seed"),
+    ("sampling", "seed"): Key(INT, ..., lo=0, flag="seed"),
     ("sampling", "samples"): Key(INT, 1000, lo=1),
     ("sampling", "horizon"): Key(INT, 1000, lo=1),
     # a Brolin measure is exact to its horizon; the others to any
     ("sampling", "n_grid"): Key(INT, (250, 500, 1000), lo=1, many=True, hi=(
         lambda v: v["sampling", "horizon"]
         if v["lift", "sampler"] == "brolin" else None)),
-    ("sampling", "R_grid"): Key(INT, (4, 6, 8), many=True),
+    ("sampling", "R_grid"): Key(INT, (4, 6, 8), lo=0, many=True),
     ("tolerances", "tol_land"): Key(NUMBER, 1e-12, lo=0, strict=True),
     ("tolerances", "tol_orbit"): Key(NUMBER, 1e-9, lo=0, strict=True),
     ("tolerances", "eigen_tol"): Key(NUMBER, 1e-10, lo=0, strict=True),
@@ -624,12 +624,17 @@ def build_parser() -> argparse.ArgumentParser:
         prog="angletower",
         description="Markov tower experiments in the exact angle model")
     sub = parser.add_subparsers(dest="command", required=True)
+    # a bad --seed is refused as it is parsed, citing no config line
+    def seed(text: str) -> int:
+        if int(text) < 0:
+            raise argparse.ArgumentTypeError(f"must be >= 0, not {text}")
+        return int(text)
     for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="INI or JSON config")
         p.add_argument("--out", default=None,
                        help="output directory (overrides [output] dir)")
-        p.add_argument("--seed", type=int, default=None,
+        p.add_argument("--seed", type=seed, default=None,
                        help="master seed (overrides [sampling] seed)")
     return parser
 

@@ -99,9 +99,11 @@ class CylinderBasis:
 
     @cached_property
     def support(self) -> np.ndarray:
-        """Mask of the largest strong component of the child graph."""
+        """Mask of the largest strong component of the child graph, and on
+        a tie the one holding the lowest node."""
         labels = strong_components(self.children)
-        return labels == np.bincount(labels).argmax()
+        sizes = np.bincount(labels)[labels]
+        return labels == labels[sizes.argmax()]
 
 
 def build_basis(partition: CirclePartition, solver: LandingSolver,

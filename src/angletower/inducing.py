@@ -75,16 +75,39 @@ def choose_W(g: TowerGraph, domain, margin) -> WitnessRegion:
 
 
 def strong_components(table: np.ndarray) -> np.ndarray:
-    """Strong-component labels of the graph in which node i has an edge
-    to each table[i, t] >= 0."""
-    # the one scipy call: only the stages that reach it pay the import
-    import scipy.sparse as sp
-    from scipy.sparse import csgraph
-    src, sym = np.nonzero(table >= 0)
-    adj = sp.csr_matrix((np.ones(len(src)), (src, table[src, sym])),
-                        shape=(len(table), len(table)))
-    return csgraph.connected_components(adj, directed=True,
-                                        connection="strong")[1]
+    """Strong-component labels, numbered as they complete, of the graph in
+    which node i has an edge to each table[i, t] >= 0.
+
+    Tarjan's pass from an added node n with an edge to every node, its
+    recursion kept as a stack of (node, edges left) frames.  A node's place
+    on the stack of open nodes stands for its visit order; a closed node's
+    place is n + 1, above every open one.
+    """
+    succ = [[w for w in row if w >= 0] for row in table.tolist()]
+    n = len(succ)
+    succ.append(range(n))
+    pos, low, labels = [-1] * n + [0], [0] * (n + 1), [-1] * (n + 1)
+    stack, frames, count = [n], [(n, iter(succ[n]))], 0
+    while frames:
+        v, edges = frames[-1]
+        for w in edges:
+            if pos[w] < 0:  # a tree edge: open w and descend into it
+                pos[w] = low[w] = len(stack)
+                stack.append(w)
+                frames.append((w, iter(succ[w])))
+                break
+            low[v] = min(low[v], pos[w])
+        else:  # v is done: close its component, or pass its low up
+            frames.pop()
+            if low[v] == pos[v]:
+                for w in stack[low[v]:]:
+                    pos[w], labels[w] = n + 1, count
+                del stack[low[v]:]
+                count += 1
+            else:
+                u = frames[-1][0]
+                low[u] = min(low[u], low[v])
+    return np.array(labels[:n], dtype=np.intp)
 
 
 def recurrent_witness_domain(g: TowerGraph) -> Domain:

@@ -12,6 +12,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from angletower.angles import ArcSet, CirclePartition, angle_orbit, times_d
 
 
@@ -48,6 +50,23 @@ def angle_universe(partition: CirclePartition) -> frozenset[Fraction]:
     for t in partition.ray_choice.angles:
         out.update(angle_orbit(t, partition.degree)[2])
     return frozenset(out)
+
+
+def strong_partition(table) -> set[frozenset[int]]:
+    """Strong components, as node sets, of the graph in which node i has
+    an edge to each table[i][t] >= 0.
+
+    The reachability closure comes from repeated squaring of the boolean
+    matrix of paths of length 0 or 1; two nodes share a component iff each
+    reaches the other.
+    """
+    n = len(table)
+    reach = np.eye(n, dtype=bool)
+    for i, row in enumerate(table):
+        reach[i, [j for j in row if j >= 0]] = True
+    for _ in range(n.bit_length()):  # paths of up to 2^k >= n - 1 steps
+        reach = reach @ reach
+    return {frozenset(np.flatnonzero(m).tolist()) for m in reach & reach.T}
 
 
 def f(model, z: complex) -> complex:

@@ -536,6 +536,17 @@ def test_missing_seed_is_config_error(tmp_path, capsys):
                  "--seed", "11"]) == EXIT_OK
 
 
+def test_negative_seed_flag_is_refused_as_it_is_parsed(tmp_path, capsys):
+    # the config's own seed is good, so its line is not cited
+    cfg, out = write_cfg(tmp_path)
+    with pytest.raises(SystemExit) as refused:
+        main(["lift", "--config", str(cfg), "--seed", "-3"])
+    assert refused.value.code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "argument --seed: must be >= 0, not -3" in err
+    assert str(cfg) not in err and not out.exists()
+
+
 def test_unknown_sampler_is_config_error(tmp_path, capsys):
     text = BASE.format(R=5, extra=16, out=tmp_path / "o")
     text = text.replace("sampler = brolin", "sampler = uniform")
@@ -566,6 +577,9 @@ LOAD_BOUNDS = {
                     "bits must be <= 63"),
     "cubic-induce-bits": (CUBIC, "[output]", "[induce]\nbits = 40\n[output]",
                           "bits must be <= 39"),
+    "seed-negative": (BASE, "seed = 3", "seed = -1", "seed must be >= 0"),
+    "R-grid-negative": (BASE, "R_grid = 4 5", "R_grid = -2 8",
+                        "R_grid entries must be >= 0"),
 }
 
 

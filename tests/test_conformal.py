@@ -213,6 +213,15 @@ def test_eigen_reducible_fallback(cheb_bases):
     assert res.vector.tolist() == [0.0, 0.5, 0.5, 0.0]
 
 
+def test_support_tie_goes_to_the_lowest_node(cheb_bases):
+    # {3, 4}, reached from the transient 0, completes before {1, 2} and
+    # ties it at two cylinders: the support is the one holding node 1
+    b = dataclasses.replace(
+        cheb_bases[2], children=np.array([[3, -1], [2, -1], [1, -1],
+                                          [4, -1], [3, -1]]))
+    assert b.support.tolist() == [False, True, True, False, False]
+
+
 # --------------------------------------------------------------------------
 # the solve
 

@@ -1,12 +1,10 @@
-"""No module-level import in src/angletower goes unused, and one function
-knows the graph library.
+"""No module-level import in src/angletower goes unused, and none loads
+scipy.
 
 A name bound by a top-level `import` or `from ... import` must be read
-somewhere in its module; `from __future__` imports are exempt.  Only
-`inducing` imports scipy, at any depth of its source, and only inside
-`strong_components`, so a stage that labels no strong component never
-loads it; a fresh interpreter running stages through `cli.main` shows
-that.
+somewhere in its module; `from __future__` imports are exempt.  No module
+imports scipy, at any depth of its source, and a fresh interpreter running
+all eight stages through `cli.main` never has it in `sys.modules`.
 """
 
 import ast
@@ -66,47 +64,31 @@ def imported_modules(source: str) -> set[str]:
     return set().union(*map(import_roots, ast.walk(ast.parse(source))))
 
 
-def test_only_inducing_imports_scipy():
+def test_import_checker_finds_scipy_at_any_depth():
+    source = ("import numpy as np\n"
+              "def f():\n    if True:\n"
+              "        from scipy.sparse import csgraph\n")
+    assert imported_modules(source) == {"numpy", "scipy"}
+
+
+def test_no_module_imports_scipy():
     assert [p.name for p in MODULES
-            if "scipy" in imported_modules(p.read_text())] == ["inducing.py"]
-
-
-def scipy_import_scopes(source: str) -> list:
-    """Name of the top-level function enclosing each scipy import of
-    source, or None for an import outside every function."""
-    scopes = []
-    for top in ast.parse(source).body:
-        name = top.name if isinstance(top, ast.FunctionDef) else None
-        scopes += [name for node in ast.walk(top)
-                   if "scipy" in import_roots(node)]
-    return scopes
-
-
-def test_scope_checker_flags_module_level_scipy():
-    source = ("import scipy.sparse as sp\n"
-              "def f():\n    from scipy.sparse import csgraph\n")
-    assert scipy_import_scopes(source) == [None, "f"]
-
-
-def test_scipy_is_imported_only_in_strong_components():
-    scopes = {p.name: scipy_import_scopes(p.read_text()) for p in MODULES}
-    assert {name: s for name, s in scopes.items() if s} == {
-        "inducing.py": ["strong_components", "strong_components"]}
+            if "scipy" in imported_modules(p.read_text())] == []
 
 
 COLD_START = """\
 import json, sys
-from angletower.cli import main
+from angletower.cli import COMMANDS, main
 config, out = sys.argv[1:]
 seen = {"import": "scipy" in sys.modules}
-for stage in ("tower-build", "census", "lift", "induce"):
+for stage in COMMANDS:
     assert main([stage, "--config", config, "--out", out]) == 0, stage
     seen[stage] = "scipy" in sys.modules
 print(json.dumps(seen))
 """
 
 
-def test_cold_start_defers_scipy_to_induce(tmp_path):
+def test_cold_start_never_loads_scipy(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC.parent)] + [p for p in [env.get("PYTHONPATH")] if p])
@@ -115,6 +97,7 @@ def test_cold_start_defers_scipy_to_induce(tmp_path):
          str(ROOT / "configs" / "chebyshev.ini"), str(tmp_path)],
         env=env, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
-    assert json.loads(run.stdout.splitlines()[-1]) == {
-        "import": False, "tower-build": False, "census": False,
-        "lift": False, "induce": True}
+    seen = json.loads(run.stdout.splitlines()[-1])
+    assert list(seen)[1:] == ["tower-build", "tower-export", "census", "lift",
+                              "lyapunov", "induce", "conformal", "report"]
+    assert not any(seen.values()), seen

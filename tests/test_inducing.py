@@ -18,14 +18,14 @@ from angletower.inducing import (BRANCH_RUN_MAX, ENTROPY_DEPTHS,
                                  _branch_codes, branch_words_csv, choose_W,
                                  expansion_and_abramov, first_return,
                                  kac_check, recurrent_witness_domain,
-                                 tau_histogram_csv)
+                                 strong_components, tau_histogram_csv)
 from angletower.lifting import (brolin_period_samples, brolin_samples,
                                 custom_measure, entropy_estimate,
                                 lift_cesaro, make_ensemble)
 from angletower.streams import fits_int64
 from angletower.tower import build_tower
 
-from oracles import angle_at, contains
+from oracles import angle_at, contains, strong_partition
 
 CHEB = RayChoice(2, (F(1, 2),))
 DEND = RayChoice(2, (F(1, 6),))
@@ -202,6 +202,31 @@ def test_recurrent_witness_ignores_cycle_through_frontier():
     g.edges[(1, 0)] = 0
     with pytest.raises(ValueError):
         recurrent_witness_domain(g)
+
+
+# nodes x symbols successor tables, -1 (drawn often) for an absent edge
+SUCCESSOR_TABLES = st.tuples(st.integers(1, 24), st.integers(1, 3)).flatmap(
+    lambda nk: st.lists(st.lists(st.just(-1) | st.integers(0, nk[0] - 1),
+                                 min_size=nk[1], max_size=nk[1]),
+                        min_size=nk[0], max_size=nk[0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(SUCCESSOR_TABLES)
+def test_strong_components_match_reachability_oracle(table):
+    labels = strong_components(np.array(table))
+    assert sorted(set(labels.tolist())) == list(range(labels.max() + 1))
+    assert {frozenset(np.flatnonzero(labels == k).tolist())
+            for k in set(labels.tolist())} == strong_partition(table)
+
+
+def test_strong_components_of_a_long_cycle_and_path():
+    # no recursion: 200,000 nodes deep is one pass of the work stack
+    n = 200_000
+    cycle = (np.arange(1, n + 1) % n)[:, None]
+    assert np.all(strong_components(cycle) == 0)
+    path = np.append(np.arange(1, n), -1)[:, None]
+    assert len(np.unique(strong_components(path))) == n
 
 
 def test_choose_w_base_margin_zero_is_whole_base(cheb_graph):
