@@ -17,10 +17,10 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .tower import TowerGraph
+from .tower import TowerGraph, TowerTooShallow
 
 
-class InsufficientDepth(RuntimeError):
+class InsufficientDepth(TowerTooShallow):
     """The walk reached a domain whose out-edges were never built."""
 
     def __init__(self, domain_id: int, level: int, needed_extra: int):

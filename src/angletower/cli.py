@@ -35,23 +35,10 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .angles import RayChoice, build_partition, format_angle
-from .census import (InsufficientDepth, brute_force_census, cutpoint_census,
-                     l_table_csv, s_table_csv, subset_count_bound,
-                     verify_appendix)
-from .conformal import (build_basis, conformality_residual, curve_csv,
-                        lyapunov_liftability_experiment, solve_delta,
-                        weights_csv)
 from .geometry import (LandingError, LandingSolver, PolynomialModel,
                        landing_table_csv)
-from .inducing import (branch_words_csv, choose_W, expansion_and_abramov,
-                       first_return, kac_check, recurrent_witness_domain,
-                       tau_histogram_csv)
-from .lifting import (brolin_period_samples, brolin_samples, curves_csv,
-                      dirac_cycle, lift_cesaro, lift_report,
-                      lyapunov_consistency, make_ensemble)
-from .streams import FrontierReached
-from .tower import (TowerGraph, build_tower, structural_checks,
-                    tower_from_json, tower_to_json_str)
+from .tower import (TowerGraph, TowerTooShallow, build_tower,
+                    structural_checks, tower_from_json, tower_to_json_str)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -361,6 +348,8 @@ def cmd_tower_export(cfg: RunConfig, out: Path):
 
 
 def cmd_census(cfg: RunConfig, out: Path):
+    from .census import (brute_force_census, cutpoint_census, l_table_csv,
+                         s_table_csv, subset_count_bound, verify_appendix)
     g = _load_tower(cfg, out)
     R, horizon = cfg["census", "R"], cfg["census", "horizon"]
     brute_depth = cfg["census", "brute_depth"]
@@ -406,6 +395,8 @@ def cmd_census(cfg: RunConfig, out: Path):
 
 
 def cmd_lift(cfg: RunConfig, out: Path):
+    from .lifting import (brolin_period_samples, brolin_samples, curves_csv,
+                          dirac_cycle, lift_report)
     g = _load_tower(cfg, out)
     kind, count = cfg["lift", "sampler"], cfg["lift", "count"]
     if kind == "brolin":
@@ -434,6 +425,8 @@ def cmd_lift(cfg: RunConfig, out: Path):
 
 
 def cmd_lyapunov(cfg: RunConfig, out: Path):
+    from .lifting import (brolin_period_samples, lyapunov_consistency,
+                          make_ensemble)
     g = _load_tower(cfg, out)
     count, bits = cfg["lyapunov", "count"], cfg["lyapunov", "bits"]
     n, rows = cfg["lyapunov", "n"], cfg["lyapunov", "landing_rows"]
@@ -456,6 +449,10 @@ def cmd_lyapunov(cfg: RunConfig, out: Path):
 
 
 def cmd_induce(cfg: RunConfig, out: Path):
+    from .inducing import (branch_words_csv, choose_W, expansion_and_abramov,
+                           first_return, kac_check, recurrent_witness_domain,
+                           tau_histogram_csv)
+    from .lifting import brolin_period_samples, lift_cesaro, make_ensemble
     g = _load_tower(cfg, out)
     horizon = cfg["induce", "horizon"]
     mu = brolin_period_samples(g.partition, cfg["induce", "count"],
@@ -482,6 +479,9 @@ def cmd_induce(cfg: RunConfig, out: Path):
 
 
 def cmd_conformal(cfg: RunConfig, out: Path):
+    from .conformal import (build_basis, conformality_residual, curve_csv,
+                            lyapunov_liftability_experiment, solve_delta,
+                            weights_csv)
     g = _load_tower(cfg, out)
     depth = cfg["conformal", "depth"]
     basis = build_basis(g.partition, cfg.solver, depth)
@@ -650,7 +650,7 @@ def main(argv=None) -> int:
     t0 = time.time()
     try:
         files, failures, summary = COMMANDS[args.command](cfg, out)
-    except (DependencyError, InsufficientDepth, FrontierReached) as e:
+    except (DependencyError, TowerTooShallow) as e:
         print(f"dependency error: {e}", file=sys.stderr)
         return EXIT_DEPENDENCY
     except (ValueError, RuntimeError) as e:

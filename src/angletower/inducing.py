@@ -18,7 +18,7 @@ import numpy as np
 
 from .angles import ArcSet, format_angle
 from .geometry import LandingError, LandingSolver, log_deriv_rows
-from .lifting import TowerMass, entropy_estimate
+from .lifting import TowerMass, _count_sums, entropy_estimate
 from .streams import (Cells, TraceEnsemble, _block_width, symbol_matrix,
                       walk_table)
 from .tower import Domain, TowerGraph
@@ -198,16 +198,17 @@ class InducedSystem:
         return tuple(int(x) for x in self.ensemble.symbols[s, t:t + tau])
 
     def tau_histogram(self) -> list:
-        """(tau, count, weight) rows sorted by tau."""
-        if not self.return_count:
-            return []
-        w = self.weights[self.sample_index]
-        taus = np.unique(self.return_time)
-        rows = []
-        for t in taus:
-            sel = self.return_time == t
-            rows.append((int(t), int(sel.sum()), float(w[sel].sum())))
-        return rows
+        """(tau, count, weight) rows sorted by tau; a weight is summed as
+        w[return_time == tau].sum() adds it, pairwise in return order."""
+        w = self.weights
+        if _count_sums(w, 0) is not None:
+            runs = np.bincount(self.return_time)
+            return [(t, int(runs[t]), float(np.full(runs[t], w[0]).sum()))
+                    for t in np.flatnonzero(runs).tolist()]
+        order = np.argsort(self.return_time, kind="stable")
+        taus, starts = np.unique(self.return_time[order], return_index=True)
+        parts = np.split(w[self.sample_index[order]], starts[1:])
+        return [(int(t), len(x), float(x.sum())) for t, x in zip(taus, parts)]
 
 
 def first_return(ensemble: TraceEnsemble, witness: WitnessRegion,
@@ -221,6 +222,8 @@ def first_return(ensemble: TraceEnsemble, witness: WitnessRegion,
     when an odd number of cuts lies at or below it.
     Consecutive visits of one sample give completed returns; the stretch
     from a sample's last visit to the horizon is its censored record.
+    Samples go in blocks of _block_width(h): one pass counts and packs
+    each block's visits, one fills the preallocated int32 records.
     """
     if witness.arcs.is_empty:
         raise ValueError("witness region is empty")
@@ -231,19 +234,31 @@ def first_return(ensemble: TraceEnsemble, witness: WitnessRegion,
     arcs = witness.arcs
     parity = Cells(ensemble.graph.partition.degree, arcs.den, arcs.cuts,
                    tuple(i % 2 for i in range(len(arcs.cuts) + 1)))
-    inside = symbol_matrix(ensemble.nums, ensemble.den, h, parity)
-    visits = (inside.view(bool)
-              & (ensemble.states[:, :h] == witness.domain_id))
-    # np.nonzero walks the index in row-major order whatever the memory
-    # layout, so visits come sorted by (sample, entry step)
-    ss, kk = np.nonzero(visits)
-    same = ss[1:] == ss[:-1]
-    r_s = ss[:-1][same]
-    r_t = kk[:-1][same]
-    r_tau = (kk[1:] - kk[:-1])[same]
-    last = np.ones(len(ss), dtype=bool)
-    last[:-1] = ~same
-    c_s, c_t = ss[last], kk[last]
+    width = _block_width(h)
+    blocks = range(0, ensemble.count, width)
+    counts = np.empty(ensemble.count, dtype=np.intp)
+    packed = []
+    for s0 in blocks:
+        visits = symbol_matrix(ensemble.nums[s0:s0 + width], ensemble.den,
+                               h, parity)
+        visits &= ensemble.states[s0:s0 + width, :h] == witness.domain_id
+        counts[s0:s0 + len(visits)] = np.count_nonzero(visits, axis=1)
+        packed.append(np.packbits(visits, axis=1))
+    # a visited sample has one censored record, and a return per visit more
+    c_s = np.flatnonzero(counts).astype(np.int32)
+    r_s = np.repeat(np.arange(len(counts), dtype=np.int32),
+                    np.maximum(counts - 1, 0))
+    r_t, r_tau, c_t = (np.empty_like(x) for x in (r_s, r_s, c_s))
+    for s0, bits in zip(blocks, packed):
+        # np.nonzero walks the index in row-major order, so visits come
+        # sorted by (sample, entry step)
+        ss, kk = np.nonzero(np.unpackbits(bits, axis=1, count=h))
+        last = np.append(ss[1:] != ss[:-1], True)[:len(ss)]
+        same = ~last[:-1]
+        r, r1 = np.searchsorted(r_s, np.int32([s0, s0 + width]))
+        c, c1 = np.searchsorted(c_s, np.int32([s0, s0 + width]))
+        c_t[c:c1], r_t[r:r1] = kk[last], kk[:-1][same]
+        r_tau[r:r1] = (kk[1:] - kk[:-1])[same]
     return InducedSystem(witness, h, r_s, r_t, r_tau, c_s, c_t, ensemble)
 
 
@@ -336,77 +351,88 @@ class ExpansionReport:
 def _branch_codes(ind, r_s, r_t, r_tau):
     """Prefix-free integer codes for branch words (a length tau word w of
     b-bit symbols maps to 2^(b tau) + w); branches too long to encode
-    become unique negatives."""
+    become unique negatives.  Each tau's returns, off one argsort, go in
+    chunks of _block_width(8), whose words take _BLOCK_CELLS bytes."""
     syms = ind.ensemble.symbols
-    N = ind.ensemble.graph.partition.size
-    bits_per = max(1, (N - 1).bit_length())
+    bits_per = max(1, (ind.ensemble.graph.partition.size - 1).bit_length())
+    order, runs = np.argsort(r_tau), np.bincount(r_tau)
+    ends = np.cumsum(runs)
     codes = np.empty(len(r_s), dtype=np.int64)
-    for tau in np.unique(r_tau):
-        sel = np.flatnonzero(r_tau == tau)
-        if tau * bits_per > 60:
-            codes[sel] = -(sel + 1)
-            continue
-        # shifted in one symbol column at a time after the leading 1, so
-        # no returns x tau index matrix is built
-        s, t = r_s[sel], r_t[sel]
-        word = np.ones(len(sel), dtype=np.int64)
-        for j in range(tau):
-            word <<= bits_per
-            word |= syms[s, t + j]
-        codes[sel] = word
+    step = _block_width(8)
+    for tau in np.flatnonzero(runs).tolist():
+        for c0 in range(ends[tau] - runs[tau], ends[tau], step):
+            sel = order[c0:min(c0 + step, ends[tau])]
+            if tau * bits_per > 60:
+                codes[sel] = -(sel + 1)
+                continue
+            # shifted in one symbol column at a time after the leading 1,
+            # so no returns x tau index matrix is built
+            s, t = r_s[sel], r_t[sel]
+            word = np.ones(len(sel), dtype=np.int64)
+            for j in range(tau):
+                word <<= bits_per
+                word |= syms[s, t + j]
+            codes[sel] = word
     return codes
 
 
 def _branch_logs(landings, model, h, r_s, r_t, r_tau):
-    """log|DF| of every return's branch, and each sample's log-derivative
-    sum over the horizon.
+    """log|DF| of every return's branch, each sample's log-derivative sum
+    over the horizon, and min_by_n: per n up to BRANCH_RUN_MAX, the least
+    product of n consecutive branch derivatives of one sample, up to the
+    first n no sample reaches.
 
     Samples are folded in blocks of about _BLOCK_CELLS cells, whose rows
     of log_deriv_rows are prefix-summed in place, in step order, so each
     value has its bits in the samples x horizon matrix that is never held;
     a block's returns (a slice, as returns are sorted by sample) read their
-    branch sums there.  Excluded samples' rows are 0 and no return reads
-    them.
+    branch sums there, and so do its runs of n returns of one sample, off
+    the running sum of the branch logs, carried from block to block.
+    Excluded samples' rows are 0 and no return reads them.
     """
-    count = len(landings)
     width = _block_width(h)
     blog = np.empty(len(r_s))
-    totals = np.empty(count)
-    for s0 in range(0, count, width):
+    totals = np.empty(len(landings))
+    least = np.full(BRANCH_RUN_MAX + 1, np.inf)
+    carry = 0.0
+    for s0 in range(0, len(landings), width):
         # prefix sums in step order: column k + 1 sums steps 0..k, column 0 0
         cum, _ = log_deriv_rows(model, landings[s0:s0 + width], h + 1)
         np.cumsum(cum[:, :h], axis=1, out=cum[:, 1:])
         cum[:, 0] = 0.0
-        lo, hi = np.searchsorted(r_s, (s0, s0 + len(cum)))
-        s, t = r_s[lo:hi] - s0, r_t[lo:hi]
-        blog[lo:hi] = cum[s, t + r_tau[lo:hi]] - cum[s, t]
+        lo, hi = np.searchsorted(r_s, np.int32([s0, s0 + len(cum)]))
+        # the flat (intp) places of the entry steps in the block
+        at = (r_s[lo:hi] - np.intp(s0)) * (h + 1) + r_t[lo:hi]
+        cum.take(at + r_tau[lo:hi], out=blog[lo:hi])
+        blog[lo:hi] -= cum.take(at)
         totals[s0:s0 + len(cum)] = cum[:, h]
-        del cum
-    return blog, totals
+        del cum, at
+        # cb[i] sums the branch logs of the returns before return lo + i
+        cb = np.cumsum(np.concatenate(([carry], blog[lo:hi])))
+        carry = cb[-1]
+        for N in range(1, min(BRANCH_RUN_MAX, hi - lo) + 1):
+            run = (cb[N:] - cb[:-N])[r_s[lo + N - 1:hi] == r_s[lo:hi - N + 1]]
+            least[N] = np.minimum(least[N], run.min(initial=np.inf))
+        del cb
+    # n is reached while least[n] is not inf
+    stop = np.append(least, np.inf).tolist().index(np.inf, 1)
+    return blog, totals, {N: float(np.exp(least[N])) for N in range(1, stop)}
 
 
-def _min_by_n(r_s, blog) -> dict:
-    """Per n up to BRANCH_RUN_MAX, the least product of n consecutive
-    branch derivatives of one sample; stops at the first n no sample
-    reaches."""
-    min_by_n = {}
-    cb = np.concatenate([[0.0], np.cumsum(blog)])
-    for N in range(1, BRANCH_RUN_MAX + 1):
-        if N > len(r_s):
-            break
-        valid = r_s[N - 1:] == r_s[:len(r_s) - N + 1]
-        if not valid.any():
-            break
-        roll = cb[N:] - cb[:-N]
-        min_by_n[N] = float(np.exp(roll[valid].min()))
-    return min_by_n
-
-
-def _unique_inverse(keys):
-    """np.unique(keys, return_inverse=True) without its argsort and
-    scatter: the inverse is each key's place among the distinct keys."""
-    uniq = np.unique(keys)
-    return uniq, np.searchsorted(uniq, keys)
+def _entropy(keys, w, places):
+    """The distinct keys, ascending, and the entropy of their masses, summed
+    as np.bincount adds w[places[i]] for the key at i: with equal weights,
+    T[c] of _count_sums for a key met c times, off keys sorted in place."""
+    if _count_sums(w, 0) is None:
+        keys, inv = np.unique(keys, return_inverse=True)
+        p = np.bincount(inv, weights=w[places])
+    else:
+        keys.sort()
+        starts = np.flatnonzero(np.append(True, keys[1:] != keys[:-1]))
+        runs = np.diff(starts, append=len(keys))
+        keys, p = keys[starts], _count_sums(w, int(runs.max()))[runs]
+    p = p / p.sum()
+    return keys, float(-(p * np.log(p)).sum())
 
 
 def expansion_and_abramov(ind: InducedSystem,
@@ -432,10 +458,9 @@ def expansion_and_abramov(ind: InducedSystem,
     landings = solver.land_many(ens.angles)
     excluded = [(i, str(land)) for i, land in enumerate(landings)
                 if isinstance(land, LandingError)]
-    bad = {i for i, _ in excluded}
-    keep = np.array([i not in bad for i in range(ens.count)])
+    keep = np.array([not isinstance(x, LandingError) for x in landings])
     r_s, r_t, r_tau = ind.sample_index, ind.entry_step, ind.return_time
-    if bad:
+    if excluded:
         sel = keep[r_s]
         r_s, r_t, r_tau = r_s[sel], r_t[sel], r_tau[sel]
     if not len(r_s):
@@ -443,35 +468,31 @@ def expansion_and_abramov(ind: InducedSystem,
                                ind.witness_frequency, None, None, None,
                                None, None, None, None, 0)
     w = ind.weights
-    blog, totals = _branch_logs(landings, solver.model, h, r_s, r_t, r_tau)
-    min_by_n = _min_by_n(r_s, blog)
+    blog, totals, min_by_n = _branch_logs(landings, solver.model, h, r_s,
+                                          r_t, r_tau)
     n_two = next((N for N in sorted(min_by_n)
                   if min_by_n[N] >= 2.0), None)
     # frequency restricted to samples the geometry could land
-    visits = ind.visits_per_sample.astype(float)
-    visits[~keep] = 0.0
+    visits = ind.visits_per_sample * keep
     wfreq = float((w * visits).sum() / (h * w[keep].sum()))
     wr = w[r_s]
-    lam_induced = float((wr * blog).sum() / wr.sum())
+    blog *= wr
+    lam_induced = float(blog.sum() / wr.sum())
     lam_f = float((w[keep] * totals[keep]).sum() / (w[keep].sum() * h))
     lam_err = abs(lam_f - wfreq * lam_induced) / abs(lam_f) \
         if lam_f else None
-    # arrays are dropped once read, before the pair keys and their sort
-    del blog, totals
-    uniq, inv = _unique_inverse(_branch_codes(ind, r_s, r_t, r_tau))
-    p1 = np.bincount(inv, weights=wr)
-    p1 = p1 / p1.sum()
-    h_block = float(-(p1 * np.log(p1)).sum())
+    # each array is dropped once read, before the next one is made
+    del blog, totals, wr
+    codes = _branch_codes(ind, r_s, r_t, r_tau)
+    words, h_block = _entropy(codes.copy(), w, r_s)
     pair = r_s[1:] == r_s[:-1]
     if pair.any():
-        pk = inv[:-1][pair]
-        pk *= len(uniq)
-        pk += inv[1:][pair]
-        del inv
-        _, i2 = _unique_inverse(pk)
-        p2 = np.bincount(i2, weights=wr[:-1][pair])
-        p2 = p2 / p2.sum()
-        h_rate = float(-(p2 * np.log(p2)).sum()) - h_block
+        # a pair's key is its two words' places among the distinct words
+        keys = np.searchsorted(words, codes)
+        del codes
+        keys[:-1] = keys[:-1] * len(words) + keys[1:]
+        keys = keys[:-1][pair]
+        h_rate = _entropy(keys, w, r_s[:-1][pair])[1] - h_block
     else:
         h_rate = h_block
     h = entropy_estimate(ens, ENTROPY_DEPTHS)
@@ -480,7 +501,7 @@ def expansion_and_abramov(ind: InducedSystem,
                            min_by_n.get(1), min_by_n, n_two, wfreq,
                            lam_f, lam_induced, lam_err,
                            h, h_block, h_rate, h_err,
-                           len(uniq))
+                           len(words))
 
 
 def tau_histogram_csv(ind: InducedSystem) -> str:

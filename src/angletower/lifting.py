@@ -230,15 +230,17 @@ def make_ensemble(mu: SampleMeasure, g: TowerGraph, n: int) -> TraceEnsemble:
     return trace_ensemble(mu, mu.weights, g, n)
 
 
-def _count_sums(weights: np.ndarray) -> np.ndarray | None:
-    """T[c], the in-order float sum of c copies of the common weight, or
-    None unless all weights are equal (as from every shipped sampler).
-    A sum in sample order adds w per sample counted and 0.0 otherwise,
-    so it is T[c] to the bit: the diagnostics read counts through T."""
+def _count_sums(weights: np.ndarray, size=None) -> np.ndarray | None:
+    """T[c] for c up to size (the sample count by default), the in-order
+    float sum of c copies of the common weight, or None unless all weights
+    are equal (as from every shipped sampler).  A sum in sample order adds
+    w per sample counted and 0.0 otherwise, so it is T[c] to the bit: the
+    diagnostics read counts through T."""
     if not len(weights) or (weights != weights[0]).any():
         return None
-    return np.concatenate(([0.0], np.cumsum(np.full(len(weights),
-                                                    weights[0]))))
+    T = np.full(len(weights) + 1 if size is None else size + 1, weights[0])
+    T[0] = 0.0
+    return np.cumsum(T, out=T)
 
 
 def _traced(ens: TraceEnsemble, n: int) -> TraceEnsemble:

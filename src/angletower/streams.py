@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .angles import CirclePartition
-from .tower import TowerGraph
+from .tower import TowerGraph, TowerTooShallow
 
 # products of int64 operands stay below this bound in the exact kernel
 _INT64_LIMIT = 1 << 62
@@ -214,7 +214,7 @@ def dyadic_symbol_streams(numerators, K: int, n: int,
 # tower walk
 
 
-class FrontierReached(Exception):
+class FrontierReached(TowerTooShallow):
     """A trace stepped into an unexpanded frontier domain.
 
     The tower is too shallow for the requested horizon; rebuild with

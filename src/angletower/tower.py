@@ -125,6 +125,10 @@ class _Kernel:
         return image, tuple(out)
 
 
+class TowerTooShallow(Exception):
+    """A walk needs out-edges the tower left unexpanded (CLI exit 3)."""
+
+
 @dataclass
 class TowerGraph:
     """Truncated tower: identified domains, labeled edges, frontier markers.

@@ -15,6 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from angletower.angles import ArcSet, CirclePartition, angle_orbit, times_d
+from angletower.streams import Cells, symbol_matrix
 
 
 def contains(arcs: ArcSet, a: Fraction) -> bool:
@@ -127,3 +128,25 @@ def trace(a: Fraction, g, n: int) -> TracePath:
         cur = nxt
         x = times_d(x, part.degree)
     return TracePath(tuple(ids), None, None)
+
+
+def dense_first_return(ensemble, witness, horizon=None):
+    """(sample_index, entry_step, return_time, censored_sample,
+    censored_entry) of first_return from one samples x horizon visit
+    matrix and one np.nonzero pair over it: the whole-ensemble form that
+    the blocked fill must match."""
+    h = ensemble.horizon if horizon is None else horizon
+    arcs = witness.arcs
+    parity = Cells(ensemble.graph.partition.degree, arcs.den, arcs.cuts,
+                   tuple(i % 2 for i in range(len(arcs.cuts) + 1)))
+    inside = symbol_matrix(ensemble.nums, ensemble.den, h, parity)
+    visits = (inside.view(bool)
+              & (ensemble.states[:, :h] == witness.domain_id))
+    # np.nonzero walks the index in row-major order whatever the memory
+    # layout, so visits come sorted by (sample, entry step)
+    ss, kk = np.nonzero(visits)
+    same = ss[1:] == ss[:-1]
+    last = np.ones(len(ss), dtype=bool)
+    last[:-1] = ~same
+    return (ss[:-1][same], kk[:-1][same], (kk[1:] - kk[:-1])[same],
+            ss[last], kk[last])

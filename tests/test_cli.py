@@ -5,18 +5,21 @@ import hashlib
 import json
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from angletower.angles import itinerary
+from angletower.census import InsufficientDepth
 from angletower.cli import (COMMANDS, EXIT_CHECK, EXIT_CONFIG,
                             EXIT_DEPENDENCY, EXIT_OK, SCHEMA, build_parser,
                             git_blob_sha1, load_config, main)
 from angletower.geometry import LandingSolver, PolynomialModel
 from angletower.lifting import brolin_samples, make_ensemble
-from angletower.tower import tower_from_json
+from angletower.streams import FrontierReached
+from angletower.tower import TowerTooShallow, tower_from_json
 
 BASE = """\
 [map]
@@ -317,6 +320,42 @@ def test_shallow_tower_is_dependency_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("dependency error:")
         assert "rebuild the tower with extra_levels at least" in err
+
+
+def test_both_shallow_tower_errors_exit_3(tmp_path, capsys):
+    # census stops on an unexpanded domain (InsufficientDepth), lift on a
+    # trace into one (FrontierReached): one exit-3 base the CLI catches
+    assert issubclass(InsufficientDepth, TowerTooShallow)
+    assert issubclass(FrontierReached, TowerTooShallow)
+    shipped = Path(__file__).resolve().parents[1] / "configs" / "chebyshev.ini"
+    text = shipped.read_text().replace("extra_levels = 64", "extra_levels = 0")
+    cfg, _ = write_cfg(tmp_path, text=text)
+    out = ["--out", str(tmp_path / "out")]
+    assert main(["tower-build", "--config", str(cfg)] + out) == EXIT_OK
+    capsys.readouterr()
+    for stage, message in (("census", "unexpanded frontier marker"),
+                           ("lift", "out-edge of a frontier domain")):
+        assert main([stage, "--config", str(cfg)] + out) == \
+            EXIT_DEPENDENCY, stage
+        assert message in capsys.readouterr().err, stage
+
+
+def test_induce_stage_peak_on_dendrite(tmp_path):
+    # the induce body on the shipped dendrite config at seed 7 traced 30.9
+    # MiB with whole-ensemble visit matrices, int64 records and np.unique's
+    # copies; the blocked fill and the sorted counts hold it to 22 MiB
+    cfg = Path(__file__).resolve().parents[1] / "configs" / "dendrite.ini"
+    argv = ["--config", str(cfg), "--out", str(tmp_path), "--seed", "7"]
+    assert main(["tower-build"] + argv) == EXIT_OK
+    run = load_config(build_parser().parse_args(["induce"] + argv))
+    tracemalloc.start()
+    try:
+        files, failures, _ = COMMANDS["induce"](run, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert failures == [] and "induce.json" in files
+    assert peak <= 22 * 2 ** 20
 
 
 def test_stale_tower_is_dependency_error(tmp_path, capsys):

@@ -4,7 +4,9 @@ scipy.
 A name bound by a top-level `import` or `from ... import` must be read
 somewhere in its module; `from __future__` imports are exempt.  No module
 imports scipy, at any depth of its source, and a fresh interpreter running
-all eight stages through `cli.main` never has it in `sys.modules`.
+all eight stages through `cli.main` never has it in `sys.modules`.  A
+fresh interpreter running one stage loads the stage modules that stage
+runs and no others, and never numpy.ma.
 """
 
 import ast
@@ -107,3 +109,42 @@ def test_cold_start_never_loads_scipy(tmp_path):
     assert list(seen)[1:] == ["tower-build", "tower-export", "census", "lift",
                               "lyapunov", "induce", "conformal", "report"]
     assert not any(seen.values()), seen
+
+
+STAGE_PROBE = """\
+import json, sys
+from angletower.cli import main
+stage, config, out = sys.argv[1:]
+code = main([stage, "--config", config, "--out", out])
+print(json.dumps([code, sorted(m for m in sys.modules if m == "numpy.ma"
+                                or m.startswith(("angletower", "numpy.ma.")))]))
+"""
+
+# the modules every stage loads: the CLI, config, tower and landing
+BASE_MODULES = ("cli", "angles", "geometry", "tower")
+STAGE_MODULES = {
+    "tower-build": (), "tower-export": (), "census": ("census",),
+    "lift": ("lifting", "streams"), "lyapunov": ("lifting", "streams"),
+    "induce": ("inducing", "lifting", "streams"),
+    "conformal": ("conformal", "inducing", "lifting", "streams"),
+    "report": (),
+}
+
+
+def test_each_stage_loads_only_the_modules_it_runs(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC.parent)] + [p for p in [env.get("PYTHONPATH")] if p])
+    config = str(ROOT / "configs" / "chebyshev.ini")
+    assert list(STAGE_MODULES) == ["tower-build", "tower-export", "census",
+                                   "lift", "lyapunov", "induce", "conformal",
+                                   "report"]
+    for stage, own in STAGE_MODULES.items():
+        run = subprocess.run(
+            [sys.executable, "-c", STAGE_PROBE, stage, config, str(tmp_path)],
+            env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        code, loaded = json.loads(run.stdout.splitlines()[-1])
+        assert code == 0, stage
+        assert loaded == sorted(["angletower"] + [
+            f"angletower.{m}" for m in BASE_MODULES + own]), stage

@@ -9,13 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from angletower import streams
+from angletower import inducing, streams
 from angletower.angles import ArcSet, RayChoice, build_partition, itinerary
 from angletower.geometry import (LandingError, LandingSolver, PolynomialModel,
                                  log_deriv_rows)
 from angletower.inducing import (BRANCH_RUN_MAX, ENTROPY_DEPTHS,
                                  ExpansionReport, WitnessRegion,
-                                 _branch_codes, branch_words_csv, choose_W,
+                                 branch_words_csv, choose_W,
                                  expansion_and_abramov, first_return,
                                  kac_check, recurrent_witness_domain,
                                  strong_components, tau_histogram_csv)
@@ -25,7 +25,7 @@ from angletower.lifting import (brolin_period_samples, brolin_samples,
 from angletower.streams import fits_int64
 from angletower.tower import build_tower
 
-from oracles import angle_at, contains, strong_partition
+from oracles import angle_at, contains, dense_first_return, strong_partition
 
 CHEB = RayChoice(2, (F(1, 2),))
 DEND = RayChoice(2, (F(1, 6),))
@@ -40,6 +40,35 @@ def tau_additive(ind) -> bool:
     lhs = ind.entry_step[1:][same]
     rhs = (ind.entry_step[:-1] + ind.return_time[:-1])[same]
     return bool(np.array_equal(lhs, rhs))
+
+
+def dense_branch_codes(ind, r_s, r_t, r_tau):
+    """The branch codes of _branch_codes, one boolean mask per tau."""
+    syms = ind.ensemble.symbols
+    bits_per = max(1, (ind.ensemble.graph.partition.size - 1).bit_length())
+    codes = np.empty(len(r_s), dtype=np.int64)
+    for tau in np.unique(r_tau):
+        sel = np.flatnonzero(r_tau == tau)
+        if tau * bits_per > 60:
+            codes[sel] = -(sel + 1)
+            continue
+        s, t = r_s[sel], r_t[sel]
+        word = np.ones(len(sel), dtype=np.int64)
+        for j in range(tau):
+            word <<= bits_per
+            word |= syms[s, t + j]
+        codes[sel] = word
+    return codes
+
+
+def dense_tau_histogram(ind) -> list:
+    """tau_histogram, one boolean mask per tau."""
+    w = ind.weights[ind.sample_index]
+    rows = []
+    for t in np.unique(ind.return_time):
+        sel = ind.return_time == t
+        rows.append((int(t), int(sel.sum()), float(w[sel].sum())))
+    return rows
 
 
 def dense_expansion_and_abramov(ind, solver) -> ExpansionReport:
@@ -94,7 +123,7 @@ def dense_expansion_and_abramov(ind, solver) -> ExpansionReport:
     lam_f = float((w[keep] * cums[keep, h]).sum() / (w[keep].sum() * h))
     lam_err = abs(lam_f - wfreq * lam_induced) / abs(lam_f) \
         if lam_f else None
-    uniq, inv = np.unique(_branch_codes(ind, r_s, r_t, r_tau),
+    uniq, inv = np.unique(dense_branch_codes(ind, r_s, r_t, r_tau),
                           return_inverse=True)
     p1 = np.bincount(inv, weights=wr)
     p1 = p1 / p1.sum()
@@ -415,6 +444,53 @@ def test_shorter_horizon_is_prefix(cheb_ens, cheb_witness, cheb_system):
     assert part.tolist() == full[:len(part)].tolist()
 
 
+RECORDS = ("sample_index", "entry_step", "return_time", "censored_sample",
+           "censored_entry")
+
+
+def test_first_return_blocks_match_the_dense_fill(monkeypatch, cheb_graph):
+    # 100 samples of a 300-step ensemble, read to three horizons in one
+    # block, in blocks of 7 samples (the last holds 2) and of 1 sample; at
+    # horizon 5 some samples visit the witness never and some once
+    mu = brolin_period_samples(cheb_graph.partition, 100, seed=5, bits=12)
+    ens = make_ensemble(mu, cheb_graph, 300)
+    w = choose_W(cheb_graph, 2, F(1, 64))
+    for h in (300, 37, 5):
+        want = dense_first_return(ens, w, h)
+        for cells, width in ((streams._BLOCK_CELLS, 100), (7 * h, 7), (h, 1)):
+            monkeypatch.setattr(streams, "_BLOCK_CELLS", cells)
+            assert min(streams._block_width(h), 100) == width
+            ind = first_return(ens, w, horizon=h)
+            for name, arr in zip(RECORDS, want):
+                got = getattr(ind, name)
+                assert got.dtype == np.int32, name
+                assert np.array_equal(got, arr), (h, cells, name)
+        monkeypatch.undo()
+    counts = np.bincount(ind.visits_per_sample)
+    assert counts[0] > 0 and counts[1] > 0 and len(counts) > 2
+
+
+def test_first_return_holds_its_records_and_one_block(cheb_ens, cheb_witness,
+                                                      cheb_system):
+    # the dense fill held the whole visit matrix, its np.nonzero pair and
+    # int64 records (31 MB here); the blocked one its int32 records and,
+    # per cell of one block, at most np.nonzero's two intp indices and one
+    # intp temporary
+    tracemalloc.start()
+    try:
+        ind = first_return(cheb_ens, cheb_witness)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    records = sum(getattr(ind, name).nbytes for name in RECORDS)
+    assert records == 4 * (3 * ind.return_count + 2 * len(ind.censored_sample))
+    cells = streams._block_width(ind.horizon) * ind.horizon
+    assert cells < cheb_ens.count * ind.horizon / 2
+    assert peak <= records + 3 * 8 * cells
+    for name in RECORDS:
+        assert np.array_equal(getattr(ind, name), getattr(cheb_system, name))
+
+
 # -- Kac ----------------------------------------------------------------
 
 
@@ -561,6 +637,33 @@ def test_expansion_blocks_skip_an_unlandable_sample(monkeypatch, cheb_graph,
     assert streams._block_width(300) == 7
 
 
+def test_unequal_weights_match_the_dense_forms(cheb_graph, cheb_solver):
+    # unequal weights sum by np.bincount of the keys' places, not by T[c]
+    mu = brolin_period_samples(cheb_graph.partition, 100, seed=5, bits=12)
+    w = np.random.default_rng(1).uniform(0.5, 1.5, 100)
+    mu = custom_measure(list(zip(mu.angles, w / w.sum())))
+    ind = first_return(make_ensemble(mu, cheb_graph, 300),
+                       choose_W(cheb_graph, 2, F(1, 64)))
+    assert inducing._count_sums(ind.weights, 0) is None
+    assert expansion_and_abramov(ind, cheb_solver) == \
+        dense_expansion_and_abramov(ind, cheb_solver)
+    assert ind.tau_histogram() == dense_tau_histogram(ind)
+
+
+def test_count_sums_read_the_weighted_sums_to_the_bit(monkeypatch,
+                                                      cheb_system,
+                                                      cheb_solver,
+                                                      cheb_expansion):
+    # equal weights read word and pair masses as T[c] off sorted runs, and
+    # tau weights as pairwise sums of c copies: the same bits as the
+    # weighted paths, forced here on the same returns
+    rows = cheb_system.tau_histogram()
+    assert rows == dense_tau_histogram(cheb_system)
+    monkeypatch.setattr(inducing, "_count_sums", lambda w, size=None: None)
+    assert expansion_and_abramov(cheb_system, cheb_solver) == cheb_expansion
+    assert cheb_system.tau_histogram() == rows
+
+
 def test_expansion_holds_no_samples_by_horizon_matrix(cheb_ens, cheb_graph,
                                                       cheb_solver):
     # a level-5 witness on the 768 x 1600 fixture: few enough returns that
@@ -580,9 +683,9 @@ def test_expansion_holds_no_samples_by_horizon_matrix(cheb_ens, cheb_graph,
 
 def test_expansion_peak_stays_below_five_return_arrays(cheb_system,
                                                       cheb_solver):
-    # the branch sums and the word inverse are dropped before the pair
-    # keys are sorted, so at most about four arrays of one value per
-    # return are alive at once
+    # each array of one value per return is dropped before the next is
+    # made; the word codes and their sorted copy, with the branch-sum
+    # blocks, are the most alive at once (2.7 such arrays here)
     tracemalloc.start()
     try:
         expansion_and_abramov(cheb_system, cheb_solver)
@@ -590,7 +693,7 @@ def test_expansion_peak_stays_below_five_return_arrays(cheb_system,
     finally:
         tracemalloc.stop()
     assert cheb_system.return_count > 500_000
-    assert peak < 5 * cheb_system.return_count * 8
+    assert peak < 3 * cheb_system.return_count * 8
 
 
 def test_lift_cesaro_holds_less_than_the_state_matrix(cheb_mu, cheb_graph,
