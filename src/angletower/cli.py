@@ -396,7 +396,7 @@ def cmd_census(cfg: RunConfig, out: Path):
 
 def cmd_lift(cfg: RunConfig, out: Path):
     from .lifting import (brolin_period_samples, brolin_samples, curves_csv,
-                          dirac_cycle, lift_report)
+                          dirac_cycle, lift_report, make_ensemble)
     g = _load_tower(cfg, out)
     kind, count = cfg["lift", "sampler"], cfg["lift", "count"]
     if kind == "brolin":
@@ -409,7 +409,7 @@ def cmd_lift(cfg: RunConfig, out: Path):
     else:
         mu = dirac_cycle(g.partition, cfg["lift", "angle"])
     n_grid, R_grid = cfg["sampling", "n_grid"], cfg["sampling", "R_grid"]
-    rep = lift_report(mu, g, n_grid, R_grid)
+    rep = lift_report(make_ensemble(mu, g, max(n_grid)), n_grid, R_grid)
     files = {
         "lift.json": _dump({"provenance": mu.provenance,
                             "samples": len(mu.nums),
@@ -432,9 +432,8 @@ def cmd_lyapunov(cfg: RunConfig, out: Path):
     n, rows = cfg["lyapunov", "n"], cfg["lyapunov", "landing_rows"]
     mu = brolin_period_samples(g.partition, count,
                                seed=cfg["sampling", "seed"] + 1, bits=bits)
-    ens = make_ensemble(mu, g, n)
-    rep = lyapunov_consistency(mu, ens, cfg.model, cfg.solver,
-                               R=cfg["tower", "R"], n=n)
+    rep = lyapunov_consistency(make_ensemble(mu, g, n), cfg.model,
+                               cfg.solver, R=cfg["tower", "R"], n=n)
     files = {
         "lyapunov.json": _dump({"count": count, "bits": bits,
                                 **rep.to_json()}),
@@ -462,7 +461,7 @@ def cmd_induce(cfg: RunConfig, out: Path):
     witness = choose_W(g, recurrent_witness_domain(g),
                        cfg["margins", "cutpoint_margin"])
     ind = first_return(ens, witness)
-    mass = lift_cesaro(mu, g, horizon, cfg["tower", "R"], ensemble=ens)
+    mass = lift_cesaro(ens, horizon, cfg["tower", "R"])
     kac = kac_check(ind, mass)
     expansion = expansion_and_abramov(ind, cfg.solver)
     files = {

@@ -390,8 +390,7 @@ def lyapunov_liftability_experiment(
     ens = make_ensemble(mu, g, lift_horizon)
     n_grid = sorted({max(lift_horizon // 4, 1),
                      max(lift_horizon // 2, 1), lift_horizon})
-    rows = retained_curves(mu, g, tuple(n_grid), (level_cap,),
-                           ensemble=ens)
+    rows = retained_curves(ens, tuple(n_grid), (level_cap,))
     lift = liftability_verdict(rows)
     liftable = lift.verdict == "liftable"
 
@@ -409,14 +408,14 @@ def lyapunov_liftability_experiment(
     # Lyapunov cells: mass of the nodes expanding faster than lam over n
     # steps; dichotomy sets: those of them whose early visit frequency at
     # or below the cap is under eps (their mass should be negligible)
-    lv = ens.levels[ens.states[inc, :nmax]]
+    below_cap = ens.gather(ens.levels <= level_cap, nmax)[inc]
     lyap_cells = {}
     dich_cells = {}
     for lam in lambdas:
         for n in horizons:
             big = cum[:, n - 1] > n * math.log(lam)
             lyap_cells[(float(lam), int(n))] = float(win[big].sum())
-            freq = (lv[:, :n] <= level_cap).mean(axis=1)
+            freq = below_cap[:, :n].mean(axis=1)
             for eps in eps_grid:
                 dich_cells[(float(lam), int(n), float(eps))] = \
                     float(win[big & (freq <= eps)].sum())

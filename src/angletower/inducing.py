@@ -222,8 +222,10 @@ def first_return(ensemble: TraceEnsemble, witness: WitnessRegion,
     when an odd number of cuts lies at or below it.
     Consecutive visits of one sample give completed returns; the stretch
     from a sample's last visit to the horizon is its censored record.
-    Samples go in blocks of _block_width(h): one pass counts and packs
-    each block's visits, one fills the preallocated int32 records.
+    One walk of the ensemble marks its steps in the witness domain, a
+    byte a step; then samples go in blocks of _block_width(h): one pass
+    counts and packs each block's visits, one fills the preallocated
+    int32 records.
     """
     if witness.arcs.is_empty:
         raise ValueError("witness region is empty")
@@ -234,6 +236,8 @@ def first_return(ensemble: TraceEnsemble, witness: WitnessRegion,
     arcs = witness.arcs
     parity = Cells(ensemble.graph.partition.degree, arcs.den, arcs.cuts,
                    tuple(i % 2 for i in range(len(arcs.cuts) + 1)))
+    in_domain = ensemble.gather(
+        np.arange(len(ensemble.levels)) == witness.domain_id, h)
     width = _block_width(h)
     blocks = range(0, ensemble.count, width)
     counts = np.empty(ensemble.count, dtype=np.intp)
@@ -241,9 +245,10 @@ def first_return(ensemble: TraceEnsemble, witness: WitnessRegion,
     for s0 in blocks:
         visits = symbol_matrix(ensemble.nums[s0:s0 + width], ensemble.den,
                                h, parity)
-        visits &= ensemble.states[s0:s0 + width, :h] == witness.domain_id
+        visits &= in_domain[s0:s0 + width]
         counts[s0:s0 + len(visits)] = np.count_nonzero(visits, axis=1)
         packed.append(np.packbits(visits, axis=1))
+    del in_domain
     # a visited sample has one censored record, and a return per visit more
     c_s = np.flatnonzero(counts).astype(np.int32)
     r_s = np.repeat(np.arange(len(counts), dtype=np.int32),

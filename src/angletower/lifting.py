@@ -19,9 +19,8 @@ import numpy as np
 from .angles import CirclePartition, format_angle, orbit_numerators
 from .geometry import (CRIT_TOL, LandingError, LandingSolver,
                        PolynomialModel, log_deriv_rows)
-from .streams import (TraceEnsemble, common_numerators, is_dyadic,
-                      symbol_cells, symbol_matrix, trace_ensemble,
-                      walk_blocks, walk_table, window_digits, word_codes)
+from .streams import (TraceEnsemble, _gather, common_numerators, is_dyadic,
+                      trace_ensemble, window_digits, word_codes)
 from .tower import TowerGraph
 
 PROVENANCES = ("brolin", "dirac-periodic", "conformal", "custom")
@@ -243,32 +242,6 @@ def _count_sums(weights: np.ndarray, size=None) -> np.ndarray | None:
     return np.cumsum(T, out=T)
 
 
-def _traced(ens: TraceEnsemble, n: int) -> TraceEnsemble:
-    if n > ens.horizon:
-        raise ValueError(f"ensemble traced to {ens.horizon}, requested {n}")
-    return ens
-
-
-def _trace(mu: SampleMeasure, g: TowerGraph, n: int,
-           ensemble: TraceEnsemble | None):
-    """Weights, symbols, levels and state blocks over steps 0..n of the
-    trace of mu: views of the ensemble's states when one is given, else
-    the blocks of walk_blocks, with no samples x horizon state matrix."""
-    if ensemble is not None:
-        ens = _traced(ensemble, n)
-        return ens.weights, ens.symbols, ens.levels, ens.state_blocks(n)
-    _within_horizon(mu, n)
-    symbols = symbol_matrix(mu.nums, mu.den, n, symbol_cells(g.partition))
-    table, levels = walk_table(g)
-    return mu.weights, symbols, levels, walk_blocks(g, table, symbols, n)
-
-
-def _gather(table: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """table[states], step-major like states: take on the transpose is
-    about twice as fast as indexing by the int32 domain ids."""
-    return table.take(states.T).T
-
-
 def _fold(blocks, *folds) -> None:
     """Hand every state block to every fold, in step order."""
     for k0, states in blocks:
@@ -312,10 +285,9 @@ class _Curves:
         return rows
 
 
-def lift_cesaro(mu: SampleMeasure, g: TowerGraph, n: int,
-                R: int | None = None,
-                ensemble: TraceEnsemble | None = None) -> TowerMass:
-    """The horizon-n Cesaro lift of mu restricted to levels <= R.
+def lift_cesaro(ens: TraceEnsemble, n: int,
+                R: int | None = None) -> TowerMass:
+    """The horizon-n Cesaro lift of the ensemble restricted to levels <= R.
 
     Averages the pushed sample masses over steps 0..n-1, as the defect
     folds them; step 0 places everything on the base, so n = 1 returns
@@ -323,10 +295,10 @@ def lift_cesaro(mu: SampleMeasure, g: TowerGraph, n: int,
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    g, weights = ens.graph, ens.weights
     R = g.truncation if R is None else R
-    weights, _, _, blocks = _trace(mu, g, n, ensemble)
     occupation = _Defect(weights, len(g.domains), n - 1)
-    _fold(blocks, occupation)
+    _fold(ens.state_blocks(n), occupation)
     mass = {i: float(w) for i, w in enumerate(occupation.total / n)
             if w != 0.0 and g.domains[i].level <= R}
     # escaped is the mass complement, so conservation holds to the same
@@ -335,8 +307,7 @@ def lift_cesaro(mu: SampleMeasure, g: TowerGraph, n: int,
     return TowerMass(mass, max(escaped, 0.0), n, R)
 
 
-def retained_curves(mu: SampleMeasure, g: TowerGraph, n_grid, R_grid,
-                    ensemble: TraceEnsemble | None = None
+def retained_curves(ens: TraceEnsemble, n_grid, R_grid
                     ) -> list[tuple[int, int, float, float]]:
     """Rows (n, R, retained, escaped) over both grids from a single trace."""
     n_grid = sorted(set(int(n) for n in n_grid))
@@ -346,9 +317,8 @@ def retained_curves(mu: SampleMeasure, g: TowerGraph, n_grid, R_grid,
     if n_grid[0] < 1:
         raise ValueError("horizons must be >= 1")
     n_max = n_grid[-1]
-    weights, _, levels, blocks = _trace(mu, g, n_max, ensemble)
-    curves = _Curves(weights, levels, R_grid, n_max)
-    _fold(blocks, curves)
+    curves = _Curves(ens.weights, ens.levels, R_grid, n_max)
+    _fold(ens.state_blocks(n_max), curves)
     return curves.rows(n_grid)
 
 
@@ -442,8 +412,8 @@ def invariance_defect(ensemble: TraceEnsemble, n: int, test_ids) -> float:
     0..n; the telescoping bound 2 sup|phi| / n is a theorem about this
     quantity, not an input.
     """
-    if not 1 <= n <= ensemble.horizon:
-        raise ValueError(f"n must be in 1..{ensemble.horizon}")
+    if n < 1:
+        raise ValueError("n must be >= 1")
     defect = _Defect(ensemble.weights, len(ensemble.graph.domains), n)
     _fold(ensemble.state_blocks(n), defect)
     return defect.value(test_ids)
@@ -542,12 +512,11 @@ def project_and_density(ensemble: TraceEnsemble, m: int, R: int,
     if m < 1:
         raise ValueError("depth must be >= 1")
     n = ensemble.horizon if n is None else n
-    _traced(ensemble, n)
     if n - m < 1:
         raise ValueError("horizon too short for this cylinder depth")
     density = _Density(ensemble.symbols, ensemble.weights, ensemble.levels,
                        ensemble.graph.partition.size, m, R, n)
-    _fold(ensemble.state_blocks(n - m - 1), density)
+    _fold(ensemble.state_blocks(n), density)
     return density.report(min_mass)
 
 
@@ -577,9 +546,8 @@ class LyapunovReport:
         }
 
 
-def lyapunov_consistency(mu: SampleMeasure, ensemble: TraceEnsemble,
-                         model: PolynomialModel, solver: LandingSolver,
-                         R: int | None = None,
+def lyapunov_consistency(ensemble: TraceEnsemble, model: PolynomialModel,
+                         solver: LandingSolver, R: int | None = None,
                          n: int | None = None) -> LyapunovReport:
     """Base and tower Lyapunov estimates from the same landed orbits.
 
@@ -595,9 +563,9 @@ def lyapunov_consistency(mu: SampleMeasure, ensemble: TraceEnsemble,
     d = g.partition.degree
     R = g.truncation if R is None else R
     n = ensemble.horizon if n is None else n
-    lv = ensemble.levels[ensemble.states[:, :n]]
+    retained = ensemble.gather(ensemble.levels <= R, n)
     excluded = []
-    angles = mu.angles
+    angles = ensemble.angles
     todo = [s for s, a in enumerate(angles) if a == 0 or not is_dyadic(a, d)]
     landed = dict(zip(todo, solver.land_many(angles[s] for s in todo)))
     landings = [landed.get(s) for s in range(len(angles))]
@@ -616,8 +584,8 @@ def lyapunov_consistency(mu: SampleMeasure, ensemble: TraceEnsemble,
     excluded.sort()
     fit = np.array(fit, dtype=np.intp)[crit == n]
     rows = rows[crit == n]
-    w = mu.weights[fit]
-    keep = lv[fit] <= R
+    w = ensemble.weights[fit]
+    keep = retained[fit]
     used = float(w.sum())
     hat_num = float((w * np.where(keep, rows, 0.0).sum(axis=1)).sum())
     hat_den = float((w * keep.sum(axis=1)).sum())
@@ -659,15 +627,12 @@ def entropy_estimate(ensemble: TraceEnsemble, m_grid) -> float:
     return (H[1] - H[0]) / (m_grid[-1] - m_grid[-2])
 
 
-def lift_report(mu: SampleMeasure, g: TowerGraph, n_grid, R_grid,
-                ensemble: TraceEnsemble | None = None) -> LiftReport:
+def lift_report(ens: TraceEnsemble, n_grid, R_grid) -> LiftReport:
     """One-stop verdict: curves, verdict, defect, and density ratios of
     the depth-DENSITY_DEPTH cylinders.
 
-    One pass over the state blocks of the trace to the largest horizon
-    folds all three diagnostics; without an ensemble the blocks come
-    straight out of the tower walk, and no samples x horizon state matrix
-    is built.
+    One walk of the ensemble to the largest horizon folds all three
+    diagnostics, block by block.
     """
     n_grid = sorted(set(int(n) for n in n_grid))
     R_grid = sorted(set(int(R) for R in R_grid))
@@ -676,16 +641,16 @@ def lift_report(mu: SampleMeasure, g: TowerGraph, n_grid, R_grid,
     if n_grid[0] < 1:
         raise ValueError("horizons must be >= 1")
     n_max = n_grid[-1]
-    weights, symbols, levels, blocks = _trace(mu, g, n_max, ensemble)
+    g, weights, levels = ens.graph, ens.weights, ens.levels
     curves = _Curves(weights, levels, R_grid, n_max)
     defect = _Defect(weights, len(g.domains), n_max)
     folds = [curves, defect]
     if n_max > DENSITY_DEPTH:
         # folded whatever the verdict, which the curves give only at the end
-        density = _Density(symbols, weights, levels, g.partition.size,
+        density = _Density(ens.symbols, weights, levels, g.partition.size,
                            DENSITY_DEPTH, max(R_grid), n_max)
         folds.append(density)
-    _fold(blocks, *folds)
+    _fold(ens.state_blocks(n_max), *folds)
     report = liftability_verdict(curves.rows(n_grid))
     test_ids = [i for i, dom in g.domains.items()
                 if dom.level <= max(R_grid)]

@@ -257,21 +257,19 @@ def walk_table(g: TowerGraph) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class TraceEnsemble:
-    """Traced lifts of a weighted angle ensemble.
+    """A weighted angle ensemble's exact symbol streams and its tower walk.
 
     Sample s is nums[s] / den, den not necessarily reduced (d^K for the
     Brolin samples); angles is a lazy, cached, read-only Fraction view
     that the walk, count and lift diagnostics never build.
 
-    states[s, k] is the domain id of sample s after k steps (column 0 is
-    the base for every sample); symbols[s, k] the partition symbol of the
-    angle at step k.  states has horizon + 1 columns so one-step
-    comparisons at the final time are available.
-
-    Both matrices are stored column-major (step-major): the column [:, k]
-    of one step is contiguous, because every kernel that walks, counts or
-    sums the ensemble does so one step at a time across all samples.
-    Indexing is unaffected; states[s] is still the trace of sample s.
+    symbols[s, k] is the partition symbol of the angle of sample s at step
+    k, stored column-major (step-major): the column [:, k] of one step is
+    contiguous, because every kernel that walks, counts or sums the
+    ensemble does so one step at a time across all samples.  The walk
+    over the transition table `table` is never held: each reader folds
+    the blocks of state_blocks, and a stage never builds the samples x
+    horizon state matrix.
     """
 
     graph: TowerGraph
@@ -279,12 +277,23 @@ class TraceEnsemble:
     den: int
     weights: np.ndarray
     symbols: np.ndarray
-    states: np.ndarray
     levels: np.ndarray
+    table: np.ndarray
 
     @cached_property
     def angles(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(j, self.den) for j in self.nums)
+
+    @cached_property
+    def states(self) -> np.ndarray:
+        """states[s, k], the domain id of sample s after k steps for k up
+        to the horizon (column 0 is the base), column-major: a lazily
+        walked, cached matrix that no stage reads."""
+        states = np.empty((self.count, self.horizon + 1), dtype=np.int32,
+                          order="F")
+        for k0, block in self.state_blocks(self.horizon):
+            states[:, k0:k0 + block.shape[1]] = block
+        return states
 
     @property
     def count(self) -> int:
@@ -295,11 +304,20 @@ class TraceEnsemble:
         return self.symbols.shape[1]
 
     def state_blocks(self, n: int):
-        """Views (k0, states[:, k0:k1]) over steps 0..n, in the blocks
-        walk_blocks yields."""
-        width = _block_width(self.count)
-        for k0 in range(0, n + 1, width):
-            yield k0, self.states[:, k0:min(k0 + width, n + 1)]
+        """The walk_blocks of the ensemble over steps 0..n."""
+        if n > self.horizon:
+            raise ValueError(
+                f"ensemble traced to {self.horizon}, requested {n}")
+        return walk_blocks(self.graph, self.table, self.symbols, n)
+
+    def gather(self, at: np.ndarray, n: int) -> np.ndarray:
+        """at[states[:, :n]], a per-domain array read at steps 0..n-1 of
+        the walk to step n, column-major like symbols."""
+        out = np.empty((self.count, n), dtype=at.dtype, order="F")
+        for k0, states in self.state_blocks(n):
+            part = states[:, :max(0, n - k0)]
+            out[:, k0:k0 + part.shape[1]] = _gather(at, part)
+        return out
 
 
 def common_numerators(angles) -> tuple[tuple[int, ...], int]:
@@ -352,6 +370,12 @@ def symbol_matrix(nums, den: int, n: int, cells: Cells) -> np.ndarray:
     return syms
 
 
+def _gather(at: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """at[states], step-major like states: take on the transpose is about
+    twice as fast as indexing by the int32 domain ids."""
+    return at.take(states.T).T
+
+
 def walk_blocks(g: TowerGraph, table: np.ndarray, syms: np.ndarray,
                 n: int):
     """The tower walk of the symbol rows syms over steps 0..n, in blocks.
@@ -362,34 +386,43 @@ def walk_blocks(g: TowerGraph, table: np.ndarray, syms: np.ndarray,
     reused column-major buffer, so a caller reads each block before it
     asks for the next, and no samples x horizon matrix is ever held.
     """
-    flat = table.ravel()
-    N = g.partition.size
+    # the successor of (state, symbol) sits at symbol * rows + state, so a
+    # block's symbols are scaled in one pass and each step is one add
+    flat = table.T.ravel()
+    rows = np.int32(len(table))
     count = len(syms)
     width = min(_block_width(count), n + 1)
     buf = np.zeros((count, width), dtype=np.int32, order="F")
+    index = np.empty(count, dtype=np.int32)
     for k0 in range(0, n + 1, width):
         block = buf[:, :min(width, n + 1 - k0)]
-        # step 0 is the base, the zeros buf starts with; at j = 0 of a
-        # later block the previous step is the last column of the
-        # previous block, which was full
-        for j in range(int(k0 == 0), block.shape[1]):
-            k = k0 + j
-            nxt = block[:, j]
-            # every index is in range: states so far are domain ids
-            np.take(flat, buf[:, j - 1] * N + syms[:, k - 1], out=nxt,
-                    mode="clip")
-            if (nxt < 0).any():
-                raise FrontierReached(k, max(1, n - 1 - g.expand_limit))
+        # step 0 is the base, the zeros buf starts with; a later block
+        # starts from the last column of the previous one, which was full
+        lo = int(k0 == 0)
+        if not lo:
+            np.copyto(index, buf[:, -1])
+        np.multiply(syms[:, k0 + lo - 1:k0 + block.shape[1] - 1], rows,
+                    out=block[:, lo:])
+        for j in range(lo, block.shape[1]):
+            np.add(block[:, j], block[:, j - 1] if j else index, out=index)
+            # a frontier's -1 makes an index that clips or lands elsewhere
+            # in the table, and the walk goes on to the block end
+            np.take(flat, index, out=block[:, j], mode="clip")
+        if block.min() < 0:
+            j = int(np.flatnonzero(block.min(axis=0) < 0)[0])
+            raise FrontierReached(k0 + j, max(1, n - 1 - g.expand_limit))
         yield k0, block
 
 
 def trace_ensemble(angles, weights, g: TowerGraph, n: int) -> TraceEnsemble:
-    """Trace every sample n steps from the base through the tower.
+    """The symbols of every sample over n steps from the base, and the
+    table its tower walk runs on.
 
     angles are Fractions, put over the lcm of their denominators, or a
     measure with integer nums over one den (lifting.SampleMeasure), read
-    with no Fraction built; symbol_matrix routes them.  states is filled
-    from walk_blocks.
+    with no Fraction built; symbol_matrix routes them.  The walk is run
+    by each reader, so a trace into a frontier domain raises
+    FrontierReached there.
     """
     if n < 1:
         raise ValueError("horizon must be >= 1")
@@ -402,7 +435,4 @@ def trace_ensemble(angles, weights, g: TowerGraph, n: int) -> TraceEnsemble:
         raise ValueError("one weight per angle required")
     syms = symbol_matrix(nums, den, n, symbol_cells(g.partition))
     table, levels = walk_table(g)
-    states = np.empty((len(nums), n + 1), dtype=np.int32, order="F")
-    for k0, block in walk_blocks(g, table, syms, n):
-        states[:, k0:k0 + block.shape[1]] = block
-    return TraceEnsemble(g, nums, den, weights, syms, states, levels)
+    return TraceEnsemble(g, nums, den, weights, syms, levels, table)

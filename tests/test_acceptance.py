@@ -88,8 +88,7 @@ def big_lifts(cheb_graph, dend_graph):
         for name, g in (("cheb", cheb_graph), ("dend", dend_graph)):
             mu = brolin_samples(g.partition, 10_000, 1000, seed=11)
             ens = make_ensemble(mu, g, 1000)
-            rep = lift_report(mu, g, n_grid=(1000,), R_grid=(8,),
-                              ensemble=ens)
+            rep = lift_report(ens, n_grid=(1000,), R_grid=(8,))
             data[name] = (mu, ens, rep)
     return data, t.elapsed
 
@@ -101,7 +100,7 @@ def cheb_induced(cheb_graph):
     ens = make_ensemble(mu, g, 1600)
     witness = choose_W(g, recurrent_witness_domain(g), F(1, 64))
     ind = first_return(ens, witness)
-    mass = lift_cesaro(mu, g, 1600, 8, ensemble=ens)
+    mass = lift_cesaro(ens, 1600, 8)
     return mu, ens, ind, mass
 
 
@@ -195,11 +194,11 @@ def test_criterion_05_subset_bound():
 
 def test_criterion_06_lifting_sanity(cheb_graph, big_lifts):
     data, _ = big_lifts
-    mu, ens, _ = data["cheb"]
+    _, ens, _ = data["cheb"]
     g = cheb_graph
     worst_gap = 0.0
     for n in (100, 1000):
-        tm = lift_cesaro(mu, g, n, 8, ensemble=ens)
+        tm = lift_cesaro(ens, n, 8)
         gap = abs(sum(tm.mass.values()) + tm.escaped - 1.0)
         worst_gap = max(worst_gap, gap)
         assert gap <= 1e-12
@@ -207,8 +206,7 @@ def test_criterion_06_lifting_sanity(cheb_graph, big_lifts):
     defects = {n: invariance_defect(ens, n, ids) for n in (100, 1000)}
     for n, defect in defects.items():
         assert defect <= 2 / n, (n, defect)
-    rep = lift_report(mu, g, n_grid=(1000,), R_grid=(2, 4, 6, 8),
-                      ensemble=ens)
+    rep = lift_report(ens, n_grid=(1000,), R_grid=(2, 4, 6, 8))
     retained = [row[2] for row in sorted(rep.curves)]
     assert retained == sorted(retained)
     report(6, f"mass gap {worst_gap:.2e} (<= 1e-12), invariance defect "
@@ -237,14 +235,14 @@ def test_criterion_08_lyapunov_identities(cheb_graph, cheb_solver,
     g = cheb_graph
     mu = brolin_period_samples(g.partition, 512, seed=17, bits=12)
     ens = make_ensemble(mu, g, 240)
-    rep = lyapunov_consistency(mu, ens, cheb_solver.model, cheb_solver,
+    rep = lyapunov_consistency(ens, cheb_solver.model, cheb_solver,
                                R=8, n=240)
     assert rep.lambda_f == pytest.approx(LOG2, rel=0.02)
     assert rep.lambda_fhat == pytest.approx(rep.lambda_f, rel=0.05)
 
     beta = dirac_cycle(g.partition, F(0))
     beta_ens = make_ensemble(beta, g, 64)
-    beta_rep = lyapunov_consistency(beta, beta_ens, cheb_solver.model,
+    beta_rep = lyapunov_consistency(beta_ens, cheb_solver.model,
                                     cheb_solver, R=8, n=64)
     assert beta_rep.lambda_f == pytest.approx(LOG4, rel=0.01)
 

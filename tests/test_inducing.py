@@ -177,8 +177,8 @@ def cheb_system(cheb_ens, cheb_witness):
 
 
 @pytest.fixture(scope="module")
-def cheb_mass(cheb_mu, cheb_graph, cheb_ens):
-    return lift_cesaro(cheb_mu, cheb_graph, 1600, 8, ensemble=cheb_ens)
+def cheb_mass(cheb_ens):
+    return lift_cesaro(cheb_ens, 1600, 8)
 
 
 @pytest.fixture(scope="module")
@@ -514,7 +514,7 @@ def test_kac_dendrite_level_one_witness():
     w = choose_W(g, recurrent_witness_domain(g).id, F(1, 64))
     assert w.domain_id == 1
     sys = first_return(ens, w)
-    kr = kac_check(sys, lift_cesaro(mu, g, 1600, 8, ensemble=ens))
+    kr = kac_check(sys, lift_cesaro(ens, 1600, 8))
     assert kr.verdict == "ok"
     # per-cycle witness frequencies are strongly heterogeneous on the
     # dendrite tower, so the pooled identity carries a real bias of a
@@ -526,9 +526,9 @@ def test_kac_dendrite_level_one_witness():
 
 def test_kac_dirac_loop_mean_tau_is_reciprocal_mass(dirac_system,
                                                     cheb_graph):
-    mu, ens, sys = dirac_system
+    _, ens, sys = dirac_system
     assert np.all(sys.return_time == 1)
-    kr = kac_check(sys, lift_cesaro(mu, cheb_graph, 200, 8, ensemble=ens))
+    kr = kac_check(sys, lift_cesaro(ens, 200, 8))
     assert kr.mean_tau == 1.0
     assert kr.witness_mass == pytest.approx(199 / 200, abs=1e-12)
     assert kr.relative_error < 0.01
@@ -696,16 +696,32 @@ def test_expansion_peak_stays_below_five_return_arrays(cheb_system,
     assert peak < 3 * cheb_system.return_count * 8
 
 
-def test_lift_cesaro_holds_less_than_the_state_matrix(cheb_mu, cheb_graph,
-                                                      cheb_ens, cheb_mass):
+def test_lift_cesaro_holds_less_than_the_state_matrix(cheb_ens, cheb_mass):
     tracemalloc.start()
     try:
-        mass = lift_cesaro(cheb_mu, cheb_graph, 1600, 8, ensemble=cheb_ens)
+        mass = lift_cesaro(cheb_ens, 1600, 8)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert mass == cheb_mass
     assert peak < cheb_ens.states.nbytes
+
+
+def test_make_ensemble_holds_less_than_the_state_matrix(cheb_mu, cheb_graph,
+                                                        cheb_witness):
+    # the 768 x 1600 ensemble is its symbol streams and walk table; the
+    # readers fold the walk, and none of them makes the state matrix
+    h = 1600
+    tracemalloc.start()
+    try:
+        ens = make_ensemble(cheb_mu, cheb_graph, h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < ens.count * (h + 1) * 4
+    first_return(ens, cheb_witness)
+    lift_cesaro(ens, h, 8)
+    assert "states" not in vars(ens)
 
 
 def test_expansion_degenerate_report(dirac_system, cheb_graph,

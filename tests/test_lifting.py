@@ -22,7 +22,8 @@ from angletower.angles import RayChoice, angle_orbit, build_partition, times_d
 from angletower.geometry import LandingSolver, PolynomialModel
 from angletower.inducing import choose_W, first_return
 from angletower import streams
-from angletower.streams import FrontierReached, trace_ensemble, word_codes
+from angletower.streams import (FrontierReached, TraceEnsemble,
+                                trace_ensemble, word_codes)
 from angletower.tower import build_tower
 
 from oracles import angle_at
@@ -220,7 +221,7 @@ def test_brolin_trace_builds_no_fraction(monkeypatch, graph):
     monkeypatch.setattr(F, "__new__", staticmethod(counting_new))
     ens = lf.make_ensemble(mu, graph, 300)
     assert ens.count == 200
-    lf.lift_report(mu, graph, (100, 300), (4, 8), ensemble=ens)
+    lf.lift_report(ens, (100, 300), (4, 8))
     assert not made
     monkeypatch.undo()
     assert ens.angles == mu.angles
@@ -285,8 +286,8 @@ def test_integer_orbits_match_fraction_oracle(d, num, den, max_steps, k,
 
 
 def test_dirac_lift_exact(graph, dirac_ens):
-    mu, ens = dirac_ens
-    tm = lf.lift_cesaro(mu, graph, 100, R=8, ensemble=ens)
+    _, ens = dirac_ens
+    tm = lf.lift_cesaro(ens, 100, R=8)
     assert set(tm.mass) == {0, 1}
     assert tm.mass[0] == pytest.approx(0.01, abs=1e-15)
     assert tm.mass[1] == pytest.approx(0.99, abs=1e-13)
@@ -295,15 +296,15 @@ def test_dirac_lift_exact(graph, dirac_ens):
 
 
 def test_lift_single_step_stays_on_base(graph, dirac_ens):
-    mu, _ = dirac_ens
-    tm = lf.lift_cesaro(mu, graph, 1, R=8)
+    _, ens = dirac_ens
+    tm = lf.lift_cesaro(ens, 1, R=8)
     assert tm.mass == {0: 1.0}
     assert tm.escaped == 0.0
 
 
 def test_brolin_lift_retained(graph, brolin_ens):
-    mu, ens = brolin_ens
-    tm = lf.lift_cesaro(mu, graph, 1000, R=6, ensemble=ens)
+    _, ens = brolin_ens
+    tm = lf.lift_cesaro(ens, 1000, R=6)
     retained = sum(tm.mass.values())
     assert retained >= 0.9
     # stationary chain keeps 1 - 2^-5 below level 6
@@ -312,17 +313,16 @@ def test_brolin_lift_retained(graph, brolin_ens):
 
 
 def test_retained_monotone_in_R(graph, brolin_ens):
-    mu, ens = brolin_ens
-    vals = [sum(lf.lift_cesaro(mu, graph, 500, R=R,
-                               ensemble=ens).mass.values())
+    _, ens = brolin_ens
+    vals = [sum(lf.lift_cesaro(ens, 500, R=R).mass.values())
             for R in (2, 4, 6, 8)]
     assert all(a <= b + 1e-15 for a, b in zip(vals, vals[1:]))
 
 
 def test_mass_conservation_exact(graph, brolin_ens):
-    mu, ens = brolin_ens
+    _, ens = brolin_ens
     for n in (100, 350, 777):
-        tm = lf.lift_cesaro(mu, graph, n, R=5, ensemble=ens)
+        tm = lf.lift_cesaro(ens, n, R=5)
         assert abs(sum(tm.mass.values()) + tm.escaped - 1.0) <= 1e-12
 
 
@@ -343,8 +343,9 @@ def dense_lift_cesaro(g, n, R, ens) -> lf.TowerMass:
 @pytest.mark.parametrize("case", ["periodic", "unequal"])
 def test_lift_cesaro_sample_blocks_match_dense_formula(monkeypatch, part,
                                                        graph, case):
-    # the 301 state columns in blocks of 7, down to one column per block;
-    # the unequal weights grow with the sample index
+    # the 301 state columns walked in blocks of 7, down to one column per
+    # block, against the lazily walked state matrix; the unequal weights
+    # grow with the sample index
     n = 300
     if case == "periodic":
         mu = lf.brolin_period_samples(part, 50, seed=4, bits=12)
@@ -358,24 +359,21 @@ def test_lift_cesaro_sample_blocks_match_dense_formula(monkeypatch, part,
         want = dense_lift_cesaro(graph, n, R, ens)
         for cells in (streams._BLOCK_CELLS, 7 * 50, 1):
             monkeypatch.setattr(streams, "_BLOCK_CELLS", cells)
-            assert lf.lift_cesaro(mu, graph, n, R, ensemble=ens) == want, \
-                (R, cells)
-            # with no ensemble the same blocks come out of the tower walk
-            assert lf.lift_cesaro(mu, graph, n, R) == want, (R, cells)
+            assert lf.lift_cesaro(ens, n, R) == want, (R, cells)
             monkeypatch.undo()
 
 
 def test_lift_cesaro_without_ensemble_streams_the_walk(graph, brolin_ens):
-    # without an ensemble the lift folds the tower walk's blocks, and
-    # holds no samples x horizon state matrix
-    mu, ens = brolin_ens
+    # the lift folds the tower walk's blocks, and holds no samples x
+    # horizon state matrix
+    _, ens = brolin_ens
     tracemalloc.start()
     try:
-        got = lf.lift_cesaro(mu, graph, 1000, 6)
+        got = lf.lift_cesaro(ens, 1000, 6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert got == lf.lift_cesaro(mu, graph, 1000, 6, ensemble=ens)
+    assert got == dense_lift_cesaro(graph, 1000, 6, ens)
     assert peak < ens.states.nbytes / 2
 
 
@@ -387,7 +385,7 @@ def test_lift_cesaro_walk_buffer_fits_the_horizon(part, graph):
     states = 400 * 501 * np.dtype(np.int32).itemsize
     tracemalloc.start()
     try:
-        lf.lift_cesaro(mu, graph, 500, 6)
+        lf.lift_cesaro(lf.make_ensemble(mu, graph, 500), 500, 6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -412,18 +410,16 @@ def test_make_ensemble_respects_horizon(part, graph):
 
 
 def test_brolin_verdict_liftable(graph, brolin_ens):
-    mu, ens = brolin_ens
-    rows = lf.retained_curves(mu, graph, (250, 500, 1000), (4, 6, 8),
-                              ensemble=ens)
+    _, ens = brolin_ens
+    rows = lf.retained_curves(ens, (250, 500, 1000), (4, 6, 8))
     report = lf.liftability_verdict(rows)
     assert report.verdict == "liftable"
     assert "surrogate" in report.note
 
 
 def test_climbing_orbit_not_liftable(graph, climbing_ens):
-    mu, ens = climbing_ens
-    rows = lf.retained_curves(mu, graph, (250, 500, 1000, 2000), (4, 6, 8),
-                              ensemble=ens)
+    _, ens = climbing_ens
+    rows = lf.retained_curves(ens, (250, 500, 1000, 2000), (4, 6, 8))
     report = lf.liftability_verdict(rows)
     assert report.verdict == "not-liftable"
     for _, _, retained, escaped in rows:
@@ -441,8 +437,8 @@ def test_mixed_rows_inconclusive():
 
 
 def test_curves_csv_roundtrip(graph, brolin_ens):
-    mu, ens = brolin_ens
-    rows = lf.retained_curves(mu, graph, (250, 500), (4, 8), ensemble=ens)
+    _, ens = brolin_ens
+    rows = lf.retained_curves(ens, (250, 500), (4, 8))
     text = lf.curves_csv(rows)
     lines = text.strip().splitlines()
     assert lines[0] == "n,R,retained,escaped"
@@ -545,9 +541,9 @@ def weighted_ens(part, graph):
 
 
 def test_retained_curves_add_samples_in_order(graph, weighted_ens):
-    mu, ens = weighted_ens
+    _, ens = weighted_ens
     n_grid, R_grid = (150, 300, 600), (3, 5, 8)
-    rows = lf.retained_curves(mu, graph, n_grid, R_grid, ensemble=ens)
+    rows = lf.retained_curves(ens, n_grid, R_grid)
     assert len(rows) == 9
     # reducing axis 0 of a row-major matrix adds the samples in order
     lv = np.ascontiguousarray(ens.levels[ens.states[:, :600]])
@@ -603,8 +599,7 @@ def test_count_path_matches_weighted_path(monkeypatch, rc):
             if weighted:
                 monkeypatch.setattr(lf, "_count_sums", lambda w: None)
             results.append((
-                lf.retained_curves(mu, g, (40, 100, n), (2, 4, 6),
-                                   ensemble=ens),
+                lf.retained_curves(ens, (40, 100, n), (2, 4, 6)),
                 [lf.invariance_defect(ens, k, ids) for k in (1, 50, n)],
                 lf.project_and_density(ens, 4, 5, n=n),
                 lf.project_and_density(ens, 2, 3, n=n - 7, min_mass=0.02),
@@ -623,13 +618,16 @@ def test_count_sums_are_in_order_sums():
 
 
 def test_diagnostics_past_the_traced_horizon(graph, period_ens):
-    mu, ens = period_ens
+    _, ens = period_ens
     with pytest.raises(ValueError,
                        match="ensemble traced to 240, requested 300"):
-        lf.retained_curves(mu, graph, (100, 300), (4, 8), ensemble=ens)
+        lf.retained_curves(ens, (100, 300), (4, 8))
     with pytest.raises(ValueError,
                        match="ensemble traced to 240, requested 241"):
         lf.project_and_density(ens, 4, 8, n=241)
+    with pytest.raises(ValueError,
+                       match="ensemble traced to 240, requested 241"):
+        lf.invariance_defect(ens, 241, [0])
 
 
 # --------------------------------------------------------------------------
@@ -642,10 +640,10 @@ def cheb_solver():
 
 
 def test_lyapunov_brolin_log2(graph, period_ens, cheb_solver):
-    mu, ens = period_ens
+    _, ens = period_ens
     # every cycle multiplier of this model is +-2^q, so each periodic
     # sample averages to log 2 exactly over a whole number of cycles
-    rep = lf.lyapunov_consistency(mu, ens, cheb_solver.model, cheb_solver,
+    rep = lf.lyapunov_consistency(ens, cheb_solver.model, cheb_solver,
                                   R=8, n=240)
     assert rep.lambda_f == pytest.approx(math.log(2), abs=1e-6)
     assert rep.lambda_fhat == pytest.approx(rep.lambda_f, rel=0.01)
@@ -654,16 +652,16 @@ def test_lyapunov_brolin_log2(graph, period_ens, cheb_solver):
 
 
 def test_lyapunov_dirac_fixed_point(graph, dirac_ens, cheb_solver):
-    mu, ens = dirac_ens
-    rep = lf.lyapunov_consistency(mu, ens, cheb_solver.model, cheb_solver,
+    _, ens = dirac_ens
+    rep = lf.lyapunov_consistency(ens, cheb_solver.model, cheb_solver,
                                   R=8, n=100)
     assert rep.lambda_f == pytest.approx(math.log(4), abs=1e-9)
     assert rep.lambda_fhat == pytest.approx(math.log(4), abs=1e-9)
 
 
 def test_lyapunov_not_liftable_undefined(graph, climbing_ens, cheb_solver):
-    mu, ens = climbing_ens
-    rep = lf.lyapunov_consistency(mu, ens, cheb_solver.model, cheb_solver,
+    _, ens = climbing_ens
+    rep = lf.lyapunov_consistency(ens, cheb_solver.model, cheb_solver,
                                   R=8, n=500)
     assert rep.lambda_f is None
     assert rep.lambda_fhat is None
@@ -674,7 +672,7 @@ def test_lyapunov_reports_exclusions(part, graph, cheb_solver):
     mu = lf.custom_measure([(F(3, 16), 0.5), (F(1, 3), 0.5)], part,
                            allow_boundary_orbit=True)
     ens = lf.make_ensemble(mu, graph, 60)
-    rep = lf.lyapunov_consistency(mu, ens, cheb_solver.model, cheb_solver,
+    rep = lf.lyapunov_consistency(ens, cheb_solver.model, cheb_solver,
                                   R=8, n=60)
     assert len(rep.excluded) == 1
     assert rep.excluded[0][0] == 0
@@ -695,7 +693,7 @@ def test_lyapunov_lands_non_d_adic_dyadic_sample():
     mu = lf.custom_measure([(F(205, 3 ** 8 - 1), 0.5), (F(1, 3 ** 5), 0.5)],
                            g.partition)
     ens = lf.make_ensemble(mu, g, 40)
-    rep = lf.lyapunov_consistency(mu, ens, model, solver, n=40)
+    rep = lf.lyapunov_consistency(ens, model, solver, n=40)
     assert rep.excluded == ((1, "orbit too long to land"),)
     assert rep.used_weight == pytest.approx(0.5)
     assert solver.land_orbit(F(1, 32)).period == 8
@@ -742,10 +740,10 @@ def margin_ens(part, graph):
 
 def test_large_scale_frequency_consistent(graph, margin_ens):
     # visits to the notched level-2 domain are the large-scale times
-    mu, ens = margin_ens
+    _, ens = margin_ens
     mean_freq = first_return(ens, choose_W(graph, 2, F(1, 64))
                              ).witness_frequency
-    tm = lf.lift_cesaro(mu, graph, 200, R=8, ensemble=ens)
+    tm = lf.lift_cesaro(ens, 200, R=8)
     # the witness keeps 15/16 of the domain's angular mass
     assert mean_freq > 0.3
     assert mean_freq == pytest.approx(tm.mass[2] * 15 / 16, abs=0.05)
@@ -756,9 +754,8 @@ def test_large_scale_frequency_consistent(graph, margin_ens):
 
 
 def test_lift_report_brolin(graph, brolin_ens):
-    mu, ens = brolin_ens
-    report = lf.lift_report(mu, graph, n_grid=(250, 500, 1000),
-                            R_grid=(4, 6, 8), ensemble=ens)
+    _, ens = brolin_ens
+    report = lf.lift_report(ens, n_grid=(250, 500, 1000), R_grid=(4, 6, 8))
     assert report.verdict == "liftable"
     assert report.invariance_defect <= 2 / 1000
     assert report.densities
@@ -779,8 +776,7 @@ def test_lift_report_memory_and_step_layout():
         assert ens.symbols[:, k].flags.c_contiguous
     tracemalloc.start()
     try:
-        report = lf.lift_report(mu, g, (250, 500, 1000), (4, 6, 8),
-                                ensemble=ens)
+        report = lf.lift_report(ens, (250, 500, 1000), (4, 6, 8))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -813,13 +809,18 @@ def test_streamed_lift_matches_materialized(monkeypatch, name, rc):
     reports = {}
     for case, (mu, R_grid) in cases.items():
         ens = lf.make_ensemble(mu, g, n)
-        traced = reports[case] = lf.lift_report(mu, g, (40, 100, n), R_grid,
-                                                ensemble=ens)
+        # the reference folds the lazily walked state matrix as one block
+        states = ens.states
+        with monkeypatch.context() as whole:
+            whole.setattr(TraceEnsemble, "state_blocks",
+                          lambda self, k: iter([(0, states[:, :k + 1])]))
+            traced = reports[case] = lf.lift_report(ens, (40, 100, n),
+                                                    R_grid)
         # the default blocks hold the whole horizon; smaller ones carry
         # the walk across block ends, down to one step per block
         for cells in (streams._BLOCK_CELLS, 7 * len(mu.nums), 1):
             monkeypatch.setattr(streams, "_BLOCK_CELLS", cells)
-            assert lf.lift_report(mu, g, (40, 100, n), R_grid) == traced, \
+            assert lf.lift_report(ens, (40, 100, n), R_grid) == traced, \
                 (case, cells)
             monkeypatch.undo()
     assert reports["brolin"].densities and reports["custom"].densities
@@ -834,17 +835,19 @@ def test_streamed_lift_raises_as_the_ensemble_does(monkeypatch):
     brolin = lf.brolin_samples(g.partition, 50, 300, seed=2)
     monkeypatch.setattr(streams, "_BLOCK_CELLS", 50 * 3)
     for mu, n in ((climber, 12), (brolin, 300)):
+        # the ensemble holds its symbols; each walk of it meets the frontier
+        ens = lf.make_ensemble(mu, g, n)
         with pytest.raises(FrontierReached) as built:
-            lf.make_ensemble(mu, g, n)
+            ens.states
         with pytest.raises(FrontierReached) as streamed:
-            lf.lift_report(mu, g, (n // 2, n), (2,))
+            lf.lift_report(ens, (n // 2, n), (2,))
         assert (streamed.value.step, streamed.value.needed_extra,
                 str(streamed.value)) == (built.value.step,
                                          built.value.needed_extra,
                                          str(built.value))
     with pytest.raises(ValueError,
                        match="measure is exact to horizon 300, requested 301"):
-        lf.lift_report(brolin, g, (100, 301), (2,))
+        lf.make_ensemble(brolin, g, 301)
 
 
 def test_streamed_lift_report_holds_no_state_matrix():
@@ -854,7 +857,8 @@ def test_streamed_lift_report_holds_no_state_matrix():
     mu = lf.brolin_samples(g.partition, 2000, 1000, seed=7)
     tracemalloc.start()
     try:
-        report = lf.lift_report(mu, g, (250, 500, 1000), (4, 6, 8))
+        report = lf.lift_report(lf.make_ensemble(mu, g, 1000),
+                                (250, 500, 1000), (4, 6, 8))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -863,8 +867,8 @@ def test_streamed_lift_report_holds_no_state_matrix():
 
 
 def test_lift_report_empty_grid(graph, brolin_ens):
-    mu, _ = brolin_ens
-    assert lf.lift_report(mu, graph, n_grid=(), R_grid=()).verdict == \
+    _, ens = brolin_ens
+    assert lf.lift_report(ens, n_grid=(), R_grid=()).verdict == \
         "inconclusive"
 
 
@@ -886,8 +890,8 @@ def test_conservation_and_monotone_property(angles, n):
     mu = lf.custom_measure([(a, w) for a in angles], part,
                            allow_boundary_orbit=True)
     ens = lf.make_ensemble(mu, g, n)
-    low = lf.lift_cesaro(mu, g, n, R=2, ensemble=ens)
-    high = lf.lift_cesaro(mu, g, n, R=4, ensemble=ens)
+    low = lf.lift_cesaro(ens, n, R=2)
+    high = lf.lift_cesaro(ens, n, R=4)
     assert abs(sum(low.mass.values()) + low.escaped - 1.0) <= 1e-12
     assert abs(sum(high.mass.values()) + high.escaped - 1.0) <= 1e-12
     assert sum(low.mass.values()) <= sum(high.mass.values()) + 1e-15

@@ -226,11 +226,40 @@ def test_trace_rejects_bad_inputs(cheb_graph):
 
 def test_frontier_reached_reports_deficit():
     g = build_tower(CHEB, 3)
-    # 1/8 climbs one level per step and exits the expanded region
+    # 1/8 climbs one level per step and exits the expanded region; the
+    # ensemble holds its symbols, and its first walk raises
+    ens = trace_ensemble((F(1, 8),), [1.0], g, 12)
     with pytest.raises(FrontierReached) as exc:
-        trace_ensemble((F(1, 8),), [1.0], g, 12)
+        ens.states
     assert exc.value.needed_extra >= 12 - 1 - g.expand_limit
     assert 1 <= exc.value.step <= 12
+
+
+@pytest.mark.parametrize("cells", [50, 100, 150, streams_module._BLOCK_CELLS])
+def test_frontier_in_a_later_block(monkeypatch, cells):
+    # 50 Brolin samples first stand on a frontier domain after 4 steps:
+    # in blocks of 1, 2 and 3 steps the walk meets it in a later block, at
+    # its first, second and third column, and in one block otherwise
+    g = build_tower(CHEB, 3)
+    n = 300
+    mu = brolin_samples(g.partition, 50, n, seed=2)
+    exits = [trace(a, g, n).exit_step for a in mu.angles]
+    step = min(k for k in exits if k is not None) + 1
+    assert step == 5
+    monkeypatch.setattr(streams_module, "_BLOCK_CELLS", cells)
+    ens = make_ensemble(mu, g, n)
+    walked = []
+    with pytest.raises(FrontierReached) as exc:
+        for k0, block in ens.state_blocks(n):
+            walked.append(k0)
+    # every block before the one holding the step came out of the walk
+    width = streams_module._block_width(50)
+    assert walked == list(range(0, step - step % width, width))
+    extra = n - 1 - g.expand_limit
+    assert (exc.value.step, exc.value.needed_extra, str(exc.value)) == (
+        step, extra,
+        f"trace needs an out-edge of a frontier domain at step {step}; "
+        f"rebuild the tower with extra_levels at least {extra} larger")
 
 
 def test_trace_is_deterministic(cheb_graph):
