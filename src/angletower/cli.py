@@ -271,6 +271,11 @@ def load_config(args) -> RunConfig:
     if v["map", "kappa"] != len(angles):
         raise raw.error("map", "kappa", f"kappa = {v['map', 'kappa']} but "
                         f"{len(angles)} angle(s) given")
+    # a point mass sits on a cycle: its angle's denominator is prime to d
+    dirac, d = v["lift", "angle"], v["map", "degree"]
+    if v["lift", "sampler"] == "dirac" and math.gcd(dirac.denominator, d) > 1:
+        raise raw.error("lift", "angle", f"angle {format_angle(dirac % 1)} "
+                        f"is not periodic under multiplication by {d}")
     tol_orbit = v["tolerances", "tol_orbit"]
     try:
         model = PolynomialModel(v["map", "degree"], complex(
@@ -451,18 +456,16 @@ def cmd_induce(cfg: RunConfig, out: Path):
     from .inducing import (branch_words_csv, choose_W, expansion_and_abramov,
                            first_return, kac_check, recurrent_witness_domain,
                            tau_histogram_csv)
-    from .lifting import brolin_period_samples, lift_cesaro, make_ensemble
+    from .lifting import brolin_period_samples, make_ensemble
     g = _load_tower(cfg, out)
-    horizon = cfg["induce", "horizon"]
     mu = brolin_period_samples(g.partition, cfg["induce", "count"],
                                seed=cfg["sampling", "seed"] + 2,
                                bits=cfg["induce", "bits"])
-    ens = make_ensemble(mu, g, horizon)
+    ens = make_ensemble(mu, g, cfg["induce", "horizon"])
     witness = choose_W(g, recurrent_witness_domain(g),
                        cfg["margins", "cutpoint_margin"])
     ind = first_return(ens, witness)
-    mass = lift_cesaro(ens, horizon, cfg["tower", "R"])
-    kac = kac_check(ind, mass)
+    kac = kac_check(ind, cfg["tower", "R"])
     expansion = expansion_and_abramov(ind, cfg.solver)
     files = {
         "induce.json": _dump({"witness": witness.to_json(),

@@ -28,12 +28,12 @@ from .angles import (ArcSet, CirclePartition, enumerate_cylinders,
                      format_angle)
 from .geometry import (CRIT_TOL, LandingError, LandingSolver,
                        log_deriv_rows)
-from .inducing import (DEFAULT_MARGIN, choose_W, first_return,
-                       recurrent_witness_domain, strong_components)
-from .lifting import (DEFAULT_FLOOR, DensityReport, LiftReport,
-                      custom_measure, liftability_verdict, make_ensemble,
-                      orbit_hits_boundary, project_and_density,
-                      retained_curves)
+from .inducing import (DEFAULT_MARGIN, choose_W, recurrent_witness_domain,
+                       return_records, strong_components)
+from .lifting import (DEFAULT_FLOOR, DensityReport, LiftReport, _Curves,
+                      _Density, custom_measure, liftability_verdict,
+                      make_ensemble, orbit_hits_boundary)
+from .streams import Gather
 from .tower import TowerGraph
 
 # Offsets tried in order when placing the quadrature node inside a
@@ -371,13 +371,15 @@ def lyapunov_liftability_experiment(
     quadrature nodes; that measure is lifted through the tower graph for
     the retained-mass verdict while the node orbits supply the n-step
     derivative sums.  Nodes passing within CRIT_TOL of the critical
-    point are excluded from the Lyapunov side and reported.
+    point are excluded from the Lyapunov side and reported.  All that
+    the lift side reads comes from one walk of the lifted measure.
     """
     basis = solve.basis
     if basis.depth < 1:
         raise ValueError("experiment needs cylinder depth >= 1")
     if lift_horizon <= basis.depth:
         raise ValueError("lift horizon must exceed the cylinder depth")
+    nmax = max(horizons)
     w = np.asarray(solve.weights, dtype=np.float64)
     w = w / w.sum()
     keep = w > 0
@@ -390,12 +392,20 @@ def lyapunov_liftability_experiment(
     ens = make_ensemble(mu, g, lift_horizon)
     n_grid = sorted({max(lift_horizon // 4, 1),
                      max(lift_horizon // 2, 1), lift_horizon})
-    rows = retained_curves(ens, tuple(n_grid), (level_cap,))
-    lift = liftability_verdict(rows)
+    curves = _Curves(ens, (level_cap,), lift_horizon)
+    below_cap = Gather(ens, ens.levels <= level_cap, nmax)
+    density = _Density(ens, basis.depth, level_cap, lift_horizon)
+    try:  # no witness domain is refused after the walk and the node check
+        marks = np.arange(len(ens.levels)) == recurrent_witness_domain(g).id
+    except ValueError:
+        marks = np.zeros(len(ens.levels), dtype=bool)
+    in_domain = Gather(ens, marks, lift_horizon)
+    # the fold refuses horizons past the lift horizon
+    ens.fold(max(lift_horizon, nmax), curves, below_cap, density, in_domain)
+    lift = liftability_verdict(curves.rows(n_grid))
     liftable = lift.verdict == "liftable"
 
     # n-step derivative sums along the node orbits
-    nmax = max(horizons)
     logs, crit = log_deriv_rows(solver.model, landings, nmax, CRIT_TOL)
     inc = crit == nmax
     excluded = np.flatnonzero(~inc).tolist()
@@ -408,7 +418,7 @@ def lyapunov_liftability_experiment(
     # Lyapunov cells: mass of the nodes expanding faster than lam over n
     # steps; dichotomy sets: those of them whose early visit frequency at
     # or below the cap is under eps (their mass should be negligible)
-    below_cap = ens.gather(ens.levels <= level_cap, nmax)[inc]
+    below_cap = below_cap.out[inc]
     lyap_cells = {}
     dich_cells = {}
     for lam in lambdas:
@@ -423,11 +433,11 @@ def lyapunov_liftability_experiment(
     headline = lyap_cells[(float(min(lambdas)), int(max(horizons)))]
 
     witness = choose_W(g, recurrent_witness_domain(g), margin)
-    ind = first_return(ens, witness)
+    ind = return_records(ens, witness, in_domain.out)
     tail = ind.censored_entry >= lift_horizon // 2
     tail_mass = float(ens.weights[ind.censored_sample[tail]].sum())
 
-    density = project_and_density(ens, basis.depth, level_cap)
+    density = density.report()
     ratios = np.array(list(density.ratios.values()))
     density_min = float(ratios.min()) if len(ratios) else 0.0
 

@@ -12,15 +12,14 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
 from .angles import ArcSet, format_angle
 from .geometry import LandingError, LandingSolver, log_deriv_rows
-from .lifting import TowerMass, _count_sums, entropy_estimate
-from .streams import (Cells, TraceEnsemble, _block_width, symbol_matrix,
-                      walk_table)
+from .lifting import _count_sums, _step_mass, entropy_estimate
+from .streams import (Cells, Gather, TraceEnsemble, _block_width,
+                      symbol_matrix, walk_table)
 from .tower import Domain, TowerGraph
 
 DEFAULT_MARGIN = Fraction(1, 64)
@@ -135,8 +134,9 @@ class InducedSystem:
 
     Completed returns are stored as parallel arrays ordered by (sample,
     entry step); each visited sample additionally contributes one censored
-    record for its final open interval.  Branch itinerary words are read
-    back from the ensemble on demand rather than stored.
+    record for its final open interval (its visits are its returns plus
+    one).  Branch itinerary words are read back from the ensemble on
+    demand.  domain_mass is the witness domain's Cesaro occupation.
     """
 
     witness: WitnessRegion
@@ -147,6 +147,8 @@ class InducedSystem:
     censored_sample: np.ndarray
     censored_entry: np.ndarray
     ensemble: TraceEnsemble
+    visits_per_sample: np.ndarray
+    domain_mass: float
 
     def __post_init__(self):
         if len(self.return_time) and self.return_time.min() < 1:
@@ -159,14 +161,6 @@ class InducedSystem:
     @property
     def weights(self) -> np.ndarray:
         return self.ensemble.weights
-
-    @cached_property
-    def visits_per_sample(self) -> np.ndarray:
-        n = self.ensemble.count
-        visits = (np.bincount(self.sample_index, minlength=n)
-                  + np.bincount(self.censored_sample, minlength=n))
-        visits.flags.writeable = False
-        return visits
 
     @property
     def witness_frequency(self) -> float:
@@ -213,7 +207,23 @@ class InducedSystem:
 
 def first_return(ensemble: TraceEnsemble, witness: WitnessRegion,
                  horizon: int | None = None) -> InducedSystem:
-    """Visits of every trace to the witness, split into return intervals.
+    """Visits of every trace to the witness, split into return intervals."""
+    if witness.arcs.is_empty:
+        raise ValueError("witness region is empty")
+    h = ensemble.horizon if horizon is None else int(horizon)
+    if h < 1 or h > ensemble.horizon:
+        raise ValueError(
+            f"horizon must lie in [1, {ensemble.horizon}], got {h}")
+    in_domain = Gather(ensemble, np.arange(len(ensemble.levels))
+                       == witness.domain_id, h)
+    ensemble.fold(h, in_domain)
+    return return_records(ensemble, witness, in_domain.out)
+
+
+def return_records(ensemble: TraceEnsemble, witness: WitnessRegion,
+                   in_domain: np.ndarray) -> InducedSystem:
+    """The returns to the witness, from in_domain, the samples x h marks
+    of a walk's steps in the witness domain.
 
     A visit at step k means the trace occupies the witness domain with an
     angle inside the notched arc-set.  The arc-set's cuts are integers over
@@ -222,22 +232,19 @@ def first_return(ensemble: TraceEnsemble, witness: WitnessRegion,
     when an odd number of cuts lies at or below it.
     Consecutive visits of one sample give completed returns; the stretch
     from a sample's last visit to the horizon is its censored record.
-    One walk of the ensemble marks its steps in the witness domain, a
-    byte a step; then samples go in blocks of _block_width(h): one pass
-    counts and packs each block's visits, one fills the preallocated
-    int32 records.
+    Samples go in blocks of _block_width(h): one pass counts and packs
+    each block's visits, one fills the preallocated int32 records.  The
+    domain's occupation adds each step's marked weight as np.bincount
+    does, then the steps in order.
     """
-    if witness.arcs.is_empty:
-        raise ValueError("witness region is empty")
-    h = ensemble.horizon if horizon is None else int(horizon)
-    if h < 1 or h > ensemble.horizon:
-        raise ValueError(
-            f"horizon must lie in [1, {ensemble.horizon}], got {h}")
+    h = in_domain.shape[1]
     arcs = witness.arcs
     parity = Cells(ensemble.graph.partition.degree, arcs.den, arcs.cuts,
                    tuple(i % 2 for i in range(len(arcs.cuts) + 1)))
-    in_domain = ensemble.gather(
-        np.arange(len(ensemble.levels)) == witness.domain_id, h)
+    w, T = ensemble.weights, _count_sums(ensemble.weights)
+    step = _block_width(ensemble.count)
+    occupied = np.concatenate([_step_mass(in_domain[:, k0:k0 + step], w, T)
+                               for k0 in range(0, h, step)])
     width = _block_width(h)
     blocks = range(0, ensemble.count, width)
     counts = np.empty(ensemble.count, dtype=np.intp)
@@ -248,7 +255,6 @@ def first_return(ensemble: TraceEnsemble, witness: WitnessRegion,
         visits &= in_domain[s0:s0 + width]
         counts[s0:s0 + len(visits)] = np.count_nonzero(visits, axis=1)
         packed.append(np.packbits(visits, axis=1))
-    del in_domain
     # a visited sample has one censored record, and a return per visit more
     c_s = np.flatnonzero(counts).astype(np.int32)
     r_s = np.repeat(np.arange(len(counts), dtype=np.int32),
@@ -264,7 +270,8 @@ def first_return(ensemble: TraceEnsemble, witness: WitnessRegion,
         c, c1 = np.searchsorted(c_s, np.int32([s0, s0 + width]))
         c_t[c:c1], r_t[r:r1] = kk[last], kk[:-1][same]
         r_tau[r:r1] = (kk[1:] - kk[:-1])[same]
-    return InducedSystem(witness, h, r_s, r_t, r_tau, c_s, c_t, ensemble)
+    return InducedSystem(witness, h, r_s, r_t, r_tau, c_s, c_t, ensemble,
+                         counts, float(np.cumsum(occupied)[-1] / h))
 
 
 @dataclass(frozen=True)
@@ -284,11 +291,12 @@ class KacReport:
         return asdict(self)
 
 
-def kac_check(ind: InducedSystem, tower_mass: TowerMass) -> KacReport:
+def kac_check(ind: InducedSystem, R: int) -> KacReport:
     """Mean return time against the reciprocal witness mass.
 
     witness mass is the ensemble's own weighted visit frequency, so the
-    identity couples the return bookkeeping to the occupation statistics.
+    identity couples the return bookkeeping to the occupation statistics;
+    domain_mass_lift is the domain's mass, or 0.0 above the truncation R.
     The pooled error is the contract quantity; the per-sample error
     averages |mean_tau_s * frequency_s - 1| over samples with at least
     MIN_SAMPLE_RETURNS returns, which stays tight even when per-sample
@@ -296,25 +304,24 @@ def kac_check(ind: InducedSystem, tower_mass: TowerMass) -> KacReport:
     CENSOR_THRESHOLD makes the verdict inconclusive rather than a number
     to trust.
     """
+    lifted = (ind.domain_mass if ind.ensemble.levels[ind.witness.domain_id]
+              <= R else 0.0)
     if not ind.return_count:
         return KacReport(math.nan, ind.witness_frequency, math.nan,
                          math.nan, math.nan,
                          1.0 - ind.visiting_weight, ind.censor_fraction,
-                         tower_mass.mass.get(ind.witness.domain_id, 0.0),
-                         0, "degenerate")
+                         lifted, 0, "degenerate")
     mean_tau = ind.mean_tau
     mass = ind.witness_frequency
     expected = 1.0 / mass
     rel = abs(mean_tau - expected) / expected
-    w = ind.weights
-    counts = np.bincount(ind.sample_index, minlength=ind.ensemble.count)
+    w, visits = ind.weights, ind.visits_per_sample
     spans = np.bincount(ind.sample_index, weights=ind.return_time,
                         minlength=ind.ensemble.count)
-    visits = ind.visits_per_sample
-    enough = counts >= MIN_SAMPLE_RETURNS
+    enough = visits > MIN_SAMPLE_RETURNS
     if enough.any():
-        prods = (spans[enough] / counts[enough]) * (visits[enough]
-                                                    / ind.horizon)
+        prods = (spans[enough] / (visits[enough] - 1)) * (visits[enough]
+                                                          / ind.horizon)
         per_sample = float((w[enough] * np.abs(prods - 1.0)).sum()
                            / w[enough].sum())
     else:
@@ -322,8 +329,7 @@ def kac_check(ind: InducedSystem, tower_mass: TowerMass) -> KacReport:
     censor = ind.censor_fraction
     verdict = "ok" if censor <= CENSOR_THRESHOLD else "inconclusive"
     return KacReport(mean_tau, mass, expected, rel, per_sample,
-                     1.0 - ind.visiting_weight, censor,
-                     tower_mass.mass.get(ind.witness.domain_id, 0.0),
+                     1.0 - ind.visiting_weight, censor, lifted,
                      ind.return_count, verdict)
 
 

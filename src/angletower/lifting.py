@@ -19,8 +19,8 @@ import numpy as np
 from .angles import CirclePartition, format_angle, orbit_numerators
 from .geometry import (CRIT_TOL, LandingError, LandingSolver,
                        PolynomialModel, log_deriv_rows)
-from .streams import (TraceEnsemble, _gather, common_numerators, is_dyadic,
-                      trace_ensemble, window_digits, word_codes)
+from .streams import (Gather, TraceEnsemble, _gather, common_numerators,
+                      is_dyadic, trace_ensemble, window_digits, word_codes)
 from .tower import TowerGraph
 
 PROVENANCES = ("brolin", "dirac-periodic", "conformal", "custom")
@@ -67,30 +67,20 @@ class SampleMeasure:
         return tuple(Fraction(j, self.den) for j in self.nums)
 
 
-def orbit_hits_boundary(a: Fraction, partition: CirclePartition,
-                        max_steps: int = 4096) -> bool:
-    """Whether the angle orbit meets the partition boundary set.
-
-    Exact forward stepping of the numerator, p <- d*p mod q; stops at the
-    first revisit or after max_steps (rationals with astronomically long
-    cycles are accepted on a budget, which is stated here rather than
-    hidden).
-    """
+def orbit_hits_boundary(a: Fraction, partition: CirclePartition) -> bool:
+    """Whether the angle orbit meets the partition boundary set, exactly:
+    the boundary angles (preimages of strictly preperiodic ray angles) are
+    strictly preperiodic, so only the preperiod, the at most log_d q steps
+    whose denominator shares a factor with d, can meet one."""
     d = partition.degree
-    x = a % 1
+    x = Fraction(a) % 1
     p, q = x.numerator, x.denominator
-    # every iterate is some p/q, and p/q equals the boundary angle b/M on
-    # the partition lattice M exactly when p = b*q / M is an integer
-    M = partition.lattice
-    hits = {b * q // M for b in partition.boundary_nums if b * q % M == 0}
-    seen = set()
-    for _ in range(max_steps):
-        if p in hits:
+    boundary = {(b.numerator, b.denominator) for b in partition.boundary}
+    # d*p/q in lowest terms is (d/g)*p/(q/g), g = gcd(q, d)
+    while (g := math.gcd(q, d)) > 1:
+        if (p, q) in boundary:
             return True
-        if p in seen:
-            return False
-        seen.add(p)
-        p = d * p % q
+        p, q = d // g * p % (q // g), q // g
     return False
 
 
@@ -217,15 +207,11 @@ class TowerMass:
             raise ValueError(f"mass plus escaped is {total!r}, not 1")
 
 
-def _within_horizon(mu: SampleMeasure, n: int) -> None:
+def make_ensemble(mu: SampleMeasure, g: TowerGraph, n: int) -> TraceEnsemble:
+    """Trace the measure's samples n steps, honoring its horizon."""
     if mu.horizon is not None and n > mu.horizon:
         raise ValueError(
             f"measure is exact to horizon {mu.horizon}, requested {n}")
-
-
-def make_ensemble(mu: SampleMeasure, g: TowerGraph, n: int) -> TraceEnsemble:
-    """Trace the measure's samples n steps, honoring its horizon."""
-    _within_horizon(mu, n)
     return trace_ensemble(mu, mu.weights, g, n)
 
 
@@ -242,21 +228,21 @@ def _count_sums(weights: np.ndarray, size=None) -> np.ndarray | None:
     return np.cumsum(T, out=T)
 
 
-def _fold(blocks, *folds) -> None:
-    """Hand every state block to every fold, in step order."""
-    for k0, states in blocks:
-        for fold in folds:
-            fold.add(k0, states)
+def _step_mass(inside: np.ndarray, weights: np.ndarray, T) -> np.ndarray:
+    """The weight inside at each step (column): T[c] of _count_sums for c
+    samples inside, or a running sum in sample order, which fixes its bits."""
+    if T is not None:
+        return T[np.count_nonzero(inside, axis=0)]
+    return np.cumsum(inside * weights[:, None], axis=0)[-1]
 
 
 class _Curves:
     """Retained mass at levels <= R, for each R of R_grid, at each step
     0..n-1."""
 
-    def __init__(self, weights, levels, R_grid, n: int):
-        self.T = _count_sums(weights)
-        self.w = weights[:, None]
-        self.levels = levels
+    def __init__(self, ens: TraceEnsemble, R_grid, n: int):
+        self.T = _count_sums(ens.weights)
+        self.w, self.levels = ens.weights, ens.levels
         self.R_grid = R_grid
         self.n = n
         self.step_mass = np.empty((len(R_grid), n))
@@ -265,14 +251,7 @@ class _Curves:
         lv = _gather(self.levels, states[:, :max(0, self.n - k0)])
         k1 = k0 + lv.shape[1]
         for i, R in enumerate(self.R_grid):
-            if self.T is not None:
-                self.step_mass[i, k0:k1] = self.T[
-                    np.count_nonzero(lv <= R, axis=0)]
-            else:
-                # a running sum down the samples adds them in sample
-                # order, which fixes the last bit of every curve value
-                self.step_mass[i, k0:k1] = np.cumsum((lv <= R) * self.w,
-                                                     axis=0)[-1]
+            self.step_mass[i, k0:k1] = _step_mass(lv <= R, self.w, self.T)
 
     def rows(self, n_grid) -> list[tuple[int, int, float, float]]:
         rows = []
@@ -295,15 +274,14 @@ def lift_cesaro(ens: TraceEnsemble, n: int,
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    g, weights = ens.graph, ens.weights
-    R = g.truncation if R is None else R
-    occupation = _Defect(weights, len(g.domains), n - 1)
-    _fold(ens.state_blocks(n), occupation)
+    R = ens.graph.truncation if R is None else R
+    occupation = _Defect(ens, n - 1)
+    ens.fold(n, occupation)
     mass = {i: float(w) for i, w in enumerate(occupation.total / n)
-            if w != 0.0 and g.domains[i].level <= R}
+            if w != 0.0 and ens.levels[i] <= R}
     # escaped is the mass complement, so conservation holds to the same
     # accuracy as the input normalization
-    escaped = math.fsum([math.fsum(weights), -math.fsum(mass.values())])
+    escaped = math.fsum([math.fsum(ens.weights), -math.fsum(mass.values())])
     return TowerMass(mass, max(escaped, 0.0), n, R)
 
 
@@ -317,8 +295,8 @@ def retained_curves(ens: TraceEnsemble, n_grid, R_grid
     if n_grid[0] < 1:
         raise ValueError("horizons must be >= 1")
     n_max = n_grid[-1]
-    curves = _Curves(ens.weights, ens.levels, R_grid, n_max)
-    _fold(ens.state_blocks(n_max), curves)
+    curves = _Curves(ens, R_grid, n_max)
+    ens.fold(n_max, curves)
     return curves.rows(n_grid)
 
 
@@ -380,9 +358,8 @@ class _Defect:
     """Weighted domain counts at step 0, summed over steps 0..n (the
     Cesaro occupation), and at step n."""
 
-    def __init__(self, weights, size: int, n: int):
-        self.w = weights
-        self.size = size
+    def __init__(self, ens: TraceEnsemble, n: int):
+        self.w, self.size = ens.weights, len(ens.levels)
         self.n = n
 
     def add(self, k0: int, states: np.ndarray) -> None:
@@ -414,8 +391,8 @@ def invariance_defect(ensemble: TraceEnsemble, n: int, test_ids) -> float:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    defect = _Defect(ensemble.weights, len(ensemble.graph.domains), n)
-    _fold(ensemble.state_blocks(n), defect)
+    defect = _Defect(ensemble, n)
+    ensemble.fold(n, defect)
     return defect.value(test_ids)
 
 
@@ -445,21 +422,21 @@ class _Density:
     """Retained (level <= R) weight of each depth-m cylinder word summed
     over steps 0..n-m-1, and mu, the weight of the words at step 0."""
 
-    def __init__(self, symbols, weights, levels, N: int, m: int, R: int,
-                 n: int):
-        self.syms, self.w, self.N, self.m = symbols, weights, N, m
-        self.T = _count_sums(weights)
+    def __init__(self, ens: TraceEnsemble, m: int, R: int, n: int):
+        self.syms, self.w, self.m = ens.symbols, ens.weights, m
+        self.N = N = ens.graph.partition.size
+        self.T = _count_sums(self.w)
         self.steps = n - m
         self.base = N ** m
         self.lead = np.int64(N ** (m - 1))
-        self.wid = word_codes(symbols[:, :m], N)
-        self.mu_mass = np.bincount(self.wid, weights=weights,
+        self.wid = word_codes(self.syms[:, :m], N)
+        self.mu_mass = np.bincount(self.wid, weights=self.w,
                                    minlength=self.base)
         # w[keep].sum() is numpy's pairwise sum of c copies of w
-        self.pairwise = cache(lambda c: float(np.full(c, weights[0]).sum()))
+        self.pairwise = cache(lambda c: float(np.full(c, self.w[0]).sum()))
         self.proj = np.zeros(self.base, dtype=np.float64)
         self.retained_sum = 0.0
-        self.retained_at = levels <= R
+        self.retained_at = ens.levels <= R
 
     def add(self, k0: int, states: np.ndarray) -> None:
         syms, w, T, wid = self.syms, self.w, self.T, self.wid
@@ -514,9 +491,8 @@ def project_and_density(ensemble: TraceEnsemble, m: int, R: int,
     n = ensemble.horizon if n is None else n
     if n - m < 1:
         raise ValueError("horizon too short for this cylinder depth")
-    density = _Density(ensemble.symbols, ensemble.weights, ensemble.levels,
-                       ensemble.graph.partition.size, m, R, n)
-    _fold(ensemble.state_blocks(n), density)
+    density = _Density(ensemble, m, R, n)
+    ensemble.fold(n, density)
     return density.report(min_mass)
 
 
@@ -563,7 +539,8 @@ def lyapunov_consistency(ensemble: TraceEnsemble, model: PolynomialModel,
     d = g.partition.degree
     R = g.truncation if R is None else R
     n = ensemble.horizon if n is None else n
-    retained = ensemble.gather(ensemble.levels <= R, n)
+    retained = Gather(ensemble, ensemble.levels <= R, n)
+    ensemble.fold(n, retained)
     excluded = []
     angles = ensemble.angles
     todo = [s for s, a in enumerate(angles) if a == 0 or not is_dyadic(a, d)]
@@ -585,7 +562,7 @@ def lyapunov_consistency(ensemble: TraceEnsemble, model: PolynomialModel,
     fit = np.array(fit, dtype=np.intp)[crit == n]
     rows = rows[crit == n]
     w = ensemble.weights[fit]
-    keep = retained[fit]
+    keep = retained.out[fit]
     used = float(w.sum())
     hat_num = float((w * np.where(keep, rows, 0.0).sum(axis=1)).sum())
     hat_den = float((w * keep.sum(axis=1)).sum())
@@ -641,19 +618,15 @@ def lift_report(ens: TraceEnsemble, n_grid, R_grid) -> LiftReport:
     if n_grid[0] < 1:
         raise ValueError("horizons must be >= 1")
     n_max = n_grid[-1]
-    g, weights, levels = ens.graph, ens.weights, ens.levels
-    curves = _Curves(weights, levels, R_grid, n_max)
-    defect = _Defect(weights, len(g.domains), n_max)
+    curves, defect = _Curves(ens, R_grid, n_max), _Defect(ens, n_max)
     folds = [curves, defect]
     if n_max > DENSITY_DEPTH:
         # folded whatever the verdict, which the curves give only at the end
-        density = _Density(ens.symbols, weights, levels, g.partition.size,
-                           DENSITY_DEPTH, max(R_grid), n_max)
+        density = _Density(ens, DENSITY_DEPTH, max(R_grid), n_max)
         folds.append(density)
-    _fold(ens.state_blocks(n_max), *folds)
+    ens.fold(n_max, *folds)
     report = liftability_verdict(curves.rows(n_grid))
-    test_ids = [i for i, dom in g.domains.items()
-                if dom.level <= max(R_grid)]
+    test_ids = np.flatnonzero(ens.levels <= max(R_grid))
     densities = None
     if report.verdict == "liftable" and n_max > DENSITY_DEPTH:
         densities = density.report().corrected

@@ -267,9 +267,9 @@ class TraceEnsemble:
     k, stored column-major (step-major): the column [:, k] of one step is
     contiguous, because every kernel that walks, counts or sums the
     ensemble does so one step at a time across all samples.  The walk
-    over the transition table `table` is never held: each reader folds
-    the blocks of state_blocks, and a stage never builds the samples x
-    horizon state matrix.
+    over the transition table `table` is never held: fold hands its
+    blocks to every reader of one stage, and a stage never builds the
+    samples x horizon state matrix.
     """
 
     graph: TowerGraph
@@ -289,11 +289,10 @@ class TraceEnsemble:
         """states[s, k], the domain id of sample s after k steps for k up
         to the horizon (column 0 is the base), column-major: a lazily
         walked, cached matrix that no stage reads."""
-        states = np.empty((self.count, self.horizon + 1), dtype=np.int32,
-                          order="F")
-        for k0, block in self.state_blocks(self.horizon):
-            states[:, k0:k0 + block.shape[1]] = block
-        return states
+        ids = Gather(self, np.arange(len(self.levels), dtype=np.int32),
+                     self.horizon + 1)
+        self.fold(self.horizon, ids)
+        return ids.out
 
     @property
     def count(self) -> int:
@@ -303,21 +302,28 @@ class TraceEnsemble:
     def horizon(self) -> int:
         return self.symbols.shape[1]
 
-    def state_blocks(self, n: int):
-        """The walk_blocks of the ensemble over steps 0..n."""
+    def fold(self, n: int, *readers) -> None:
+        """Walk the ensemble over steps 0..n once, handing every (k0,
+        block) of walk_blocks to each reader's add, in step order."""
         if n > self.horizon:
             raise ValueError(
                 f"ensemble traced to {self.horizon}, requested {n}")
-        return walk_blocks(self.graph, self.table, self.symbols, n)
+        for k0, block in walk_blocks(self.graph, self.table, self.symbols, n):
+            for reader in readers:
+                reader.add(k0, block)
 
-    def gather(self, at: np.ndarray, n: int) -> np.ndarray:
-        """at[states[:, :n]], a per-domain array read at steps 0..n-1 of
-        the walk to step n, column-major like symbols."""
-        out = np.empty((self.count, n), dtype=at.dtype, order="F")
-        for k0, states in self.state_blocks(n):
-            part = states[:, :max(0, n - k0)]
-            out[:, k0:k0 + part.shape[1]] = _gather(at, part)
-        return out
+
+class Gather:
+    """out = at[states[:, :n]], a per-domain array read at steps 0..n-1 of
+    the walk, column-major like the symbols, filled a block at a time."""
+
+    def __init__(self, ens: TraceEnsemble, at: np.ndarray, n: int):
+        self.at = at
+        self.out = np.empty((ens.count, n), dtype=at.dtype, order="F")
+
+    def add(self, k0: int, states: np.ndarray) -> None:
+        part = states[:, :max(0, self.out.shape[1] - k0)]
+        self.out[:, k0:k0 + part.shape[1]] = _gather(self.at, part)
 
 
 def common_numerators(angles) -> tuple[tuple[int, ...], int]:
@@ -421,7 +427,7 @@ def trace_ensemble(angles, weights, g: TowerGraph, n: int) -> TraceEnsemble:
     angles are Fractions, put over the lcm of their denominators, or a
     measure with integer nums over one den (lifting.SampleMeasure), read
     with no Fraction built; symbol_matrix routes them.  The walk is run
-    by each reader, so a trace into a frontier domain raises
+    by each fold, so a trace into a frontier domain raises
     FrontierReached there.
     """
     if n < 1:

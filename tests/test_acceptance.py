@@ -30,10 +30,11 @@ from angletower.geometry import LandingSolver, PolynomialModel
 from angletower.inducing import (choose_W, expansion_and_abramov,
                                  first_return, kac_check,
                                  recurrent_witness_domain)
-from angletower.lifting import (brolin_period_samples, brolin_samples,
-                                dirac_cycle, invariance_defect, lift_cesaro,
-                                lift_report, lyapunov_consistency,
-                                make_ensemble)
+from angletower.lifting import (DENSITY_DEPTH, brolin_period_samples,
+                                brolin_samples, dirac_cycle,
+                                invariance_defect, lift_cesaro, lift_report,
+                                lyapunov_consistency, make_ensemble,
+                                project_and_density, retained_curves)
 from angletower.tower import build_tower, structural_checks
 
 CHEB = RayChoice(2, (F(1, 2),))
@@ -99,9 +100,7 @@ def cheb_induced(cheb_graph):
     mu = brolin_period_samples(g.partition, 768, seed=13, bits=16)
     ens = make_ensemble(mu, g, 1600)
     witness = choose_W(g, recurrent_witness_domain(g), F(1, 64))
-    ind = first_return(ens, witness)
-    mass = lift_cesaro(ens, 1600, 8)
-    return mu, ens, ind, mass
+    return mu, ens, first_return(ens, witness)
 
 
 @pytest.fixture(scope="module")
@@ -209,6 +208,10 @@ def test_criterion_06_lifting_sanity(cheb_graph, big_lifts):
     rep = lift_report(ens, n_grid=(1000,), R_grid=(2, 4, 6, 8))
     retained = [row[2] for row in sorted(rep.curves)]
     assert retained == sorted(retained)
+    # the report's one walk gives what the single-diagnostic folds give
+    assert rep.curves == tuple(retained_curves(ens, (1000,), (2, 4, 6, 8)))
+    assert rep.densities == project_and_density(ens, DENSITY_DEPTH,
+                                                8).corrected
     report(6, f"mass gap {worst_gap:.2e} (<= 1e-12), invariance defect "
               f"{defects[100]:.4f}/{defects[1000]:.4f} vs 2/n, retained "
               f"non-decreasing in R: {['%.3f' % r for r in retained]}")
@@ -246,7 +249,7 @@ def test_criterion_08_lyapunov_identities(cheb_graph, cheb_solver,
                                     cheb_solver, R=8, n=64)
     assert beta_rep.lambda_f == pytest.approx(LOG4, rel=0.01)
 
-    _, _, ind, _ = cheb_induced
+    _, _, ind = cheb_induced
     expansion = expansion_and_abramov(ind, cheb_solver)
     assert expansion.entropy_rate == pytest.approx(LOG2, rel=0.05)
     report(8, f"brolin lambda {rep.lambda_f:.5f} (log 2 +- 2%), dirac-beta "
@@ -256,8 +259,8 @@ def test_criterion_08_lyapunov_identities(cheb_graph, cheb_solver,
 
 
 def test_criterion_09_kac_abramov(cheb_solver, cheb_induced):
-    _, _, ind, mass = cheb_induced
-    kac = kac_check(ind, mass)
+    _, _, ind = cheb_induced
+    kac = kac_check(ind, 8)
     assert kac.relative_error is not None and kac.relative_error <= 0.05
     assert kac.censor_fraction < 0.05
     assert kac.verdict == "ok"

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from angletower import lifting, streams
 from angletower.angles import itinerary
 from angletower.census import InsufficientDepth
 from angletower.cli import (COMMANDS, EXIT_CHECK, EXIT_CONFIG,
@@ -243,6 +244,75 @@ def test_conformal_artifacts_bytes_frozen(tmp_path):
     got = {f: hashlib.sha1((tmp_path / f).read_bytes()).hexdigest()
            for f in FROZEN_CONFORMAL}
     assert got == FROZEN_CONFORMAL
+
+
+# sha1 of the sampled artifacts of each shipped config at seed 7, made
+# while the conformal experiment walked its ensemble four times and the
+# induce stage twice
+FROZEN_SHIPPED = {
+    "chebyshev": {
+        "lyapunov.json": "7cea8c64c779d2cc640bf4874bea26c67136896d",
+        "induce.json": "3f2b4e54931674e2ceb94e30ca7f5c6575940760",
+        "tau_histogram.csv": "c70541ad795ac2b508f6226af77dd97cd0aa74f0",
+        "branch_words.csv": "f74c2203045fc2050d014c25cdba8041c8f8f489",
+        "conformal.json": "cd6bf49a505e9d09800da167b53ea99a6757814c",
+    },
+    "dendrite": {
+        "lyapunov.json": "6e404b5cd107ecdd1358bd458c7937bc98b07ae9",
+        "induce.json": "b10e8a29f05b2bf28ac7b1cbf2ea518c372f218a",
+        "tau_histogram.csv": "25d24f348fa6fa7d6634ad8bfd06a26d8090d026",
+        "branch_words.csv": "a37bf924a7587acb1142def6ee26ddc00289930c",
+        "conformal.json": "de2f7f3f159ba83a639e01f18cecc08ad099609f",
+    },
+    "cubic": {
+        "lyapunov.json": "b1248cb538d01c84a8ada0e2d76c9a86163c518d",
+        "induce.json": "962e39a3c26aacd32c06400a8e03173dcad59063",
+        "tau_histogram.csv": "df50ee5a055e9cb7c94171df0de1d7350b625e60",
+        "branch_words.csv": "a27f222d679feaac9fa58c62f56b787f0027220e",
+        "conformal.json": "fb101a6f3d526d94936337c14085b44184cb88b4",
+    },
+    "pair": {
+        "lyapunov.json": "6bb95e60f8e2d696677023a26db04abb894348b2",
+        "induce.json": "7977ca823174e64b17b506126647fd6e5f846c0f",
+        "tau_histogram.csv": "352a977dc145aacfa261158de267a3591377497d",
+        "branch_words.csv": "3035fdd4106943c1e8b91619aac69f4660e42eff",
+        "conformal.json": "86d452f1e134f39959fd1abd02cf4b2def9d6876",
+    },
+}
+WALKING_STAGES = ("lift", "lyapunov", "induce", "conformal")
+
+
+@pytest.fixture(scope="module", params=list(FROZEN_SHIPPED))
+def shipped_run(request, tmp_path_factory):
+    """A shipped config's sampling stages at seed 7, with the stage of
+    every tower walk they made: (name, out dir, walks)."""
+    name = request.param
+    cfg = Path(__file__).resolve().parents[1] / "configs" / f"{name}.ini"
+    out = tmp_path_factory.mktemp(name)
+    walks, walk = [], streams.walk_blocks
+
+    def counted(*args):
+        walks.append(stage)
+        return walk(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(streams, "walk_blocks", counted)
+        for stage in ("tower-build",) + WALKING_STAGES:
+            assert main([stage, "--config", str(cfg), "--out", str(out),
+                         "--seed", "7"]) == EXIT_OK, stage
+    return name, out, walks
+
+
+def test_each_stage_walks_its_ensemble_once(shipped_run):
+    name, _, walks = shipped_run
+    assert walks == list(WALKING_STAGES), name
+
+
+def test_shipped_sampled_artifacts_bytes_frozen(shipped_run):
+    name, out, _ = shipped_run
+    got = {f: hashlib.sha1((out / f).read_bytes()).hexdigest()
+           for f in FROZEN_SHIPPED[name]}
+    assert got == FROZEN_SHIPPED[name]
 
 
 def test_manifest_counters_repeat_and_dendrite_lands_by_newton(tmp_path):
@@ -621,6 +691,11 @@ LOAD_BOUNDS = {
     "seed-negative": (BASE, "seed = 3", "seed = -1", "seed must be >= 0"),
     "R-grid-negative": (BASE, "R_grid = 4 5", "R_grid = -2 8",
                         "R_grid entries must be >= 0"),
+    # 1/4 is strictly preperiodic, so no point mass sits on its cycle
+    "dirac-preperiodic": (BASE, "sampler = brolin\ncount = 200",
+                          "sampler = dirac\nangle = 1/4",
+                          "angle 1/4 is not periodic under multiplication "
+                          "by 2"),
 }
 
 
@@ -759,15 +834,18 @@ def test_missing_config_file(tmp_path, capsys):
     assert "cannot read config" in capsys.readouterr().err
 
 
-def test_module_error_maps_to_check_failure(tmp_path, capsys):
-    # 1/4 is strictly preperiodic, so a point mass on its cycle is empty
-    text = BASE.format(R=5, extra=16, out=tmp_path / "o")
-    text = text.replace("sampler = brolin\ncount = 200",
-                        "sampler = dirac\nangle = 1/4")
-    cfg, _ = write_cfg(tmp_path, text=text)
-    main(["tower-build", "--config", str(cfg)])
+def test_module_error_maps_to_check_failure(tmp_path, capsys, monkeypatch):
+    # a ValueError raised inside a stage body is a check failure
+    cfg, out = write_cfg(tmp_path)
+    assert main(["tower-build", "--config", str(cfg)]) == EXIT_OK
+
+    def refuse(*args, **kwargs):
+        raise ValueError("injected refusal")
+
+    monkeypatch.setattr(lifting, "lift_report", refuse)
     assert main(["lift", "--config", str(cfg)]) == EXIT_CHECK
-    assert "check failure" in capsys.readouterr().err
+    assert "check failure: injected refusal" in capsys.readouterr().err
+    assert not (out / "lift.json").exists()
 
 
 def test_json_config(tmp_path):

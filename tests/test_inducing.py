@@ -495,7 +495,7 @@ def test_first_return_holds_its_records_and_one_block(cheb_ens, cheb_witness,
 
 
 def test_kac_identity_on_recurrent_witness(cheb_system, cheb_mass):
-    kr = kac_check(cheb_system, cheb_mass)
+    kr = kac_check(cheb_system, 8)
     assert kr.verdict == "ok"
     assert kr.censor_fraction < 0.005
     assert kr.relative_error <= 0.05
@@ -504,6 +504,9 @@ def test_kac_identity_on_recurrent_witness(cheb_system, cheb_mass):
     assert kr.mean_tau == pytest.approx(2.1207, abs=0.002)
     assert kr.witness_mass == pytest.approx(0.5 * 15 / 16, abs=0.01)
     assert kr.domain_mass_lift == pytest.approx(0.5, abs=0.01)
+    # the first return's own walk gives the Cesaro lift to the bit
+    witness = cheb_system.witness.domain_id
+    assert kr.domain_mass_lift == cheb_mass.mass[witness]
 
 
 def test_kac_dendrite_level_one_witness():
@@ -514,7 +517,7 @@ def test_kac_dendrite_level_one_witness():
     w = choose_W(g, recurrent_witness_domain(g).id, F(1, 64))
     assert w.domain_id == 1
     sys = first_return(ens, w)
-    kr = kac_check(sys, lift_cesaro(ens, 1600, 8))
+    kr = kac_check(sys, 8)
     assert kr.verdict == "ok"
     # per-cycle witness frequencies are strongly heterogeneous on the
     # dendrite tower, so the pooled identity carries a real bias of a
@@ -528,29 +531,45 @@ def test_kac_dirac_loop_mean_tau_is_reciprocal_mass(dirac_system,
                                                     cheb_graph):
     _, ens, sys = dirac_system
     assert np.all(sys.return_time == 1)
-    kr = kac_check(sys, lift_cesaro(ens, 200, 8))
+    kr = kac_check(sys, 8)
     assert kr.mean_tau == 1.0
     assert kr.witness_mass == pytest.approx(199 / 200, abs=1e-12)
     assert kr.relative_error < 0.01
     assert kr.domain_mass_lift == pytest.approx(199 / 200, abs=1e-12)
+    assert kr.domain_mass_lift == lift_cesaro(ens, 200, 8).mass[1]
 
 
-def test_kac_inconclusive_under_heavy_censoring(cheb_ens, cheb_witness,
-                                                cheb_mass):
+def test_kac_domain_mass_is_the_cesaro_lift_with_unequal_weights(
+        cheb_graph):
+    # unequal weights over samples of several denominators: the marked
+    # weights summed in sample order, as np.bincount adds them, then the
+    # steps in order; a witness domain above R reads 0.0
+    mu = custom_measure([(F(k, 97), k / 820) for k in range(1, 41)],
+                        cheb_graph.partition)
+    ens = make_ensemble(mu, cheb_graph, 300)
+    for domain in (1, 2):
+        sys = first_return(ens, choose_W(cheb_graph, domain, F(1, 64)))
+        level = cheb_graph.domains[domain].level
+        for R in (level, 8):
+            assert kac_check(sys, R).domain_mass_lift == \
+                lift_cesaro(ens, 300, R).mass.get(domain, 0.0), (domain, R)
+        assert kac_check(sys, level - 1).domain_mass_lift == 0.0
+
+
+def test_kac_inconclusive_under_heavy_censoring(cheb_ens, cheb_witness):
     sys = first_return(cheb_ens, cheb_witness, horizon=8)
-    kr = kac_check(sys, cheb_mass)
+    kr = kac_check(sys, 8)
     assert kr.censor_fraction > 0.05
     assert kr.verdict == "inconclusive"
 
 
-def test_kac_degenerate_without_returns(dirac_system, cheb_graph,
-                                        cheb_mass):
+def test_kac_degenerate_without_returns(dirac_system, cheb_graph):
     mu, ens, _ = dirac_system
     base_w = choose_W(cheb_graph, 0, F(0))
     sys = first_return(ens, base_w)
     assert sys.return_count == 0
     assert len(sys.censored_sample) == 1
-    kr = kac_check(sys, cheb_mass)
+    kr = kac_check(sys, 8)
     assert kr.verdict == "degenerate"
     assert math.isnan(kr.mean_tau)
 
@@ -761,9 +780,9 @@ def test_branch_words_csv_frozen_head(cheb_system):
         "0,6,1,0\n")
 
 
-def test_to_json_round_trips(cheb_system, cheb_mass, cheb_expansion):
+def test_to_json_round_trips(cheb_system, cheb_expansion):
     import json
-    blob = json.dumps([kac_check(cheb_system, cheb_mass).to_json(),
+    blob = json.dumps([kac_check(cheb_system, 8).to_json(),
                        cheb_expansion.to_json()])
     assert json.loads(blob)[0]["verdict"] == "ok"
 

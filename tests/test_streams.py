@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -250,8 +251,7 @@ def test_frontier_in_a_later_block(monkeypatch, cells):
     ens = make_ensemble(mu, g, n)
     walked = []
     with pytest.raises(FrontierReached) as exc:
-        for k0, block in ens.state_blocks(n):
-            walked.append(k0)
+        ens.fold(n, SimpleNamespace(add=lambda k0, block: walked.append(k0)))
     # every block before the one holding the step came out of the walk
     width = streams_module._block_width(50)
     assert walked == list(range(0, step - step % width, width))
