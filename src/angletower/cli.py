@@ -462,8 +462,14 @@ def cmd_induce(cfg: RunConfig, out: Path):
                                seed=cfg["sampling", "seed"] + 2,
                                bits=cfg["induce", "bits"])
     ens = make_ensemble(mu, g, cfg["induce", "horizon"])
-    witness = choose_W(g, recurrent_witness_domain(g),
-                       cfg["margins", "cutpoint_margin"])
+    try:
+        domain = recurrent_witness_domain(g)
+    except ValueError:
+        # a walk into the frontier is refused first (exit 3), as in the
+        # other walking stages
+        ens.fold(ens.horizon)
+        raise
+    witness = choose_W(g, domain, cfg["margins", "cutpoint_margin"])
     ind = first_return(ens, witness)
     kac = kac_check(ind, cfg["tower", "R"])
     expansion = expansion_and_abramov(ind, cfg.solver)

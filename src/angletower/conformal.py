@@ -227,7 +227,8 @@ def solve_delta(basis: CylinderBasis, delta_tol: float = DELTA_TOL,
 
     DELTA_GRID is evaluated first, both to report the curve and to tighten
     the bracket; bisection then runs until the bracket is below delta_tol
-    and the midpoint eigenvalue is within RHO_TOL of 1.
+    and the midpoint eigenvalue is within RHO_TOL of 1, and its last
+    solve is the result.
     """
     grid = DELTA_GRID
     rhos = []
@@ -245,17 +246,16 @@ def solve_delta(basis: CylinderBasis, delta_tol: float = DELTA_TOL,
     evals = 0
     while True:
         mid = (lo + hi) / 2
+        final = leading_eigen(basis, mid, tol=eigen_tol)
         if mid == lo or mid == hi:
             break
-        rho = leading_eigen(basis, mid, tol=eigen_tol).rho
         evals += 1
-        if rho > 1.0:
+        if final.rho > 1.0:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= delta_tol and abs(rho - 1.0) <= RHO_TOL:
+        if hi - lo <= delta_tol and abs(final.rho - 1.0) <= RHO_TOL:
             break
-    final = leading_eigen(basis, mid, tol=eigen_tol)
     return ConformalSolve(basis, grid, tuple(rhos), mid, final.rho,
                           final.vector, final.residual,
                           final.support_size, evals)
@@ -395,11 +395,13 @@ def lyapunov_liftability_experiment(
     curves = _Curves(ens, (level_cap,), lift_horizon)
     below_cap = Gather(ens, ens.levels <= level_cap, nmax)
     density = _Density(ens, basis.depth, level_cap, lift_horizon)
+    refusal = None
     try:  # no witness domain is refused after the walk and the node check
-        marks = np.arange(len(ens.levels)) == recurrent_witness_domain(g).id
-    except ValueError:
-        marks = np.zeros(len(ens.levels), dtype=bool)
-    in_domain = Gather(ens, marks, lift_horizon)
+        witness_id = recurrent_witness_domain(g).id
+    except ValueError as err:
+        witness_id, refusal = -1, err
+    in_domain = Gather(ens, np.arange(len(ens.levels)) == witness_id,
+                       lift_horizon)
     # the fold refuses horizons past the lift horizon
     ens.fold(max(lift_horizon, nmax), curves, below_cap, density, in_domain)
     lift = liftability_verdict(curves.rows(n_grid))
@@ -432,7 +434,9 @@ def lyapunov_liftability_experiment(
 
     headline = lyap_cells[(float(min(lambdas)), int(max(horizons)))]
 
-    witness = choose_W(g, recurrent_witness_domain(g), margin)
+    if refusal:
+        raise refusal
+    witness = choose_W(g, g.domains[witness_id], margin)
     ind = return_records(ens, witness, in_domain.out)
     tail = ind.censored_entry >= lift_horizon // 2
     tail_mass = float(ens.weights[ind.censored_sample[tail]].sum())

@@ -5,11 +5,12 @@ into small integers that is constant between sorted integer cuts over a
 lattice M (`Cells`: the partition's symbols, or a witness arc-set's
 inside/outside parity) depends only on the cell floor(M*x) of x, lattice
 points included, so each step is one cell -> value lookup.  The router
-sends each sample to one of two exact scans of its cells:
+sends a whole ensemble, by its one denominator q, down one of two exact
+scans of its cells:
 
 * forward: p <- d*p mod q with cell M*p // q, on int64 when
   q * max(d, M) < 2^62 and on Python ints otherwise;
-* backward, for d-adic j / d^K (the Brolin samples) when d*M fits the
+* backward, for d-adic q (the Brolin samples j / d^K) when d*M fits the
   scan's block table: over the base-d digits from the last,
   c_k = (digit_k * M + c_{k+1}) // d from c_K = 0, exact since
   floor((A + f) / d) = A // d for integer A and 0 <= f < 1.
@@ -107,20 +108,21 @@ def _cell_table(cells: Cells) -> np.ndarray:
         np.searchsorted(cells.cuts, np.arange(cells.lattice), side="right")]
 
 
-def cell_streams(nums, dens, n: int, cells: Cells) -> np.ndarray:
-    """Cell values of the angles p/q along n steps of p <- d*p mod q.
+def cell_streams(nums, den: int, n: int, cells: Cells) -> np.ndarray:
+    """Cell values of the angles p/den along n steps of p <- d*p mod den.
 
     Entry [s, k] is for the k-th image of sample s, in a column-major
-    uint8 matrix like the TraceEnsemble's.
+    uint8 matrix like the TraceEnsemble's.  Every sample steps on int64
+    when den fits_int64, else every sample on Python ints.
     """
     d, lattice = cells.d, cells.lattice
     cuts = np.asarray(cells.cuts, dtype=np.int64)
     dense = lattice <= _DENSE_CELLS
     values = (_cell_table(cells) if dense
               else np.asarray(cells.values, dtype=np.uint8))
-    wide = not fits_int64(int(max(dens, default=1)), lattice, d)
+    wide = not fits_int64(den, lattice, d)
     p = np.array(nums, dtype=object if wide else np.int64)
-    q = np.array(dens, dtype=p.dtype)
+    q = den if wide else np.int64(den)
     out = np.empty((len(p), n), dtype=np.uint8, order="F")
     cell = np.empty_like(p)
     for k in range(n):
@@ -261,7 +263,9 @@ class TraceEnsemble:
 
     Sample s is nums[s] / den, den not necessarily reduced (d^K for the
     Brolin samples); angles is a lazy, cached, read-only Fraction view
-    that the walk, count and lift diagnostics never build.
+    that the walk, count and lift diagnostics never build.  The symbols
+    of all samples take the one route of symbol_matrix that den picks, so
+    a mixed-denominator measure steps on Python ints.
 
     symbols[s, k] is the partition symbol of the angle of sample s at step
     k, stored column-major (step-major): the column [:, k] of one step is
@@ -338,42 +342,20 @@ def common_numerators(angles) -> tuple[tuple[int, ...], int]:
 def symbol_matrix(nums, den: int, n: int, cells: Cells) -> np.ndarray:
     """Cell values (samples x n, column-major uint8) of nums[s] / den.
 
-    The one router of the exact streams: a sample over q steps forward on
-    int64 when q fits_int64, backward when q is d-adic and d*M is at most
-    _DENSE_CELLS (the scan's table at one digit a block), and forward on
-    Python ints otherwise.  A den that fits_int64 or is d-adic, reduced or
-    not, is every sample's q; any other den is often the lcm of many small
-    ones (a mixed measure), so samples route by their denominators in
-    lowest terms.
+    The one router of the exact streams, which sends every sample down the
+    one route den picks: forward on int64 when den fits_int64, backward
+    when den is d-adic, reduced or not, and d*M is at most _DENSE_CELLS
+    (the scan's table at one digit a block), and forward on Python ints
+    otherwise.  So a mixed-denominator measure, over the lcm of d-adic
+    and other denominators, steps on Python ints.
     """
     d, M = cells.d, cells.lattice
-    dens = [den] * len(nums)
-    if not (fits_int64(den, M, d) or _d_adic_exponent(den, d)):
-        gcds = [math.gcd(j, den) for j in nums]
-        nums = [j // c for j, c in zip(nums, gcds)]
-        dens = [den // c for c in gcds]
-    scan = d * M <= _DENSE_CELLS
-    exps = {q: _d_adic_exponent(q, d) if scan else None for q in set(dens)
-            if not fits_int64(q, M, d)}
-    # route 0: forward on int64, -1: on Python ints, 1: backward at K
-    route = {q: 0 if q not in exps else -1 if exps[q] is None else 1
-             for q in set(dens)}
-    K = max(filter(None, exps.values()), default=0)
-    scale = {q: d ** K // q for q, k in exps.items() if k}
-    parts = []
-    for r in set(route.values()):
-        rows = [i for i, q in enumerate(dens) if route[q] == r]
-        parts.append((rows, dyadic_symbol_streams(
-            [nums[i] * scale[dens[i]] for i in rows], K, n, cells)
-            if r > 0 else cell_streams(
-                [nums[i] for i in rows], [dens[i] for i in rows], n, cells)))
-    # one route for all hands its matrix over
-    if len(parts) == 1:
-        return parts[0][1]
-    syms = np.empty((len(nums), n), dtype=np.uint8, order="F")
-    for rows, part in parts:
-        syms[rows] = part
-    return syms
+    K = (None if fits_int64(den, M, d) or d * M > _DENSE_CELLS
+         else _d_adic_exponent(den, d))
+    if K is None:
+        return cell_streams(nums, den, n, cells)
+    return dyadic_symbol_streams([j * (d ** K // den) for j in nums], K, n,
+                                 cells)
 
 
 def _gather(at: np.ndarray, states: np.ndarray) -> np.ndarray:

@@ -246,9 +246,10 @@ def test_conformal_artifacts_bytes_frozen(tmp_path):
     assert got == FROZEN_CONFORMAL
 
 
-# sha1 of the sampled artifacts of each shipped config at seed 7, made
-# while the conformal experiment walked its ensemble four times and the
-# induce stage twice
+# sha1 of the sampled artifacts of each shipped config at seed 7: the
+# first five made while the conformal experiment walked its ensemble four
+# times and the induce stage twice, the last five while the streams router
+# still split a mixed-denominator ensemble by each sample's denominator
 FROZEN_SHIPPED = {
     "chebyshev": {
         "lyapunov.json": "7cea8c64c779d2cc640bf4874bea26c67136896d",
@@ -256,6 +257,11 @@ FROZEN_SHIPPED = {
         "tau_histogram.csv": "c70541ad795ac2b508f6226af77dd97cd0aa74f0",
         "branch_words.csv": "f74c2203045fc2050d014c25cdba8041c8f8f489",
         "conformal.json": "cd6bf49a505e9d09800da167b53ea99a6757814c",
+        "lift.json": "c9c6fc9eb1688f862fc4871bacfc86e2ec63f34a",
+        "curves.csv": "e27da34ac65bd23502d800a92237f758a0d6187d",
+        "landings.csv": "817d6d19e5f5504d31b15e677a85b8905dbc7335",
+        "weights.csv": "719c388bdb7357698f46cf41a3e8955828ef26b0",
+        "delta_curve.csv": "75d2dfb36de461c28a4e5b846112a38681536df2",
     },
     "dendrite": {
         "lyapunov.json": "6e404b5cd107ecdd1358bd458c7937bc98b07ae9",
@@ -263,6 +269,11 @@ FROZEN_SHIPPED = {
         "tau_histogram.csv": "25d24f348fa6fa7d6634ad8bfd06a26d8090d026",
         "branch_words.csv": "a37bf924a7587acb1142def6ee26ddc00289930c",
         "conformal.json": "de2f7f3f159ba83a639e01f18cecc08ad099609f",
+        "lift.json": "4cbdfb5c9e6dcf5981c34a3f0c991935b7113ac5",
+        "curves.csv": "42363cf9b76886c77ec2a669a769fa3dbb086975",
+        "landings.csv": "e6ac341c5cca0c3fc8d21fced87d3d889c33429c",
+        "weights.csv": "4218c8ca1a097ed1b287897e031c1ff8b87868a2",
+        "delta_curve.csv": "3b991f3a62412bfa2136a7def053a87589258d97",
     },
     "cubic": {
         "lyapunov.json": "b1248cb538d01c84a8ada0e2d76c9a86163c518d",
@@ -270,6 +281,11 @@ FROZEN_SHIPPED = {
         "tau_histogram.csv": "df50ee5a055e9cb7c94171df0de1d7350b625e60",
         "branch_words.csv": "a27f222d679feaac9fa58c62f56b787f0027220e",
         "conformal.json": "fb101a6f3d526d94936337c14085b44184cb88b4",
+        "lift.json": "bb0f9f34a69ef1dba50c81f6d28982942ec8839e",
+        "curves.csv": "287f4a7689997ba56f1699fa484e49e33dbb7f9f",
+        "landings.csv": "38a8b497225e8e79b233edc64f4ec6920cdd6fb6",
+        "weights.csv": "dd6c4c589d754e0041d22654605d5903c166a21c",
+        "delta_curve.csv": "555a1b21663ebb000f8a1f1375ac2f0f973bbad5",
     },
     "pair": {
         "lyapunov.json": "6bb95e60f8e2d696677023a26db04abb894348b2",
@@ -277,6 +293,11 @@ FROZEN_SHIPPED = {
         "tau_histogram.csv": "352a977dc145aacfa261158de267a3591377497d",
         "branch_words.csv": "3035fdd4106943c1e8b91619aac69f4660e42eff",
         "conformal.json": "86d452f1e134f39959fd1abd02cf4b2def9d6876",
+        "lift.json": "548315c754b81a1abe4567fb3338e53d3cfb220e",
+        "curves.csv": "5a1b7f8af707ac835981d96e301de4b0d62119be",
+        "landings.csv": "4633f5046137e8745d52b9c00acb888071c85e44",
+        "weights.csv": "5c1d729001266f3c5739dc07fa42cd98e9dba851",
+        "delta_curve.csv": "b5ad313e1b6c94e613dce92615cf65db66893129",
     },
 }
 WALKING_STAGES = ("lift", "lyapunov", "induce", "conformal")
@@ -408,6 +429,27 @@ def test_both_shallow_tower_errors_exit_3(tmp_path, capsys):
         assert main([stage, "--config", str(cfg)] + out) == \
             EXIT_DEPENDENCY, stage
         assert message in capsys.readouterr().err, stage
+
+
+def test_witnessless_shallow_tower_exits_3_in_induce_and_conformal(
+        tmp_path, capsys):
+    # at R = 1 with no levels beyond it no strongly connected set of two
+    # or more domains stays clear of the frontier, so there is no witness
+    # domain; both stages refuse the walk into the frontier first, with
+    # its extra_levels advice
+    shipped = Path(__file__).resolve().parents[1] / "configs" / "chebyshev.ini"
+    text = shipped.read_text().replace("extra_levels = 64", "extra_levels = 0")
+    cfg, _ = write_cfg(tmp_path, text=text.replace("R = 8", "R = 1"))
+    out = ["--out", str(tmp_path / "out")]
+    assert main(["tower-build", "--config", str(cfg)] + out) == EXIT_OK
+    capsys.readouterr()
+    for stage in ("induce", "conformal"):
+        assert main([stage, "--config", str(cfg)] + out) == \
+            EXIT_DEPENDENCY, stage
+        err = capsys.readouterr().err
+        assert err.startswith("dependency error:"), stage
+        assert "rebuild the tower with extra_levels at least" in err, stage
+        assert not (tmp_path / "out" / f"{stage}.json").exists()
 
 
 def test_induce_stage_peak_on_dendrite(tmp_path):

@@ -17,8 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from angletower import conformal
 from angletower.angles import ArcSet, RayChoice, build_partition
-from angletower.conformal import (NODE_OFFSETS, build_basis,
+from angletower.conformal import (DELTA_GRID, NODE_OFFSETS, build_basis,
                                   conformality_residual, curve_csv,
                                   leading_eigen,
                                   lyapunov_liftability_experiment,
@@ -246,6 +247,31 @@ def test_m0_residual_trivially_zero(cheb_bases):
     assert conformality_residual(cheb_bases[0], [1.0], 0.0) == 0.0
 
 
+@pytest.mark.parametrize("delta_tol", [1e-6, 0.0],
+                         ids=["tolerance", "exhausted"])
+def test_solve_delta_keeps_its_last_bisection_solve(monkeypatch, cheb_bases,
+                                                    delta_tol):
+    # the result is the last bisection step's solve, not a repeat at its
+    # delta; only a loop that stops on mid == lo or mid == hi (a bracket
+    # no float splits, as delta_tol = 0 forces) solves once more, at that
+    # midpoint
+    deltas, eigen = [], conformal.leading_eigen
+
+    def counted(basis, delta, **kw):
+        deltas.append(delta)
+        return eigen(basis, delta, **kw)
+
+    monkeypatch.setattr(conformal, "leading_eigen", counted)
+    s = solve_delta(cheb_bases[4], delta_tol=delta_tol)
+    exhausted = delta_tol == 0.0
+    assert len(deltas) == len(DELTA_GRID) + s.evaluations + exhausted
+    assert deltas[-1] == s.delta
+    assert (deltas[-1] in deltas[:-1]) == exhausted
+    again = eigen(cheb_bases[4], s.delta)
+    assert (s.rho, s.eigen_residual) == (again.rho, again.residual)
+    assert (s.weights == again.vector).all()
+
+
 def test_delta_star_table(cheb_solves):
     frozen = {2: 1.00218001, 4: 0.99622226, 6: 1.00073427,
               8: 1.00043337, 10: 1.00013652}
@@ -419,6 +445,33 @@ def test_experiment_rejects_depth_zero(cheb_bases, cheb_graph, cheb_solver):
         delta = 0.0
     with pytest.raises(ValueError, match="depth"):
         lyapunov_liftability_experiment(Stub(), cheb_graph, cheb_solver)
+
+
+def test_experiment_asks_for_the_witness_domain_once(monkeypatch, cheb_solves,
+                                                    cheb_graph, cheb_solver):
+    # asked once before the walk; a refusal is raised after the walk and
+    # the node check, and a found domain is the conical witness's
+    calls, find = [], conformal.recurrent_witness_domain
+
+    def counted(g):
+        calls.append(g)
+        return find(g)
+
+    monkeypatch.setattr(conformal, "recurrent_witness_domain", counted)
+    rep = lyapunov_liftability_experiment(cheb_solves[4], cheb_graph,
+                                          cheb_solver)
+    assert calls == [cheb_graph]
+    assert rep.witness_domain == find(cheb_graph).id
+
+    def refused(g):
+        calls.append(g)
+        raise ValueError("no strongly connected component of size >= 2")
+
+    monkeypatch.setattr(conformal, "recurrent_witness_domain", refused)
+    with pytest.raises(ValueError, match="no strongly connected"):
+        lyapunov_liftability_experiment(cheb_solves[4], cheb_graph,
+                                        cheb_solver)
+    assert len(calls) == 2
 
 
 def test_experiment_json(cheb_report):

@@ -350,19 +350,20 @@ def test_first_return_rejects_empty_witness(cheb_ens):
 
 
 def route_recorder(monkeypatch):
-    """The routes the streams router sends samples down, as they run:
-    "backward", "int64" or "python"."""
-    seen = set()
+    """Each kernel call of the streams router as it runs: the route,
+    "backward", "int64" or "python", and the denominator it steps over."""
+    seen = []
     scan, forward = streams.dyadic_symbol_streams, streams.cell_streams
 
-    def backward(*args):
-        seen.add("backward")
-        return scan(*args)
+    def backward(nums, K, n, cells):
+        seen.append(("backward", cells.d ** K))
+        return scan(nums, K, n, cells)
 
-    def stepped(nums, dens, n, cells):
-        seen.add("int64" if streams.fits_int64(max(dens), cells.lattice,
-                                               cells.d) else "python")
-        return forward(nums, dens, n, cells)
+    def stepped(nums, den, n, cells):
+        seen.append(("int64" if streams.fits_int64(den, cells.lattice,
+                                                   cells.d) else "python",
+                     den))
+        return forward(nums, den, n, cells)
 
     monkeypatch.setattr(streams, "dyadic_symbol_streams", backward)
     monkeypatch.setattr(streams, "cell_streams", stepped)
@@ -370,22 +371,22 @@ def route_recorder(monkeypatch):
 
 
 ROUTE_CASES = {
-    # (ray choice, witness margin, ensemble, routes of the witness test)
-    "brolin-cheb": (CHEB, F(1, 64), "brolin", {"backward"}),
-    "brolin-cubic": (CUBIC, F(1, 64), "brolin", {"backward"}),
+    # (ray choice, witness margin, ensemble, route of the witness test)
+    "brolin-cheb": (CHEB, F(1, 64), "brolin", "backward"),
+    "brolin-cubic": (CUBIC, F(1, 64), "brolin", "backward"),
     # the backward table takes 2 * 3 * 2^15 rows at one digit a block,
     # but not 2 * 3 * 2^19 (more than 2^20)
-    "fine-witness": (DEND, F(1, 2 ** 15), "brolin", {"backward"}),
-    "finer-witness": (DEND, F(1, 2 ** 19), "brolin", {"python"}),
+    "fine-witness": (DEND, F(1, 2 ** 15), "brolin", "backward"),
+    "finer-witness": (DEND, F(1, 2 ** 19), "brolin", "python"),
     # the lcm of 2^K and 2^10 - 1 is neither d-adic nor int64-sized, so
-    # each sample routes by its own denominator
-    "mixed": (CHEB, F(1, 64), "mixed", {"backward", "int64"}),
+    # the whole ensemble steps over it on Python ints
+    "mixed": (CHEB, F(1, 64), "mixed", "python"),
 }
 
 
 @pytest.mark.parametrize("case", ROUTE_CASES)
 def test_first_return_visits_match_oracle_on_every_route(monkeypatch, case):
-    rc, margin, kind, routes = ROUTE_CASES[case]
+    rc, margin, kind, route = ROUTE_CASES[case]
     n = 160
     g = build_tower(rc, 4, extra_levels=n)
     w = choose_W(g, recurrent_witness_domain(g), margin)
@@ -396,7 +397,7 @@ def test_first_return_visits_match_oracle_on_every_route(monkeypatch, case):
     ens = make_ensemble(mu, g, n)
     seen = route_recorder(monkeypatch)
     ind = first_return(ens, w)
-    assert seen == routes
+    assert seen == [(route, ens.den)]
     got = sorted(zip(ind.sample_index.tolist(), ind.entry_step.tolist()))
     got += sorted(zip(ind.censored_sample.tolist(),
                       ind.censored_entry.tolist()))
@@ -414,7 +415,8 @@ def test_first_return_visits_match_oracle_on_every_route(monkeypatch, case):
 def test_first_return_reads_wide_common_denominator(cheb_graph,
                                                     cheb_witness):
     # each denominator fits the int64 membership kernel, their lcm does
-    # not: the samples are read in lowest terms, as if measured alone
+    # not: the pair steps over the lcm on Python ints, and each sample
+    # reads as if measured alone
     angles = (F(5, 2 ** 31 - 1), F(7, 2 ** 31 - 3))
     mu = custom_measure([(a, 0.5) for a in angles])
     assert not fits_int64(mu.den, cheb_witness.arcs.den, 2)

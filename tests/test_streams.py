@@ -18,7 +18,8 @@ from angletower.inducing import (choose_W, first_return,
 from angletower.lifting import (brolin_period_samples, brolin_samples,
                                 make_ensemble)
 from angletower.streams import (FrontierReached, cell_streams,
-                                dyadic_symbol_streams, is_dyadic,
+                                common_numerators, dyadic_symbol_streams,
+                                is_dyadic,
                                 symbol_cells, symbol_matrix, trace_ensemble,
                                 walk_table, window_digits)
 from angletower.tower import build_tower
@@ -194,28 +195,66 @@ def test_angle_at_and_level_gather(cheb_graph):
     assert lv[0, 0] == 0
 
 
-def test_wide_mixed_denominators_route_in_lowest_terms(monkeypatch,
-                                                      cheb_graph):
+def test_wide_mixed_denominators_step_once_over_the_lcm(monkeypatch,
+                                                        cheb_graph):
     # the lcm of many small primes is far too wide for int64, while each
-    # sample alone fits: the samples are stepped over their own primes
+    # sample alone fits: the ensemble takes one route, a single call that
+    # steps every sample over the lcm on Python ints
     primes = [p for p in range(3, 300) if all(p % q for q in range(2, p))]
     angles = tuple(F(1 + p // 2, p) for p in primes)
     seen = []
     kernel = streams_module.cell_streams
 
-    def recording(nums, dens, *args):
-        seen.extend(dens)
-        return kernel(nums, dens, *args)
+    def recording(nums, den, *args):
+        seen.append(den)
+        return kernel(nums, den, *args)
 
     monkeypatch.setattr(streams_module, "cell_streams", recording)
     ens = trace_ensemble(angles, np.full(len(angles), 1 / len(angles)),
                          cheb_graph, 30)
     assert ens.den == math.prod(primes)
     assert ens.angles == angles
-    assert seen == primes
+    assert seen == [ens.den]
+    assert not streams_module.fits_int64(ens.den,
+                                         cheb_graph.partition.lattice, 2)
     for s, a in enumerate(angles):
         assert list(ens.symbols[s]) == list(itinerary(a, cheb_graph.partition,
                                                       30))
+
+
+# ensembles of each kind, over n = 60 steps of the Chebyshev partition,
+# and the one kernel their den picks: 2^124 is d-adic and too wide for
+# int64; the lcm of 2^124 and 2^6 - 1 is neither d-adic nor int64-sized
+ONE_ROUTE_CASES = {
+    "brolin": (lambda p: brolin_samples(p, 40, 60, seed=1).angles,
+               "dyadic_symbol_streams"),
+    "periodic": (lambda p: brolin_period_samples(p, 40, 1, bits=6).angles,
+                 "cell_streams"),
+    "wide-prime": (lambda p: (F(3, 2 ** 61 - 1), F(5, 2 ** 31 - 1)),
+                   "cell_streams"),
+    "mixed": (lambda p: (brolin_samples(p, 20, 60, seed=1).angles
+                         + brolin_period_samples(p, 20, 1, bits=6).angles),
+              "cell_streams"),
+}
+
+
+@pytest.mark.parametrize("case", ONE_ROUTE_CASES)
+def test_symbol_matrix_makes_one_kernel_call(monkeypatch, cheb_graph, case):
+    draw, kernel = ONE_ROUTE_CASES[case]
+    calls = []
+    for name in ("cell_streams", "dyadic_symbol_streams"):
+        def counted(*args, name=name, run=getattr(streams_module, name)):
+            calls.append(name)
+            return run(*args)
+
+        monkeypatch.setattr(streams_module, name, counted)
+    angles = draw(cheb_graph.partition)
+    ens = trace_ensemble(angles, np.full(len(angles), 1 / len(angles)),
+                         cheb_graph, 60)
+    assert calls == [kernel]
+    for s, a in enumerate(angles):
+        assert list(ens.symbols[s]) == list(itinerary(a, cheb_graph.partition,
+                                                      60))
 
 
 def test_trace_rejects_bad_inputs(cheb_graph):
@@ -346,8 +385,7 @@ def assert_cell_kernel_matches_itinerary(part, seed):
     angles = ([F(k, M) for k in sorted(ks)]
               + [F(int(j), 7 * M) for j in rng.integers(0, 7 * M, 8)])
     for group in (angles, [F(1 + seed, WIDE)]):
-        rows = cell_streams([a.numerator for a in group],
-                            [a.denominator for a in group], n, cells)
+        rows = cell_streams(*common_numerators(group), n, cells)
         for a, row in zip(group, rows):
             assert list(row) == list(itinerary(a, part, n))
     # backward: d-adic angles j / d^K with K below and above the horizon,
