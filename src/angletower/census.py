@@ -20,16 +20,12 @@ from fractions import Fraction
 from .tower import TowerGraph, TowerTooShallow
 
 
-class InsufficientDepth(TowerTooShallow):
+def _frontier(g: TowerGraph, did: int, needed_extra: int) -> TowerTooShallow:
     """The walk reached a domain whose out-edges were never built."""
-
-    def __init__(self, domain_id: int, level: int, needed_extra: int):
-        super().__init__(
-            f"domain {domain_id} (level {level}) is an unexpanded frontier "
-            f"marker; rebuild the tower with extra_levels >= {needed_extra}")
-        self.domain_id = domain_id
-        self.level = level
-        self.needed_extra = needed_extra
+    return TowerTooShallow(
+        f"domain {did} (level {g.domains[did].level}) is an unexpanded "
+        f"frontier marker; rebuild the tower with extra_levels >= "
+        f"{needed_extra}")
 
 
 @dataclass(frozen=True)
@@ -65,9 +61,7 @@ def cutpoint_census(g: TowerGraph, R: int, domain_id: int,
         new: dict[int, int] = {}
         for did, cnt in vec.items():
             if did in g.frontier:
-                raise InsufficientDepth(
-                    did, g.domains[did].level,
-                    R + horizon - 1 - g.truncation)
+                raise _frontier(g, did, R + horizon - 1 - g.truncation)
             for _, tid in g.successors(did):
                 if g.domains[tid].level > R:
                     new[tid] = new.get(tid, 0) + cnt
@@ -95,8 +89,7 @@ def brute_force_paths(g: TowerGraph, domain_id: int,
             out.append(word)
             return
         if did in g.frontier:
-            raise InsufficientDepth(did, g.domains[did].level,
-                                    R + t - 1 - g.truncation)
+            raise _frontier(g, did, R + t - 1 - g.truncation)
         for sym, tid in g.successors(did):
             if g.domains[tid].level > R:
                 walk(tid, word + (sym,))

@@ -276,6 +276,14 @@ def load_config(args) -> RunConfig:
     if v["lift", "sampler"] == "dirac" and math.gcd(dirac.denominator, d) > 1:
         raise raw.error("lift", "angle", f"angle {format_angle(dirac % 1)} "
                         f"is not periodic under multiplication by {d}")
+    # a [lift] key written for a sampler that never reads it is refused
+    sampler = v["lift", "sampler"]
+    for key, read in (("count", sampler != "dirac"),
+                      ("bits", sampler == "brolin-periodic"),
+                      ("angle", sampler == "dirac")):
+        if not read and key in raw.sections.get("lift", {}):
+            raise raw.error("lift", key, f"{key} is not read under "
+                            f"sampler = {sampler}")
     tol_orbit = v["tolerances", "tol_orbit"]
     try:
         model = PolynomialModel(v["map", "degree"], complex(

@@ -149,8 +149,7 @@ class EigenResult:
 
 
 def leading_eigen(basis: CylinderBasis, delta: float,
-                  tol: float = EIGEN_TOL,
-                  max_iter: int = EIGEN_MAX_ITER) -> EigenResult:
+                  tol: float) -> EigenResult:
     """Leading eigenvalue with nonnegative left eigenvector (sum 1) of the
     transfer operator at delta.
 
@@ -167,7 +166,7 @@ def leading_eigen(basis: CylinderBasis, delta: float,
     cols = at[basis.children[mask]].T
     w = np.exp(-delta * basis.log_derivs)[mask]
     v = np.append(np.full(K, 1.0 / K), 0.0)
-    for it in range(max_iter):
+    for it in range(EIGEN_MAX_ITER):
         u = sum(w * v[c] for c in cols)
         rho = float(u.sum())
         u /= rho
@@ -177,7 +176,7 @@ def leading_eigen(basis: CylinderBasis, delta: float,
             break
     else:
         raise RuntimeError(
-            f"power iteration did not converge in {max_iter} steps")
+            f"power iteration did not converge in {EIGEN_MAX_ITER} steps")
     residual = float(np.max(np.abs(sum(w * v[c] for c in cols)
                                    - rho * v[:K])))
     full = np.zeros(basis.size)
@@ -362,8 +361,7 @@ class EquivalenceReport:
 def lyapunov_liftability_experiment(
         solve: ConformalSolve, g: TowerGraph, solver: LandingSolver, *,
         lambdas=(1.1, 1.2, 1.5), horizons=(6, 8, 10),
-        eps_grid=(0.05, 0.1, 0.2), level_cap: int = 8,
-        lift_horizon: int = 1000,
+        eps_grid=(0.05, 0.1, 0.2), level_cap: int = 8, lift_horizon: int,
         margin: Fraction = DEFAULT_MARGIN) -> EquivalenceReport:
     """Run both sides of the liftability criterion on a solved measure.
 

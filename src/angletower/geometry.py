@@ -40,6 +40,11 @@ COARSE = 1e-6
 NEWTON_STEPS = 8
 NEWTON_REACH = 64
 NEWTON_EVERY = 16
+# Critical orbit steps searched for a recurrence; potential rows a landing
+# sweeps; the potential below which a sweep row may land an orbit
+MAX_PREPERIOD = 200
+DEPTH = 600
+POTENTIAL_FLOOR = 1e-15
 
 
 class LandingError(RuntimeError):
@@ -57,8 +62,7 @@ class PolynomialModel:
 
     __slots__ = ("degree", "c", "critical_orbit", "preperiod", "period")
 
-    def __init__(self, degree: int, c: complex, tol_orbit: float = 1e-9,
-                 max_preperiod: int = 200):
+    def __init__(self, degree: int, c: complex, tol_orbit: float = 1e-9):
         if degree < 2:
             raise ValueError("degree must be >= 2")
         self.degree = degree
@@ -66,7 +70,7 @@ class PolynomialModel:
         pts: list[complex] = [0j]
         z = 0j
         found = None
-        for _ in range(max_preperiod):
+        for _ in range(MAX_PREPERIOD):
             z = z ** degree + self.c
             if abs(z) > 1e6:
                 raise ValueError(f"critical orbit escapes for c = {c}")
@@ -80,7 +84,7 @@ class PolynomialModel:
         if found is None:
             raise ValueError(
                 f"critical orbit of c = {c} shows no recurrence within "
-                f"{max_preperiod} steps (tol {tol_orbit:g})")
+                f"{MAX_PREPERIOD} steps (tol {tol_orbit:g})")
         self.preperiod = found
         self.period = len(pts) - found
         self.critical_orbit = tuple(pts)
@@ -224,36 +228,33 @@ class LandingSolver:
     t0 * d^(-m/SUBSTEPS) is one _nearest_roots call over the pool, and an
     orbit's move on a row is the largest move among its points.
 
-    Once the potential is below COARSE (or potential_floor, if larger) and
+    Once the potential is below COARSE (or POTENTIAL_FLOOR, if larger) and
     an orbit's move is at most COARSE, Newton on f^p(z) = z refines its
     cycle from its points on that row, and the orbit is pulled back from
     the refined point along the roots nearest those points.  It lands at
     that row if no Newton step overflows or exceeds NEWTON_REACH times its
     last move, Newton converges, the cycle repels, and the pullback closes
     within tol_land and moves no point beyond that reach.  Any other orbit
-    sweeps on, with no second try, to a row below potential_floor that
-    moves it by at most tol_land, or to a LandingError after depth rows.
+    sweeps on, with no second try, to a row below POTENTIAL_FLOOR that
+    moves it by at most tol_land, or to a LandingError after DEPTH rows.
     Newton runs in batches (every NEWTON_EVERY rows, on the last row, on
-    rows below potential_floor, and once every live orbit waits), and
+    rows below POTENTIAL_FLOOR, and once every live orbit waits), and
     waiting orbits keep sweeping.  rows is the row an orbit froze at, and
     counters adds up orbits, rows swept and the landings of each phase.
     An orbit's steps read only its own points, which depend only on its
     angle, so land_orbit is the batch of one.
 
     Near a cycle of multiplier L the sweep's error decays like t^b with
-    b = log|L| / (q log d); the default depth covers b down to about 0.2.
+    b = log|L| / (q log d); DEPTH covers b down to about 0.2.
     Orbits through the critical point land about sqrt(machine eps) off: the
     root turns a one-ulp phase error at the critical value into its root.
     """
 
-    __slots__ = ("model", "tol_land", "depth", "potential_floor", "counters")
+    __slots__ = ("model", "tol_land", "counters")
 
-    def __init__(self, model: PolynomialModel, tol_land: float = 1e-12,
-                 depth: int = 600, potential_floor: float = 1e-15):
+    def __init__(self, model: PolynomialModel, tol_land: float = 1e-12):
         self.model = model
         self.tol_land = tol_land
-        self.depth = depth
-        self.potential_floor = potential_floor
         self.counters = Counter()
 
     def _finish(self, held, sizes, pres):
@@ -320,7 +321,7 @@ class LandingSolver:
 
         def points(i):  # live orbit i's points on the current row
             return new[members[starts[i]:starts[i] + sizes[i]]]
-        for m in range(S, self.depth + S):
+        for m in range(S, DEPTH + S):
             if not len(live):
                 break
             count["landing.rows"] += 1
@@ -329,16 +330,16 @@ class LandingSolver:
             diff = np.maximum.reduceat(np.abs(new - old)[members], starts)
             ring[m % S] = prev = new
             t = t0 * d ** (-m / S)
-            if t >= max(COARSE, self.potential_floor):
+            if t >= max(COARSE, POTENTIAL_FLOOR):
                 continue
             tried = np.flatnonzero(coarse & (diff <= COARSE))
-            landed = (diff <= self.tol_land) & (t < self.potential_floor)
+            landed = (diff <= self.tol_land) & (t < POTENTIAL_FLOOR)
             for i in tried:
                 held[i] = (m, points(i), NEWTON_REACH * diff[i])
             coarse[tried] = False
             found = {}
-            if held and (m % NEWTON_EVERY == 0 or t < self.potential_floor
-                         or len(held) == len(live) or m == self.depth + S - 1):
+            if held and (m % NEWTON_EVERY == 0 or t < POTENTIAL_FLOOR
+                         or len(held) == len(live) or m == DEPTH + S - 1):
                 found = self._finish(held, sizes, pres)
                 landed[list(found)] = True
                 count["landing.newton"] += len(found)
@@ -367,7 +368,7 @@ class LandingSolver:
         last = {keys[k]: float(diff[i]) for i, k in enumerate(live)}
         return [done[r] if r in done else LandingError(
             f"no convergence for angle {format_angle(a)} within depth "
-            f"{self.depth} (last sweep moved {last[r]:.3e})")
+            f"{DEPTH} (last sweep moved {last[r]:.3e})")
             for a, r in zip(angles, reduced)]
 
     def land_orbit(self, a: Fraction) -> OrbitLanding:

@@ -205,15 +205,12 @@ class InducedSystem:
         return [(int(t), len(x), float(x.sum())) for t, x in zip(taus, parts)]
 
 
-def first_return(ensemble: TraceEnsemble, witness: WitnessRegion,
-                 horizon: int | None = None) -> InducedSystem:
+def first_return(ensemble: TraceEnsemble,
+                 witness: WitnessRegion) -> InducedSystem:
     """Visits of every trace to the witness, split into return intervals."""
     if witness.arcs.is_empty:
         raise ValueError("witness region is empty")
-    h = ensemble.horizon if horizon is None else int(horizon)
-    if h < 1 or h > ensemble.horizon:
-        raise ValueError(
-            f"horizon must lie in [1, {ensemble.horizon}], got {h}")
+    h = ensemble.horizon
     in_domain = Gather(ensemble, np.arange(len(ensemble.levels))
                        == witness.domain_id, h)
     ensemble.fold(h, in_domain)
@@ -524,11 +521,9 @@ def tau_histogram_csv(ind: InducedSystem) -> str:
     return "\n".join(lines) + "\n"
 
 
-def branch_words_csv(ind: InducedSystem, limit: int | None = None) -> str:
+def branch_words_csv(ind: InducedSystem, limit: int) -> str:
     lines = ["sample,entry,tau,word"]
-    top = ind.return_count if limit is None else min(limit,
-                                                     ind.return_count)
-    for i in range(top):
+    for i in range(min(limit, ind.return_count)):
         word = "".join(str(x) for x in ind.branch_word(i))
         lines.append(f"{ind.sample_index[i]},{ind.entry_step[i]},"
                      f"{ind.return_time[i]},{word}")

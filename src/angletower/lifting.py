@@ -129,7 +129,7 @@ def brolin_samples(partition: CirclePartition, count: int, horizon: int,
 
 
 def brolin_period_samples(partition: CirclePartition, count: int,
-                          seed: int, bits: int = 16) -> SampleMeasure:
+                          seed: int, bits: int) -> SampleMeasure:
     """Uniform sampler on angles j / (d^bits - 1): periodic, short orbits.
 
     The denominator is coprime to d, so every sample is periodic with
@@ -160,25 +160,18 @@ def dirac_cycle(partition: CirclePartition, a: Fraction) -> SampleMeasure:
                          "dirac-periodic")
 
 
-def custom_measure(pairs, partition: CirclePartition | None = None,
-                   provenance: str = "custom", horizon: int | None = None,
-                   allow_boundary_orbit: bool = False) -> SampleMeasure:
-    """Measure from explicit (angle, weight) pairs.
-
-    With a partition given, samples whose orbit meets the boundary are
-    rejected unless allow_boundary_orbit is set (such measures are the
-    canonical non-liftable examples, so the door stays open).
-    """
+def custom_measure(pairs, partition: CirclePartition,
+                   provenance: str) -> SampleMeasure:
+    """Measure from explicit (angle, weight) pairs, none of whose orbits
+    meets the partition's boundary."""
     pairs = tuple(pairs)
     angles = [Fraction(a) % 1 for a, _ in pairs]
-    if partition is not None and not allow_boundary_orbit:
-        for a in angles:
-            if orbit_hits_boundary(a, partition):
-                raise ValueError(
-                    f"sample {format_angle(a)} has a boundary-riding "
-                    f"orbit; pass allow_boundary_orbit=True if intended")
+    for a in angles:
+        if orbit_hits_boundary(a, partition):
+            raise ValueError(
+                f"sample {format_angle(a)} has a boundary-riding orbit")
     return SampleMeasure(*common_numerators(angles),
-                         [float(w) for _, w in pairs], provenance, horizon)
+                         [float(w) for _, w in pairs], provenance)
 
 
 # --------------------------------------------------------------------------
@@ -264,8 +257,7 @@ class _Curves:
         return rows
 
 
-def lift_cesaro(ens: TraceEnsemble, n: int,
-                R: int | None = None) -> TowerMass:
+def lift_cesaro(ens: TraceEnsemble, n: int, R: int) -> TowerMass:
     """The horizon-n Cesaro lift of the ensemble restricted to levels <= R.
 
     Averages the pushed sample masses over steps 0..n-1, as the defect
@@ -274,7 +266,6 @@ def lift_cesaro(ens: TraceEnsemble, n: int,
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    R = ens.graph.truncation if R is None else R
     occupation = _Defect(ens, n - 1)
     ens.fold(n, occupation)
     mass = {i: float(w) for i, w in enumerate(occupation.total / n)
@@ -321,13 +312,12 @@ class LiftReport:
     verdict: str
     densities: dict | None = None
     invariance_defect: float | None = None
-    note: str = "finite-horizon surrogate verdict"
 
     def to_json(self) -> dict:
         return {
             "verdict": self.verdict,
             "floor": DEFAULT_FLOOR,
-            "note": self.note,
+            "note": "finite-horizon surrogate verdict",
             "curves": [list(r) for r in self.curves],
             "densities": (None if self.densities is None else
                           {"".join(map(str, k)): v
@@ -457,7 +447,7 @@ class _Density:
                                          minlength=self.base)
                 self.retained_sum += float(w[keep].sum())
 
-    def report(self, min_mass: float = 0.0) -> DensityReport:
+    def report(self) -> DensityReport:
         N, m, mu_mass = self.N, self.m, self.mu_mass
         proj = self.proj / self.steps
         retained = self.retained_sum / self.steps
@@ -466,7 +456,7 @@ class _Density:
         skipped = []
         for i in np.nonzero(mu_mass + proj)[0]:
             word = tuple(int(x) for x in np.unravel_index(i, (N,) * m))
-            if mu_mass[i] <= min_mass or mu_mass[i] == 0.0:
+            if mu_mass[i] == 0.0:
                 skipped.append(word)
                 continue
             r = float(proj[i] / mu_mass[i])
@@ -475,25 +465,25 @@ class _Density:
         return DensityReport(m, retained, ratios, corrected, tuple(skipped))
 
 
-def project_and_density(ensemble: TraceEnsemble, m: int, R: int,
-                        n: int | None = None,
-                        min_mass: float = 0.0) -> DensityReport:
+def project_and_density(ensemble: TraceEnsemble, m: int,
+                        R: int) -> DensityReport:
     """Ratio (projected retained lift of Z) / mu(Z) per depth-m cylinder.
 
     Cylinder membership at step k needs the symbols k..k+m-1, so the
-    average runs over k < n - m.  mu(Z) is the empirical weight of the
-    samples starting in Z; cylinders at or below min_mass are skipped.
+    average runs over k < n - m, n the horizon.  mu(Z) is the empirical
+    weight of the samples starting in Z; cylinders of no weight are
+    skipped.
     The corrected map divides by the overall retained mass, which is the
     constant the raw ratios approach for an invariant liftable input.
     """
     if m < 1:
         raise ValueError("depth must be >= 1")
-    n = ensemble.horizon if n is None else n
+    n = ensemble.horizon
     if n - m < 1:
         raise ValueError("horizon too short for this cylinder depth")
     density = _Density(ensemble, m, R, n)
     ensemble.fold(n, density)
-    return density.report(min_mass)
+    return density.report()
 
 
 # --------------------------------------------------------------------------
@@ -523,8 +513,8 @@ class LyapunovReport:
 
 
 def lyapunov_consistency(ensemble: TraceEnsemble, model: PolynomialModel,
-                         solver: LandingSolver, R: int | None = None,
-                         n: int | None = None) -> LyapunovReport:
+                         solver: LandingSolver, R: int,
+                         n: int) -> LyapunovReport:
     """Base and tower Lyapunov estimates from the same landed orbits.
 
     lambda_f averages log|Df| over every traced step; lambda_fhat
@@ -535,10 +525,7 @@ def lyapunov_consistency(ensemble: TraceEnsemble, model: PolynomialModel,
     passes within CRIT_TOL of the critical point, are excluded and
     reported.
     """
-    g = ensemble.graph
-    d = g.partition.degree
-    R = g.truncation if R is None else R
-    n = ensemble.horizon if n is None else n
+    d = ensemble.graph.partition.degree
     retained = Gather(ensemble, ensemble.levels <= R, n)
     ensemble.fold(n, retained)
     excluded = []

@@ -62,7 +62,7 @@ def _d_adic_exponent(den: int, d: int) -> int | None:
     return k
 
 
-def is_dyadic(a: Fraction, d: int = 2) -> bool:
+def is_dyadic(a: Fraction, d: int) -> bool:
     """Whether a is d-adic: its denominator divides a power of d."""
     return _d_adic_exponent(a.denominator, d) is not None
 
@@ -214,22 +214,6 @@ def dyadic_symbol_streams(numerators, K: int, n: int,
 
 # --------------------------------------------------------------------------
 # tower walk
-
-
-class FrontierReached(TowerTooShallow):
-    """A trace stepped into an unexpanded frontier domain.
-
-    The tower is too shallow for the requested horizon; rebuild with
-    extra_levels increased by at least `needed_extra`.
-    """
-
-    def __init__(self, step: int, needed_extra: int):
-        self.step = step
-        self.needed_extra = needed_extra
-        super().__init__(
-            f"trace needs an out-edge of a frontier domain at step {step}; "
-            f"rebuild the tower with extra_levels at least {needed_extra} "
-            f"larger")
 
 
 def _block_width(count: int) -> int:
@@ -397,8 +381,11 @@ def walk_blocks(g: TowerGraph, table: np.ndarray, syms: np.ndarray,
             # in the table, and the walk goes on to the block end
             np.take(flat, index, out=block[:, j], mode="clip")
         if block.min() < 0:
-            j = int(np.flatnonzero(block.min(axis=0) < 0)[0])
-            raise FrontierReached(k0 + j, max(1, n - 1 - g.expand_limit))
+            step = k0 + int(np.flatnonzero(block.min(axis=0) < 0)[0])
+            raise TowerTooShallow(
+                f"trace needs an out-edge of a frontier domain at step "
+                f"{step}; rebuild the tower with extra_levels at least "
+                f"{max(1, n - 1 - g.expand_limit)} larger")
         yield k0, block
 
 
@@ -410,7 +397,7 @@ def trace_ensemble(angles, weights, g: TowerGraph, n: int) -> TraceEnsemble:
     measure with integer nums over one den (lifting.SampleMeasure), read
     with no Fraction built; symbol_matrix routes them.  The walk is run
     by each fold, so a trace into a frontier domain raises
-    FrontierReached there.
+    TowerTooShallow there.
     """
     if n < 1:
         raise ValueError("horizon must be >= 1")

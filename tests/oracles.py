@@ -15,7 +15,8 @@ from fractions import Fraction
 import numpy as np
 
 from angletower.angles import ArcSet, CirclePartition, angle_orbit, times_d
-from angletower.streams import Cells, symbol_matrix
+from angletower.lifting import SampleMeasure
+from angletower.streams import Cells, common_numerators, symbol_matrix
 
 
 def contains(arcs: ArcSet, a: Fraction) -> bool:
@@ -29,6 +30,16 @@ def angle_at(ens, sample: int, k: int) -> Fraction:
     multiplication by d."""
     d = ens.graph.partition.degree
     return Fraction(ens.nums[sample] * pow(d, k, ens.den) % ens.den, ens.den)
+
+
+def boundary_measure(pairs) -> SampleMeasure:
+    """The custom measure of (angle, weight) pairs without custom_measure's
+    refusal of orbits that meet the partition boundary: the canonical
+    non-liftable examples."""
+    pairs = tuple(pairs)
+    return SampleMeasure(*common_numerators([Fraction(a) % 1
+                                             for a, _ in pairs]),
+                         [float(w) for _, w in pairs], "custom")
 
 
 def cylinder_arcset(word, partition: CirclePartition) -> ArcSet:

@@ -11,11 +11,10 @@ from hypothesis import strategies as st
 
 from angletower.angles import RayChoice
 from angletower.census import (
-    InsufficientDepth, brute_force_census, brute_force_paths,
-    cutpoint_census, l_table_csv, path_bound_constant, s_table_csv,
-    subset_count_bound, verify_appendix,
+    brute_force_census, brute_force_paths, cutpoint_census, l_table_csv,
+    path_bound_constant, s_table_csv, subset_count_bound, verify_appendix,
 )
-from angletower.tower import build_tower
+from angletower.tower import TowerTooShallow, build_tower
 
 CHEB = RayChoice(2, (F(1, 2),))
 DEND = RayChoice(2, (F(1, 6),))
@@ -189,10 +188,12 @@ def test_path_bound_constant_value():
 def test_insufficient_depth_reported():
     g = build_tower(DEND, 2)      # no extra levels
     [d2] = level_domains(g, 2)
-    with pytest.raises(InsufficientDepth) as err:
+    with pytest.raises(TowerTooShallow) as err:
         cutpoint_census(g, 2, d2, 5)
-    assert err.value.needed_extra == 4
-    with pytest.raises(InsufficientDepth):
+    assert str(err.value).endswith(
+        "is an unexpanded frontier marker; rebuild the tower with "
+        "extra_levels >= 4")
+    with pytest.raises(TowerTooShallow, match="unexpanded frontier marker"):
         brute_force_paths(g, d2, 5)
 
 

@@ -13,14 +13,12 @@ import pytest
 
 from angletower import lifting, streams
 from angletower.angles import itinerary
-from angletower.census import InsufficientDepth
 from angletower.cli import (COMMANDS, EXIT_CHECK, EXIT_CONFIG,
                             EXIT_DEPENDENCY, EXIT_OK, SCHEMA, build_parser,
                             git_blob_sha1, load_config, main)
 from angletower.geometry import LandingSolver, PolynomialModel
 from angletower.lifting import brolin_samples, make_ensemble
-from angletower.streams import FrontierReached
-from angletower.tower import TowerTooShallow, tower_from_json
+from angletower.tower import tower_from_json
 
 BASE = """\
 [map]
@@ -246,10 +244,12 @@ def test_conformal_artifacts_bytes_frozen(tmp_path):
     assert got == FROZEN_CONFORMAL
 
 
-# sha1 of the sampled artifacts of each shipped config at seed 7: the
-# first five made while the conformal experiment walked its ensemble four
-# times and the induce stage twice, the last five while the streams router
-# still split a mixed-denominator ensemble by each sample's denominator
+# sha1 of every artifact of each shipped config at seed 7 but the
+# manifests and report.json, which embeds the run's paths: the first five
+# made while the conformal experiment walked its ensemble four times and
+# the induce stage twice, the next five while the streams router still
+# split a mixed-denominator ensemble by each sample's denominator, the
+# rest while LandingSolver still took its depth and floor as options
 FROZEN_SHIPPED = {
     "chebyshev": {
         "lyapunov.json": "7cea8c64c779d2cc640bf4874bea26c67136896d",
@@ -262,6 +262,13 @@ FROZEN_SHIPPED = {
         "landings.csv": "817d6d19e5f5504d31b15e677a85b8905dbc7335",
         "weights.csv": "719c388bdb7357698f46cf41a3e8955828ef26b0",
         "delta_curve.csv": "75d2dfb36de461c28a4e5b846112a38681536df2",
+        "census.json": "eee5b0b171dd439a6f07e619336429a18893d4dd",
+        "l_table_D2.csv": "71a621b397f98281a7a3cdc382141b926532a1d1",
+        "report.txt": "77c05afd392c9bfe4c3f3e2947174d38092d2c5d",
+        "s_table_D2.csv": "760c06ee0e8e778c1d0f435595ee6f2a7ccd3397",
+        "structure.json": "539f1af014c46c15a6e050f2a32bfe6f718d1990",
+        "tower.dot": "f2c59d33bccf8f601cf336763d779d3a9e46b6b8",
+        "tower.json": "490c875dfa0b48c52cb851070f09892536294124",
     },
     "dendrite": {
         "lyapunov.json": "6e404b5cd107ecdd1358bd458c7937bc98b07ae9",
@@ -274,6 +281,13 @@ FROZEN_SHIPPED = {
         "landings.csv": "e6ac341c5cca0c3fc8d21fced87d3d889c33429c",
         "weights.csv": "4218c8ca1a097ed1b287897e031c1ff8b87868a2",
         "delta_curve.csv": "3b991f3a62412bfa2136a7def053a87589258d97",
+        "census.json": "eee5b0b171dd439a6f07e619336429a18893d4dd",
+        "l_table_D2.csv": "b72126a6b03370d29bc4eb0249835c0432b312a8",
+        "report.txt": "b42ac18d5c449c578e39bbf7bbe9f885b4bbce77",
+        "s_table_D2.csv": "989b0624012b6aa867355ce146a3f165636d33fd",
+        "structure.json": "af5ad83bb90fe7bd14c48dbbcbec9046b9d96808",
+        "tower.dot": "3923654f41fa9eab124c1aebe3cb08af7434e653",
+        "tower.json": "9b5027b0bb04b6f912cb6019339005d7bf425984",
     },
     "cubic": {
         "lyapunov.json": "b1248cb538d01c84a8ada0e2d76c9a86163c518d",
@@ -286,6 +300,13 @@ FROZEN_SHIPPED = {
         "landings.csv": "38a8b497225e8e79b233edc64f4ec6920cdd6fb6",
         "weights.csv": "dd6c4c589d754e0041d22654605d5903c166a21c",
         "delta_curve.csv": "555a1b21663ebb000f8a1f1375ac2f0f973bbad5",
+        "census.json": "7f775e86d98c5118293b55c68335106c05fc66c4",
+        "l_table_D2.csv": "06067c546bdb82014e01c5e71bb60e9858f8675c",
+        "report.txt": "d3ae4a04bf3e866e4a7a392d98a75259d5d42cf6",
+        "s_table_D2.csv": "dd38a0160c832e8f9df520153a26b75c209df845",
+        "structure.json": "67430d0368f67e42218a74d82634a2dcbd7637c4",
+        "tower.dot": "e2df577e6c42241da36daf9ffb66de3d957fb91b",
+        "tower.json": "3dc035897b109690118dbbab0c11d4db8df799dc",
     },
     "pair": {
         "lyapunov.json": "6bb95e60f8e2d696677023a26db04abb894348b2",
@@ -298,6 +319,15 @@ FROZEN_SHIPPED = {
         "landings.csv": "4633f5046137e8745d52b9c00acb888071c85e44",
         "weights.csv": "5c1d729001266f3c5739dc07fa42cd98e9dba851",
         "delta_curve.csv": "b5ad313e1b6c94e613dce92615cf65db66893129",
+        "census.json": "109a2e6b9b29fb975d077a9e0626b2a76c480f98",
+        "l_table_D3.csv": "d8f2bdaedaf31ee954b52616e9f69b1f206fc628",
+        "l_table_D4.csv": "ea2e9c51557e4c4ade4b4e3f2cfd07aadf145764",
+        "report.txt": "447db9846438d4945f7bab8ddede360f4164e24a",
+        "s_table_D3.csv": "e693da65072b57f740cb56d7374ba5aa7d43d1f9",
+        "s_table_D4.csv": "7c0faaf63864bbde325dfa83d1fefe8b241b2b18",
+        "structure.json": "bb1395c20187093de4191e9269453b0d3a230128",
+        "tower.dot": "3932e85d812cc35f3a942fc068c07e8d5a63ff1a",
+        "tower.json": "d3e488b32867ff7693111881948be612e170e8f4",
     },
 }
 WALKING_STAGES = ("lift", "lyapunov", "induce", "conformal")
@@ -305,8 +335,8 @@ WALKING_STAGES = ("lift", "lyapunov", "induce", "conformal")
 
 @pytest.fixture(scope="module", params=list(FROZEN_SHIPPED))
 def shipped_run(request, tmp_path_factory):
-    """A shipped config's sampling stages at seed 7, with the stage of
-    every tower walk they made: (name, out dir, walks)."""
+    """A shipped config's eight stages at seed 7, with the stage of every
+    tower walk they made: (name, out dir, walks)."""
     name = request.param
     cfg = Path(__file__).resolve().parents[1] / "configs" / f"{name}.ini"
     out = tmp_path_factory.mktemp(name)
@@ -318,7 +348,8 @@ def shipped_run(request, tmp_path_factory):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(streams, "walk_blocks", counted)
-        for stage in ("tower-build",) + WALKING_STAGES:
+        for stage in (("tower-build", "tower-export", "census")
+                      + WALKING_STAGES + ("report",)):
             assert main([stage, "--config", str(cfg), "--out", str(out),
                          "--seed", "7"]) == EXIT_OK, stage
     return name, out, walks
@@ -414,10 +445,8 @@ def test_shallow_tower_is_dependency_error(tmp_path, capsys):
 
 
 def test_both_shallow_tower_errors_exit_3(tmp_path, capsys):
-    # census stops on an unexpanded domain (InsufficientDepth), lift on a
-    # trace into one (FrontierReached): one exit-3 base the CLI catches
-    assert issubclass(InsufficientDepth, TowerTooShallow)
-    assert issubclass(FrontierReached, TowerTooShallow)
+    # census stops on an unexpanded domain, lift on a trace into one: one
+    # TowerTooShallow, which the CLI maps to exit 3
     shipped = Path(__file__).resolve().parents[1] / "configs" / "chebyshev.ini"
     text = shipped.read_text().replace("extra_levels = 64", "extra_levels = 0")
     cfg, _ = write_cfg(tmp_path, text=text)
@@ -738,6 +767,15 @@ LOAD_BOUNDS = {
                           "sampler = dirac\nangle = 1/4",
                           "angle 1/4 is not periodic under multiplication "
                           "by 2"),
+    # a [lift] key that the sampler never reads: the point mass on a cycle
+    # has no count, only the periodic sampler reads bits, only dirac angle
+    "dirac-count": (BASE, "sampler = brolin\ncount = 200",
+                    "sampler = dirac\nangle = 1/3\ncount = 200",
+                    "count is not read under sampler = dirac"),
+    "brolin-bits": (BASE, "count = 200", "count = 200\nbits = 12",
+                    "bits is not read under sampler = brolin"),
+    "brolin-angle": (BASE, "count = 200", "count = 200\nangle = 1/3",
+                     "angle is not read under sampler = brolin"),
 }
 
 

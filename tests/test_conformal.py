@@ -19,9 +19,9 @@ from hypothesis import strategies as st
 
 from angletower import conformal
 from angletower.angles import ArcSet, RayChoice, build_partition
-from angletower.conformal import (DELTA_GRID, NODE_OFFSETS, build_basis,
-                                  conformality_residual, curve_csv,
-                                  leading_eigen,
+from angletower.conformal import (DELTA_GRID, EIGEN_TOL, NODE_OFFSETS,
+                                  build_basis, conformality_residual,
+                                  curve_csv, leading_eigen,
                                   lyapunov_liftability_experiment,
                                   quadrature_node, solve_delta, weights_csv)
 from angletower.geometry import LandingSolver, PolynomialModel
@@ -72,7 +72,7 @@ def cheb_graph():
 def cheb_report(cheb_solves, cheb_graph, cheb_solver):
     return lyapunov_liftability_experiment(
         cheb_solves[8], cheb_graph, cheb_solver,
-        lambdas=(1.1, 1.2, 1.5, 5.0))
+        lambdas=(1.1, 1.2, 1.5, 5.0), lift_horizon=1000)
 
 
 def trig_deriv(a):
@@ -174,7 +174,7 @@ def dense_operator(basis, delta):
 def test_operator_m1_entries_against_oracle(cheb_bases):
     # every entry is 1/|Df(node)|, so each column sums to 2/|Df(node)|
     b = cheb_bases[1]
-    res = leading_eigen(b, 1.0)
+    res = leading_eigen(b, 1.0, EIGEN_TOL)
     assert res.rho == pytest.approx(2.0 / trig_deriv(b.reps[0]), abs=1e-9)
     assert res.vector.tolist() == [0.5, 0.5]
 
@@ -186,19 +186,20 @@ def test_operator_matches_dense_oracle(cheb_bases, dend_part, dend_solver):
             vals, vecs = np.linalg.eig(dense_operator(b, delta).T)
             k = int(np.argmax(vals.real))
             vec = np.abs(vecs[:, k].real)
-            res = leading_eigen(b, delta)
+            res = leading_eigen(b, delta, EIGEN_TOL)
             assert res.rho == pytest.approx(vals[k].real, rel=1e-9)
             assert res.vector == pytest.approx(vec / vec.sum(), rel=1e-8)
 
 
 def test_rho_at_zero_is_symbol_count(cheb_bases):
     for m in (1, 2):
-        assert leading_eigen(cheb_bases[m], 0.0).rho == 2.0
+        assert leading_eigen(cheb_bases[m], 0.0, EIGEN_TOL).rho == 2.0
 
 
-def test_eigen_iteration_cap(cheb_bases):
-    with pytest.raises(RuntimeError):
-        leading_eigen(cheb_bases[8], 1.0, max_iter=2)
+def test_eigen_iteration_cap(cheb_bases, monkeypatch):
+    monkeypatch.setattr(conformal, "EIGEN_MAX_ITER", 2)
+    with pytest.raises(RuntimeError, match="in 2 steps"):
+        leading_eigen(cheb_bases[8], 1.0, EIGEN_TOL)
 
 
 def test_eigen_reducible_fallback(cheb_bases):
@@ -208,7 +209,7 @@ def test_eigen_reducible_fallback(cheb_bases):
         cheb_bases[2],
         children=np.array([[1, 2], [2, -1], [1, -1], [3, -1]]),
         log_derivs=np.array([0.0, math.log(2), math.log(2), 0.0]))
-    res = leading_eigen(b, 1.0)
+    res = leading_eigen(b, 1.0, EIGEN_TOL)
     assert res.support_size == 2
     assert res.rho == pytest.approx(0.5)
     assert res.vector.tolist() == [0.0, 0.5, 0.5, 0.0]
@@ -267,7 +268,7 @@ def test_solve_delta_keeps_its_last_bisection_solve(monkeypatch, cheb_bases,
     assert len(deltas) == len(DELTA_GRID) + s.evaluations + exhausted
     assert deltas[-1] == s.delta
     assert (deltas[-1] in deltas[:-1]) == exhausted
-    again = eigen(cheb_bases[4], s.delta)
+    again = eigen(cheb_bases[4], s.delta, EIGEN_TOL)
     assert (s.rho, s.eigen_residual) == (again.rho, again.residual)
     assert (s.weights == again.vector).all()
 
@@ -302,7 +303,7 @@ def test_lebesgue_eigenvector_oracle(cheb_bases):
     b = cheb_bases[8]
     oracle = np.array([lebesgue_weight(a) for a in b.arcs])
     assert oracle.sum() == pytest.approx(1.0, abs=1e-12)
-    res = leading_eigen(b, 1.0)
+    res = leading_eigen(b, 1.0, EIGEN_TOL)
     assert 0.97 <= res.rho <= 1.03
     assert abs(res.rho - 1.0) <= 2e-3
     assert np.max(np.abs(res.vector - oracle)) <= 5e-3
@@ -341,8 +342,8 @@ def test_rho_strictly_monotone(cheb_bases, ks):
     lo, hi = sorted(ks)
     d1, d2 = lo / 20.0, hi / 20.0
     b = cheb_bases[4]
-    r1 = leading_eigen(b, d1).rho
-    r2 = leading_eigen(b, d2).rho
+    r1 = leading_eigen(b, d1, EIGEN_TOL).rho
+    r2 = leading_eigen(b, d2, EIGEN_TOL).rho
     assert r1 > r2
 
 
@@ -412,7 +413,8 @@ def test_experiment_dend(cheb_solver, dend_part, dend_solver):
     g = build_tower(DEND, 8, extra_levels=64)
     s = solve_delta(build_basis(dend_part, dend_solver, 8))
     rep = lyapunov_liftability_experiment(s, g, dend_solver,
-                                          lambdas=(1.1, 5.0))
+                                          lambdas=(1.1, 5.0),
+                                          lift_horizon=1000)
     assert rep.liftable
     assert rep.positive_lyapunov_mass == 1.0
     assert rep.consistent
@@ -428,9 +430,10 @@ def test_big_lambda_leaves_frequency_side_alone(cheb_bases, cheb_graph,
                                                 cheb_solver):
     s = solve_delta(cheb_bases[6])
     small = lyapunov_liftability_experiment(s, cheb_graph, cheb_solver,
-                                            lambdas=(1.1,))
+                                            lambdas=(1.1,), lift_horizon=1000)
     both = lyapunov_liftability_experiment(s, cheb_graph, cheb_solver,
-                                           lambdas=(1.1, 5.0))
+                                           lambdas=(1.1, 5.0),
+                                           lift_horizon=1000)
     assert small.conical_frequency == both.conical_frequency
     assert small.lift.verdict == both.lift.verdict
     for n in (6, 8, 10):
@@ -444,7 +447,8 @@ def test_experiment_rejects_depth_zero(cheb_bases, cheb_graph, cheb_solver):
         weights = np.array([1.0])
         delta = 0.0
     with pytest.raises(ValueError, match="depth"):
-        lyapunov_liftability_experiment(Stub(), cheb_graph, cheb_solver)
+        lyapunov_liftability_experiment(Stub(), cheb_graph, cheb_solver,
+                                        lift_horizon=1000)
 
 
 def test_experiment_asks_for_the_witness_domain_once(monkeypatch, cheb_solves,
@@ -459,7 +463,7 @@ def test_experiment_asks_for_the_witness_domain_once(monkeypatch, cheb_solves,
 
     monkeypatch.setattr(conformal, "recurrent_witness_domain", counted)
     rep = lyapunov_liftability_experiment(cheb_solves[4], cheb_graph,
-                                          cheb_solver)
+                                          cheb_solver, lift_horizon=1000)
     assert calls == [cheb_graph]
     assert rep.witness_domain == find(cheb_graph).id
 
@@ -470,7 +474,7 @@ def test_experiment_asks_for_the_witness_domain_once(monkeypatch, cheb_solves,
     monkeypatch.setattr(conformal, "recurrent_witness_domain", refused)
     with pytest.raises(ValueError, match="no strongly connected"):
         lyapunov_liftability_experiment(cheb_solves[4], cheb_graph,
-                                        cheb_solver)
+                                        cheb_solver, lift_horizon=1000)
     assert len(calls) == 2
 
 

@@ -64,11 +64,12 @@ def test_escaping_parameter_rejected():
         PolynomialModel(2, 3.0)
 
 
-def test_wandering_parameter_rejected():
+def test_wandering_parameter_rejected(monkeypatch):
     # interior of the main cardioid converges, but only within tolerance
     # after many steps; a generic outside-but-bounded point never closes up
+    monkeypatch.setattr(geometry, "MAX_PREPERIOD", 60)
     with pytest.raises(ValueError, match="no recurrence"):
-        PolynomialModel(2, 0.25 + 0.52j, max_preperiod=60)
+        PolynomialModel(2, 0.25 + 0.52j)
 
 
 def test_log_deriv_values():
@@ -122,10 +123,10 @@ def test_whole_orbit_landed_consistently(dend_solver):
     assert abs(f(DEND, last) - res.points[res.preperiod]) < 1e-9
 
 
-def test_nonconvergence_reported():
-    shallow = LandingSolver(CHEB, depth=5)
+def test_nonconvergence_reported(monkeypatch):
+    monkeypatch.setattr(geometry, "DEPTH", 5)
     with pytest.raises(LandingError):
-        shallow.land(F(1, 7))
+        LandingSolver(CHEB).land(F(1, 7))
 
 
 CUBIC = PolynomialModel(3, 0.34062501931660666 + 1.2712298784187062j)
@@ -145,7 +146,7 @@ def test_land_many_matches_land_orbit(model):
 
 
 # per degree: an angle a, angles falling onto one cycle, and a pair on the
-# cycle of 0 that freezes at different rows once potential_floor = 1e-3
+# cycle of 0 that freezes at different rows once POTENTIAL_FLOOR = 1e-3
 OVERLAPS = {2: (F(1, 7), (F(1, 6), F(1, 3), F(2, 3)), (F(0), F(1, 8))),
             3: (F(1, 13), (F(1, 24), F(1, 8), F(3, 8)), (F(0), F(1, 9)))}
 
@@ -161,13 +162,14 @@ def test_land_many_pool_matches_land_orbit(model):
 
 
 @pytest.mark.parametrize("model", [DEND, CUBIC], ids=["d2", "d3"])
-def test_land_many_pool_compaction(model):
+def test_land_many_pool_compaction(model, monkeypatch):
     # the first of the pair freezes while the second still sweeps its
     # points; then the second freezes and its points leave the pool while
     # the orbit of 1/5 or 1/13 still sweeps
     d = model.degree
     first, second = OVERLAPS[d][2]
-    solver = LandingSolver(model, potential_floor=1e-3)
+    monkeypatch.setattr(geometry, "POTENTIAL_FLOOR", 1e-3)
+    solver = LandingSolver(model)
     batch = [first, second, F(1, 5) if d == 2 else F(1, 13)]
     got = solver.land_many(batch)
     assert got == [solver.land_orbit(b) for b in batch]
@@ -246,7 +248,7 @@ def _scalar_landing(solver, a):
             for m in range(S)]
     prev = ring[S - 1]
     coarse = True
-    for m in range(S, solver.depth + S):
+    for m in range(S, geometry.DEPTH + S):
         old, new = ring[m % S], []
         for k, ref in enumerate(prev):
             roots = _scalar_roots(old[succ[k]] - c, d)
@@ -254,13 +256,13 @@ def _scalar_landing(solver, a):
         diff = max(abs(x - y) for x, y in zip(new, old))
         ring[m % S] = prev = new
         t = BASE_POTENTIAL * d ** (-m / S)
-        if coarse and t < max(COARSE, solver.potential_floor) \
+        if coarse and t < max(COARSE, geometry.POTENTIAL_FLOOR) \
                 and diff <= COARSE:
             coarse = False
             points = _scalar_finish(solver, new, pre, diff)
             if points is not None:
                 return m, points
-        if t < solver.potential_floor and diff <= solver.tol_land:
+        if t < geometry.POTENTIAL_FLOOR and diff <= solver.tol_land:
             return m, new
     raise LandingError(a)
 
@@ -278,12 +280,14 @@ def test_land_many_matches_scalar_cascade(model):
         assert max(abs(x - y) for x, y in zip(got.points, points)) < 1e-11
 
 
-def test_land_many_error_stays_in_its_slot():
+def test_land_many_error_stays_in_its_slot(monkeypatch):
     # the ray 0 lands at row 70 and the ray 1/7 only at row 131, so at
     # depth 100 only 1/7 fails, and the batch still lands 0
-    solver = LandingSolver(DEND, depth=100)
+    deep = LandingSolver(DEND).land_orbit(F(0))
+    monkeypatch.setattr(geometry, "DEPTH", 100)
+    solver = LandingSolver(DEND)
     zero, seventh = solver.land_many([F(0), F(1, 7)])
-    assert zero == LandingSolver(DEND).land_orbit(F(0))
+    assert zero == deep
     assert isinstance(seventh, LandingError)
     assert str(seventh).startswith(
         "no convergence for angle 1/7 within depth 100")

@@ -25,7 +25,8 @@ from angletower.lifting import (brolin_period_samples, brolin_samples,
 from angletower.streams import fits_int64
 from angletower.tower import build_tower
 
-from oracles import angle_at, contains, dense_first_return, strong_partition
+from oracles import (angle_at, boundary_measure, contains, dense_first_return,
+                     strong_partition)
 
 CHEB = RayChoice(2, (F(1, 2),))
 DEND = RayChoice(2, (F(1, 6),))
@@ -193,7 +194,8 @@ def cheb_expansion(cheb_system, cheb_solver):
 
 @pytest.fixture(scope="module")
 def dirac_system(cheb_graph):
-    mu = custom_measure([(F(0), 1.0)], provenance="dirac-periodic")
+    mu = custom_measure([(F(0), 1.0)], cheb_graph.partition,
+                        provenance="dirac-periodic")
     ens = make_ensemble(mu, cheb_graph, 200)
     return mu, ens, first_return(ens, choose_W(cheb_graph, 1, F(1, 64)))
 
@@ -393,7 +395,7 @@ def test_first_return_visits_match_oracle_on_every_route(monkeypatch, case):
     angles = brolin_samples(g.partition, 24, n, seed=3).angles
     if kind == "mixed":
         angles += brolin_period_samples(g.partition, 24, 5, bits=10).angles
-    mu = custom_measure([(a, 1 / len(angles)) for a in angles])
+    mu = boundary_measure([(a, 1 / len(angles)) for a in angles])
     ens = make_ensemble(mu, g, n)
     seen = route_recorder(monkeypatch)
     ind = first_return(ens, w)
@@ -418,27 +420,24 @@ def test_first_return_reads_wide_common_denominator(cheb_graph,
     # not: the pair steps over the lcm on Python ints, and each sample
     # reads as if measured alone
     angles = (F(5, 2 ** 31 - 1), F(7, 2 ** 31 - 3))
-    mu = custom_measure([(a, 0.5) for a in angles])
+    part = cheb_graph.partition
+    mu = custom_measure([(a, 0.5) for a in angles], part, provenance="custom")
     assert not fits_int64(mu.den, cheb_witness.arcs.den, 2)
     ind = first_return(make_ensemble(mu, cheb_graph, 300), cheb_witness)
     for s, a in enumerate(angles):
-        alone = first_return(make_ensemble(custom_measure([(a, 1.0)]),
-                                           cheb_graph, 300), cheb_witness)
+        alone = custom_measure([(a, 1.0)], part, provenance="custom")
+        alone = first_return(make_ensemble(alone, cheb_graph, 300),
+                             cheb_witness)
         mine = ind.sample_index == s
         assert ind.entry_step[mine].tolist() == alone.entry_step.tolist()
         assert ind.return_time[mine].tolist() == alone.return_time.tolist()
     assert ind.return_count > 0
 
 
-def test_first_return_horizon_validation(cheb_ens, cheb_witness):
-    with pytest.raises(ValueError, match="horizon"):
-        first_return(cheb_ens, cheb_witness, horizon=0)
-    with pytest.raises(ValueError, match="horizon"):
-        first_return(cheb_ens, cheb_witness, horizon=1601)
-
-
-def test_shorter_horizon_is_prefix(cheb_ens, cheb_witness, cheb_system):
-    short = first_return(cheb_ens, cheb_witness, horizon=400)
+def test_shorter_horizon_is_prefix(cheb_mu, cheb_graph, cheb_witness,
+                                   cheb_system):
+    short = first_return(make_ensemble(cheb_mu, cheb_graph, 400),
+                         cheb_witness)
     assert tau_additive(short)
     assert short.return_count < cheb_system.return_count
     full = cheb_system.entry_step[(cheb_system.sample_index == 0)]
@@ -451,18 +450,20 @@ RECORDS = ("sample_index", "entry_step", "return_time", "censored_sample",
 
 
 def test_first_return_blocks_match_the_dense_fill(monkeypatch, cheb_graph):
-    # 100 samples of a 300-step ensemble, read to three horizons in one
-    # block, in blocks of 7 samples (the last holds 2) and of 1 sample; at
-    # horizon 5 some samples visit the witness never and some once
+    # 100 samples traced to three horizons, read in one block, in blocks
+    # of 7 samples (the last holds 2) and of 1 sample, against the dense
+    # fill of the first h steps of a 300-step ensemble; at horizon 5 some
+    # samples visit the witness never and some once
     mu = brolin_period_samples(cheb_graph.partition, 100, seed=5, bits=12)
     ens = make_ensemble(mu, cheb_graph, 300)
     w = choose_W(cheb_graph, 2, F(1, 64))
     for h in (300, 37, 5):
         want = dense_first_return(ens, w, h)
+        short = make_ensemble(mu, cheb_graph, h)
         for cells, width in ((streams._BLOCK_CELLS, 100), (7 * h, 7), (h, 1)):
             monkeypatch.setattr(streams, "_BLOCK_CELLS", cells)
             assert min(streams._block_width(h), 100) == width
-            ind = first_return(ens, w, horizon=h)
+            ind = first_return(short, w)
             for name, arr in zip(RECORDS, want):
                 got = getattr(ind, name)
                 assert got.dtype == np.int32, name
@@ -547,7 +548,7 @@ def test_kac_domain_mass_is_the_cesaro_lift_with_unequal_weights(
     # weights summed in sample order, as np.bincount adds them, then the
     # steps in order; a witness domain above R reads 0.0
     mu = custom_measure([(F(k, 97), k / 820) for k in range(1, 41)],
-                        cheb_graph.partition)
+                        cheb_graph.partition, provenance="custom")
     ens = make_ensemble(mu, cheb_graph, 300)
     for domain in (1, 2):
         sys = first_return(ens, choose_W(cheb_graph, domain, F(1, 64)))
@@ -558,8 +559,9 @@ def test_kac_domain_mass_is_the_cesaro_lift_with_unequal_weights(
         assert kac_check(sys, level - 1).domain_mass_lift == 0.0
 
 
-def test_kac_inconclusive_under_heavy_censoring(cheb_ens, cheb_witness):
-    sys = first_return(cheb_ens, cheb_witness, horizon=8)
+def test_kac_inconclusive_under_heavy_censoring(cheb_mu, cheb_graph,
+                                               cheb_witness):
+    sys = first_return(make_ensemble(cheb_mu, cheb_graph, 8), cheb_witness)
     kr = kac_check(sys, 8)
     assert kr.censor_fraction > 0.05
     assert kr.verdict == "inconclusive"
@@ -662,7 +664,8 @@ def test_unequal_weights_match_the_dense_forms(cheb_graph, cheb_solver):
     # unequal weights sum by np.bincount of the keys' places, not by T[c]
     mu = brolin_period_samples(cheb_graph.partition, 100, seed=5, bits=12)
     w = np.random.default_rng(1).uniform(0.5, 1.5, 100)
-    mu = custom_measure(list(zip(mu.angles, w / w.sum())))
+    mu = custom_measure(list(zip(mu.angles, w / w.sum())),
+                        cheb_graph.partition, provenance="custom")
     ind = first_return(make_ensemble(mu, cheb_graph, 300),
                        choose_W(cheb_graph, 2, F(1, 64)))
     assert inducing._count_sums(ind.weights, 0) is None
@@ -796,7 +799,7 @@ def test_to_json_round_trips(cheb_system, cheb_expansion):
 def test_bookkeeping_properties(angles, n):
     uniq = sorted({a % 1 for a in angles})
     pairs = [(a, 1.0 / len(uniq)) for a in uniq]
-    mu = custom_measure(pairs, allow_boundary_orbit=True)
+    mu = boundary_measure(pairs)
     ens = make_ensemble(mu, PROP_GRAPH, n)
     sys = first_return(ens, choose_W(PROP_GRAPH, 2, F(1, 64)))
     assert tau_additive(sys)
@@ -828,8 +831,8 @@ def test_first_return_visits_match_exact_membership(margin):
               for t in (F(-2), F(-1), F(-1, 2), F(1, 2), F(1), F(2))]
     angles += brolin_period_samples(g.partition, 40, 3, bits=10).angles
     n = 30
-    ens = make_ensemble(custom_measure([(a, 1 / len(angles)) for a in angles],
-                                       allow_boundary_orbit=True), g, n)
+    ens = make_ensemble(boundary_measure([(a, 1 / len(angles))
+                                          for a in angles]), g, n)
     ind = first_return(ens, w)
     got = (set(zip(ind.sample_index.tolist(), ind.entry_step.tolist()))
            | set(zip(ind.censored_sample.tolist(),

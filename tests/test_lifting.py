@@ -22,10 +22,10 @@ from angletower.angles import RayChoice, angle_orbit, build_partition, times_d
 from angletower.geometry import LandingSolver, PolynomialModel
 from angletower.inducing import choose_W, first_return
 from angletower import streams
-from angletower.streams import FrontierReached, trace_ensemble, word_codes
-from angletower.tower import build_tower
+from angletower.streams import trace_ensemble, word_codes
+from angletower.tower import TowerTooShallow, build_tower
 
-from oracles import angle_at
+from oracles import angle_at, boundary_measure
 
 CHEB = RayChoice(2, (F(1, 2),))
 DEND = RayChoice(2, (F(1, 6),))
@@ -69,8 +69,7 @@ def dirac_ens(part, graph):
 
 @pytest.fixture(scope="module")
 def climbing_ens(part, graph):
-    mu = lf.custom_measure([(F(1, 8), 1.0)], part,
-                           allow_boundary_orbit=True)
+    mu = boundary_measure([(F(1, 8), 1.0)])
     return mu, lf.make_ensemble(mu, graph, 2000)
 
 
@@ -78,15 +77,16 @@ def climbing_ens(part, graph):
 # measures
 
 
-def test_measure_validation():
+def test_measure_validation(part):
     with pytest.raises(ValueError):
-        lf.custom_measure(((F(1, 3), 0.5),))
+        lf.custom_measure(((F(1, 3), 0.5),), part, provenance="custom")
     with pytest.raises(ValueError):
-        lf.custom_measure(((F(1, 3), -1.0), (F(2, 3), 2.0)))
+        lf.custom_measure(((F(1, 3), -1.0), (F(2, 3), 2.0)), part,
+                          provenance="custom")
     with pytest.raises(ValueError):
-        lf.custom_measure(((F(1, 3), 1.0),), provenance="homebrew")
+        lf.custom_measure(((F(1, 3), 1.0),), part, provenance="homebrew")
     with pytest.raises(ValueError):
-        lf.custom_measure(())
+        lf.custom_measure((), part, provenance="custom")
     with pytest.raises(ValueError):
         lf.SampleMeasure((1, 3), 8, [0.5, 0.25], "custom")
     with pytest.raises(ValueError):
@@ -163,8 +163,7 @@ def test_measure_views_and_denominators(part):
     assert period.angles == tuple(F(j, 4095) for j in period.nums)
     cycle = lf.dirac_cycle(part, F(2, 7))
     assert cycle.den == 7 and sorted(cycle.nums) == [1, 2, 4]
-    mixed = lf.custom_measure([(F(1, 3), 0.5), (F(5, 8), 0.5)], part,
-                              allow_boundary_orbit=True)
+    mixed = boundary_measure([(F(1, 3), 0.5), (F(5, 8), 0.5)])
     assert (mixed.den, mixed.nums) == (24, (8, 15))
     assert mixed.angles == (F(1, 3), F(5, 8))
     assert mixed.weights.tolist() == [0.5, 0.5]
@@ -187,10 +186,9 @@ def _measures(part, n, seed):
         "periodic": lf.brolin_period_samples(part, 60, seed, bits=10),
         "dirac": lf.dirac_cycle(part, cycle),
         # one common denominator fits no route the parts take alone
-        "mixed": lf.custom_measure(
+        "mixed": boundary_measure(
             [(F(1, 3), 0.25), (F(5, 2 ** 70), 0.25), (F(2, 7), 0.25),
-             (F(1 + seed, 7 ** 25), 0.25)], part, horizon=n,
-            allow_boundary_orbit=True),
+             (F(1 + seed, 7 ** 25), 0.25)]),
     }
 
 
@@ -227,11 +225,8 @@ def test_brolin_trace_builds_no_fraction(monkeypatch, graph):
 
 
 def test_custom_measure_boundary_guard(part):
-    with pytest.raises(ValueError):
-        lf.custom_measure([(F(1, 8), 1.0)], part)
-    mu = lf.custom_measure([(F(1, 8), 1.0)], part,
-                           allow_boundary_orbit=True)
-    assert mu.provenance == "custom"
+    with pytest.raises(ValueError, match="boundary-riding orbit"):
+        lf.custom_measure([(F(1, 8), 1.0)], part, provenance="custom")
 
 
 def test_orbit_hits_boundary(part):
@@ -247,7 +242,8 @@ def test_orbit_hits_boundary_past_any_step_budget(part):
     assert lf.orbit_hits_boundary(F(1, 2 ** 5002), part)
     assert not lf.orbit_hits_boundary(F(1, 3 * 2 ** 5002), part)
     with pytest.raises(ValueError, match="boundary-riding"):
-        lf.custom_measure([(F(1, 2 ** 5002), 1.0)], part)
+        lf.custom_measure([(F(1, 2 ** 5002), 1.0)], part,
+                          provenance="custom")
 
 
 # strictly preperiodic ray choices: 1/2 -> 0, 1/6 -> 1/2 -> 1/2 under
@@ -349,9 +345,8 @@ def test_lift_cesaro_sample_blocks_match_dense_formula(monkeypatch, part,
     if case == "periodic":
         mu = lf.brolin_period_samples(part, 50, seed=4, bits=12)
     else:
-        mu = lf.custom_measure([(F(k, 1023), (k + 1) / 1325)
-                                for k in range(1, 51)], part,
-                               allow_boundary_orbit=True)
+        mu = boundary_measure([(F(k, 1023), (k + 1) / 1325)
+                               for k in range(1, 51)])
         assert len(set(mu.weights)) == 50
     ens = lf.make_ensemble(mu, graph, n)
     for R in (4, 8):
@@ -413,7 +408,7 @@ def test_brolin_verdict_liftable(graph, brolin_ens):
     rows = lf.retained_curves(ens, (250, 500, 1000), (4, 6, 8))
     report = lf.liftability_verdict(rows)
     assert report.verdict == "liftable"
-    assert "surrogate" in report.note
+    assert "surrogate" in report.to_json()["note"]
 
 
 def test_climbing_orbit_not_liftable(graph, climbing_ens):
@@ -487,7 +482,7 @@ def test_defect_bound_and_decrease(graph, brolin_ens):
 
 def test_density_ratios_near_one(dense_ens):
     _, ens = dense_ens
-    report = lf.project_and_density(ens, 6, 8, n=256)
+    report = lf.project_and_density(ens, 6, 8)
     assert len(report.ratios) == 64
     assert not report.skipped
     for word, val in report.corrected.items():
@@ -498,7 +493,7 @@ def test_density_ratios_near_one(dense_ens):
 
 def test_density_climbing_ratios_vanish(climbing_ens):
     _, ens = climbing_ens
-    report = lf.project_and_density(ens, 4, 8, n=2000)
+    report = lf.project_and_density(ens, 4, 8)
     for val in report.ratios.values():
         assert val < 0.02
     assert report.skipped
@@ -506,9 +501,10 @@ def test_density_climbing_ratios_vanish(climbing_ens):
 
 def test_density_skips_zero_mass_words(part, graph):
     # the 2-cycle at 1/3 stays inside one arc; 5/6 starts in the other
-    mu = lf.custom_measure([(F(1, 3), 0.5), (F(5, 6), 0.5)], part)
+    mu = lf.custom_measure([(F(1, 3), 0.5), (F(5, 6), 0.5)], part,
+                           provenance="custom")
     ens = lf.make_ensemble(mu, graph, 60)
-    report = lf.project_and_density(ens, 4, 8, n=60)
+    report = lf.project_and_density(ens, 4, 8)
     assert set(report.ratios) == {(0, 0, 0, 0), (1, 0, 0, 0)}
     assert report.skipped == ()
     # a sparse measure projects onto words its initial mass never saw
@@ -517,9 +513,9 @@ def test_density_skips_zero_mass_words(part, graph):
     assert rep2.skipped
 
 
-def test_density_json(dense_ens):
-    _, ens = dense_ens
-    report = lf.project_and_density(ens, 3, 8, n=64)
+def test_density_json(dense_ens, graph):
+    mu, _ = dense_ens
+    report = lf.project_and_density(lf.make_ensemble(mu, graph, 64), 3, 8)
     data = json.loads(json.dumps(report.to_json()))
     assert data["depth"] == 3
     assert set(len(k) for k in data["ratios"]) == {3}
@@ -534,8 +530,7 @@ def test_density_json(dense_ens):
 def weighted_ens(part, graph):
     base = lf.brolin_samples(part, 1500, 600, seed=21)
     w = np.random.default_rng(21).random(1500) + 0.05
-    mu = lf.custom_measure(zip(base.angles, w / w.sum()),
-                           horizon=base.horizon)
+    mu = boundary_measure(zip(base.angles, w / w.sum()))
     return mu, lf.make_ensemble(mu, graph, 600)
 
 
@@ -555,8 +550,8 @@ def test_retained_curves_add_samples_in_order(graph, weighted_ens):
 
 def test_project_and_density_matches_step_loop(weighted_ens):
     _, ens = weighted_ens
-    m, R, n = 4, 6, 600
-    report = lf.project_and_density(ens, m, R, n=n)
+    m, R, n = 4, 6, ens.horizon
+    report = lf.project_and_density(ens, m, R)
     N = ens.graph.partition.size
     w = ens.weights
     proj = np.zeros(N ** m)
@@ -592,6 +587,7 @@ def test_count_path_matches_weighted_path(monkeypatch, rc):
         if name == "mixed":
             continue
         ens = lf.make_ensemble(mu, g, n)
+        short = lf.make_ensemble(mu, g, n - 7)
         assert lf._count_sums(ens.weights) is not None, name
         results = []
         for weighted in (False, True):
@@ -600,8 +596,8 @@ def test_count_path_matches_weighted_path(monkeypatch, rc):
             results.append((
                 lf.retained_curves(ens, (40, 100, n), (2, 4, 6)),
                 [lf.invariance_defect(ens, k, ids) for k in (1, 50, n)],
-                lf.project_and_density(ens, 4, 5, n=n),
-                lf.project_and_density(ens, 2, 3, n=n - 7, min_mass=0.02),
+                lf.project_and_density(ens, 4, 5),
+                lf.project_and_density(short, 2, 3),
             ))
             monkeypatch.undo()
         counted, summed = results
@@ -621,9 +617,6 @@ def test_diagnostics_past_the_traced_horizon(graph, period_ens):
     with pytest.raises(ValueError,
                        match="ensemble traced to 240, requested 300"):
         lf.retained_curves(ens, (100, 300), (4, 8))
-    with pytest.raises(ValueError,
-                       match="ensemble traced to 240, requested 241"):
-        lf.project_and_density(ens, 4, 8, n=241)
     with pytest.raises(ValueError,
                        match="ensemble traced to 240, requested 241"):
         lf.invariance_defect(ens, 241, [0])
@@ -668,8 +661,7 @@ def test_lyapunov_not_liftable_undefined(graph, climbing_ens, cheb_solver):
 
 
 def test_lyapunov_reports_exclusions(part, graph, cheb_solver):
-    mu = lf.custom_measure([(F(3, 16), 0.5), (F(1, 3), 0.5)], part,
-                           allow_boundary_orbit=True)
+    mu = boundary_measure([(F(3, 16), 0.5), (F(1, 3), 0.5)])
     ens = lf.make_ensemble(mu, graph, 60)
     rep = lf.lyapunov_consistency(ens, cheb_solver.model, cheb_solver,
                                   R=8, n=60)
@@ -690,9 +682,9 @@ def test_lyapunov_lands_non_d_adic_dyadic_sample():
                                        1.2712298784187062))
     solver = LandingSolver(model)
     mu = lf.custom_measure([(F(205, 3 ** 8 - 1), 0.5), (F(1, 3 ** 5), 0.5)],
-                           g.partition)
+                           g.partition, provenance="custom")
     ens = lf.make_ensemble(mu, g, 40)
-    rep = lf.lyapunov_consistency(ens, model, solver, n=40)
+    rep = lf.lyapunov_consistency(ens, model, solver, R=4, n=40)
     assert rep.excluded == ((1, "orbit too long to land"),)
     assert rep.used_weight == pytest.approx(0.5)
     assert solver.land_orbit(F(1, 32)).period == 8
@@ -800,10 +792,9 @@ def test_streamed_lift_matches_materialized(monkeypatch, name, rc):
                      (2, 4, 6)),
         "dirac": (lf.dirac_cycle(part, CYCLE_ABOVE_LEVEL_1[name]), (1,)),
         # unequal weights over denominators no one scan takes together
-        "custom": (lf.custom_measure(
+        "custom": (boundary_measure(
             [(F(1, 3), 0.5), (F(5, 2 ** 70), 0.25), (F(2, 7), 0.125),
-             (F(1, 7 ** 25), 0.125)], part, horizon=n,
-            allow_boundary_orbit=True), (2, 4, 6)),
+             (F(1, 7 ** 25), 0.125)]), (2, 4, 6)),
     }
     reports = {}
     for case, (mu, R_grid) in cases.items():
@@ -829,21 +820,17 @@ def test_streamed_lift_matches_materialized(monkeypatch, name, rc):
 
 def test_streamed_lift_raises_as_the_ensemble_does(monkeypatch):
     g = build_tower(CHEB, 3)
-    climber = lf.custom_measure([(F(1, 8), 1.0)], g.partition,
-                                allow_boundary_orbit=True)
+    climber = boundary_measure([(F(1, 8), 1.0)])
     brolin = lf.brolin_samples(g.partition, 50, 300, seed=2)
     monkeypatch.setattr(streams, "_BLOCK_CELLS", 50 * 3)
     for mu, n in ((climber, 12), (brolin, 300)):
         # the ensemble holds its symbols; each walk of it meets the frontier
         ens = lf.make_ensemble(mu, g, n)
-        with pytest.raises(FrontierReached) as built:
+        with pytest.raises(TowerTooShallow) as built:
             ens.states
-        with pytest.raises(FrontierReached) as streamed:
+        with pytest.raises(TowerTooShallow) as streamed:
             lf.lift_report(ens, (n // 2, n), (2,))
-        assert (streamed.value.step, streamed.value.needed_extra,
-                str(streamed.value)) == (built.value.step,
-                                         built.value.needed_extra,
-                                         str(built.value))
+        assert str(streamed.value) == str(built.value)
     with pytest.raises(ValueError,
                        match="measure is exact to horizon 300, requested 301"):
         lf.make_ensemble(brolin, g, 301)
@@ -886,8 +873,7 @@ def test_conservation_and_monotone_property(angles, n):
     g = PROP_GRAPH
     part = g.partition
     w = 1.0 / len(angles)
-    mu = lf.custom_measure([(a, w) for a in angles], part,
-                           allow_boundary_orbit=True)
+    mu = boundary_measure([(a, w) for a in angles])
     ens = lf.make_ensemble(mu, g, n)
     low = lf.lift_cesaro(ens, n, R=2)
     high = lf.lift_cesaro(ens, n, R=4)

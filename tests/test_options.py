@@ -1,19 +1,21 @@
-"""Every defaulted parameter in src/angletower is set by some call.
+"""Every defaulted parameter in src/angletower is an option some caller
+uses: some call passes it, and some call leaves it out.
 
-A parameter with a default that no call in src/, tests/ or bench/ passes,
-by keyword or by position, holds one value for good: it is a module
-constant, not an option.  Calls are matched to definitions by name (the
-called name or attribute; a class name calls its __init__), so a call of
-any same-named function counts, and the check errs towards passing.  Only
+The callers are those of tests/test_surface.py: src/, bench/ and
+tests/test_acceptance.py.  A parameter with a default that no caller
+passes, by keyword or by position, holds one value for good: it is a
+module constant, which a test may monkeypatch, not an option.  A default
+that every caller overrides is never read: the parameter is required.
+Calls are matched to definitions by name (the called name or attribute;
+a class name calls its __init__), so a call of any same-named function
+counts, and the check errs towards passing: a starred argument passes
+every position, and a **mapping may pass or leave out any keyword.  Only
 the standard-library `ast` module is needed.
 """
 
 import ast
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
-SRC = ROOT / "src" / "angletower"
-CALLERS = [SRC, ROOT / "tests", ROOT / "bench"]
+from test_surface import CALLERS, SRC
 
 
 def defaulted_params(source: str) -> list[tuple[str, str, int | None]]:
@@ -46,10 +48,11 @@ def defaulted_params(source: str) -> list[tuple[str, str, int | None]]:
     return out
 
 
-def passed_arguments(sources) -> dict[str, tuple[set, int]]:
-    """Per called name: the keywords passed and the most positional
-    arguments passed by any call (a starred argument counts as all)."""
-    calls: dict[str, tuple[set, int]] = {}
+def call_shapes(sources) -> dict[str, list[tuple[set, int]]]:
+    """Per called name, the keywords of each call (None for a **mapping)
+    and its positional argument count (a starred argument counts as
+    all)."""
+    calls: dict[str, list[tuple[set, int]]] = {}
     for source in sources:
         for node in ast.walk(ast.parse(source)):
             if not isinstance(node, ast.Call):
@@ -59,28 +62,40 @@ def passed_arguments(sources) -> dict[str, tuple[set, int]]:
                     f.attr if isinstance(f, ast.Attribute) else None)
             if name is None:
                 continue
-            keys, most = calls.setdefault(name, (set(), 0))
-            keys.update(k.arg for k in node.keywords)
             npos = len(node.args)
             if any(isinstance(a, ast.Starred) for a in node.args):
                 npos = 1 << 30
-            calls[name] = (keys, max(most, npos))
+            calls.setdefault(name, []).append(
+                ({k.arg for k in node.keywords}, npos))
     return calls
+
+
+def uses(definitions: str, callers):
+    """(name(param), passes, omits) per defaulted parameter of
+    definitions: whether some call may pass it, and whether some call may
+    leave it out."""
+    calls = call_shapes(callers)
+    for qual, param, pos in defaulted_params(definitions):
+        owner, _, name = qual.rpartition(".")
+        called = owner if name == "__init__" and owner else name
+        passed = [None in keys or param in keys
+                  or (pos is not None and pos < npos)
+                  for keys, npos in calls.get(called, [])]
+        omitted = [None in keys or not p
+                   for (keys, _), p in zip(calls.get(called, []), passed)]
+        yield f"{qual}({param})", any(passed), any(omitted)
 
 
 def never_passed(definitions: str, callers) -> list[str]:
     """The defaulted parameters of definitions that no call passes."""
-    calls = passed_arguments(callers)
-    out = []
-    for qual, param, pos in defaulted_params(definitions):
-        owner, _, name = qual.rpartition(".")
-        called = owner if name == "__init__" and owner else name
-        keys, most = calls.get(called, (set(), 0))
-        if None in keys:
-            continue  # a **mapping could pass anything
-        if param not in keys and (pos is None or pos >= most):
-            out.append(f"{qual}({param})")
-    return out
+    return [p for p, passes, _ in uses(definitions, callers) if not passes]
+
+
+def never_omitted(definitions: str, callers) -> list[str]:
+    """The defaulted parameters of definitions that some call passes and
+    none leaves out."""
+    return [p for p, passes, omits in uses(definitions, callers)
+            if passes and not omits]
 
 
 def test_checker_flags_unpassed_defaults():
@@ -95,14 +110,23 @@ def test_checker_flags_unpassed_defaults():
         "def h(y=1):\n"
         "    def inner(z=1):\n        pass\n")
     callers = [definitions,
-               "f(0, 5, d=4)\ng(*xs)\nK(1)\nobj.m(s=3)\nK.st(1)\nh(**kw)\n"]
+               "f(0, 5, d=4)\ng(*xs)\ng()\nK(1)\nobj.m(s=3)\nK.st(1)\n"
+               "K.st()\nh(**kw)\n"]
     assert never_passed(definitions, callers) == [
         "f(c)", "K.__init__(q)", "K.m(r)", "K.st(v)", "inner(z)"]
+    assert never_omitted(definitions, callers) == [
+        "f(b)", "f(d)", "K.__init__(p)", "K.m(s)"]
 
 
 def test_every_default_is_passed():
-    sources = [p.read_text() for root in CALLERS
-               for p in sorted(root.glob("*.py"))]
+    sources = [p.read_text() for p in CALLERS]
     found = [f"{path.name}: {p}" for path in sorted(SRC.glob("*.py"))
              for p in never_passed(path.read_text(), sources)]
+    assert found == []
+
+
+def test_every_default_is_left_out():
+    sources = [p.read_text() for p in CALLERS]
+    found = [f"{path.name}: {p}" for path in sorted(SRC.glob("*.py"))
+             for p in never_omitted(path.read_text(), sources)]
     assert found == []

@@ -1,6 +1,7 @@
 """Vectorized symbol streams and tower walks against the exact oracles."""
 
 import math
+import re
 import tracemalloc
 from fractions import Fraction as F
 from types import SimpleNamespace
@@ -17,12 +18,11 @@ from angletower.inducing import (choose_W, first_return,
                                  recurrent_witness_domain)
 from angletower.lifting import (brolin_period_samples, brolin_samples,
                                 make_ensemble)
-from angletower.streams import (FrontierReached, cell_streams,
-                                common_numerators, dyadic_symbol_streams,
-                                is_dyadic,
+from angletower.streams import (cell_streams, common_numerators,
+                                dyadic_symbol_streams, is_dyadic,
                                 symbol_cells, symbol_matrix, trace_ensemble,
                                 walk_table, window_digits)
-from angletower.tower import build_tower
+from angletower.tower import TowerTooShallow, build_tower
 
 from oracles import angle_at, trace
 
@@ -43,11 +43,11 @@ WIDE = 7 ** 25
 
 
 def test_is_dyadic():
-    assert is_dyadic(F(0))
-    assert is_dyadic(F(3, 8))
-    assert is_dyadic(F(1, 1 << 40))
-    assert not is_dyadic(F(1, 3))
-    assert not is_dyadic(F(5, 24))
+    assert is_dyadic(F(0), 2)
+    assert is_dyadic(F(3, 8), 2)
+    assert is_dyadic(F(1, 1 << 40), 2)
+    assert not is_dyadic(F(1, 3), 2)
+    assert not is_dyadic(F(5, 24), 2)
     # base d: the denominator divides a power of d
     assert is_dyadic(F(5, 3 ** 30), 3)
     assert not is_dyadic(F(1, 32), 3)
@@ -269,10 +269,14 @@ def test_frontier_reached_reports_deficit():
     # 1/8 climbs one level per step and exits the expanded region; the
     # ensemble holds its symbols, and its first walk raises
     ens = trace_ensemble((F(1, 8),), [1.0], g, 12)
-    with pytest.raises(FrontierReached) as exc:
+    with pytest.raises(TowerTooShallow) as exc:
         ens.states
-    assert exc.value.needed_extra >= 12 - 1 - g.expand_limit
-    assert 1 <= exc.value.step <= 12
+    step, extra = map(int, re.fullmatch(
+        r"trace needs an out-edge of a frontier domain at step (\d+); "
+        r"rebuild the tower with extra_levels at least (\d+) larger",
+        str(exc.value)).groups())
+    assert extra >= 12 - 1 - g.expand_limit
+    assert 1 <= step <= 12
 
 
 @pytest.mark.parametrize("cells", [50, 100, 150, streams_module._BLOCK_CELLS])
@@ -289,14 +293,13 @@ def test_frontier_in_a_later_block(monkeypatch, cells):
     monkeypatch.setattr(streams_module, "_BLOCK_CELLS", cells)
     ens = make_ensemble(mu, g, n)
     walked = []
-    with pytest.raises(FrontierReached) as exc:
+    with pytest.raises(TowerTooShallow) as exc:
         ens.fold(n, SimpleNamespace(add=lambda k0, block: walked.append(k0)))
     # every block before the one holding the step came out of the walk
     width = streams_module._block_width(50)
     assert walked == list(range(0, step - step % width, width))
     extra = n - 1 - g.expand_limit
-    assert (exc.value.step, exc.value.needed_extra, str(exc.value)) == (
-        step, extra,
+    assert str(exc.value) == (
         f"trace needs an out-edge of a frontier domain at step {step}; "
         f"rebuild the tower with extra_levels at least {extra} larger")
 
