@@ -240,21 +240,18 @@ class SubsetBound:
 
     eps: Fraction
     n: int
-    max_size: int
     count: int
     bound: float
     holds: bool
-    below_large_n_regime: bool
 
 
 def subset_count_bound(eps, n: int) -> SubsetBound:
     """Count subsets of {0..n-1} of size <= eps*n, with the entropy bound.
 
     The bound e^(n(eps + l(eps))), l(x) = -x log x - (1-x) log(1-x), is
-    stated for n large; the flag marks calls with eps*n < 1 where the count
-    degenerates to the empty set alone.  Pass eps as a string or Fraction
-    to pin decimal thresholds exactly; floats go through their shortest
-    decimal representation.
+    stated for n large.  Pass eps as a string or Fraction to pin decimal
+    thresholds exactly; floats go through their shortest decimal
+    representation.
     """
     e = Fraction(str(eps)) if isinstance(eps, float) else Fraction(eps)
     if not 0 < e < 1:
@@ -267,8 +264,7 @@ def subset_count_bound(eps, n: int) -> SubsetBound:
     lx = -x * math.log(x) - (1 - x) * math.log(1 - x)
     exponent = n * (x + lx)
     holds = math.log(count) <= exponent
-    return SubsetBound(e, n, kmax, count, math.exp(exponent), holds,
-                       below_large_n_regime=e * n < 1)
+    return SubsetBound(e, n, count, math.exp(exponent), holds)
 
 
 # --------------------------------------------------------------------------

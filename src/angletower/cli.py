@@ -113,7 +113,8 @@ SCHEMA = {
     ("tolerances", "tol_orbit"): Key(NUMBER, 1e-9, lo=0, strict=True),
     ("tolerances", "eigen_tol"): Key(NUMBER, 1e-10, lo=0, strict=True),
     ("tolerances", "bisection_tol"): Key(NUMBER, 1e-6, lo=0, strict=True),
-    ("margins", "cutpoint_margin"): Key(FRACTION, Fraction(1, 64), lo=0),
+    ("margins", "cutpoint_margin"): Key(FRACTION, Fraction(1, 64), lo=0,
+                                        hi=Fraction(1, 2), strict=True),
     ("output", "dir"): Key((str, "a path"), ..., flag="out"),
     ("census", "R"): Key(INT, 2, lo=1),
     ("census", "horizon"): Key(INT, 20, lo=1),

@@ -503,7 +503,7 @@ def expansion_and_abramov(ind: InducedSystem,
         h_rate = _entropy(keys, w, r_s[:-1][pair])[1] - h_block
     else:
         h_rate = h_block
-    h = entropy_estimate(ens, ENTROPY_DEPTHS)
+    h = entropy_estimate(ens, *ENTROPY_DEPTHS)
     h_err = abs(h - wfreq * h_rate) / abs(h) if h else None
     return ExpansionReport(False, len(r_s), tuple(excluded),
                            min_by_n.get(1), min_by_n, n_two, wfreq,

@@ -27,7 +27,6 @@ PROVENANCES = ("brolin", "dirac-periodic", "conformal", "custom")
 
 DEFAULT_FLOOR = 0.05
 DENSITY_DEPTH = 6
-MAX_ORBIT = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,8 +280,6 @@ def retained_curves(ens: TraceEnsemble, n_grid, R_grid
     """Rows (n, R, retained, escaped) over both grids from a single trace."""
     n_grid = sorted(set(int(n) for n in n_grid))
     R_grid = sorted(set(int(R) for R in R_grid))
-    if not n_grid or not R_grid:
-        return []
     if n_grid[0] < 1:
         raise ValueError("horizons must be >= 1")
     n_max = n_grid[-1]
@@ -328,8 +325,6 @@ class LiftReport:
 
 def liftability_verdict(rows) -> LiftReport:
     rows = tuple(sorted(rows))
-    if not rows:
-        return LiftReport(rows, "inconclusive")
     by_R: dict[int, list] = {}
     for n, R, retained, _ in rows:
         by_R.setdefault(R, []).append((n, retained))
@@ -364,8 +359,6 @@ class _Defect:
 
     def value(self, test_ids) -> float:
         ids = np.asarray(list(test_ids), dtype=np.intp)
-        if not len(ids):
-            return 0.0
         shifted = (self.total[ids] - self.first[ids]) / self.n
         plain = (self.total[ids] - self.last[ids]) / self.n
         return float(np.abs(shifted - plain).max())
@@ -519,29 +512,18 @@ def lyapunov_consistency(ensemble: TraceEnsemble, model: PolynomialModel,
 
     lambda_f averages log|Df| over every traced step; lambda_fhat
     reweights the same evaluations by the retained (level <= R)
-    indicator, which is the lift-side exponent.  Samples whose angle
-    orbit is too long to land (over MAX_ORBIT points; nonzero d-adic
-    angles are taken as such without landing), or whose landed orbit
-    passes within CRIT_TOL of the critical point, are excluded and
-    reported.
+    indicator, which is the lift-side exponent.  Samples whose landing
+    fails, or whose landed orbit passes within CRIT_TOL of the critical
+    point, are excluded and reported.
     """
-    d = ensemble.graph.partition.degree
     retained = Gather(ensemble, ensemble.levels <= R, n)
     ensemble.fold(n, retained)
-    excluded = []
-    angles = ensemble.angles
-    todo = [s for s, a in enumerate(angles) if a == 0 or not is_dyadic(a, d)]
-    landed = dict(zip(todo, solver.land_many(angles[s] for s in todo)))
-    landings = [landed.get(s) for s in range(len(angles))]
-    fit = []
-    for s, landing in enumerate(landings):
-        if isinstance(landing, LandingError):
-            excluded.append((s, f"landing failed: {landing}"))
-        elif (landing is None
-              or landing.preperiod + landing.period > MAX_ORBIT):
-            excluded.append((s, "orbit too long to land"))
-        else:
-            fit.append(s)
+    landings = solver.land_many(ensemble.angles)
+    excluded = [(s, f"landing failed: {landing}")
+                for s, landing in enumerate(landings)
+                if isinstance(landing, LandingError)]
+    fit = [s for s, landing in enumerate(landings)
+           if not isinstance(landing, LandingError)]
     rows, crit = log_deriv_rows(model, [landings[s] for s in fit], n, CRIT_TOL)
     excluded += [(s, f"critical proximity at step {k}")
                  for s, k in zip(fit, crit.tolist()) if k < n]
@@ -564,31 +546,27 @@ def lyapunov_consistency(ensemble: TraceEnsemble, model: PolynomialModel,
                           tuple(landings))
 
 
-def entropy_estimate(ensemble: TraceEnsemble, m_grid) -> float:
-    """Plugin cylinder entropy over the depth grid.
+def entropy_estimate(ensemble: TraceEnsemble, m1: int, m2: int) -> float:
+    """Plugin cylinder entropy increment between depths m1 < m2.
 
     Per depth m the plugin entropy is H_m = -sum_s w_s log p(word_m(s))
     with p the empirical word distribution of the ensemble itself.  The
-    estimate is the increment (H_m2 - H_m1) / (m2 - m1) of the grid's two
-    deepest depths (plugin values carry an m-independent bias that the
-    difference cancels), or H_m / m for a grid of one depth.
+    estimate is (H_m2 - H_m1) / (m2 - m1): plugin values carry an
+    m-independent bias that the difference cancels.
     """
-    m_grid = sorted(set(int(m) for m in m_grid))
-    if not m_grid or m_grid[0] < 1:
-        raise ValueError("depth grid must contain positive depths")
-    if m_grid[-1] > ensemble.horizon:
-        raise ValueError("depth grid exceeds the traced horizon")
+    if not 1 <= m1 < m2:
+        raise ValueError("depths must satisfy 1 <= m1 < m2")
+    if m2 > ensemble.horizon:
+        raise ValueError("depth exceeds the traced horizon")
     w = ensemble.weights
     H = []
-    for m in m_grid[-2:]:
+    for m in (m1, m2):
         wid = word_codes(ensemble.symbols[:, :m],
                          ensemble.graph.partition.size)
         _, inv = np.unique(wid, return_inverse=True)
         p = np.bincount(inv, weights=w)
         H.append(float(-(w * np.log(p[inv])).sum()))
-    if len(H) == 1:
-        return H[0] / m_grid[0]
-    return (H[1] - H[0]) / (m_grid[-1] - m_grid[-2])
+    return (H[1] - H[0]) / (m2 - m1)
 
 
 def lift_report(ens: TraceEnsemble, n_grid, R_grid) -> LiftReport:
@@ -600,8 +578,6 @@ def lift_report(ens: TraceEnsemble, n_grid, R_grid) -> LiftReport:
     """
     n_grid = sorted(set(int(n) for n in n_grid))
     R_grid = sorted(set(int(R) for R in R_grid))
-    if not n_grid or not R_grid:
-        return LiftReport((), "inconclusive")
     if n_grid[0] < 1:
         raise ValueError("horizons must be >= 1")
     n_max = n_grid[-1]

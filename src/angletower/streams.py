@@ -226,12 +226,10 @@ def _block_width(count: int) -> int:
 def walk_table(g: TowerGraph) -> tuple[np.ndarray, np.ndarray]:
     """Dense transition table (domains x symbols, -1 absent) and level array.
 
-    Domain ids are BFS discovery order, hence contiguous from 0, so ids
-    index the table rows directly.
+    Domain ids are 0..n-1 (BFS discovery order, checked on load by
+    tower_from_json), so ids index the table rows directly.
     """
     n_dom = len(g.domains)
-    if sorted(g.domains) != list(range(n_dom)):
-        raise ValueError("domain ids are not contiguous")
     N = g.partition.size
     table = np.full((n_dom, N), -1, dtype=np.int32)
     for (src, sym), dst in g.edges.items():

@@ -373,10 +373,12 @@ def tower_from_json(payload: dict) -> TowerGraph:
     """Rebuild a TowerGraph from its JSON export (domains are trusted).
 
     Every arc endpoint must lie in [0, 1] and every cutpoint angle in
-    [0, 1), both on the partition lattice of the config's angles, and
-    every cutpoint's origin must be 0 (the one critical point); one that
-    does not raises ValueError.  Each distinct arcs text and cutpoint angle
-    list is parsed once, and the domains are made as the build makes them.
+    [0, 1), both on the partition lattice of the config's angles, every
+    cutpoint's origin must be 0 (the one critical point), the domain ids
+    must be 0..n-1, and every edge must join two by a partition symbol
+    and every frontier id be one; a payload that does not raises
+    ValueError.  Each distinct arcs text and cutpoint angle list is parsed
+    once, and the domains are made as the build makes them.
     """
     cfg = payload["config"]
     rc = RayChoice(cfg["degree"],
@@ -406,4 +408,10 @@ def tower_from_json(payload: dict) -> TowerGraph:
     for e in payload["edges"]:
         g.edges[(e["from"], e["symbol"])] = e["to"]
     g.frontier = set(payload["frontier"])
+    ids, N = range(len(payload["domains"])), g.partition.size
+    if (sorted(g.domains) != list(ids) or not g.frontier <= g.domains.keys()
+            or any(f not in ids or t not in ids or not 0 <= s < N
+                   for (f, s), t in g.edges.items())):
+        raise ValueError(f"the graph is not on domains 0..{len(ids) - 1} "
+                         f"and symbols 0..{N - 1}")
     return g

@@ -211,21 +211,20 @@ def test_level_mismatch_rejected():
 
 def test_subset_count_midpoint():
     res = subset_count_bound(0.5, 10)
-    assert res.count == 638
-    assert res.max_size == 5
-    assert res.holds and not res.below_large_n_regime
+    assert res.count == 638         # sizes up to floor(0.5 * 10) = 5
+    assert res.holds
 
 
 def test_subset_count_tiny_eps():
     res = subset_count_bound(F(1, 100), 10)
+    assert math.floor(F(1, 100) * 10) == 0
     assert res.count == 1           # only the empty set
-    assert res.below_large_n_regime
 
 
 def test_subset_count_decimal_strings():
     # 0.1 * 30 must allow size 3 despite binary-float representation
     res = subset_count_bound("0.1", 30)
-    assert res.max_size == 3
+    assert math.floor(F(1, 10) * 30) == 3
     assert res.count == 1 + 30 + math.comb(30, 2) + math.comb(30, 3)
 
 
@@ -247,8 +246,7 @@ def test_subset_count_matches_pascal(eps, n):
     row = [1]
     for _ in range(n):
         row = [1] + [row[i] + row[i + 1] for i in range(len(row) - 1)] + [1]
-    assert res.count == sum(row[: res.max_size + 1])
-    assert res.max_size == math.floor(eps * n)
+    assert res.count == sum(row[: math.floor(eps * n) + 1])
 
 
 # --------------------------------------------------------------------------

@@ -589,6 +589,38 @@ def test_corrupt_tower_is_dependency_error(tmp_path, capsys, corrupt):
     assert f"{path} is corrupt" in err and "rerun tower-build" in err
 
 
+def _graph(corrupt):
+    """Corrupt the first edge, or domain 1's id, of the tower's graph."""
+    def edit(text):
+        payload = json.loads(text)
+        corrupt(payload, len(payload["domains"]))
+        return json.dumps(payload)
+    return edit
+
+
+CORRUPT_GRAPHS = {
+    # the chebyshev partition has N = 2 symbols
+    "edge-symbol-N": _graph(lambda p, n: p["edges"][0].update(symbol=2)),
+    "edge-to-past-n": _graph(lambda p, n: p["edges"][0].update(to=n + 3)),
+    "domain-id-past-n": _graph(lambda p, n: p["domains"][1].update(id=n + 5)),
+}
+
+
+@pytest.mark.parametrize("corrupt", list(CORRUPT_GRAPHS.values()),
+                         ids=list(CORRUPT_GRAPHS))
+def test_corrupt_tower_graph_is_dependency_error(tmp_path, capsys, corrupt):
+    cfg, out = write_cfg(tmp_path)
+    assert main(["tower-build", "--config", str(cfg)]) == EXIT_OK
+    path = out / "tower.json"
+    path.write_text(corrupt(path.read_text()))
+    capsys.readouterr()
+    for stage, artifact in (("lift", "lift.json"), ("census", "census.json")):
+        assert main([stage, "--config", str(cfg)]) == EXIT_DEPENDENCY, stage
+        err = capsys.readouterr().err
+        assert f"{path} is corrupt" in err and "rerun tower-build" in err
+        assert not (out / artifact).exists(), stage
+
+
 @pytest.mark.parametrize("sampler,n_grid,message", [
     ("brolin", "100 250", "n_grid entries must be <= 200"),
     ("brolin", "0 100", "n_grid entries must be >= 1"),
@@ -760,6 +792,10 @@ LOAD_BOUNDS = {
     "cubic-induce-bits": (CUBIC, "[output]", "[induce]\nbits = 40\n[output]",
                           "bits must be <= 39"),
     "seed-negative": (BASE, "seed = 3", "seed = -1", "seed must be >= 0"),
+    "margin-zero": (BASE, "[output]", "[margins]\ncutpoint_margin = 0\n"
+                    "[output]", "cutpoint_margin must be > 0"),
+    "margin-half": (BASE, "[output]", "[margins]\ncutpoint_margin = 1/2\n"
+                    "[output]", "cutpoint_margin must be < 1/2"),
     "R-grid-negative": (BASE, "R_grid = 4 5", "R_grid = -2 8",
                         "R_grid entries must be >= 0"),
     # 1/4 is strictly preperiodic, so no point mass sits on its cycle

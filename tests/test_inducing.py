@@ -138,7 +138,7 @@ def dense_expansion_and_abramov(ind, solver) -> ExpansionReport:
         h_rate = float(-(p2 * np.log(p2)).sum()) - h_block
     else:
         h_rate = h_block
-    h = entropy_estimate(ens, ENTROPY_DEPTHS)
+    h = entropy_estimate(ens, *ENTROPY_DEPTHS)
     h_err = abs(h - wfreq * h_rate) / abs(h) if h else None
     return ExpansionReport(False, len(r_s), tuple(excluded),
                            min_by_n.get(1), min_by_n, n_two, wfreq,
