@@ -221,14 +221,6 @@ class ArcSet:
             spans += [(s, e)] if e <= den else [(s, den), (0, e - den)]
         return ArcSet._of(den, _merged(spans))
 
-    def preimage_times_d(self, d: int) -> "ArcSet":
-        """Full preimage under multiplication by d: d shifted copies of the
-        cuts over the denominator d*den."""
-        den = self.den
-        return ArcSet._of(d * den, _merged(
-            (a + j * den, b + j * den) for j in range(d)
-            for a, b in self._spans()))
-
     def subtract_closed_margins(self, centers: Sequence[Fraction], margin: Fraction) -> "ArcSet":
         """Remove the closed arcs [c-margin, c+margin] around each center.
 
@@ -417,22 +409,3 @@ def itinerary(a: Fraction, partition: CirclePartition, n: int) -> tuple[int, ...
         x = times_d(x, d)
     return tuple(out)
 
-
-def enumerate_cylinders(partition: CirclePartition, depth: int
-                        ) -> list[tuple[tuple[int, ...], ArcSet]]:
-    """All admissible words of the given depth with their exact arc-sets,
-    in lexicographic word order."""
-    level: list[tuple[tuple[int, ...], ArcSet]] = [((), ArcSet.full_circle())]
-    d = partition.degree
-    for _ in range(depth):
-        nxt = []
-        for word, arcs in level:
-            pre = arcs.preimage_times_d(d)
-            for s in range(partition.size):
-                piece = partition.arc_set(s).intersect(pre)
-                if not piece.is_empty:
-                    nxt.append(((s,) + word, piece))
-        # the recursion prepends, so re-sort to keep lexicographic order
-        nxt.sort(key=lambda t: t[0])
-        level = nxt
-    return level

@@ -94,7 +94,9 @@ def _max_bits(v) -> int:
 
 
 SCHEMA = {
-    ("map", "degree"): Key(INT, 2, lo=2),
+    # the kappa * d partition symbols must fit the uint8 streams
+    ("map", "degree"): Key(INT, 2, lo=2,
+                           hi=lambda v: 255 // len(v["map", "angle"])),
     ("map", "c_real"): Key(NUMBER, ...),
     ("map", "c_imag"): Key(NUMBER, 0.0),
     ("map", "angle"): Key(FRACTION, ..., many=True),
@@ -124,7 +126,8 @@ SCHEMA = {
         "1/20", "1/10", "1/5", "3/10"))), lo=0, hi=1, strict=True, many=True),
     ("lift", "sampler"): Key(SAMPLER, "brolin"),
     ("lift", "count"): Key(INT, lambda v: v["sampling", "samples"], lo=1),
-    ("lift", "bits"): Key(INT, 16, lo=2, hi=_max_bits),
+    ("lift", "bits"): Key(INT, 16, lo=2, hi=lambda v: (
+        _max_bits(v) if v["lift", "sampler"] == "brolin-periodic" else None)),
     ("lift", "angle"): Key(FRACTION, lambda v: (
         ... if v["lift", "sampler"] == "dirac" else None)),
     ("lyapunov", "count"): Key(INT, 512, lo=1),

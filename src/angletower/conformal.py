@@ -24,8 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .angles import (ArcSet, CirclePartition, enumerate_cylinders,
-                     format_angle)
+from .angles import ArcSet, CirclePartition, format_angle
 from .geometry import (CRIT_TOL, LandingError, LandingSolver,
                        log_deriv_rows)
 from .inducing import (DEFAULT_MARGIN, choose_W, recurrent_witness_domain,
@@ -33,7 +32,7 @@ from .inducing import (DEFAULT_MARGIN, choose_W, recurrent_witness_domain,
 from .lifting import (DEFAULT_FLOOR, DensityReport, LiftReport, _Curves,
                       _Density, custom_measure, liftability_verdict,
                       make_ensemble, orbit_hits_boundary)
-from .streams import Gather
+from .streams import Gather, symbol_cells, symbol_matrix, word_codes
 from .tower import TowerGraph
 
 # Offsets tried in order when placing the quadrature node inside a
@@ -106,6 +105,29 @@ class CylinderBasis:
         return labels == labels[sizes.argmax()]
 
 
+def enumerate_cylinders(partition: CirclePartition, depth: int
+                        ) -> list[tuple[tuple[int, ...], ArcSet]]:
+    """All admissible words of the given depth with their exact arc-sets,
+    in lexicographic word order.
+
+    Every cylinder boundary is a j-step preimage (j < depth) of a
+    partition boundary b: over L = lattice * d^(depth-1) the numerator
+    (b + i*lattice) * d^(depth-1-j) for i < d^j.  Each gap between
+    consecutive cuts carries the itinerary of its left end, so one stream
+    of the cuts reads every word, and a word's arc-set is its gaps.
+    """
+    d, lattice = partition.degree, partition.lattice
+    L = lattice * d ** max(depth - 1, 0)
+    cuts = sorted({0} | {(b + i * lattice) * d ** (depth - 1 - j)
+                         for j in range(depth) for i in range(d ** j)
+                         for b in partition.boundary_nums})
+    rows = symbol_matrix(cuts, L, depth, symbol_cells(partition)).tolist()
+    gaps: dict[tuple[int, ...], list[int]] = {}
+    for row, lo, hi in zip(rows, cuts, cuts[1:] + [L]):
+        gaps.setdefault(tuple(row), []).extend((lo, hi))
+    return [(w, ArcSet._of(L, gaps[w])) for w in sorted(gaps)]
+
+
 def build_basis(partition: CirclePartition, solver: LandingSolver,
                 depth: int) -> CylinderBasis:
     """Enumerate depth-m cylinders and land one node in each."""
@@ -120,18 +142,12 @@ def build_basis(partition: CirclePartition, solver: LandingSolver,
             raise LandingError(
                 f"node {format_angle(rep)} of cylinder "
                 f"{''.join(map(str, word))}: {landing}") from landing
+    # the code of word[1:] + (t,) is (c*N mod N^m) + t, c the word's code
     N = partition.size
-    index = {w: i for i, w in enumerate(words)}
-    children = np.full((len(words), N), -1, dtype=np.int64)
-    if depth == 0:
-        children[0, 0] = 0
-    else:
-        for i, w in enumerate(words):
-            pref = w[1:]
-            for t in range(N):
-                j = index.get(pref + (t,))
-                if j is not None:
-                    children[i, t] = j
+    codes = word_codes(np.array(words, dtype=np.int64), N)
+    child = (codes * N % N ** depth)[:, None] + np.arange(N)
+    at = np.searchsorted(codes, child)
+    children = np.where(codes[np.minimum(at, len(codes) - 1)] == child, at, -1)
     return CylinderBasis(partition, depth, words, arcs, reps,
                          tuple(landings),
                          log_deriv_rows(solver.model, landings, 1)[0][:, 0],

@@ -42,6 +42,15 @@ def boundary_measure(pairs) -> SampleMeasure:
                          [float(w) for _, w in pairs], "custom")
 
 
+def preimage_times_d(arcs: ArcSet, d: int) -> ArcSet:
+    """Full preimage under multiplication by d: d shifted copies of each
+    arc, over the denominator d*den."""
+    den = arcs.den
+    return ArcSet((Fraction(a + j * den, d * den), Fraction(b - a, d * den))
+                  for j in range(d)
+                  for a, b in zip(arcs.cuts[::2], arcs.cuts[1::2]))
+
+
 def cylinder_arcset(word, partition: CirclePartition) -> ArcSet:
     """Exact arc-set of angles whose itinerary begins with the given word.
 
@@ -51,7 +60,7 @@ def cylinder_arcset(word, partition: CirclePartition) -> ArcSet:
     d = partition.degree
     out = ArcSet.full_circle()
     for s in reversed(tuple(word)):
-        out = partition.arc_set(s).intersect(out.preimage_times_d(d))
+        out = partition.arc_set(s).intersect(preimage_times_d(out, d))
     return out
 
 

@@ -11,11 +11,12 @@ from hypothesis import given, settings, strategies as st
 
 from angletower.angles import (
     ArcSet, CirclePartition, RayChoice, angle_orbit, build_partition,
-    enumerate_cylinders, format_angle,
-    is_strictly_preperiodic, itinerary, parse_angle, times_d,
+    format_angle, is_strictly_preperiodic, itinerary, parse_angle, times_d,
 )
+from angletower.conformal import enumerate_cylinders
 
-from oracles import angle_universe, contains, cylinder_arcset
+from oracles import (angle_universe, contains, cylinder_arcset,
+                     preimage_times_d)
 
 F = Fraction
 
@@ -132,7 +133,7 @@ def test_image_times_d():
 
 
 def test_preimage_times_d():
-    pre = ArcSet.arc(F(1, 2), F(3, 4)).preimage_times_d(2)
+    pre = preimage_times_d(ArcSet.arc(F(1, 2), F(3, 4)), 2)
     assert pre.length() == F(1, 4)
     assert pre == ArcSet([(F(1, 4), F(1, 8)), (F(3, 4), F(1, 8))])
 
@@ -192,7 +193,7 @@ def test_intersection_matches_membership(a, b):
 @settings(max_examples=200, deadline=None)
 @given(arcsets(), st.sampled_from([2, 3, 4]))
 def test_preimage_matches_membership(a, d):
-    pre = a.preimage_times_d(d)
+    pre = preimage_times_d(a, d)
     for p in PROBES:
         assert contains(pre, p) == contains(a, times_d(p, d))
     assert pre.length() == a.length()
@@ -323,6 +324,33 @@ def test_enumerate_cylinders_partition_of_unity():
             assert total == 1
             words = [w for w, _ in cyls]
             assert words == sorted(words)
+
+
+# the shipped partitions, d = 3 and 4, kappa = 2 at d = 3 and 4, and the
+# near-parabolic angle 511/1536 (lattice 3072) to depth 8
+CYLINDER_CASES = {
+    "chebyshev": (CHEB, 6), "dendrite": (DEND, 6), "pair": (PAIR, 6),
+    "cubic": (RayChoice(3, (F(1, 6),)), 6),
+    "quartic": (RayChoice(4, (F(1, 8),)), 5),
+    "cubic-pair": (RayChoice(3, (F(1, 6), F(1, 18))), 5),
+    "quartic-pair": (RayChoice(4, (F(1, 12), F(7, 12))), 4),
+    "near-parabolic": (RayChoice(2, (F(511, 1536),)), 8),
+}
+
+
+@pytest.mark.parametrize("case", list(CYLINDER_CASES))
+def test_enumerate_cylinders_matches_the_recursion(case):
+    # each word's arc-set is the backward refinement's, and the words
+    # cover the circle, so no admissible word is missing
+    rc, top = CYLINDER_CASES[case]
+    p = build_partition(rc)
+    for depth in range(top + 1):
+        cyls = enumerate_cylinders(p, depth)
+        words = [w for w, _ in cyls]
+        assert words == sorted(set(words))
+        assert sum(c.length() for _, c in cyls) == 1
+        for w, c in cyls:
+            assert len(w) == depth and c == cylinder_arcset(w, p)
 
 
 def test_cylinder_endpoint_angles_live_in_orbit_field():

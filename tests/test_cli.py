@@ -783,7 +783,8 @@ LOAD_BOUNDS = {
                             "subset_eps entries must be < 1"),
     "subset-n-zero": (BASE, "subset_n = 20", "subset_n = 20 0",
                       "subset_n entries must be >= 1"),
-    "lift-bits": (BASE, "count = 200", "count = 200\nbits = 64",
+    "lift-bits": (BASE, "sampler = brolin\ncount = 200",
+                  "sampler = brolin-periodic\ncount = 200\nbits = 64",
                   "bits must be <= 63"),
     "lyapunov-bits": (BASE, "[output]", "[lyapunov]\nbits = 70\n[output]",
                       "bits must be <= 63"),
@@ -791,6 +792,10 @@ LOAD_BOUNDS = {
                     "bits must be <= 63"),
     "cubic-induce-bits": (CUBIC, "[output]", "[induce]\nbits = 40\n[output]",
                           "bits must be <= 39"),
+    # kappa * d symbols must fit the uint8 streams; the bound fires
+    # before the ray of 1/2 is landed
+    "degree-256": (BASE, "degree = 2", "degree = 256",
+                   "degree must be <= 255"),
     "seed-negative": (BASE, "seed = 3", "seed = -1", "seed must be >= 0"),
     "margin-zero": (BASE, "[output]", "[margins]\ncutpoint_margin = 0\n"
                     "[output]", "cutpoint_margin must be > 0"),
@@ -825,6 +830,24 @@ def test_out_of_range_is_config_error_at_load(tmp_path, capsys, case):
     bad = [ln for ln in new.splitlines() if not ln.startswith("[")][-1]
     line = text.splitlines().index(bad) + 1
     assert_refused(capsys, cfg, ("tower-build",), f"{cfg}:{line}: {message}")
+
+
+def test_degree_16_loads_under_the_default_sampler(tmp_path):
+    # z^16 + c at c = -2^(1/15), where the ray 1/2 lands: brolin never
+    # reads [lift] bits, so its default 16 (past d^bits < 2^63) is not
+    # bounded, while [induce] sets a smaller bits than its default
+    shipped = Path(__file__).resolve().parents[1] / "configs" / "chebyshev.ini"
+    text = shipped.read_text()
+    for old, new in (("degree = 2\n", "degree = 16\n"),
+                     ("c_real = -2.0\n", "c_real = -1.0472941228206267\n"),
+                     ("bits = 16\n", "bits = 12\n")):
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+    cfg, out = write_cfg(tmp_path, text=text)
+    argv = ["--config", str(cfg), "--out", str(out)]
+    assert main(["tower-build"] + argv) == EXIT_OK
+    run = load_config(build_parser().parse_args(["lift"] + argv))
+    assert run["map", "degree"] == 16 and run["lift", "bits"] == 16
 
 
 def test_dirac_without_angle_is_config_error(tmp_path, capsys):

@@ -21,11 +21,13 @@ from angletower import conformal
 from angletower.angles import ArcSet, RayChoice, build_partition
 from angletower.conformal import (DELTA_GRID, EIGEN_TOL, NODE_OFFSETS,
                                   build_basis, conformality_residual,
-                                  curve_csv, leading_eigen,
+                                  curve_csv, enumerate_cylinders,
+                                  leading_eigen,
                                   lyapunov_liftability_experiment,
                                   quadrature_node, solve_delta, weights_csv)
 from angletower.geometry import LandingSolver, PolynomialModel
 from angletower.lifting import orbit_hits_boundary
+from angletower.streams import symbol_matrix
 from angletower.tower import build_tower
 
 CHEB = RayChoice(2, (F(1, 2),))
@@ -135,6 +137,38 @@ def test_children_realize_full_shift(cheb_bases):
 
 def test_m0_self_child(cheb_bases):
     assert cheb_bases[0].children.tolist() == [[0, -1]]
+
+
+def test_children_shift_words_on_a_proper_subshift():
+    # kappa = 2: arc 0 maps inside arc 1, so some shifted words are absent
+    part = build_partition(RayChoice(2, (F(5, 12), F(7, 12))))
+    solver = LandingSolver(PolynomialModel(2, -1.5436890126920764))
+    for depth in (1, 2, 5):
+        b = build_basis(part, solver, depth)
+        index = {w: i for i, w in enumerate(b.words)}
+        assert b.children.dtype == np.int64
+        assert b.children.tolist() == [
+            [index.get(w[1:] + (t,), -1) for t in range(part.size)]
+            for w in b.words]
+        assert (b.children >= 0).any(axis=1).all()
+        assert (b.children < 0).any() == (depth > 1)
+
+
+def test_cylinders_stream_the_boundaries_only(monkeypatch):
+    # lattice 786,432: its cells at depth 8 would be 10^8 angles, the
+    # cylinder boundaries are at most 1 + N (d^8 - 1) / (d - 1)
+    part = build_partition(RayChoice(2, (F(131071, 393216),)))
+    streamed = []
+
+    def counting(nums, den, n, cells):
+        streamed.append(len(nums))
+        return symbol_matrix(nums, den, n, cells)
+
+    monkeypatch.setattr(conformal, "symbol_matrix", counting)
+    assert part.lattice == 786432
+    assert len(enumerate_cylinders(part, 8)) == 2 ** 8
+    assert len(streamed) == 1
+    assert streamed[0] <= 1 + part.size * (2 ** 8 - 1)
 
 
 def test_quadrature_node_fallback(cheb_part):
