@@ -161,12 +161,6 @@ class ArcSet:
             spans[-1] = (spans[-1][0], self.den + first[1])
         return spans
 
-    @property
-    def components(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        """(start, length) of each arc, sorted by start."""
-        return tuple((Fraction(a, self.den), Fraction(b - a, self.den))
-                     for a, b in self._circle_spans())
-
     def length(self) -> Fraction:
         return Fraction(sum(self.cuts[1::2]) - sum(self.cuts[::2]), self.den)
 
@@ -235,10 +229,10 @@ class ArcSet:
             out = out.intersect(ArcSet.arc(c - margin, c + margin).complement())
         return out
 
-    def largest_component(self) -> tuple[Fraction, Fraction]:
-        if self.is_empty:
-            raise ValueError("empty arc-set has no components")
-        return max(self.components, key=lambda c: (c[1], -c[0]))
+    def largest_component(self) -> tuple[int, int]:
+        """(start, end) over den of the longest arc, on a tie the one that
+        starts lowest; end passes den when the arc runs through 0."""
+        return max(self._circle_spans(), key=lambda s: (s[1] - s[0], -s[0]))
 
     # -- serialization -----------------------------------------------------
 
@@ -392,6 +386,12 @@ class CirclePartition:
     def __repr__(self):
         b = ", ".join(format_angle(x) for x in self.boundary)
         return f"CirclePartition(d={self.degree}, boundary=[{b}])"
+
+
+def word_text(word, symbols: int) -> str:
+    """Text of a word over `symbols` partition arcs: digits joined bare up
+    to 10 symbols, and past that with ".", so no two words share one."""
+    return ("" if symbols <= 10 else ".").join(map(str, word))
 
 
 def build_partition(ray_choice: RayChoice) -> CirclePartition:

@@ -18,33 +18,34 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
-from .angles import ArcSet, CirclePartition, format_angle
+from .angles import ArcSet, CirclePartition, format_angle, word_text
 from .geometry import (CRIT_TOL, LandingError, LandingSolver,
                        log_deriv_rows)
 from .inducing import (DEFAULT_MARGIN, choose_W, recurrent_witness_domain,
                        return_records, strong_components)
-from .lifting import (DEFAULT_FLOOR, DensityReport, LiftReport, _Curves,
-                      _Density, custom_measure, liftability_verdict,
-                      make_ensemble, orbit_hits_boundary)
+from .lifting import (DEFAULT_FLOOR, DensityReport, LiftReport,
+                      SampleMeasure, _Curves, _Density, liftability_verdict,
+                      make_ensemble)
 from .streams import Gather, symbol_cells, symbol_matrix, word_codes
 from .tower import TowerGraph
 
-# Offsets tried in order when placing the quadrature node inside a
-# cylinder's largest component.  Exact midpoints are unusable: components
-# have dyadic endpoints, dyadic midpoints are precritical (5/16 doubles
-# to 5/8 and then onto the cut angle 1/4 for the interval parameter), and
-# any offset too close to 1/2 makes every node shadow that precritical
-# orbit for about depth-many steps, which wrecks finite-horizon
+# Offsets over NODE_SCALE tried in order when placing the quadrature node
+# in a cylinder's largest component.  Exact midpoints are unusable:
+# components have dyadic endpoints, dyadic midpoints are precritical (5/16
+# doubles to 5/8 and then onto the cut angle 1/4 for the interval
+# parameter), and any offset too close to 1/2 makes every node shadow that
+# precritical orbit for about depth-many steps, which wrecks finite-horizon
 # derivative and return statistics in lockstep.  An off-center numerator
 # over 2^16-1 keeps nodes interior, gives each orbit a short cycle with
 # small odd part, and those cycles stay clear of every cut angle.
-NODE_OFFSETS = tuple(Fraction(26000 + j, 65535) for j in range(40))
+NODE_SCALE = 65535
+NODE_OFFSETS = tuple(range(26000, 26040))
 
 EIGEN_TOL = 1e-10
 EIGEN_MAX_ITER = 20_000
@@ -53,28 +54,42 @@ RHO_TOL = 1e-9
 DELTA_GRID = tuple(k / 10 for k in range(21))
 
 
-def quadrature_node(arcset: ArcSet,
-                    partition: CirclePartition) -> tuple[Fraction, int]:
-    """Deterministic interior angle of the largest component, and the
-    index into NODE_OFFSETS of the offset that placed it.
+def _orbit_meets(p: int, den: int, d: int, steps: int, boundary) -> bool:
+    """Whether p/den meets boundary (over den) in its first steps angles."""
+    return any(p * d ** k % den in boundary for k in range(steps))
 
-    Walks NODE_OFFSETS until the candidate's forward orbit misses the
-    partition boundary; the first offset wins almost always, later ones
-    only rescue components whose first candidate is preperiodic onto a
-    cut angle.
-    """
-    s, length = arcset.largest_component()
-    for k, t in enumerate(NODE_OFFSETS):
-        cand = (s + length * t) % 1
-        if not orbit_hits_boundary(cand, partition):
-            return cand, k
-    raise ValueError(
-        f"no interior node found in component at {format_angle(s)}")
+
+def _place_nodes(arcs, partition: CirclePartition, den: int) -> list:
+    """(p, k) per arc-set: the node p/den in its largest component [a, b),
+    the first a + (b - a) t / NODE_SCALE for t = NODE_OFFSETS[k] whose
+    orbit misses the boundary.  den is a multiple of the lattice and of
+    each arc-set's den times NODE_SCALE.  The boundary is strictly
+    preperiodic, and an orbit is periodic once den's factors shared with d
+    divide out, after `steps` steps."""
+    d = partition.degree
+    boundary = {b * (den // partition.lattice)
+                for b in partition.boundary_nums}
+    steps, q = 0, den
+    while (g := math.gcd(q, d)) > 1:
+        steps, q = steps + 1, q // g
+    nodes = []
+    for arcset in arcs:
+        a, b = arcset.largest_component()
+        scale = den // (arcset.den * NODE_SCALE)
+        for k, t in enumerate(NODE_OFFSETS):
+            p = (a * NODE_SCALE + (b - a) * t) * scale % den
+            if not _orbit_meets(p, den, d, steps, boundary):
+                break
+        else:
+            raise ValueError(f"no interior node found in component at "
+                             f"{format_angle(a, arcset.den)}")
+        nodes.append((p, k))
+    return nodes
 
 
 @dataclass(frozen=True, eq=False)
 class CylinderBasis:
-    """Depth-m cylinders with landed quadrature nodes.
+    """Depth-m cylinders with landed quadrature nodes nums[i] / den.
 
     children[i, t] is the index of the cylinder whose word is
     word(i)[1:] + (t,), or -1 when that word is inadmissible; at depth 0
@@ -86,7 +101,8 @@ class CylinderBasis:
     depth: int
     words: tuple
     arcs: tuple
-    reps: tuple
+    nums: tuple
+    den: int
     landings: tuple
     log_derivs: np.ndarray
     children: np.ndarray
@@ -130,29 +146,28 @@ def enumerate_cylinders(partition: CirclePartition, depth: int
 
 def build_basis(partition: CirclePartition, solver: LandingSolver,
                 depth: int) -> CylinderBasis:
-    """Enumerate depth-m cylinders and land one node in each."""
-    cyls = enumerate_cylinders(partition, depth)
-    words = tuple(word for word, _ in cyls)
-    arcs = tuple(arcset for _, arcset in cyls)
-    reps, offset_index = zip(*(quadrature_node(arcset, partition)
-                               for arcset in arcs))
-    landings = solver.land_many(reps)
-    for word, rep, landing in zip(words, reps, landings):
+    """Enumerate depth-m cylinders and land one node in each, over den =
+    lattice * d^(depth-1) * NODE_SCALE: the cylinder lattice refined."""
+    words, arcs = zip(*enumerate_cylinders(partition, depth))
+    den = (partition.lattice * partition.degree ** max(depth - 1, 0)
+           * NODE_SCALE)
+    nums, offsets = zip(*_place_nodes(arcs, partition, den))
+    landings = solver.land_many([Fraction(p, den) for p in nums])
+    for word, p, landing in zip(words, nums, landings):
         if isinstance(landing, LandingError):
-            raise LandingError(
-                f"node {format_angle(rep)} of cylinder "
-                f"{''.join(map(str, word))}: {landing}") from landing
+            raise LandingError(f"node {format_angle(p, den)} of cylinder "
+                               f"{word_text(word, partition.size)}: "
+                               f"{landing}") from landing
     # the code of word[1:] + (t,) is (c*N mod N^m) + t, c the word's code
     N = partition.size
     codes = word_codes(np.array(words, dtype=np.int64), N)
     child = (codes * N % N ** depth)[:, None] + np.arange(N)
     at = np.searchsorted(codes, child)
     children = np.where(codes[np.minimum(at, len(codes) - 1)] == child, at, -1)
-    return CylinderBasis(partition, depth, words, arcs, reps,
+    return CylinderBasis(partition, depth, words, arcs, nums, den,
                          tuple(landings),
                          log_deriv_rows(solver.model, landings, 1)[0][:, 0],
-                         children,
-                         tuple(i for i, k in enumerate(offset_index) if k > 0))
+                         children, tuple(np.flatnonzero(offsets).tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,7 +246,7 @@ class ConformalSolve:
             "evaluations": self.evaluations,
             "grid": list(self.grid),
             "grid_rhos": list(self.grid_rhos),
-            "weights": {"".join(map(str, w)): float(x)
+            "weights": {word_text(w, self.basis.partition.size): float(x)
                         for w, x in zip(self.basis.words, self.weights)},
         }
 
@@ -308,11 +323,11 @@ def weights_csv(solve: ConformalSolve) -> str:
     w = csv.writer(buf)
     w.writerow(["word", "angle", "deriv", "weight"])
     basis = solve.basis
-    for word, rep, dv, wt in zip(basis.words, basis.reps,
-                                 np.exp(basis.log_derivs),
-                                 solve.weights):
-        w.writerow(["".join(map(str, word)), format_angle(rep),
-                    format(dv, ".17g"), format(wt, ".17g")])
+    for word, p, dv, wt in zip(basis.words, basis.nums,
+                               np.exp(basis.log_derivs), solve.weights):
+        w.writerow([word_text(word, basis.partition.size),
+                    format_angle(p, basis.den), format(dv, ".17g"),
+                    format(wt, ".17g")])
     return buf.getvalue()
 
 
@@ -350,28 +365,18 @@ class EquivalenceReport:
     consistent: bool
 
     def to_json(self) -> dict:
-        return {
-            "delta": self.delta,
-            "level_cap": self.level_cap,
-            "lift_horizon": self.lift_horizon,
-            "lyapunov": [{"lam": lam, "n": n, "mass": mass}
-                         for (lam, n), mass
-                         in sorted(self.lyapunov_cells.items())],
-            "dichotomy": [{"lam": lam, "n": n, "eps": eps, "mass": mass}
-                          for (lam, n, eps), mass
-                          in sorted(self.dichotomy_cells.items())],
-            "positive_lyapunov_mass": self.positive_lyapunov_mass,
-            "excluded": len(self.excluded),
-            "lift": self.lift.to_json(),
-            "liftable": self.liftable,
-            "witness_domain": self.witness_domain,
-            "conical_frequency": self.conical_frequency,
-            "conical_tail_mass": self.conical_tail_mass,
-            "conical_returns": self.conical_returns,
-            "density": self.density.to_json(),
-            "density_min": self.density_min,
-            "consistent": self.consistent,
-        }
+        plain = {f.name: getattr(self, f.name) for f in fields(self)}
+        del plain["lyapunov_cells"], plain["dichotomy_cells"]
+        return {**plain,
+                "lyapunov": [{"lam": lam, "n": n, "mass": mass}
+                             for (lam, n), mass
+                             in sorted(self.lyapunov_cells.items())],
+                "dichotomy": [{"lam": lam, "n": n, "eps": eps, "mass": mass}
+                              for (lam, n, eps), mass
+                              in sorted(self.dichotomy_cells.items())],
+                "excluded": len(self.excluded),
+                "lift": self.lift.to_json(),
+                "density": self.density.to_json()}
 
 
 def lyapunov_liftability_experiment(
@@ -397,12 +402,13 @@ def lyapunov_liftability_experiment(
     w = np.asarray(solve.weights, dtype=np.float64)
     w = w / w.sum()
     keep = w > 0
-    atoms = [(rep, float(x))
-             for rep, x, k in zip(basis.reps, w, keep) if k]
+    nums = [p for p, k in zip(basis.nums, keep) if k]
     landings = [ld for ld, k in zip(basis.landings, keep) if k]
     wk = w[keep]
-
-    mu = custom_measure(atoms, basis.partition, provenance="conformal")
+    # the nodes over the lcm of their reduced denominators
+    shared = math.gcd(basis.den, *nums)
+    mu = SampleMeasure(tuple(p // shared for p in nums), basis.den // shared,
+                       wk, "conformal")
     ens = make_ensemble(mu, g, lift_horizon)
     n_grid = sorted({max(lift_horizon // 4, 1),
                      max(lift_horizon // 2, 1), lift_horizon})

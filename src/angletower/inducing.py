@@ -15,8 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .angles import ArcSet, format_angle
-from .geometry import LandingError, LandingSolver, log_deriv_rows
+from .angles import ArcSet, format_angle, word_text
+from .geometry import CRIT_TOL, LandingError, LandingSolver, log_deriv_rows
 from .lifting import _count_sums, _step_mass, entropy_estimate
 from .streams import (Cells, Gather, TraceEnsemble, _block_width,
                       symbol_matrix, walk_table)
@@ -396,7 +396,7 @@ def _branch_logs(landings, model, h, r_s, r_t, r_tau):
     a block's returns (a slice, as returns are sorted by sample) read their
     branch sums there, and so do its runs of n returns of one sample, off
     the running sum of the branch logs, carried from block to block.
-    Excluded samples' rows are 0 and no return reads them.
+    No return reads an excluded sample's row (0 when it has no landing).
     """
     width = _block_width(h)
     blog = np.empty(len(r_s))
@@ -455,7 +455,10 @@ def expansion_and_abramov(ind: InducedSystem,
     witness_frequency times the mean branch sum; the entropy check
     compares the tower-side cylinder estimate at ENTROPY_DEPTHS with
     witness_frequency times the induced process entropy rate, estimated
-    as the conditional block entropy H(pair) - H(single).
+    as the conditional block entropy H(pair) - H(single).  Samples whose
+    landing fails, or whose landed orbit passes within CRIT_TOL of the
+    critical point in the horizon, are excluded and reported, as
+    lyapunov_consistency excludes them.
     """
     if not ind.return_count:
         return ExpansionReport(True, 0, (), None, {}, None,
@@ -464,9 +467,17 @@ def expansion_and_abramov(ind: InducedSystem,
     ens = ind.ensemble
     h = ind.horizon
     landings = solver.land_many(ens.angles)
-    excluded = [(i, str(land)) for i, land in enumerate(landings)
-                if isinstance(land, LandingError)]
-    keep = np.array([not isinstance(x, LandingError) for x in landings])
+    excluded = []
+    for i, land in enumerate(landings):
+        if isinstance(land, LandingError):
+            excluded.append((i, str(land)))
+            continue
+        # steps 0..h-1 visit points[:h] first, in order
+        k = next((k for k, z in enumerate(land.points[:h])
+                  if abs(z) < CRIT_TOL), h)
+        if k < h:
+            excluded.append((i, f"critical proximity at step {k}"))
+    keep = ~np.isin(np.arange(len(landings)), [i for i, _ in excluded])
     r_s, r_t, r_tau = ind.sample_index, ind.entry_step, ind.return_time
     if excluded:
         sel = keep[r_s]
@@ -523,8 +534,9 @@ def tau_histogram_csv(ind: InducedSystem) -> str:
 
 def branch_words_csv(ind: InducedSystem, limit: int) -> str:
     lines = ["sample,entry,tau,word"]
+    K = ind.ensemble.graph.partition.size
     for i in range(min(limit, ind.return_count)):
-        word = "".join(str(x) for x in ind.branch_word(i))
+        word = word_text(ind.branch_word(i), K)
         lines.append(f"{ind.sample_index[i]},{ind.entry_step[i]},"
                      f"{ind.return_time[i]},{word}")
     return "\n".join(lines) + "\n"

@@ -16,17 +16,21 @@ from fractions import Fraction
 
 import numpy as np
 
-from .angles import CirclePartition, format_angle, orbit_numerators
+from .angles import (CirclePartition, format_angle, orbit_numerators,
+                     word_text)
 from .geometry import (CRIT_TOL, LandingError, LandingSolver,
                        PolynomialModel, log_deriv_rows)
-from .streams import (Gather, TraceEnsemble, _gather, common_numerators,
-                      is_dyadic, trace_ensemble, window_digits, word_codes)
+from .streams import (Gather, TraceEnsemble, _gather, is_dyadic,
+                      trace_ensemble, window_digits, word_codes)
 from .tower import TowerGraph
 
 PROVENANCES = ("brolin", "dirac-periodic", "conformal", "custom")
 
 DEFAULT_FLOOR = 0.05
+# lift_report's density words: the deepest m <= DENSITY_DEPTH whose N^m
+# bins, N the partition size, number at most DENSITY_BINS
 DENSITY_DEPTH = 6
+DENSITY_BINS = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,23 +68,6 @@ class SampleMeasure:
     @cached_property
     def angles(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(j, self.den) for j in self.nums)
-
-
-def orbit_hits_boundary(a: Fraction, partition: CirclePartition) -> bool:
-    """Whether the angle orbit meets the partition boundary set, exactly:
-    the boundary angles (preimages of strictly preperiodic ray angles) are
-    strictly preperiodic, so only the preperiod, the at most log_d q steps
-    whose denominator shares a factor with d, can meet one."""
-    d = partition.degree
-    x = Fraction(a) % 1
-    p, q = x.numerator, x.denominator
-    boundary = {(b.numerator, b.denominator) for b in partition.boundary}
-    # d*p/q in lowest terms is (d/g)*p/(q/g), g = gcd(q, d)
-    while (g := math.gcd(q, d)) > 1:
-        if (p, q) in boundary:
-            return True
-        p, q = d // g * p % (q // g), q // g
-    return False
 
 
 def brolin_samples(partition: CirclePartition, count: int, horizon: int,
@@ -157,20 +144,6 @@ def dirac_cycle(partition: CirclePartition, a: Fraction) -> SampleMeasure:
                          f"under multiplication by {d}")
     return SampleMeasure(tuple(nums), q, [1.0 / len(nums)] * len(nums),
                          "dirac-periodic")
-
-
-def custom_measure(pairs, partition: CirclePartition,
-                   provenance: str) -> SampleMeasure:
-    """Measure from explicit (angle, weight) pairs, none of whose orbits
-    meets the partition's boundary."""
-    pairs = tuple(pairs)
-    angles = [Fraction(a) % 1 for a, _ in pairs]
-    for a in angles:
-        if orbit_hits_boundary(a, partition):
-            raise ValueError(
-                f"sample {format_angle(a)} has a boundary-riding orbit")
-    return SampleMeasure(*common_numerators(angles),
-                         [float(w) for _, w in pairs], provenance)
 
 
 # --------------------------------------------------------------------------
@@ -303,12 +276,14 @@ class LiftReport:
     definition: `liftable` when some truncation keeps at least
     DEFAULT_FLOOR mass across the whole horizon grid, `not-liftable` when
     every truncation has fallen below it at the largest horizon.
+    symbols, the partition size, spells the density words.
     """
 
     curves: tuple[tuple[int, int, float, float], ...]
     verdict: str
     densities: dict | None = None
     invariance_defect: float | None = None
+    symbols: int | None = None
 
     def to_json(self) -> dict:
         return {
@@ -317,7 +292,7 @@ class LiftReport:
             "note": "finite-horizon surrogate verdict",
             "curves": [list(r) for r in self.curves],
             "densities": (None if self.densities is None else
-                          {"".join(map(str, k)): v
+                          {word_text(k, self.symbols): v
                            for k, v in sorted(self.densities.items())}),
             "invariance_defect": self.invariance_defect,
         }
@@ -381,16 +356,18 @@ def invariance_defect(ensemble: TraceEnsemble, n: int, test_ids) -> float:
 
 @dataclass(frozen=True)
 class DensityReport:
-    """Empirical Radon-Nikodym ratios of the projected lift against mu."""
+    """Empirical Radon-Nikodym ratios of the projected lift against mu,
+    on depth-m words over `symbols` partition arcs."""
 
     depth: int
+    symbols: int
     retained: float
     ratios: dict[tuple, float]
     corrected: dict[tuple, float]
     skipped: tuple[tuple, ...]
 
     def to_json(self) -> dict:
-        key = lambda word: "".join(map(str, word))
+        key = lambda word: word_text(word, self.symbols)
         return {
             "depth": self.depth,
             "retained": self.retained,
@@ -455,7 +432,8 @@ class _Density:
             r = float(proj[i] / mu_mass[i])
             ratios[word] = r
             corrected[word] = r / retained if retained > 0 else math.inf
-        return DensityReport(m, retained, ratios, corrected, tuple(skipped))
+        return DensityReport(m, N, retained, ratios, corrected,
+                             tuple(skipped))
 
 
 def project_and_density(ensemble: TraceEnsemble, m: int,
@@ -571,7 +549,8 @@ def entropy_estimate(ensemble: TraceEnsemble, m1: int, m2: int) -> float:
 
 def lift_report(ens: TraceEnsemble, n_grid, R_grid) -> LiftReport:
     """One-stop verdict: curves, verdict, defect, and density ratios of
-    the depth-DENSITY_DEPTH cylinders.
+    the depth-m cylinders, m the deepest up to DENSITY_DEPTH with at most
+    DENSITY_BINS words.
 
     One walk of the ensemble to the largest horizon folds all three
     diagnostics, block by block.
@@ -581,17 +560,19 @@ def lift_report(ens: TraceEnsemble, n_grid, R_grid) -> LiftReport:
     if n_grid[0] < 1:
         raise ValueError("horizons must be >= 1")
     n_max = n_grid[-1]
+    N = ens.graph.partition.size
+    m = max(j for j in range(1, DENSITY_DEPTH + 1) if N ** j <= DENSITY_BINS)
     curves, defect = _Curves(ens, R_grid, n_max), _Defect(ens, n_max)
     folds = [curves, defect]
-    if n_max > DENSITY_DEPTH:
+    if n_max > m:
         # folded whatever the verdict, which the curves give only at the end
-        density = _Density(ens, DENSITY_DEPTH, max(R_grid), n_max)
+        density = _Density(ens, m, max(R_grid), n_max)
         folds.append(density)
     ens.fold(n_max, *folds)
     report = liftability_verdict(curves.rows(n_grid))
     test_ids = np.flatnonzero(ens.levels <= max(R_grid))
     densities = None
-    if report.verdict == "liftable" and n_max > DENSITY_DEPTH:
+    if report.verdict == "liftable" and n_max > m:
         densities = density.report().corrected
     return LiftReport(report.curves, report.verdict, densities,
-                      defect.value(test_ids))
+                      defect.value(test_ids), N)

@@ -14,9 +14,18 @@ from fractions import Fraction
 
 import numpy as np
 
-from angletower.angles import ArcSet, CirclePartition, angle_orbit, times_d
+from angletower.angles import (ArcSet, CirclePartition, angle_orbit,
+                               format_angle, times_d)
+from angletower.conformal import NODE_OFFSETS, NODE_SCALE
 from angletower.lifting import SampleMeasure
 from angletower.streams import Cells, common_numerators, symbol_matrix
+
+
+def components(arcs: ArcSet) -> tuple[tuple[Fraction, Fraction], ...]:
+    """(start, length) of each arc, sorted by start, an arc through 0 as
+    one."""
+    return tuple((Fraction(a, arcs.den), Fraction(b - a, arcs.den))
+                 for a, b in arcs._circle_spans())
 
 
 def contains(arcs: ArcSet, a: Fraction) -> bool:
@@ -30,6 +39,52 @@ def angle_at(ens, sample: int, k: int) -> Fraction:
     multiplication by d."""
     d = ens.graph.partition.degree
     return Fraction(ens.nums[sample] * pow(d, k, ens.den) % ens.den, ens.den)
+
+
+def orbit_hits_boundary(a: Fraction, partition: CirclePartition) -> bool:
+    """Whether the angle orbit meets the partition boundary set, exactly:
+    the boundary angles (preimages of strictly preperiodic ray angles) are
+    strictly preperiodic, so only the preperiod, the at most log_d q steps
+    whose denominator shares a factor with d, can meet one."""
+    d = partition.degree
+    x = Fraction(a) % 1
+    p, q = x.numerator, x.denominator
+    boundary = {(b.numerator, b.denominator) for b in partition.boundary}
+    # d*p/q in lowest terms is (d/g)*p/(q/g), g = gcd(q, d)
+    while (g := math.gcd(q, d)) > 1:
+        if (p, q) in boundary:
+            return True
+        p, q = d // g * p % (q // g), q // g
+    return False
+
+
+def custom_measure(pairs, partition: CirclePartition,
+                   provenance: str) -> SampleMeasure:
+    """Measure from explicit (angle, weight) pairs, none of whose orbits
+    meets the partition's boundary, over the lcm of their denominators."""
+    pairs = tuple(pairs)
+    angles = [Fraction(a) % 1 for a, _ in pairs]
+    for a in angles:
+        if orbit_hits_boundary(a, partition):
+            raise ValueError(
+                f"sample {format_angle(a)} has a boundary-riding orbit")
+    return SampleMeasure(*common_numerators(angles),
+                         [float(w) for _, w in pairs], provenance)
+
+
+def quadrature_node(arcset: ArcSet,
+                    partition: CirclePartition) -> tuple[Fraction, int]:
+    """The node of a cylinder's arc-set in Fractions: in its longest
+    component (s, length), on a tie the lowest, the first s + length * t
+    for t = NODE_OFFSETS / NODE_SCALE whose orbit misses the boundary,
+    and the index of that offset."""
+    s, length = max(components(arcset), key=lambda c: (c[1], -c[0]))
+    for k, t in enumerate(NODE_OFFSETS):
+        cand = (s + length * Fraction(t, NODE_SCALE)) % 1
+        if not orbit_hits_boundary(cand, partition):
+            return cand, k
+    raise ValueError(
+        f"no interior node found in component at {format_angle(s)}")
 
 
 def boundary_measure(pairs) -> SampleMeasure:

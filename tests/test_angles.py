@@ -12,10 +12,11 @@ from hypothesis import given, settings, strategies as st
 from angletower.angles import (
     ArcSet, CirclePartition, RayChoice, angle_orbit, build_partition,
     format_angle, is_strictly_preperiodic, itinerary, parse_angle, times_d,
+    word_text,
 )
 from angletower.conformal import enumerate_cylinders
 
-from oracles import (angle_universe, contains, cylinder_arcset,
+from oracles import (angle_universe, components, contains, cylinder_arcset,
                      preimage_times_d)
 
 F = Fraction
@@ -107,10 +108,10 @@ def test_arcset_full_and_empty():
 
 def test_arcset_merge_touching():
     a = ArcSet([(F(0), F(1, 4)), (F(1, 4), F(1, 4))])
-    assert a.components == ((F(0), F(1, 2)),)
+    assert components(a) == ((F(0), F(1, 2)),)
     # merge across the wrap
     b = ArcSet([(F(1, 8), F(1, 8)), (F(7, 8), F(1, 4))])
-    assert b.components == ((F(7, 8), F(3, 8)),)
+    assert components(b) == ((F(7, 8), F(3, 8)),)
     # tiling the circle collapses to the full circle
     c = ArcSet([(F(0), F(1, 2)), (F(1, 2), F(1, 2))])
     assert c == ArcSet.full_circle()
@@ -142,7 +143,7 @@ def test_subtract_closed_margins():
     full = ArcSet.full_circle()
     w = full.subtract_closed_margins([F(0), F(1, 2)], F(1, 32))
     assert w.length() == 1 - F(4, 32)
-    assert len(w.components) == 2
+    assert len(components(w)) == 2
     assert not contains(w, F(0)) and not contains(w, F(1, 2))
     # the half-open notch [c - m, c + m) keeps c + m and drops c - m
     assert contains(w, F(1, 32))
@@ -213,11 +214,11 @@ def test_image_contains_forward_points(a, d):
 @given(arcsets())
 def test_normalization_is_canonical(a):
     # rebuilding from the components is the identity
-    assert ArcSet(a.components) == a
+    assert ArcSet(components(a)) == a
     # components sorted, disjoint, non-empty
-    starts = [s for s, _ in a.components]
+    starts = [s for s, _ in components(a)]
     assert starts == sorted(starts)
-    assert all(l > 0 for _, l in a.components)
+    assert all(l > 0 for _, l in components(a))
     assert a.length() <= 1
 
 
@@ -358,10 +359,17 @@ def test_cylinder_endpoint_angles_live_in_orbit_field():
     # denominators stay within the finite field generated by the model
     p = build_partition(DEND)
     for w, c in enumerate_cylinders(p, 5):
-        for s, l in c.components:
+        for s, l in components(c):
             for x in (s, (s + l) % 1):
                 # 2^5 * endpoint is in the universe
                 y = x
                 for _ in range(5):
                     y = times_d(y, 2)
                 assert y in angle_universe(p) or y in p.boundary
+
+
+def test_word_text_joins_bare_up_to_ten_symbols():
+    assert [word_text(w, 10) for w in ((0, 9, 1), ())] == ["091", ""]
+    # past ten symbols (1, 12) and (11, 2) would share the text 112
+    assert [word_text(w, 11) for w in ((1, 12), (11, 2), (3,))] == \
+        ["1.12", "11.2", "3"]

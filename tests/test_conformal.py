@@ -20,15 +20,17 @@ from hypothesis import strategies as st
 from angletower import conformal
 from angletower.angles import ArcSet, RayChoice, build_partition
 from angletower.conformal import (DELTA_GRID, EIGEN_TOL, NODE_OFFSETS,
-                                  build_basis, conformality_residual,
-                                  curve_csv, enumerate_cylinders,
-                                  leading_eigen,
+                                  NODE_SCALE, build_basis,
+                                  conformality_residual, curve_csv,
+                                  enumerate_cylinders, leading_eigen,
                                   lyapunov_liftability_experiment,
-                                  quadrature_node, solve_delta, weights_csv)
+                                  solve_delta, weights_csv)
 from angletower.geometry import LandingSolver, PolynomialModel
-from angletower.lifting import orbit_hits_boundary
 from angletower.streams import symbol_matrix
 from angletower.tower import build_tower
+
+from oracles import (components, custom_measure, orbit_hits_boundary,
+                     quadrature_node)
 
 CHEB = RayChoice(2, (F(1, 2),))
 DEND = RayChoice(2, (F(1, 6),))
@@ -77,6 +79,10 @@ def cheb_report(cheb_solves, cheb_graph, cheb_solver):
         lambdas=(1.1, 1.2, 1.5, 5.0), lift_horizon=1000)
 
 
+def nodes(basis):
+    return tuple(F(p, basis.den) for p in basis.nums)
+
+
 def trig_deriv(a):
     # |Df| at the landing point of angle a, for c=-2
     return 4.0 * abs(math.cos(2 * math.pi * float(a)))
@@ -93,7 +99,7 @@ def lebesgue_cdf(x):
 
 def lebesgue_weight(arcset):
     total = 0.0
-    for s, l in arcset.components:
+    for s, l in components(arcset):
         e = s + l
         if e <= 1:
             total += lebesgue_cdf(e) - lebesgue_cdf(s)
@@ -110,22 +116,22 @@ def test_basis_m1_nodes_frozen(cheb_bases):
     b = cheb_bases[1]
     assert b.words == ((0,), (1,))
     # piece [1/4, 3/4) plus offset 5200/13107 of its length, exactly
-    assert b.reps == (F(23507, 52428), F(49721, 52428))
+    assert nodes(b) == (F(23507, 52428), F(49721, 52428))
     assert b.moved == ()
 
 
 def test_basis_m2_nodes_frozen(cheb_bases):
     b = cheb_bases[2]
     assert b.words == ((0, 0), (0, 1), (1, 0), (1, 1))
-    assert b.reps == (F(15707, 52428), F(49721, 104856),
-                      F(18307, 104856), F(102149, 104856))
+    assert nodes(b) == (F(15707, 52428), F(49721, 104856),
+                        F(18307, 104856), F(102149, 104856))
     assert b.moved == ()
 
 
 def test_deriv_matches_trig_oracle(cheb_bases):
     for m in (1, 2, 8):
         b = cheb_bases[m]
-        for rep, ld in zip(b.reps, b.log_derivs):
+        for rep, ld in zip(nodes(b), b.log_derivs):
             assert math.exp(ld) == pytest.approx(trig_deriv(rep), abs=1e-9)
 
 
@@ -174,19 +180,54 @@ def test_cylinders_stream_the_boundaries_only(monkeypatch):
 def test_quadrature_node_fallback(cheb_part):
     # first candidate lands exactly on the cut angle 1/4
     length = F(1, 8)
-    s = (F(1, 4) - length * NODE_OFFSETS[0]) % 1
-    node, k = quadrature_node(ArcSet([(s, length)]), cheb_part)
+    t0, t1 = (F(t, NODE_SCALE) for t in NODE_OFFSETS[:2])
+    s = (F(1, 4) - length * t0) % 1
+    arcs = ArcSet([(s, length)])
+    den = math.lcm(arcs.den * NODE_SCALE, cheb_part.lattice)
+    [(p, k)] = conformal._place_nodes([arcs], cheb_part, den)
+    node = F(p, den)
     assert k == 1
     assert node != F(1, 4)
-    assert node == (s + length * NODE_OFFSETS[1]) % 1
+    assert node == (s + length * t1) % 1 == F(131071, 524280)
+    assert quadrature_node(arcs, cheb_part) == (node, 1)
     assert not orbit_hits_boundary(node, cheb_part)
 
 
 def test_midpoints_ride_the_critical_orbit(cheb_part):
     # why plain midpoints are not usable as nodes here
     assert orbit_hits_boundary(F(5, 16), cheb_part)
-    s, length = ArcSet([(F(1, 4), F(1, 8))]).largest_component()
-    assert (s + length / 2) % 1 == F(5, 16)
+    arcs = ArcSet([(F(1, 4), F(1, 8))])
+    a, b = arcs.largest_component()
+    assert F(a + b, 2 * arcs.den) == F(5, 16)
+
+
+# (degree, angles, depths): kappa = 1 and 2 at d = 2, 3 and 4 up to about
+# a thousand cylinders, and the theta_n family near c = -3/4 at depth 8
+NODE_CASES = [(2, (F(1, 2),), range(1, 11)), (2, (F(1, 6),), range(1, 11)),
+              (2, (F(5, 12), F(7, 12)), range(1, 9)),
+              (3, (F(1, 6),), range(1, 7)), (3, (F(1, 6), F(5, 6)), (1, 5)),
+              (4, (F(1, 12),), range(1, 6)),
+              (4, (F(1, 12), F(7, 12)), range(1, 5))] + [
+              (2, (F(2 ** n - 1, 3 * 2 ** n),), (8,)) for n in (3, 5, 7, 9)]
+
+
+@pytest.mark.parametrize("d, angles, depths", NODE_CASES)
+def test_integer_nodes_match_the_fraction_oracle(d, angles, depths):
+    part = build_partition(RayChoice(d, angles))
+    for m in depths:
+        arcs = [arcset for _, arcset in enumerate_cylinders(part, m)]
+        den = part.lattice * d ** (m - 1) * NODE_SCALE
+        got = conformal._place_nodes(arcs, part, den)
+        want = [quadrature_node(arcset, part) for arcset in arcs]
+        assert [(F(p, den), k) for p, k in got] == want, m
+
+
+def test_basis_nodes_over_the_cylinder_lattice(cheb_part, cheb_bases):
+    for m, b in cheb_bases.items():
+        assert b.den == cheb_part.lattice * 2 ** max(m - 1, 0) * NODE_SCALE
+        want = [quadrature_node(arcset, cheb_part) for arcset in b.arcs]
+        assert nodes(b) == tuple(node for node, _ in want)
+        assert b.moved == tuple(i for i, (_, k) in enumerate(want) if k)
 
 
 # --------------------------------------------------------------------------
@@ -209,7 +250,7 @@ def test_operator_m1_entries_against_oracle(cheb_bases):
     # every entry is 1/|Df(node)|, so each column sums to 2/|Df(node)|
     b = cheb_bases[1]
     res = leading_eigen(b, 1.0, EIGEN_TOL)
-    assert res.rho == pytest.approx(2.0 / trig_deriv(b.reps[0]), abs=1e-9)
+    assert res.rho == pytest.approx(2.0 / trig_deriv(nodes(b)[0]), abs=1e-9)
     assert res.vector.tolist() == [0.5, 0.5]
 
 
@@ -266,7 +307,7 @@ def test_m1_closed_form(cheb_solves, cheb_bases):
     # identical rows: rho(delta) = 2 |Df|^(-delta), so
     # delta* = log 2 / log |Df| and the eigenvector is exactly flat
     s = cheb_solves[1]
-    expect = math.log(2.0) / math.log(trig_deriv(cheb_bases[1].reps[0]))
+    expect = math.log(2.0) / math.log(trig_deriv(nodes(cheb_bases[1])[0]))
     assert s.delta == pytest.approx(expect, abs=2e-6)
     assert s.weights.tolist() == [0.5, 0.5]
     assert s.eigen_residual == 0.0
@@ -441,6 +482,43 @@ def test_experiment_cheb_conical_and_density(cheb_report):
     assert rep.density.skipped == ()
     assert rep.density.retained > 0.99
     assert len(rep.density.ratios) == 256
+
+
+def test_experiment_measure_is_the_custom_measure_of_its_nodes(
+        monkeypatch, cheb_solves, cheb_graph, cheb_solver):
+    # two weights zeroed: the measure holds the other nodes, over the lcm
+    # of their reduced denominators, and each candidate orbit is walked
+    # once, in placing the nodes
+    s = cheb_solves[4]
+    w = s.weights.copy()
+    w[[0, 5]] = 0.0
+    s = dataclasses.replace(s, weights=w)
+    made, walks = [], []
+    make_ensemble, walk = conformal.make_ensemble, conformal._orbit_meets
+
+    def recording(mu, g, n):
+        made.append(mu)
+        return make_ensemble(mu, g, n)
+
+    def counting(p, *args):
+        walks.append(p)
+        return walk(p, *args)
+
+    monkeypatch.setattr(conformal, "make_ensemble", recording)
+    monkeypatch.setattr(conformal, "_orbit_meets", counting)
+    basis = build_basis(s.basis.partition, cheb_solver, 4)
+    lyapunov_liftability_experiment(dataclasses.replace(s, basis=basis),
+                                    cheb_graph, cheb_solver, lift_horizon=100)
+    kept = [(F(p, basis.den), x / w.sum())
+            for p, x in zip(basis.nums, w) if x > 0]
+    want = custom_measure(kept, basis.partition, provenance="conformal")
+    (mu,) = made
+    assert (mu.nums, mu.den) == (want.nums, want.den)
+    assert mu.den < basis.den
+    assert mu.weights.tolist() == want.weights.tolist()
+    offsets = [quadrature_node(arcset, basis.partition)[1]
+               for arcset in basis.arcs]
+    assert len(walks) == sum(k + 1 for k in offsets)
 
 
 def test_experiment_dend(cheb_solver, dend_part, dend_solver):

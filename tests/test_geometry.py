@@ -20,8 +20,7 @@ from hypothesis import strategies as st
 
 from angletower import geometry
 from angletower.angles import RayChoice, angle_orbit, build_partition
-from angletower.conformal import (build_basis, enumerate_cylinders,
-                                  quadrature_node)
+from angletower.conformal import build_basis, enumerate_cylinders
 from angletower.geometry import (
     BASE_POTENTIAL, COARSE, CRIT_TOL, NEWTON_REACH, NEWTON_STEPS, SUBSTEPS,
     LandingError, LandingSolver, PolynomialModel, landing_table_csv,
@@ -29,7 +28,7 @@ from angletower.geometry import (
 )
 from angletower.lifting import brolin_period_samples
 
-from oracles import f, green
+from oracles import f, green, quadrature_node
 
 CHEB = PolynomialModel(2, -2)
 DEND = PolynomialModel(2, 1j)

@@ -19,14 +19,15 @@ from angletower.inducing import (BRANCH_RUN_MAX, ENTROPY_DEPTHS,
                                  expansion_and_abramov, first_return,
                                  kac_check, recurrent_witness_domain,
                                  strong_components, tau_histogram_csv)
+from angletower import lifting
 from angletower.lifting import (brolin_period_samples, brolin_samples,
-                                custom_measure, entropy_estimate,
-                                lift_cesaro, make_ensemble)
+                                entropy_estimate, lift_cesaro,
+                                lyapunov_consistency, make_ensemble)
 from angletower.streams import fits_int64
 from angletower.tower import build_tower
 
-from oracles import (angle_at, boundary_measure, contains, dense_first_return,
-                     strong_partition)
+from oracles import (angle_at, boundary_measure, components, contains,
+                     custom_measure, dense_first_return, strong_partition)
 
 CHEB = RayChoice(2, (F(1, 2),))
 DEND = RayChoice(2, (F(1, 6),))
@@ -87,7 +88,11 @@ def dense_expansion_and_abramov(ind, solver) -> ExpansionReport:
         if isinstance(land, LandingError):
             excluded.append((i, str(land)))
             continue
-        vals[i] = log_deriv_rows(solver.model, [land], h)[0][0]
+        row, crit = log_deriv_rows(solver.model, [land], h, inducing.CRIT_TOL)
+        if crit[0] < h:
+            excluded.append((i, f"critical proximity at step {crit[0]}"))
+            continue
+        vals[i] = row[0]
     bad = {i for i, _ in excluded}
     keep = np.array([i not in bad for i in range(ens.count)])
     sel = keep[ind.sample_index]
@@ -267,7 +272,7 @@ def test_choose_w_base_margin_zero_is_whole_base(cheb_graph):
 
 def test_choose_w_cuts_two_notches(cheb_graph):
     w = choose_W(cheb_graph, 2, F(1, 32))
-    assert len(w.arcs.components) == 2
+    assert len(components(w.arcs)) == 2
     assert w.length == F(7, 8)
     assert w.arcs.to_pairs() == [["1/32", "15/32"], ["17/32", "31/32"]]
 
@@ -658,6 +663,24 @@ def test_expansion_blocks_skip_an_unlandable_sample(monkeypatch, cheb_graph,
         monkeypatch.setattr(streams, "_BLOCK_CELLS", cells)
         assert expansion_and_abramov(ind, cheb_solver) == want, cells
     assert streams._block_width(300) == 7
+
+
+def test_expansion_excludes_the_samples_lyapunov_excludes(monkeypatch,
+                                                          cheb_graph,
+                                                          cheb_solver):
+    # at a tolerance of 0.1, 41 of the 100 period-12 orbits pass
+    # near the critical point 0 of z^2 - 2; both stages drop the same ones
+    monkeypatch.setattr(inducing, "CRIT_TOL", 0.1)
+    monkeypatch.setattr(lifting, "CRIT_TOL", 0.1)
+    mu = brolin_period_samples(cheb_graph.partition, 100, seed=5, bits=12)
+    ens = make_ensemble(mu, cheb_graph, 300)
+    ind = first_return(ens, choose_W(cheb_graph, 2, F(1, 64)))
+    er = expansion_and_abramov(ind, cheb_solver)
+    lyap = lyapunov_consistency(ens, cheb_solver.model, cheb_solver, 8, 300)
+    assert 0 < len(er.excluded_samples) < 100
+    assert er.excluded_samples == lyap.excluded
+    assert er == dense_expansion_and_abramov(ind, cheb_solver)
+    assert math.isfinite(er.lambda_f) and math.isfinite(er.lambda_induced)
 
 
 def test_unequal_weights_match_the_dense_forms(cheb_graph, cheb_solver):

@@ -25,7 +25,8 @@ from angletower import streams
 from angletower.streams import trace_ensemble, word_codes
 from angletower.tower import TowerTooShallow, build_tower
 
-from oracles import angle_at, boundary_measure
+from oracles import (angle_at, boundary_measure, custom_measure,
+                     orbit_hits_boundary)
 
 CHEB = RayChoice(2, (F(1, 2),))
 DEND = RayChoice(2, (F(1, 6),))
@@ -63,7 +64,7 @@ def period_ens(part, graph):
 
 @pytest.fixture(scope="module")
 def dirac_ens(part, graph):
-    mu = lf.custom_measure([(F(0), 1.0)], part, provenance="dirac-periodic")
+    mu = custom_measure([(F(0), 1.0)], part, provenance="dirac-periodic")
     return mu, lf.make_ensemble(mu, graph, 100)
 
 
@@ -79,14 +80,14 @@ def climbing_ens(part, graph):
 
 def test_measure_validation(part):
     with pytest.raises(ValueError):
-        lf.custom_measure(((F(1, 3), 0.5),), part, provenance="custom")
+        custom_measure(((F(1, 3), 0.5),), part, provenance="custom")
     with pytest.raises(ValueError):
-        lf.custom_measure(((F(1, 3), -1.0), (F(2, 3), 2.0)), part,
-                          provenance="custom")
+        custom_measure(((F(1, 3), -1.0), (F(2, 3), 2.0)), part,
+                       provenance="custom")
     with pytest.raises(ValueError):
-        lf.custom_measure(((F(1, 3), 1.0),), part, provenance="homebrew")
+        custom_measure(((F(1, 3), 1.0),), part, provenance="homebrew")
     with pytest.raises(ValueError):
-        lf.custom_measure((), part, provenance="custom")
+        custom_measure((), part, provenance="custom")
     with pytest.raises(ValueError):
         lf.SampleMeasure((1, 3), 8, [0.5, 0.25], "custom")
     with pytest.raises(ValueError):
@@ -125,7 +126,7 @@ def test_period_sampler(part):
     assert mu.horizon is None
     for a in mu.angles:
         assert 4095 % a.denominator == 0
-        assert not lf.orbit_hits_boundary(a, part)
+        assert not orbit_hits_boundary(a, part)
 
 
 def test_dirac_cycle(part):
@@ -226,24 +227,24 @@ def test_brolin_trace_builds_no_fraction(monkeypatch, graph):
 
 def test_custom_measure_boundary_guard(part):
     with pytest.raises(ValueError, match="boundary-riding orbit"):
-        lf.custom_measure([(F(1, 8), 1.0)], part, provenance="custom")
+        custom_measure([(F(1, 8), 1.0)], part, provenance="custom")
 
 
 def test_orbit_hits_boundary(part):
-    assert lf.orbit_hits_boundary(F(1, 8), part)
-    assert lf.orbit_hits_boundary(F(1, 4), part)
-    assert not lf.orbit_hits_boundary(F(1, 7), part)
-    assert not lf.orbit_hits_boundary(F(0), part)
+    assert orbit_hits_boundary(F(1, 8), part)
+    assert orbit_hits_boundary(F(1, 4), part)
+    assert not orbit_hits_boundary(F(1, 7), part)
+    assert not orbit_hits_boundary(F(0), part)
 
 
 def test_orbit_hits_boundary_past_any_step_budget(part):
     # doubling strips one factor 2 a step: 1/2^5002 meets the boundary
     # angle 1/4 at step 5000 and the fixed point 0 at step 5002
-    assert lf.orbit_hits_boundary(F(1, 2 ** 5002), part)
-    assert not lf.orbit_hits_boundary(F(1, 3 * 2 ** 5002), part)
+    assert orbit_hits_boundary(F(1, 2 ** 5002), part)
+    assert not orbit_hits_boundary(F(1, 3 * 2 ** 5002), part)
     with pytest.raises(ValueError, match="boundary-riding"):
-        lf.custom_measure([(F(1, 2 ** 5002), 1.0)], part,
-                          provenance="custom")
+        custom_measure([(F(1, 2 ** 5002), 1.0)], part,
+                       provenance="custom")
 
 
 # strictly preperiodic ray choices: 1/2 -> 0, 1/6 -> 1/2 -> 1/2 under
@@ -273,7 +274,7 @@ def test_integer_orbits_match_fraction_oracle(d, num, den, k, onto_boundary):
     assert [float(y) for y in got[2]] == [float(y) for y in orbit]
     # the whole orbit, with no step budget
     hit = not set(part.boundary).isdisjoint(orbit)
-    assert lf.orbit_hits_boundary(a, part) == hit
+    assert orbit_hits_boundary(a, part) == hit
 
 
 # --------------------------------------------------------------------------
@@ -497,8 +498,8 @@ def test_density_climbing_ratios_vanish(climbing_ens):
 
 def test_density_skips_zero_mass_words(part, graph):
     # the 2-cycle at 1/3 stays inside one arc; 5/6 starts in the other
-    mu = lf.custom_measure([(F(1, 3), 0.5), (F(5, 6), 0.5)], part,
-                           provenance="custom")
+    mu = custom_measure([(F(1, 3), 0.5), (F(5, 6), 0.5)], part,
+                        provenance="custom")
     ens = lf.make_ensemble(mu, graph, 60)
     report = lf.project_and_density(ens, 4, 8)
     assert set(report.ratios) == {(0, 0, 0, 0), (1, 0, 0, 0)}
@@ -676,8 +677,8 @@ def test_lyapunov_lands_non_d_adic_dyadic_sample():
     model = PolynomialModel(3, complex(0.34062501931660666,
                                        1.2712298784187062))
     solver = LandingSolver(model)
-    mu = lf.custom_measure([(F(205, 3 ** 8 - 1), 0.5), (F(1, 3 ** 5), 0.5)],
-                           g.partition, provenance="custom")
+    mu = custom_measure([(F(205, 3 ** 8 - 1), 0.5), (F(1, 3 ** 5), 0.5)],
+                        g.partition, provenance="custom")
     ens = lf.make_ensemble(mu, g, 40)
     rep = lf.lyapunov_consistency(ens, model, solver, R=4, n=40)
     assert solver.land_orbit(F(1, 32)).period == 8
@@ -763,6 +764,41 @@ def test_lift_report_memory_and_step_layout():
         tracemalloc.stop()
     assert report.densities
     assert peak <= 2 * ens.states.nbytes
+
+
+# the tower of the ray 1/2 at degree 16: K = 16 symbols, some two-digit
+@pytest.fixture(scope="module")
+def d16_ens():
+    g = build_tower(RayChoice(16, (F(1, 2),)), 8, extra_levels=64)
+    mu = lf.brolin_samples(g.partition, 2000, 1000, seed=7)
+    return lf.make_ensemble(mu, g, 1000)
+
+
+def test_lift_report_density_bins_past_six_symbols(monkeypatch, d16_ens):
+    # 16^6 bins would hold 128 MB a bin array; the depth drops to 4
+    depths = []
+
+    class Bounded(lf._Density):
+        def __init__(self, ens, m, R, n):
+            assert ens.graph.partition.size ** m <= 1 << 16, m
+            depths.append(m)
+            super().__init__(ens, m, R, n)
+
+    monkeypatch.setattr(lf, "_Density", Bounded)
+    report = lf.lift_report(d16_ens, (250, 500, 1000), (4, 6, 8))
+    assert depths == [4]
+    assert report.verdict == "liftable"
+    assert {len(w) for w in report.densities} == {4}
+
+
+def test_lift_json_keeps_one_density_key_per_word(d16_ens):
+    report = lf.lift_report(d16_ens, (250, 500, 1000), (4, 6, 8))
+    words = report.densities
+    # bare digits would give (1, 12, ...) and (11, 2, ...) one text
+    assert len({"".join(map(str, w)) for w in words}) < len(words)
+    texts = report.to_json()["densities"]
+    assert len(texts) == len(words)
+    assert list(texts.values()) == [words[w] for w in sorted(words)]
 
 
 # a cycle per tower whose lift leaves level 1 for good: not liftable at R = 1

@@ -24,7 +24,7 @@ from angletower.tower import (
     tower_to_json_str,
 )
 
-from oracles import angle_universe, trace
+from oracles import angle_universe, components, trace
 
 CHEB = RayChoice(2, (F(1, 2),))       # z^2 - 2, angle of the value -2
 DEND = RayChoice(2, (F(1, 6),))       # z^2 + i
@@ -428,7 +428,7 @@ def fraction_step(arcset, cutpoints, symbol, part):
         return None
 
     def closed(a):
-        return any((a - s) % 1 <= l for s, l in piece.components)
+        return any((a - s) % 1 <= l for s, l in components(piece))
 
     carried = {}
     for age, origin, angles in cutpoints:
